@@ -24,6 +24,7 @@ from .model import (
     h_susy_ss,
     h_total_r,
     mass_increment,
+    parity_chains_r,
     renormalized_frequency,
 )
 from .output import emit_flow_csv, emit_flow_svg, emit_spectrum_csv
@@ -115,8 +116,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    h = h_total_r(cfg.schedule(), args.r, cfg.fock())
-    vals = lowest_k(h, cfg.k_levels)
+    vals = lowest_k(parity_chains_r(cfg.schedule(), args.r, cfg.fock()), cfg.k_levels)
     table = SpectrumTable(
         energies=vals,
         groups=degeneracy_groups(vals, cfg.tol_degeneracy),
@@ -209,7 +209,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
 def _cmd_converge(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     rep = truncation_convergence(
-        lambda fp: h_total_r(s, 1.0, fp),
+        lambda fp: parity_chains_r(s, 1.0, fp),
         cfg.k_levels,
         cfg.tol_convergence,
         cfg.fock(),
@@ -274,3 +274,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,12 @@
-"""Dense complex linear algebra substrate.
+"""Linear algebra substrate: a banded eigensolver and dense complex tools.
 
-Everything works on plain square complex numpy arrays.  Dense double
-precision throughout: the problem sizes here (2*N_fock <= 1024 or so)
-make dense Hermitian solvers simple and fast enough.
+banded_lowest is the spectral core: it returns the lowest eigenvalues of
+a real symmetric band matrix, which is what each parity chain of the
+Hamiltonian is (see model.ParityChains).  Everything else works on plain
+square complex numpy arrays in double precision: hermitian_eigs is the
+dense reference oracle for the chains and the solver for the operator
+identities, unitary transforms and the Witten index, which need
+eigenvectors on the full 2N space.  MAX_DIM bounds only the dense path.
 """
 
 from __future__ import annotations
@@ -82,6 +86,23 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
     return EigenDecomposition(values=values, vectors=vectors)
+
+
+def banded_lowest(band: np.ndarray, m: int) -> np.ndarray:
+    """The m smallest eigenvalues, ascending, of a real symmetric band matrix.
+
+    band is in lower banded storage, band[d, j] = A[j + d, j].  Only the
+    requested eigenvalues are computed (LAPACK ?sbevx through eig_banded).
+    """
+    band = np.asarray(band, dtype=float)
+    if band.ndim != 2 or not 1 <= m <= band.shape[1]:
+        raise DimensionError(f"band of shape {band.shape} cannot give m={m} eigenvalues")
+    try:
+        return sla.eig_banded(
+            band, lower=True, eigvals_only=True, select="i", select_range=(0, m - 1)
+        )
+    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise SolverError(f"banded eigensolver failed: {exc}") from exc
 
 
 def unitary_exp(k: np.ndarray) -> np.ndarray:

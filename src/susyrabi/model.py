@@ -117,6 +117,12 @@ class Schedule:
         g = self.g(r)
         return g**2 / (4.0 * self.c * g**2 + self.omega)
 
+    def params(self, r: float) -> ModelParams:
+        """The Hamiltonian parameters (omega_a(r), omega, g(r), c) at point r."""
+        return ModelParams(
+            omega_a=self.omega_a(r), omega_b=self.omega, g=self.g(r), c=self.c
+        )
+
 
 def _check_r(r: float) -> None:
     if not 0.0 <= r <= 1.0:
@@ -134,6 +140,56 @@ def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:
     if p.c != 0.0 and p.g != 0.0:
         h = h + p.c * p.g**2 * embed_boson(x2 @ x2, fp)
     return h
+
+
+@dataclass(frozen=True)
+class ParityChains:
+    """A Hamiltonian split into its two parity blocks, in banded storage.
+
+    The parity -sz*exp(i*pi*a_dag a) commutes with every H(omega_a,
+    omega_b, g, c), since (a+a_dag)^2 is even.  Chain 0 is the basis
+    |up,0>, |down,1>, |up,2>, ...; chain 1 starts at |down,0>.  Each is
+    a real symmetric N x N matrix, pentadiagonal (tridiagonal at c*g = 0),
+    and bands[i, d, j] = chain_i[j + d, j] for d = 0, 1, 2 (the lower
+    banded form of scipy.linalg.eig_banded).  Together the two chains
+    have exactly the spectrum of the dense 2N x 2N matrix.
+    """
+
+    bands: np.ndarray  # shape (2, 3, n_fock), read-only
+
+    @property
+    def n_fock(self) -> int:
+        return self.bands.shape[2]
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the dense matrix the chains stand for."""
+        return 2 * self.n_fock
+
+
+def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
+    """hamiltonian(p, fp) + shift as its two parity chains.
+
+    With x = a + a_dag, chain entries are
+    diagonal      omega_b(n+1/2) +/- (omega_a/2)(-1)^n + c g^2 (x^2)_nn + shift,
+    first band    g sqrt(n+1),
+    second band   c g^2 sqrt((n+1)(n+2)).
+    (x^2)_nn is that of the literal truncated product x @ x used by the
+    dense builder: 2n+1, except N-1 (not 2N-1) in the corner n = N-1.
+    """
+    n = np.arange(fp.n_fock, dtype=float)
+    a2 = p.c * p.g**2
+    x2_diag = 2.0 * n + 1.0
+    x2_diag[-1] = n[-1]
+    common = p.omega_b * (n + 0.5) + a2 * x2_diag + shift
+    spin = p.omega_a / 2.0 * (1.0 - 2.0 * (n % 2))
+    bands = np.zeros((2, 3, fp.n_fock))
+    bands[0, 0] = common + spin
+    bands[1, 0] = common - spin
+    bands[:, 1, :-1] = p.g * np.sqrt(n[1:])
+    bands[:, 2, :-2] = a2 * np.sqrt(n[1:-1] * n[2:])
+    bands.flags.writeable = False
+    return ParityChains(bands)
 
 
 def h_susy_ss(omega: float, fp: FockParams) -> np.ndarray:
@@ -180,12 +236,17 @@ def h_total_r(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     Identical to h_susy_ss + h_interaction entrywise.
     """
     _check_r(r)
-    p = ModelParams(omega_a=s.omega_a(r), omega_b=s.omega, g=s.g(r), c=s.c)
-    h = hamiltonian(p, fp)
+    h = hamiltonian(s.params(r), fp)
     shift = s.self_energy(r)
     if shift != 0.0:
         h = h + shift * np.eye(fp.total_dim)
     return h
+
+
+def parity_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:
+    """H(r) of h_total_r, self-energy shift included, as parity chains."""
+    _check_r(r)
+    return parity_chains(s.params(r), fp, shift=s.self_energy(r))
 
 
 def heavy_hamiltonian(s: Schedule, fp: FockParams) -> np.ndarray:

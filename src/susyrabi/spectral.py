@@ -1,16 +1,22 @@
 """Spectral flows, degeneracy grouping, Witten index and algebra reports.
 
-Grid points of a sweep are independent and evaluated by a thread pool
-(LAPACK releases the GIL); results are assembled in grid order, so output
-is deterministic regardless of scheduling.  Worker count comes from the
-SUSYRABI_WORKERS environment variable, absent means automatic.
+Callers that need only the lowest levels (sweeps over r and g,
+truncation convergence, the limit and no-go checks, and the CLI
+spectrum and converge commands) build the Hamiltonian as its two parity
+chains (model.ParityChains) and solve them with the banded core in
+lowest_k.  The dense 2N x 2N builders stay as the reference oracle and
+serve the checks that need eigenvectors or operator products: the
+Witten index and the algebra reports.
+
+Sweep grid points are evaluated serially in grid order.  The
+SUSYRABI_WORKERS environment variable is still validated at sweep
+entry, but it no longer schedules anything.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,15 +24,17 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, basis_state, interior_projector
-from .linalg import hermitian_eigs, projected_norm, spectral_norm
+from .linalg import banded_lowest, hermitian_eigs, projected_norm, spectral_norm
 from .model import (
     ModelParams,
+    ParityChains,
     Schedule,
     SuperchargeSet,
     broken_supercharges,
     hamiltonian,
     heavy_hamiltonian,
-    h_total_r,
+    parity_chains,
+    parity_chains_r,
     renormalized_frequency,
 )
 
@@ -37,7 +45,12 @@ CONVERGENCE_N_CAP = 2048
 WORKERS_ENV = "SUSYRABI_WORKERS"
 
 
-def _worker_count() -> int:
+def _check_workers_env() -> None:
+    """Reject a malformed SUSYRABI_WORKERS; unset is fine.
+
+    Sweeps run serially, so the value schedules nothing, but the README
+    documents the variable and a bad value stays an input error.
+    """
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -46,16 +59,6 @@ def _worker_count() -> int:
             raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
         if n < 1:
             raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,19 @@ class FlowResult:
     meta: dict = field(default_factory=dict)
 
 
-def lowest_k(h: np.ndarray, k: int) -> np.ndarray:
-    """k smallest eigenvalues, ascending, from a full eigendecomposition."""
-    if k > h.shape[0]:
-        raise ValidationError(f"k={k} exceeds matrix dimension {h.shape[0]}")
+def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
+    """k smallest eigenvalues of H, ascending, multiplicity included.
+
+    ParityChains take the banded core: each chain yields its lowest
+    min(k, N) levels and the merged set is cut to k.  A dense matrix goes
+    through a full eigendecomposition; that path is the reference oracle.
+    """
+    dim = h.dim if isinstance(h, ParityChains) else h.shape[0]
+    if not 1 <= k <= dim:
+        raise ValidationError(f"k={k} outside 1..{dim} (the matrix dimension)")
+    if isinstance(h, ParityChains):
+        m = min(k, h.n_fock)
+        return np.sort(np.concatenate([banded_lowest(band, m) for band in h.bands]))[:k]
     return hermitian_eigs(h).values[:k]
 
 
@@ -110,7 +122,9 @@ def degeneracy_groups(
     return tuple(groups)
 
 
-def _table(h: np.ndarray, k: int, fp: FockParams, tol_rel: float) -> SpectrumTable:
+def _table(
+    h: np.ndarray | ParityChains, k: int, fp: FockParams, tol_rel: float
+) -> SpectrumTable:
     vals = lowest_k(h, k)
     return SpectrumTable(
         energies=vals,
@@ -133,13 +147,13 @@ def spectral_flow_r(
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValidationError("r grid must lie within [0, 1]")
 
-    def point(r: float) -> SpectrumTable:
-        return _table(h_total_r(s, r, fp), k, fp, tol_degeneracy)
-
-    tables = _map_ordered(point, list(grid))
+    _check_workers_env()
+    tables = tuple(
+        _table(parity_chains_r(s, r, fp), k, fp, tol_degeneracy) for r in grid
+    )
     return FlowResult(
         grid=grid,
-        tables=tuple(tables),
+        tables=tables,
         sweep_kind="r_sweep",
         meta={"schedule": s, "k": k, "fock": fp},
     )
@@ -159,13 +173,28 @@ def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
     return n
 
 
+def _self_energy_g(omega: float, c: float, g: float) -> float:
+    """The coupling sweep's scalar shift g_tilde^2/omega(g); 0 at g = 0."""
+    if g <= 0:
+        return 0.0
+    omega_g, g_tilde = renormalized_frequency(omega, c, g)
+    return g_tilde**2 / omega_g
+
+
 def sweep_hamiltonian_g(omega: float, c: float, g: float, fp: FockParams) -> np.ndarray:
     """H_Rabi(g) + c g^2 (a+a_dag)^2 + g_tilde^2/omega(g) at omega_a=omega_b=omega."""
     h = hamiltonian(ModelParams(omega, omega, g, c), fp)
-    if g > 0:
-        omega_g, g_tilde = renormalized_frequency(omega, c, g)
-        h = h + (g_tilde**2 / omega_g) * np.eye(fp.total_dim)
+    shift = _self_energy_g(omega, c, g)
+    if shift != 0.0:
+        h = h + shift * np.eye(fp.total_dim)
     return h
+
+
+def _sweep_chains_g(omega: float, c: float, g: float, fp: FockParams) -> ParityChains:
+    """sweep_hamiltonian_g as parity chains."""
+    return parity_chains(
+        ModelParams(omega, omega, g, c), fp, shift=_self_energy_g(omega, c, g)
+    )
 
 
 def spectral_flow_g(
@@ -192,12 +221,13 @@ def spectral_flow_g(
                 f"or reduce the coupling range"
             )
         fp_g = FockParams(n_fock=n_req, buffer=min(fp.buffer, n_req // 2))
-        return _table(sweep_hamiltonian_g(omega, c, g, fp_g), k, fp_g, tol_degeneracy)
+        return _table(_sweep_chains_g(omega, c, g, fp_g), k, fp_g, tol_degeneracy)
 
-    tables = _map_ordered(point, list(g_grid))
+    _check_workers_env()
+    tables = tuple(point(g) for g in g_grid)
     return FlowResult(
         grid=g_grid,
-        tables=tuple(tables),
+        tables=tables,
         sweep_kind="g_sweep",
         meta={"omega": omega, "c": c, "k": k, "fock": fp},
     )
@@ -233,8 +263,8 @@ def no_go_asymptote_check(
         raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
     n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
     fp_g = FockParams(n_fock=n_req, buffer=min(fp.buffer, n_req // 2))
-    vals = lowest_k(sweep_hamiltonian_g(omega, c, g, fp_g), k)
-    omega_g, g_tilde = renormalized_frequency(omega, c, g)
+    vals = lowest_k(_sweep_chains_g(omega, c, g, fp_g), k)
+    omega_g = renormalized_frequency(omega, c, g)[0]
     if c == 0.0:
         target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]
         limit = None
@@ -246,7 +276,7 @@ def no_go_asymptote_check(
         g=g,
         c=c,
         max_deviation=float(np.max(np.abs(vals - target))),
-        self_energy=g_tilde**2 / omega_g,
+        self_energy=_self_energy_g(omega, c, g),
         self_energy_limit=limit,
         target=target,
     )
@@ -263,7 +293,7 @@ class ConvergenceReport:
 
 
 def truncation_convergence(
-    builder: Callable[[FockParams], np.ndarray],
+    builder: Callable[[FockParams], np.ndarray | ParityChains],
     k: int,
     tol: float,
     fp0: FockParams,
@@ -272,7 +302,8 @@ def truncation_convergence(
     """Double n_fock until the lowest k eigenvalues move by <= tol.
 
     n_star is the smallest truncation whose spectrum already agrees with
-    the doubled one.
+    the doubled one.  builder may return a dense matrix or ParityChains;
+    lowest_k solves either.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -471,9 +502,9 @@ def limit_check(
     pair_tol, when given, is the looser grouping tolerance for the r=1
     endpoint (the c=0 cat-state pairs split only exponentially).
     """
-    vals_r1 = lowest_k(h_total_r(s, 1.0, fp), k)
+    vals_r1 = lowest_k(parity_chains_r(s, 1.0, fp), k)
     target = lowest_k(heavy_hamiltonian(s, fp), k)
-    vals_r0 = lowest_k(h_total_r(s, 0.0, fp), k)
+    vals_r0 = lowest_k(parity_chains_r(s, 0.0, fp), k)
     groups_r0 = tuple(size for _, size in degeneracy_groups(vals_r0, tol_degeneracy))
     groups_r1 = tuple(
         size

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +132,20 @@ def test_exit_code_numerical_errors(tmp_path, capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run_command(["frobnicate"]) == 1
     assert run_command([]) == 1
+
+
+def run_module(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "susyrabi.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_commands():
+    ok = run_module("mass", "--g", "6.2832", "--c", "1.257")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("omega_g ")
+    bad = run_module("mass", "--g", "6.2832", "--c", "-1")
+    assert bad.returncode == 1
+    assert "error:" in bad.stderr

@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from susyrabi.errors import ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import hermitian_eigs, kron, unitary_exp
 from susyrabi.model import (
@@ -15,9 +17,10 @@ from susyrabi.model import (
     free_supercharges,
     hamiltonian,
     mass_increment,
+    parity_chains,
     renormalized_frequency,
 )
-from susyrabi.spectral import degeneracy_groups
+from susyrabi.spectral import degeneracy_groups, lowest_k
 
 ints = st.integers(min_value=-5, max_value=5)
 
@@ -112,3 +115,90 @@ def test_broken_charges_close_for_any_frequency(omega):
     h = hamiltonian(ModelParams(0.0, omega, 0.0, 0.0), fp)
     np.testing.assert_allclose(2 * ch.q1 @ ch.q1, h, atol=1e-10)
     np.testing.assert_allclose(2 * ch.q2 @ ch.q2, h, atol=1e-10)
+
+
+# Banded parity chains against the dense oracle.  The tolerance is fixed
+# in advance: 1e-9 relative to max(1, |E|), far above double-precision
+# solver error at these sizes.
+CHAIN_RTOL = 1e-9
+
+chain_cases = st.tuples(
+    st.floats(min_value=0.0, max_value=10.0),  # omega_a
+    st.floats(min_value=0.1, max_value=10.0),  # omega_b
+    st.floats(min_value=0.0, max_value=10.0),  # g
+    st.floats(min_value=0.0, max_value=1.0),  # c
+    st.floats(min_value=-5.0, max_value=5.0),  # shift
+    st.integers(min_value=8, max_value=48),  # n_fock
+)
+
+
+def case_params(case):
+    omega_a, omega_b, g, c, shift, n = case
+    return ModelParams(omega_a, omega_b, g, c), FockParams(n_fock=n, buffer=0), shift
+
+
+def dense_case(case):
+    p, fp, shift = case_params(case)
+    return p, fp, shift, np.linalg.eigvalsh(hamiltonian(p, fp)) + shift
+
+
+def assert_energies_close(got, want):
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(err) <= CHAIN_RTOL, f"max relative deviation {np.max(err):.3e}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_cases)
+def test_parity_chains_full_spectrum_matches_dense(case):
+    p, fp, shift, dense = dense_case(case)
+    got = lowest_k(parity_chains(p, fp, shift), fp.total_dim)
+    assert got.shape == dense.shape
+    assert_energies_close(got, dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_cases)
+def test_parity_chains_lowest_seven_match_dense(case):
+    p, fp, shift, dense = dense_case(case)
+    assert_energies_close(lowest_k(parity_chains(p, fp, shift), 7), dense[:7])
+
+
+def chain_matrix(band):
+    """Full symmetric matrix of one chain from its lower banded storage."""
+    n = band.shape[1]
+    m = np.diag(band[0])
+    for d in (1, 2):
+        m += np.diag(band[d, : n - d], -d) + np.diag(band[d, : n - d], d)
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain_cases)
+def test_spectrum_is_union_of_the_two_chains(case):
+    p, fp, shift, dense = dense_case(case)
+    n = fp.n_fock
+    levels = np.arange(n)
+    # Chain 0 is |up,0>, |down,1>, |up,2>, ...; chain 1 starts at |down,0>.
+    # Qubit-major index: s*N + n with s = 0 for up.
+    idx = [levels + n * (levels % 2), levels + n * (1 - levels % 2)]
+    h = hamiltonian(p, fp) + shift * np.eye(fp.total_dim)
+    chains = parity_chains(p, fp, shift)
+    for i in (0, 1):
+        block = h[np.ix_(idx[i], idx[i])]
+        scale = max(1.0, float(np.max(np.abs(block))))
+        np.testing.assert_allclose(chain_matrix(chains.bands[i]), block.real,
+                                   rtol=0, atol=1e-12 * scale)
+        assert np.max(np.abs(block.imag)) == 0.0
+    assert np.max(np.abs(h[np.ix_(idx[0], idx[1])])) == 0.0
+    union = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(chain_matrix(band)) for band in chains.bands]))
+    assert_energies_close(union, dense)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chain_cases)
+def test_parity_chains_reject_k_outside_dimension(case):
+    p, fp, shift = case_params(case)
+    for k in (fp.total_dim + 1, 0):
+        with pytest.raises(ValidationError):
+            lowest_k(parity_chains(p, fp, shift), k)

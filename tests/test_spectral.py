@@ -34,8 +34,9 @@ OMEGA = 6.2832
 def test_lowest_k_orders_and_bounds(fp_small):
     h = np.diag([3.0, -1.0, 2.0]).astype(complex)
     np.testing.assert_allclose(lowest_k(h, 2), [-1.0, 2.0])
-    with pytest.raises(ValidationError):
-        lowest_k(h, 4)
+    for k in (4, 0, -1):
+        with pytest.raises(ValidationError):
+            lowest_k(h, k)
 
 
 def test_degeneracy_groups_basic():
