@@ -26,7 +26,7 @@ class NumericalError(SusyRabiError):
 
 
 class ContractViolationError(NumericalError):
-    """An operator failed a structural precondition (Hermiticity, projector, ...)."""
+    """An operator failed a structural precondition (Hermiticity, interior index set, ...)."""
 
 
 class SolverError(NumericalError):

@@ -4,9 +4,12 @@ Callers that need only the lowest levels (sweeps over r and g,
 truncation convergence, the limit and no-go checks, and the CLI
 spectrum and converge commands) build the Hamiltonian as its two parity
 chains (model.ParityChains) and solve them with the banded core in
-lowest_k.  The dense 2N x 2N builders stay as the reference oracle and
-serve the checks that need eigenvectors or operator products: the
-Witten index and the algebra reports.
+lowest_k.  The Witten index takes chains too: the grading -sz is
+diagonal in the chain basis, so each level's expectation comes from its
+real chain eigenvector.  The dense 2N x 2N builders stay as the
+reference oracle for both and serve the checks that need operator
+products: the algebra reports, whose residuals are measured on the
+interior index set of fock.interior_projector.
 
 Sweep grid points are evaluated serially in grid order.  The
 SUSYRABI_WORKERS environment variable is still validated at sweep
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, basis_state, interior_projector
-from .linalg import banded_lowest, hermitian_eigs, projected_norm, spectral_norm
+from .linalg import banded_eigh, banded_lowest, hermitian_eigs, projected_norm
 from .model import (
     ModelParams,
     ParityChains,
@@ -334,32 +337,66 @@ class WittenReport:
     truncation_tail: float
 
 
+def _chain_graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
+    """All levels of both chains, ascending, with their -sz expectations.
+
+    Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
+    (-1)^n on chain 1; with real eigenvectors v the expectation of a
+    level is sum_n g_n v_n^2.
+    """
+    sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
+    values, expectations = [], []
+    for grading, band in zip((-sign, sign), h.bands):
+        ed = banded_eigh(band)
+        values.append(ed.values)
+        expectations.append(grading @ ed.vectors**2)
+    order = np.argsort(np.concatenate(values), kind="stable")
+    return np.concatenate(values)[order], np.concatenate(expectations)[order]
+
+
 def witten_index(
-    h: np.ndarray, grading: np.ndarray, beta: float, k: int = 60
+    h: np.ndarray | ParityChains,
+    grading: np.ndarray | None,
+    beta: float,
+    k: int = 60,
 ) -> WittenReport:
     """Sum of grading expectations weighted by Boltzmann factors.
 
     k is extended to the next degeneracy-group boundary so that the sum
     over each (near-)degenerate subspace is the basis-independent trace.
+    ParityChains take the banded path with the grading -sz, which is
+    diagonal in the chain basis, and grading must be None.  A dense h
+    with its dense grading goes through a full eigendecomposition; that
+    path is the reference oracle.
     """
     if beta <= 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
-    ed = hermitian_eigs(h)
-    dim = ed.dim
+    chains = isinstance(h, ParityChains)
+    if chains != (grading is None):
+        raise ValidationError("pass a dense grading with a dense h, and None with ParityChains")
+    if chains:
+        values, expectations = _chain_graded_levels(h)
+    else:
+        ed = hermitian_eigs(h)
+        values = ed.values
+    dim = values.size
     k = min(k, dim)
-    groups = degeneracy_groups(ed.values, DEGENERACY_TOL)
+    groups = degeneracy_groups(values, DEGENERACY_TOL)
     for start, size in groups:
         if start < k < start + size:
             k = min(start + size, dim)
-    tail = float(math.exp(-beta * ed.values[k - 1]))
+    tail = float(math.exp(-beta * values[k - 1]))
     if tail > WITTEN_TAIL_MAX:
         raise InvalidBetaError(
             f"Boltzmann tail {tail:.3e} at level {k - 1} exceeds {WITTEN_TAIL_MAX}; "
             f"increase beta or k"
         )
-    vecs = ed.vectors[:, :k]
-    expectations = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), grading, vecs))
-    value = float(np.sum(expectations * np.exp(-beta * ed.values[:k])))
+    if chains:
+        expectations = expectations[:k]
+    else:
+        vecs = ed.vectors[:, :k]
+        expectations = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), grading, vecs))
+    value = float(np.sum(expectations * np.exp(-beta * values[:k])))
     return WittenReport(
         beta=beta,
         index_value=value,
@@ -370,7 +407,7 @@ def witten_index(
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    """Interior-projected residuals of the SUSY algebra identities.
+    """Residuals of the SUSY algebra identities on the interior.
 
     Residuals are relative to max(1, |H|_2).  vacuum_annihilation holds
     sqrt(|q+ v|^2 + |q- v|^2) per numerically found ground state, which is
@@ -396,7 +433,8 @@ def susy_algebra_report(
     if h.shape != charges.q1.shape:
         raise ValidationError(f"shape mismatch: H {h.shape}, charges {charges.q1.shape}")
     p = interior_projector(fp)
-    scale = max(1.0, spectral_norm(h))
+    ed = hermitian_eigs(h)
+    scale = max(1.0, float(np.max(np.abs(ed.values))))
 
     def rel(m: np.ndarray) -> float:
         return projected_norm(m, p) / scale
@@ -416,7 +454,6 @@ def susy_algebra_report(
         "minus": rel(2.0 * charges.q_minus @ charges.q_minus),
     }
 
-    ed = hermitian_eigs(h)
     ground = degeneracy_groups(ed.values, DEGENERACY_TOL)[0]
     vac_norms = []
     for i in range(ground[0], ground[0] + ground[1]):

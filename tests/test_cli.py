@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from susyrabi.cli import run_command
+from susyrabi.cli import _build_parser, run_command
+from susyrabi.config import RunConfig
 
 FAST = ["--n-fock", "64", "--buffer", "16"]
 
@@ -127,6 +129,34 @@ def test_exit_code_numerical_errors(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# The CLI contract: every RunConfig field is a flag of this type.
+FLAG_TYPES = {
+    "omega": float, "g_max": float, "c": float,
+    "omega_a_schedule": str, "g_schedule": str,
+    "n_fock": int, "buffer": int,
+    "sweep_kind": str, "sweep_start": float, "sweep_stop": float,
+    "sweep_points": int, "k_levels": int,
+    "tol_degeneracy": float, "tol_algebra": float, "tol_convergence": float,
+    "out_csv": str, "out_svg": str,
+}
+
+
+def test_every_config_field_has_exactly_one_flag():
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(names) == sorted(FLAG_TYPES)
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert len(subparsers) == 7
+    for command, sub in subparsers.items():
+        for name in names:
+            flag = "--" + name.replace("_", "-")
+            actions = [a for a in sub._actions if flag in a.option_strings]
+            assert len(actions) == 1, (command, flag)
+            assert actions[0].dest == name
+            assert actions[0].type is FLAG_TYPES[name], (command, flag)
+            assert actions[0].default is None
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

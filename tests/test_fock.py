@@ -51,9 +51,12 @@ def test_commutator_identity_with_corner_defect(fp_small):
 
 def test_interior_projector_absorbs_commutator_defect(fp_small):
     ops = make_operators(fp_small)
-    p = interior_projector(fp_small)[: fp_small.n_fock, : fp_small.n_fock]
+    idx = interior_projector(fp_small)
+    boson = idx[idx < fp_small.n_fock]
     comm = ops.a @ ops.a_dag - ops.a_dag @ ops.a
-    np.testing.assert_allclose(p @ comm @ p, p, atol=1e-13)
+    np.testing.assert_allclose(
+        comm[np.ix_(boson, boson)], np.eye(boson.size), atol=1e-13
+    )
 
 
 def test_spin_operator_relations():
@@ -95,12 +98,28 @@ def test_embed_shape_checks(fp_small):
 
 def test_interior_projector_pattern():
     fp = FockParams(n_fock=8, buffer=2)
-    p = interior_projector(fp)
-    diag = np.diagonal(p).real
+    idx = interior_projector(fp)
+    np.testing.assert_array_equal(idx, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13])
+    assert np.issubdtype(idx.dtype, np.integer)
+    assert np.unique(idx).size == idx.size
+    # The index set is the support of the 0/1 diagonal projector.
+    mask = np.zeros(fp.total_dim)
+    mask[idx] = 1.0
     expected_block = [1, 1, 1, 1, 1, 1, 0, 0]
-    np.testing.assert_array_equal(diag, expected_block * 2)
-    np.testing.assert_allclose(p @ p, p)
-    np.testing.assert_allclose(p, p.conj().T)
+    np.testing.assert_array_equal(mask, expected_block * 2)
+    np.testing.assert_array_equal(interior_projector(fp, 3), [0, 1, 2, 8, 9, 10])
+    with pytest.raises(ValidationError):
+        interior_projector(fp, 9)
+
+
+def test_make_operators_cached_and_read_only():
+    fp = FockParams(n_fock=16, buffer=4)
+    ops = make_operators(fp)
+    assert make_operators(FockParams(n_fock=16, buffer=4)) is ops
+    for name in ("a", "a_dag", "n_op", "sx", "sy", "sz", "s_plus", "s_minus"):
+        with pytest.raises(ValueError):
+            getattr(ops, name)[0, 0] = 7.0
+    assert make_operators(FockParams(n_fock=16, buffer=0)) is not ops
 
 
 def test_basis_state_indexing(fp_small):

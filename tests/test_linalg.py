@@ -6,6 +6,7 @@ import pytest
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     EigenDecomposition,
+    banded_eigh,
     hermitian_eigs,
     kron,
     projected_norm,
@@ -118,16 +119,37 @@ def test_spectral_norm_diag():
 
 def test_projected_norm_basics():
     a = np.diag([1.0, 5.0]).astype(complex)
-    p_full = np.eye(2, dtype=complex)
-    p_first = np.diag([1.0, 0.0]).astype(complex)
-    assert projected_norm(a, p_full) == pytest.approx(5.0)
-    assert projected_norm(a, p_first) == pytest.approx(1.0)
-    assert projected_norm(a, np.zeros((2, 2))) == pytest.approx(0.0)
+    assert projected_norm(a, np.arange(2)) == pytest.approx(5.0)
+    assert projected_norm(a, np.array([0])) == pytest.approx(1.0)
+    assert projected_norm(a, np.array([], dtype=int)) == pytest.approx(0.0)
 
 
 def test_projected_norm_rejects_non_projector():
-    with pytest.raises(ContractViolationError):
-        projected_norm(np.eye(2), 2.0 * np.eye(2))
+    # An interior is a set of distinct basis indices inside the matrix.
+    malformed = [
+        np.array([0.0, 1.0]),  # not integer
+        np.array([True, False]),  # a mask, not an index set
+        np.array([[0, 1]]),  # not 1-D
+        np.array([0, 2]),  # past the end
+        np.array([-1, 0]),  # negative
+        np.array([1, 1]),  # duplicate
+    ]
+    for idx in malformed:
+        with pytest.raises(ContractViolationError):
+            projected_norm(np.eye(2), idx)
+
+
+def test_banded_eigh_matches_dense():
+    band = np.array([[2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2, 0.0], [0.1, 0.4, 0.0, 0.0]])
+    dense = np.diag(band[0])
+    for d in (1, 2):
+        dense += np.diag(band[d, : 4 - d], -d) + np.diag(band[d, : 4 - d], d)
+    ed = banded_eigh(band)
+    np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(dense), atol=1e-13)
+    np.testing.assert_allclose(dense @ ed.vectors, ed.vectors * ed.values, atol=1e-13)
+    np.testing.assert_allclose(ed.vectors.T @ ed.vectors, np.eye(4), atol=1e-13)
+    with pytest.raises(DimensionError):
+        banded_eigh(np.ones(3))
 
 
 def test_eigendecomposition_dim_property():

@@ -8,19 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from susyrabi.errors import ValidationError
+from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
-from susyrabi.linalg import hermitian_eigs, kron, unitary_exp
+from susyrabi.linalg import (
+    hermitian_eigs,
+    hermitian_norm,
+    kron,
+    projected_norm,
+    unitary_exp,
+)
 from susyrabi.model import (
     ModelParams,
+    Schedule,
     broken_supercharges,
     free_supercharges,
+    h_total_r,
     hamiltonian,
     mass_increment,
     parity_chains,
+    parity_chains_r,
     renormalized_frequency,
 )
-from susyrabi.spectral import degeneracy_groups, lowest_k
+from susyrabi.spectral import degeneracy_groups, lowest_k, witten_index
 
 ints = st.integers(min_value=-5, max_value=5)
 
@@ -202,3 +211,72 @@ def test_parity_chains_reject_k_outside_dimension(case):
     for k in (fp.total_dim + 1, 0):
         with pytest.raises(ValidationError):
             lowest_k(parity_chains(p, fp, shift), k)
+
+
+# Fast paths of the identity checks against their dense oracles.  The
+# tolerances are fixed in advance: 1e-12 relative to max(1, |A|) for the
+# norms, 1e-10 absolute for the Witten index.
+NORM_RTOL = 1e-12
+WITTEN_ATOL = 1e-10
+
+
+@st.composite
+def complex_with_index_set(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    re = draw(arrays(np.float64, (n, n), elements=reals))
+    im = draw(arrays(np.float64, (n, n), elements=reals))
+    idx = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    return re + 1j * im, np.array(idx, dtype=int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_with_index_set())
+def test_projected_norm_equals_dense_projector(case):
+    a, idx = case
+    p = np.zeros(a.shape)
+    p[idx, idx] = 1.0
+    want = np.linalg.norm(p @ a @ p, 2)
+    assert abs(projected_norm(a, idx) - want) <= NORM_RTOL * max(1.0, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays(np.float64, (7, 7), elements=reals),
+       arrays(np.float64, (7, 7), elements=reals))
+def test_hermitian_norm_equals_svd_norm(re, im):
+    m = re + 1j * im
+    h = m + m.conj().T
+    want = np.linalg.norm(h, 2)
+    assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
+    anti = m - m.conj().T
+    if np.max(np.abs(anti)) > 1e-6:
+        with pytest.raises(ContractViolationError):
+            hermitian_norm(h + 1e-3 * anti)
+
+
+witten_cases = st.tuples(
+    st.floats(min_value=0.5, max_value=10.0),  # omega
+    st.floats(min_value=0.0, max_value=2.0),  # g_max / omega
+    st.floats(min_value=0.0, max_value=1.5),  # c
+    st.floats(min_value=0.0, max_value=1.0),  # r
+    st.integers(min_value=16, max_value=64),  # n_fock
+    st.floats(min_value=2.0, max_value=10.0),  # beta * omega
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(witten_cases)
+def test_chain_witten_index_matches_dense(case):
+    omega, g_ratio, c, r, n, beta_omega = case
+    s = Schedule(omega=omega, g_max=g_ratio * omega, c=c)
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    beta = beta_omega / omega
+    grading = free_supercharges(omega, fp).grading
+    try:
+        dense = witten_index(h_total_r(s, r, fp), grading, beta)
+    except InvalidBetaError:
+        with pytest.raises(InvalidBetaError):
+            witten_index(parity_chains_r(s, r, fp), None, beta)
+        return
+    chains = witten_index(parity_chains_r(s, r, fp), None, beta)
+    assert abs(chains.index_value - dense.index_value) <= WITTEN_ATOL
+    assert chains.rounded == dense.rounded

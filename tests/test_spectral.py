@@ -12,6 +12,7 @@ from susyrabi.model import (
     free_supercharges,
     h_total_r,
     hamiltonian,
+    parity_chains_r,
 )
 from susyrabi.spectral import (
     degeneracy_groups,
@@ -193,6 +194,23 @@ def test_witten_index_beta_guards(fp_mid):
         witten_index(h, grading, 0.0)
     with pytest.raises(InvalidBetaError):
         witten_index(h, grading, 1e-3, k=10)
+
+
+def test_witten_index_chains_match_dense_endpoints(fp_mid):
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
+    grading = free_supercharges(OMEGA, fp_mid).grading
+    beta = 5.0 / OMEGA
+    for r in (0.0, 1.0):
+        dense = witten_index(h_total_r(s, r, fp_mid), grading, beta)
+        chains = witten_index(parity_chains_r(s, r, fp_mid), None, beta)
+        assert chains.index_value == pytest.approx(dense.index_value, abs=1e-12)
+        assert chains.rounded == dense.rounded
+        assert chains.truncation_tail == pytest.approx(dense.truncation_tail, rel=1e-9)
+    # The chains carry their own grading; a dense h needs one.
+    with pytest.raises(ValidationError):
+        witten_index(parity_chains_r(s, 0.0, fp_mid), grading, beta)
+    with pytest.raises(ValidationError):
+        witten_index(h_total_r(s, 0.0, fp_mid), None, beta)
 
 
 def test_algebra_report_free(fp_mid):
