@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, parse_config, validate
+from .config import FIELD_TYPES, RunConfig, parse_config, validate
 from .errors import NumericalError, ValidationError
 from .model import (
     ModelParams,
@@ -43,13 +43,6 @@ from .transforms import (
     u_a2_with_report,
 )
 
-# One flag per RunConfig field; a None default (the output paths) is a str.
-_CONFIG_FLAGS = [
-    (f.name, str if f.default is None else type(f.default))
-    for f in dataclasses.fields(RunConfig)
-]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susyrabi",
@@ -69,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON configuration file")
-        for key, kind in _CONFIG_FLAGS:
+        for key, kind in FIELD_TYPES.items():
             cmd.add_argument(f"--{key.replace('_', '-')}", type=kind, default=None)
         if name == "spectrum":
             cmd.add_argument("--r", type=float, default=1.0)
@@ -91,7 +84,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = parse_config(text)
     overrides = {
         key: getattr(args, key)
-        for key, _ in _CONFIG_FLAGS
+        for key in FIELD_TYPES
         if getattr(args, key) is not None
     }
     if overrides:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .fock import FockParams
@@ -44,23 +44,21 @@ class RunConfig:
         )
 
 
-_TOP_KEYS = {
-    "omega": float,
-    "g_max": float,
-    "c": float,
-    "omega_a_schedule": str,
-    "g_schedule": str,
-    "n_fock": int,
-    "buffer": int,
-    "sweep": dict,
-    "k_levels": int,
-    "tol_degeneracy": float,
-    "tol_algebra": float,
-    "tol_convergence": float,
-    "out_csv": str,
-    "out_svg": str,
+# The type of each RunConfig field, which is also the type of its JSON key
+# and of its CLI flag; a None default (the output paths) is a str.
+FIELD_TYPES = {
+    f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)
 }
-_SWEEP_KEYS = {"kind": str, "start": float, "stop": float, "points": int}
+# The sweep_* fields live in the nested "sweep" object.
+_SWEEP_KEYS = {
+    name.removeprefix("sweep_"): kind
+    for name, kind in FIELD_TYPES.items()
+    if name.startswith("sweep_")
+}
+_TOP_KEYS = {
+    name: kind for name, kind in FIELD_TYPES.items() if not name.startswith("sweep_")
+}
+_TOP_KEYS["sweep"] = dict
 
 
 def _coerce(name: str, value, kind):
@@ -136,7 +134,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a single JSON object")
-    fields: dict = {}
+    values: dict = {}
     for key, value in doc.items():
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
@@ -145,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
             for sub, subval in value.items():
                 if sub not in _SWEEP_KEYS:
                     raise ConfigError(f"unknown configuration key 'sweep.{sub}'")
-                fields[f"sweep_{sub}"] = _coerce(f"sweep.{sub}", subval, _SWEEP_KEYS[sub])
+                values[f"sweep_{sub}"] = _coerce(f"sweep.{sub}", subval, _SWEEP_KEYS[sub])
         else:
-            fields[key] = value
-    return validate(replace(RunConfig(), **fields))
+            values[key] = value
+    return validate(replace(RunConfig(), **values))

@@ -9,8 +9,12 @@ hermitian_eigs is the dense reference oracle for the chains and the
 solver for the operator identities and unitary transforms, which need
 eigenvectors on the full 2N space.  Identity residuals are measured on
 an interior given as an index set: projected_norm slices the kept rows
-and columns instead of multiplying by a 0/1 projector.  MAX_DIM bounds
-only the dense path.
+and columns instead of multiplying by a 0/1 projector.  Every spectral
+norm (spectral_norm, hermitian_norm, projected_norm) is taken block by
+block over the matrix's zero pattern: a spin (x) Fock operator built
+from ladder operators splits, after one symmetric permutation, into its
+parity sectors, 2 x 2 spin-flip pairs or single entries, and the norm is
+the largest of the blocks' norms.  MAX_DIM bounds only the dense path.
 """
 
 from __future__ import annotations
@@ -141,10 +145,61 @@ def unitary_exp(k: np.ndarray) -> np.ndarray:
     return (ed.vectors * np.exp(-1j * ed.values)) @ ed.vectors.conj().T
 
 
+def _principal_blocks(a: np.ndarray):
+    """Yield the nonzero principal blocks of square A, stacked by size.
+
+    The blocks are the connected components of the graph that joins i and
+    j whenever A[i, j] or A[j, i] is nonzero, so one symmetric permutation
+    makes A their direct sum and its singular values and eigenvalues are
+    the union of theirs.  Each yield is an array of shape (k, m, m) holding
+    the k blocks A[idx, idx] of size m, idx ascending.  A component that
+    is a single zero diagonal entry is left out, so a zero matrix has no
+    blocks; a matrix that is one component is yielded whole, as a[None].
+    """
+    nz = a != 0
+    if nz.all():
+        if a.size:
+            yield a[None]
+        return
+    nz |= nz.T
+    diag = nz.diagonal().copy()
+    np.fill_diagonal(nz, True)
+    n = a.shape[0]
+    _, cols = np.nonzero(nz)
+    starts = np.concatenate(([0], np.cumsum(nz.sum(axis=1))[:-1]))
+    # Each index takes the smallest label among its neighbours, then the
+    # label of that label (pointer jumping), until every component carries
+    # the label of its smallest index.
+    label = np.arange(n)
+    while True:
+        new = np.minimum.reduceat(label[cols], starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    size = np.bincount(label, minlength=n)[label]
+    if size[0] == n:
+        yield a[None]
+        return
+    order = np.lexsort((label, size))
+    order = order[(size[order] > 1) | diag[order]]
+    sizes = size[order]
+    for m in np.unique(sizes):
+        idx = order[sizes == m].reshape(-1, m)
+        yield a[idx[:, :, None], idx[:, None, :]]
+
+
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value, taken block by block over A's zero pattern.
+
+    The blocks are those of _principal_blocks; the norm is the largest of
+    their SVD norms, and a matrix without a zero entry is a single SVD.
+    """
     a = _check_square(a)
-    return float(np.linalg.norm(a, 2))
+    return max(
+        (float(np.linalg.svd(b, compute_uv=False).max()) for b in _principal_blocks(a)),
+        default=0.0,
+    )
 
 
 def hermitian_norm(a: np.ndarray) -> float:
@@ -152,6 +207,8 @@ def hermitian_norm(a: np.ndarray) -> float:
 
     Cheaper than the singular values, but only the same for Hermitian
     input, so a defect beyond HERMITICITY_RTOL is a contract violation.
+    The eigenvalues are taken block by block over A's zero pattern, on
+    the principal blocks of _principal_blocks.
     """
     a = _check_square(a)
     if not a.size:
@@ -162,15 +219,19 @@ def hermitian_norm(a: np.ndarray) -> float:
         raise ContractViolationError(
             f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
         )
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return max(
+        (float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in _principal_blocks(a)),
+        default=0.0,
+    )
 
 
 def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
     """Spectral norm of A restricted to the basis indices idx.
 
-    This is |P A P|_2 for the 0/1 diagonal projector P onto idx, computed
-    on the kept block alone.  idx must be a 1-D integer array of distinct
-    indices inside A; an empty set gives 0.
+    This is |P A P|_2 for the 0/1 diagonal projector P onto idx: the
+    spectral_norm of the kept block, so it too is taken block by block
+    over that block's zero pattern.  idx must be a 1-D integer array of
+    distinct indices inside A; an empty set gives 0.
     """
     a = _check_square(a)
     idx = np.asarray(idx)
@@ -186,4 +247,4 @@ def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
         )
     if np.unique(idx).size != idx.size:
         raise ContractViolationError("interior indices must be distinct")
-    return float(np.linalg.norm(a[np.ix_(idx, idx)], 2))
+    return spectral_norm(a[np.ix_(idx, idx)])

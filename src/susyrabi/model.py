@@ -129,8 +129,12 @@ def _check_r(r: float) -> None:
         raise ValidationError(f"r must lie in [0, 1], got {r}")
 
 
-def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:
-    """H = (omega_a/2) sz + omega_b (n+1/2) + g sx (a+a_dag) + c g^2 (a+a_dag)^2."""
+def hamiltonian(p: ModelParams, fp: FockParams, shift: float = 0.0) -> np.ndarray:
+    """H = (omega_a/2) sz + omega_b (n+1/2) + g sx (a+a_dag) + c g^2 (a+a_dag)^2 + shift.
+
+    The scalar shift (a self-energy) is added last, as shift times the
+    identity, and only when it is nonzero.
+    """
     ops = make_operators(fp)
     x2 = ops.a + ops.a_dag
     h = p.omega_a / 2.0 * embed_qubit(ops.sz, fp)
@@ -139,6 +143,8 @@ def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:
         h = h + p.g * kron(ops.sx, x2)
     if p.c != 0.0 and p.g != 0.0:
         h = h + p.c * p.g**2 * embed_boson(x2 @ x2, fp)
+    if shift != 0.0:
+        h = h + shift * np.eye(fp.total_dim)
     return h
 
 
@@ -168,7 +174,7 @@ class ParityChains:
 
 
 def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
-    """hamiltonian(p, fp) + shift as its two parity chains.
+    """hamiltonian(p, fp, shift) as its two parity chains.
 
     With x = a + a_dag, chain entries are
     diagonal      omega_b(n+1/2) +/- (omega_a/2)(-1)^n + c g^2 (x^2)_nn + shift,
@@ -236,11 +242,7 @@ def h_total_r(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     Identical to h_susy_ss + h_interaction entrywise.
     """
     _check_r(r)
-    h = hamiltonian(s.params(r), fp)
-    shift = s.self_energy(r)
-    if shift != 0.0:
-        h = h + shift * np.eye(fp.total_dim)
-    return h
+    return hamiltonian(s.params(r), fp, shift=s.self_energy(r))
 
 
 def parity_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:

@@ -186,11 +186,7 @@ def _self_energy_g(omega: float, c: float, g: float) -> float:
 
 def sweep_hamiltonian_g(omega: float, c: float, g: float, fp: FockParams) -> np.ndarray:
     """H_Rabi(g) + c g^2 (a+a_dag)^2 + g_tilde^2/omega(g) at omega_a=omega_b=omega."""
-    h = hamiltonian(ModelParams(omega, omega, g, c), fp)
-    shift = _self_energy_g(omega, c, g)
-    if shift != 0.0:
-        h = h + shift * np.eye(fp.total_dim)
-    return h
+    return hamiltonian(ModelParams(omega, omega, g, c), fp, shift=_self_energy_g(omega, c, g))
 
 
 def _sweep_chains_g(omega: float, c: float, g: float, fp: FockParams) -> ParityChains:

@@ -130,9 +130,11 @@ def u_a2_with_report(
     lhs = hamiltonian(p, fp)
     rhs = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
     projector = squeeze_interior_projector(fp, zeta)
+    # The generator is anti-Hermitian, so S(-zeta) = S(zeta)^dag.
+    s_plus = squeeze(zeta, fp)
     best: tuple[np.ndarray, TransformReport] | None = None
-    for sign in (1.0, -1.0):
-        u = embed_boson(squeeze(sign * zeta, fp), fp)
+    for sign, s in ((1.0, s_plus), (-1.0, s_plus.conj().T)):
+        u = embed_boson(s, fp)
         rep = verify_equivalence(
             u, lhs, rhs, fp,
             identity_name="a2-removal",
@@ -162,12 +164,15 @@ def u_polaron(beta: float, fp: FockParams) -> np.ndarray:
 
     U(beta) = {(s- - 1) s+ D(beta) + (s+ + 1) s- D(-beta)} / sqrt(2).
     """
+    return _polaron(displacement(beta, fp), fp)
+
+
+def _polaron(d: np.ndarray, fp: FockParams) -> np.ndarray:
+    """U(beta) of u_polaron from d = D(beta), with D(-beta) = D(beta)^dag."""
     ops = make_operators(fp)
-    d_plus = displacement(beta, fp)
-    d_minus = displacement(-beta, fp)
     spin_a = (ops.s_minus - I2) @ ops.s_plus
     spin_b = (ops.s_plus + I2) @ ops.s_minus
-    return (kron(spin_a, d_plus) + kron(spin_b, d_minus)) / math.sqrt(2.0)
+    return (kron(spin_a, d) + kron(spin_b, d.conj().T)) / math.sqrt(2.0)
 
 
 def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformReport:
@@ -202,14 +207,11 @@ def polaron_equivalence_report(
       = H(0, omega_b, 0, 0)
         - (omega_a/2) {s+ D(g/omega_b)^2 + s- D(-g/omega_b)^2}.
     """
-    beta = g / omega_b
-    u = u_polaron(beta, fp)
+    d = displacement(g / omega_b, fp)
+    u = _polaron(d, fp)
     ops = make_operators(fp)
-    lhs = hamiltonian(ModelParams(omega_a, omega_b, g, 0.0), fp) + (
-        g**2 / omega_b
-    ) * np.eye(fp.total_dim)
-    d2 = displacement(beta, fp)
-    d2 = d2 @ d2
+    lhs = hamiltonian(ModelParams(omega_a, omega_b, g, 0.0), fp, shift=g**2 / omega_b)
+    d2 = d @ d
     rhs = hamiltonian(ModelParams(0.0, omega_b, 0.0, 0.0), fp) - (omega_a / 2.0) * (
         kron(ops.s_plus, d2) + kron(ops.s_minus, d2.conj().T)
     )

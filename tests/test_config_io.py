@@ -1,10 +1,12 @@
 """Configuration parsing, CSV emission/round-trip and SVG plotting."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from susyrabi import config
 from susyrabi.config import RunConfig, parse_config, validate
 from susyrabi.errors import ConfigError
 from susyrabi.fock import FockParams
@@ -71,6 +73,35 @@ def test_parse_rejects_bad_types():
         parse_config('[1, 2]')
     with pytest.raises(ConfigError):
         parse_config('{"omega": 1.0')  # malformed JSON
+
+
+def test_every_config_field_has_exactly_one_json_key():
+    # A config with every field off its default, written as a JSON document
+    # with the sweep_* fields in the nested "sweep" object.
+    changed = RunConfig(
+        omega=3.0, g_max=2.0, c=0.1, omega_a_schedule="cosine", g_schedule="sine",
+        n_fock=128, buffer=32, sweep_kind="g", sweep_start=0.5, sweep_stop=0.9,
+        sweep_points=11, k_levels=5, tol_degeneracy=1e-5, tol_algebra=1e-9,
+        tol_convergence=1e-5, out_csv="flow.csv", out_svg="flow.svg",
+    )
+    keys = {}
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(changed, f.name)
+        assert value != f.default, f.name
+        if f.name.startswith("sweep_"):
+            keys[f.name] = {"sweep": {f.name.removeprefix("sweep_"): value}}
+        else:
+            keys[f.name] = {f.name: value}
+    # Each key alone sets exactly its own field.
+    for name, doc in keys.items():
+        cfg = parse_config(json.dumps(doc))
+        moved = [f.name for f in dataclasses.fields(RunConfig)
+                 if getattr(cfg, f.name) != getattr(RunConfig(), f.name)]
+        assert moved == [name]
+    # And the parser accepts no other key.
+    accepted = [k for k in config._TOP_KEYS if k != "sweep"]
+    accepted += [f"sweep_{k}" for k in config._SWEEP_KEYS]
+    assert sorted(accepted) == sorted(keys)
 
 
 @pytest.mark.parametrize("doc", [

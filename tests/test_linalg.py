@@ -6,6 +6,7 @@ import pytest
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     EigenDecomposition,
+    _principal_blocks,
     banded_eigh,
     hermitian_eigs,
     kron,
@@ -115,6 +116,23 @@ def test_unitary_exp_rejects_non_skew():
 
 def test_spectral_norm_diag():
     assert spectral_norm(np.diag([1.0, -5.0, 2.0]).astype(complex)) == pytest.approx(5.0)
+
+
+def test_principal_blocks_follow_zero_pattern():
+    # Components {0, 2} (joined by one off-diagonal entry) and {1}; index 3
+    # is a zero singleton and yields no block.
+    a = np.zeros((4, 4), dtype=complex)
+    a[2, 0] = 2.0j
+    a[1, 1] = 3.0
+    blocks = list(_principal_blocks(a))
+    assert [b.shape for b in blocks] == [(1, 1, 1), (1, 2, 2)]
+    np.testing.assert_array_equal(blocks[0], [[[3.0]]])
+    np.testing.assert_array_equal(blocks[1], [[[0.0, 0.0], [2.0j, 0.0]]])
+    assert list(_principal_blocks(np.zeros((3, 3), dtype=complex))) == []
+    dense = np.ones((3, 3), dtype=complex)
+    (whole,) = _principal_blocks(dense)
+    assert whole.shape == (1, 3, 3) and np.shares_memory(whole, dense)
+    assert spectral_norm(a) == pytest.approx(3.0)
 
 
 def test_projected_norm_basics():

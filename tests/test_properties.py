@@ -15,6 +15,7 @@ from susyrabi.linalg import (
     hermitian_norm,
     kron,
     projected_norm,
+    spectral_norm,
     unitary_exp,
 )
 from susyrabi.model import (
@@ -251,6 +252,69 @@ def test_hermitian_norm_equals_svd_norm(re, im):
     if np.max(np.abs(anti)) > 1e-6:
         with pytest.raises(ContractViolationError):
             hermitian_norm(h + 1e-3 * anti)
+
+
+# Block-by-block norms against the dense SVD norm.  The tolerance is fixed
+# in advance: 1e-12 relative to the dense norm, and exactly 0 for a zero
+# matrix.
+BLOCK_RTOL = 1e-12
+
+
+def assert_same_norm(got, want):
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= BLOCK_RTOL * want
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """A symmetrically permuted direct sum of complex blocks.
+
+    Entries are (re + i im) * 10**e with re, im in [-1, 1] and e in
+    [-16, 2], and a random share of them is exactly zero.
+    """
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6))
+    n = sum(sizes)
+    a = np.zeros((n, n), dtype=complex)
+    start = 0
+    for m in sizes:
+        re = draw(arrays(np.float64, (m, m), elements=st.floats(-1.0, 1.0)))
+        im = draw(arrays(np.float64, (m, m), elements=st.floats(-1.0, 1.0)))
+        exp = draw(arrays(np.float64, (m, m), elements=st.floats(-16.0, 2.0)))
+        keep = draw(arrays(np.bool_, (m, m)))
+        a[start:start + m, start:start + m] = (re + 1j * im) * 10.0**exp * keep
+        start += m
+    perm = np.array(draw(st.permutations(range(n))))
+    return a[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_diagonal(), st.data())
+def test_block_norms_equal_dense_norm(a, data):
+    assert_same_norm(spectral_norm(a), np.linalg.norm(a, 2))
+    h = a + a.conj().T
+    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
+    n = a.shape[0]
+    idx = np.array(
+        data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)),
+        dtype=int,
+    )
+    assert_same_norm(projected_norm(a, idx), np.linalg.norm(a[np.ix_(idx, idx)], 2))
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((5, 5), dtype=complex),
+    np.diag([0.5, -3.0, 0.0, 2.0 + 1j]),
+    np.random.default_rng(5).normal(size=(9, 9)) + 1j,
+    np.array([[0.0, 0.3 - 2.0j], [0.0, 0.0]]),
+])
+def test_block_norms_on_special_matrices(a):
+    assert_same_norm(spectral_norm(a), np.linalg.norm(a, 2))
+    h = a + a.conj().T
+    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
+    idx = np.arange(a.shape[0])[::2]
+    assert_same_norm(projected_norm(a, idx), np.linalg.norm(a[np.ix_(idx, idx)], 2))
 
 
 witten_cases = st.tuples(

@@ -176,6 +176,13 @@ def test_polaron_unitary_is_unitary(fp_mid):
     assert spectral_norm(u.conj().T @ u - np.eye(fp_mid.total_dim)) < 1e-10
 
 
+def test_negated_generator_is_the_adjoint(fp_mid):
+    # Both generators are anti-Hermitian, so S(-zeta) = S(zeta)^dag and
+    # D(-beta) = D(beta)^dag; u_a2_with_report and u_polaron build one each.
+    for make, x in ((squeeze, 0.4), (displacement, 0.7)):
+        np.testing.assert_allclose(make(-x, fp_mid), make(x, fp_mid).conj().T, atol=1e-12)
+
+
 def test_polaron_equivalence(fp_default):
     rep = polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp_default)
     assert rep.residual < 1e-7
