@@ -4,17 +4,22 @@ banded_lowest is the spectral core: it returns the lowest eigenvalues of
 a real symmetric band matrix, which is what each parity chain of the
 Hamiltonian is (see model.ParityChains).  banded_eigh gives all
 eigenpairs of such a chain; the Witten index uses it.  Everything else
-works on plain square complex numpy arrays in double precision:
-hermitian_eigs is the dense reference oracle for the chains and the
-solver for the operator identities and unitary transforms, which need
-eigenvectors on the full 2N space.  Identity residuals are measured on
-an interior given as an index set: projected_norm slices the kept rows
-and columns instead of multiplying by a 0/1 projector.  Every spectral
-norm (spectral_norm, hermitian_norm, projected_norm) is taken block by
-block over the matrix's zero pattern: a spin (x) Fock operator built
-from ladder operators splits, after one symmetric permutation, into its
-parity sectors, 2 x 2 spin-flip pairs or single entries, and the norm is
-the largest of the blocks' norms.  MAX_DIM bounds only the dense path.
+works on plain square complex numpy arrays in double precision.  The
+structure these operators have is their zero pattern: a spin (x) Fock
+operator built from ladder operators splits, after one symmetric
+permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
+entries (_principal_blocks).  hermitian_eigs and unitary_exp solve block
+by block over that split and scatter the results back, so a diagonal
+matrix costs O(n), the squeeze generator splits into its even and odd
+levels, and a matrix without a zero entry takes one dense call;
+hermitian_eigs is also the dense reference oracle for the chains.  Every
+spectral norm (spectral_norm, hermitian_norm, projected_norm) is the
+largest of the blocks' norms.  Identity residuals are measured on an
+interior given as an index set: projected_norm slices the kept rows and
+columns instead of multiplying by a 0/1 projector.  SectorMatrix holds
+an operator as its 2 x 2 grid of parity-sector blocks and forms products
+sector by sector, skipping exactly zero blocks.  MAX_DIM bounds only the
+dense path.
 """
 
 from __future__ import annotations
@@ -71,28 +76,63 @@ def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a (nearly) Hermitian matrix.
-
-    The input is symmetrized as (A + A^dagger)/2 before solving; truncation
-    of ladder operators routinely introduces 1-ulp asymmetries, so asymmetry
-    is warned about rather than rejected.
-    """
-    a = _check_square(a)
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger)/2, warning when A is not Hermitian to HERMITICITY_RTOL."""
     scale = np.max(np.abs(a)) if a.size else 0.0
     asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if scale > 0 and asym > HERMITICITY_RTOL * scale:
         warnings.warn(
             f"input not Hermitian (defect {asym:.3e}, scale {scale:.3e}); symmetrizing",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    h = (a + a.conj().T) / 2
-    try:
-        values, vectors = sla.eigh(h)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values=values, vectors=vectors)
+    return (a + a.conj().T) / 2
+
+
+def _block_eighs(h: np.ndarray):
+    """Yield (idx, values, vectors) for each stack of h's principal blocks.
+
+    idx, values and vectors have shapes (k, m), (k, m) and (k, m, m): the
+    eigenpairs of the blocks h[idx[j], idx[j]], values ascending per block.
+    A matrix that is one block takes the single dense scipy call; stacks
+    of smaller blocks take one batched call each.  Indices that
+    _principal_blocks leaves out are zero rows and columns of h.
+    """
+    for idx, blocks in _principal_blocks(h):
+        try:
+            if blocks.shape[1] == h.shape[0]:
+                values, vectors = sla.eigh(blocks[0])
+                values, vectors = values[None], vectors[None]
+            else:
+                values, vectors = np.linalg.eigh(blocks)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
+        yield idx, values, vectors
+
+
+def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a (nearly) Hermitian matrix.
+
+    The input is symmetrized as (A + A^dagger)/2 before solving; truncation
+    of ladder operators routinely introduces 1-ulp asymmetries, so asymmetry
+    is warned about rather than rejected.  The blocks of A's zero pattern
+    are solved separately (see _block_eighs), their eigenvectors scattered
+    back into the full basis and the eigenvalues merged in ascending
+    order; a zero row and column is the eigenpair (0, unit vector).  So a
+    diagonal matrix costs O(n) and a matrix without a zero entry one dense
+    call.
+    """
+    h = _hermitian_part(_check_square(a))
+    n = h.shape[0]
+    values = np.zeros(n)
+    vectors = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(vectors, 1.0)
+    for idx, vals, vecs in _block_eighs(h):
+        # Eigenpair i of block j takes column slot idx[j, i].
+        values[idx] = vals
+        vectors[idx[:, :, None], idx[:, None, :]] = vecs
+    order = np.argsort(values, kind="stable")
+    return EigenDecomposition(values=values[order], vectors=vectors[:, order])
 
 
 def banded_lowest(band: np.ndarray, m: int) -> np.ndarray:
@@ -131,7 +171,11 @@ def banded_eigh(band: np.ndarray) -> EigenDecomposition:
 def unitary_exp(k: np.ndarray) -> np.ndarray:
     """exp(K) for skew-Hermitian K, via diagonalization of the Hermitian iK.
 
-    The result is unitary to solver precision by construction.
+    The exponential is taken block by block over K's zero pattern, each
+    block exp(K_b) = V diag(exp(-i lambda)) V^dagger scattered back into
+    the identity, so the squeeze generator a^2 - a_dag^2 splits into its
+    even and odd levels.  The result is unitary to solver precision by
+    construction.
     """
     k = _check_square(k, "exponent")
     scale = max(1.0, float(np.max(np.abs(k))) if k.size else 0.0)
@@ -140,9 +184,13 @@ def unitary_exp(k: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"unitary_exp requires skew-Hermitian input (defect {defect:.3e})"
         )
-    ed = hermitian_eigs(1j * k)
-    # K = -i (iK)  =>  exp(K) = V diag(exp(-i lambda)) V^dagger
-    return (ed.vectors * np.exp(-1j * ed.values)) @ ed.vectors.conj().T
+    out = np.eye(k.shape[0], dtype=complex)
+    for idx, values, vectors in _block_eighs(_hermitian_part(1j * k)):
+        # K = -i (iK)  =>  exp(K) = V diag(exp(-i lambda)) V^dagger
+        out[idx[:, :, None], idx[:, None, :]] = (
+            vectors * np.exp(-1j * values)[:, None, :]
+        ) @ vectors.conj().transpose(0, 2, 1)
+    return out
 
 
 def _principal_blocks(a: np.ndarray):
@@ -151,20 +199,22 @@ def _principal_blocks(a: np.ndarray):
     The blocks are the connected components of the graph that joins i and
     j whenever A[i, j] or A[j, i] is nonzero, so one symmetric permutation
     makes A their direct sum and its singular values and eigenvalues are
-    the union of theirs.  Each yield is an array of shape (k, m, m) holding
-    the k blocks A[idx, idx] of size m, idx ascending.  A component that
-    is a single zero diagonal entry is left out, so a zero matrix has no
-    blocks; a matrix that is one component is yielded whole, as a[None].
+    the union of theirs.  Each yield is a pair (idx, blocks): idx of shape
+    (k, m) holds the index sets, each ascending, of the k components of
+    size m, and blocks of shape (k, m, m) holds A[idx[j], idx[j]].  A
+    component that is a single zero diagonal entry is left out, so a zero
+    matrix has no blocks; a matrix that is one component is yielded whole,
+    as (arange(n)[None], a[None]).
     """
+    n = a.shape[0]
     nz = a != 0
     if nz.all():
         if a.size:
-            yield a[None]
+            yield np.arange(n)[None], a[None]
         return
     nz |= nz.T
     diag = nz.diagonal().copy()
     np.fill_diagonal(nz, True)
-    n = a.shape[0]
     _, cols = np.nonzero(nz)
     starts = np.concatenate(([0], np.cumsum(nz.sum(axis=1))[:-1]))
     # Each index takes the smallest label among its neighbours, then the
@@ -179,14 +229,14 @@ def _principal_blocks(a: np.ndarray):
         label = new
     size = np.bincount(label, minlength=n)[label]
     if size[0] == n:
-        yield a[None]
+        yield np.arange(n)[None], a[None]
         return
     order = np.lexsort((label, size))
     order = order[(size[order] > 1) | diag[order]]
     sizes = size[order]
     for m in np.unique(sizes):
         idx = order[sizes == m].reshape(-1, m)
-        yield a[idx[:, :, None], idx[:, None, :]]
+        yield idx, a[idx[:, :, None], idx[:, None, :]]
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -197,7 +247,7 @@ def spectral_norm(a: np.ndarray) -> float:
     """
     a = _check_square(a)
     return max(
-        (float(np.linalg.svd(b, compute_uv=False).max()) for b in _principal_blocks(a)),
+        (float(np.linalg.svd(b, compute_uv=False).max()) for _, b in _principal_blocks(a)),
         default=0.0,
     )
 
@@ -220,9 +270,27 @@ def hermitian_norm(a: np.ndarray) -> float:
             f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
         )
     return max(
-        (float(np.max(np.abs(np.linalg.eigvalsh(b)))) for b in _principal_blocks(a)),
+        (float(np.max(np.abs(np.linalg.eigvalsh(b)))) for _, b in _principal_blocks(a)),
         default=0.0,
     )
+
+
+def _index_set(idx: np.ndarray, dim: int) -> np.ndarray:
+    """idx checked as a 1-D set of distinct integer indices in 0..dim-1."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise ContractViolationError(
+            f"interior must be a 1-D integer index set, got {idx.dtype} of shape {idx.shape}"
+        )
+    if not idx.size:
+        return idx.astype(int)
+    if idx.min() < 0 or idx.max() >= dim:
+        raise ContractViolationError(
+            f"interior indices must lie in 0..{dim - 1}, got {idx.min()}..{idx.max()}"
+        )
+    if np.unique(idx).size != idx.size:
+        raise ContractViolationError("interior indices must be distinct")
+    return idx
 
 
 def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
@@ -234,17 +302,115 @@ def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
     distinct indices inside A; an empty set gives 0.
     """
     a = _check_square(a)
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
-        raise ContractViolationError(
-            f"interior must be a 1-D integer index set, got {idx.dtype} of shape {idx.shape}"
-        )
-    if not idx.size:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= a.shape[0]:
-        raise ContractViolationError(
-            f"interior indices must lie in 0..{a.shape[0] - 1}, got {idx.min()}..{idx.max()}"
-        )
-    if np.unique(idx).size != idx.size:
-        raise ContractViolationError("interior indices must be distinct")
+    idx = _index_set(idx, a.shape[0])
     return spectral_norm(a[np.ix_(idx, idx)])
+
+
+class SectorMatrix:
+    """A 2n x 2n matrix held as its 2 x 2 grid of n x n sector blocks.
+
+    order is a permutation of the 2n basis indices: sector 0 is
+    order[:n] and sector 1 is order[n:], so blocks[s][t] is
+    A[order[s*n:(s+1)*n]][:, order[t*n:(t+1)*n]].  A block that is
+    exactly zero is stored as None.  A product skips every term with such
+    a factor and so equals the dense product up to summation order; sums,
+    differences and scalar multiples are the dense ones entrywise.  An
+    operator that commutes or anticommutes with the sector parity has two
+    None blocks, and its products cost a quarter of the dense ones.
+    """
+
+    # Makes numpy scalars defer to __rmul__ instead of broadcasting.
+    __array_ufunc__ = None
+
+    def __init__(self, blocks, order: np.ndarray):
+        """blocks is a 2 x 2 nested sequence of n x n arrays or None."""
+        self.order = order
+        self.n = order.size // 2
+        self.blocks = tuple(
+            tuple(b if b is not None and b.any() else None for b in row) for row in blocks
+        )
+
+    @classmethod
+    def split(cls, a: np.ndarray, order: np.ndarray) -> SectorMatrix:
+        """A, given in the original basis, as its sector grid in order."""
+        a = _check_square(a)
+        if order.shape != a.shape[:1] or a.shape[0] % 2:
+            raise DimensionError(
+                f"cannot split a {a.shape} matrix by an order of shape {order.shape}"
+            )
+        halves = np.split(order, 2)
+        return cls([[a[np.ix_(r, c)] for c in halves] for r in halves], order)
+
+    def _zip(self, other: SectorMatrix, op) -> SectorMatrix:
+        return SectorMatrix(
+            [
+                [
+                    None if x is None and y is None
+                    else op(0.0 if x is None else x, 0.0 if y is None else y)
+                    for x, y in zip(row_x, row_y)
+                ]
+                for row_x, row_y in zip(self.blocks, other.blocks)
+            ],
+            self.order,
+        )
+
+    def __add__(self, other: SectorMatrix) -> SectorMatrix:
+        return self._zip(other, np.add)
+
+    def __sub__(self, other: SectorMatrix) -> SectorMatrix:
+        return self._zip(other, np.subtract)
+
+    def __rmul__(self, scalar: complex) -> SectorMatrix:
+        return SectorMatrix(
+            [[None if b is None else scalar * b for b in row] for row in self.blocks],
+            self.order,
+        )
+
+    def __matmul__(self, other: SectorMatrix) -> SectorMatrix:
+        out = [[None, None], [None, None]]
+        for s in range(2):
+            for t in range(2):
+                for x, y in ((self.blocks[s][u], other.blocks[u][t]) for u in range(2)):
+                    if x is not None and y is not None:
+                        out[s][t] = x @ y if out[s][t] is None else out[s][t] + x @ y
+        return SectorMatrix(out, self.order)
+
+    def adjoint(self) -> SectorMatrix:
+        """The conjugate transpose, sector by sector."""
+        return SectorMatrix(
+            [[None if b is None else b.conj().T for b in col] for col in zip(*self.blocks)],
+            self.order,
+        )
+
+    def dense(self) -> np.ndarray:
+        """The matrix in the original basis; the inverse of split."""
+        n = self.n
+        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        halves = np.split(self.order, 2)
+        for s in range(2):
+            for t in range(2):
+                if self.blocks[s][t] is not None:
+                    out[np.ix_(halves[s], halves[t])] = self.blocks[s][t]
+        return out
+
+    def projected_norm(self, idx: np.ndarray) -> float:
+        """projected_norm(self.dense(), idx), from the kept parts of the blocks."""
+        n = self.n
+        idx = _index_set(idx, 2 * n)
+        position = np.empty(2 * n, dtype=int)
+        position[self.order] = np.arange(2 * n)
+        kept = np.sort(position[idx])
+        local = (kept[kept < n], kept[kept >= n] - n)
+        return spectral_norm(
+            np.block(
+                [
+                    [
+                        np.zeros((local[s].size, local[t].size))
+                        if self.blocks[s][t] is None
+                        else self.blocks[s][t][np.ix_(local[s], local[t])]
+                        for t in range(2)
+                    ]
+                    for s in range(2)
+                ]
+            )
+        )

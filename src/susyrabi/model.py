@@ -173,6 +173,20 @@ class ParityChains:
         return 2 * self.n_fock
 
 
+def parity_order(fp: FockParams) -> np.ndarray:
+    """Basis indices of chain 0 followed by those of chain 1.
+
+    Chain position n holds Fock level n: on chain 0 with spin up for even
+    n and down for odd n, on chain 1 the other way round (see
+    ParityChains).  This is the order for linalg.SectorMatrix; the
+    interior of fock.interior_projector is chain positions 0..cut-1 of
+    both chains.
+    """
+    n = np.arange(fp.n_fock)
+    flip = n % 2
+    return np.concatenate([flip * fp.n_fock + n, (1 - flip) * fp.n_fock + n])
+
+
 def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
     """hamiltonian(p, fp, shift) as its two parity chains.
 
@@ -239,7 +253,9 @@ def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
 def h_total_r(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     """H(r) = H_Rabi(r) + c g(r)^2 (a+a_dag)^2 + g(r)^2/(4 c g(r)^2 + omega).
 
-    Identical to h_susy_ss + h_interaction entrywise.
+    Equal to h_susy_ss + h_interaction to rounding, not entrywise: the
+    two build the same terms from differently rounded coefficients and
+    sum them in a different order.
     """
     _check_r(r)
     return hamiltonian(s.params(r), fp, shift=s.self_energy(r))

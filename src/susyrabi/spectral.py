@@ -8,8 +8,14 @@ lowest_k.  The Witten index takes chains too: the grading -sz is
 diagonal in the chain basis, so each level's expectation comes from its
 real chain eigenvector.  The dense 2N x 2N builders stay as the
 reference oracle for both and serve the checks that need operator
-products: the algebra reports, whose residuals are measured on the
-interior index set of fock.interior_projector.
+products: the algebra reports.  Every operator there commutes or
+anticommutes with the parity, so the report splits each one once into
+its parity-sector blocks (linalg.SectorMatrix, in the chain order of
+model.parity_order) and forms each product from the nonzero block
+products only; residuals are measured on the interior index set of
+fock.interior_projector, which is chain positions 0..cut-1 of both
+chains.  The Hamiltonians that verify checks are diagonal, so the
+eigensolve that finds their ground states and scale is O(N).
 
 Sweep grid points are evaluated serially in grid order.  The
 SUSYRABI_WORKERS environment variable is still validated at sweep
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, basis_state, interior_projector
-from .linalg import banded_eigh, banded_lowest, hermitian_eigs, projected_norm
+from .linalg import SectorMatrix, banded_eigh, banded_lowest, hermitian_eigs
 from .model import (
     ModelParams,
     ParityChains,
@@ -38,6 +44,7 @@ from .model import (
     heavy_hamiltonian,
     parity_chains,
     parity_chains_r,
+    parity_order,
     renormalized_frequency,
 )
 
@@ -419,6 +426,28 @@ class AlgebraReport:
     passed: bool
 
 
+def _scale_and_vacuum_norms(
+    h: np.ndarray, charges: SuperchargeSet
+) -> tuple[float, tuple[float, ...]]:
+    """max(1, |H|_2) and, per ground state v of h, sqrt(|q+ v|^2 + |q- v|^2).
+
+    A function of its own so that the eigenvectors are freed before the
+    algebra report forms its products.
+    """
+    ed = hermitian_eigs(h)
+    start, size = degeneracy_groups(ed.values, DEGENERACY_TOL)[0]
+    vac_norms = tuple(
+        float(
+            math.sqrt(
+                np.linalg.norm(charges.q_plus @ v) ** 2
+                + np.linalg.norm(charges.q_minus @ v) ** 2
+            )
+        )
+        for v in ed.vectors[:, start : start + size].T
+    )
+    return max(1.0, float(np.max(np.abs(ed.values)))), vac_norms
+
+
 def susy_algebra_report(
     h: np.ndarray,
     charges: SuperchargeSet,
@@ -429,39 +458,32 @@ def susy_algebra_report(
     if h.shape != charges.q1.shape:
         raise ValidationError(f"shape mismatch: H {h.shape}, charges {charges.q1.shape}")
     p = interior_projector(fp)
-    ed = hermitian_eigs(h)
-    scale = max(1.0, float(np.max(np.abs(ed.values))))
+    scale, vac_norms = _scale_and_vacuum_norms(h, charges)
+    order = parity_order(fp)
+    hs, q1, q2, gr = (
+        SectorMatrix.split(m, order) for m in (h, charges.q1, charges.q2, charges.grading)
+    )
 
-    def rel(m: np.ndarray) -> float:
-        return projected_norm(m, p) / scale
+    def rel(m: SectorMatrix) -> float:
+        return m.projected_norm(p) / scale
 
-    q = {"1": charges.q1, "2": charges.q2}
+    def square(q: np.ndarray) -> SectorMatrix:
+        # q+ and q- are split only here, so their grids do not outlive it.
+        qs = SectorMatrix.split(q, order)
+        return qs @ qs
+
+    q = {"1": q1, "2": q2}
     anti = {
-        "11": rel(2.0 * charges.q1 @ charges.q1 - h),
-        "22": rel(2.0 * charges.q2 @ charges.q2 - h),
-        "12": rel(charges.q1 @ charges.q2 + charges.q2 @ charges.q1),
+        "11": rel(2.0 * (q1 @ q1) - hs),
+        "22": rel(2.0 * (q2 @ q2) - hs),
+        "12": rel(q1 @ q2 + q2 @ q1),
     }
-    comm = {name: rel(qi @ h - h @ qi) for name, qi in q.items()}
-    grading = {
-        name: rel(qi @ charges.grading + charges.grading @ qi) for name, qi in q.items()
-    }
+    comm = {name: rel(qi @ hs - hs @ qi) for name, qi in q.items()}
+    grading = {name: rel(qi @ gr + gr @ qi) for name, qi in q.items()}
     nil = {
-        "plus": rel(2.0 * charges.q_plus @ charges.q_plus),
-        "minus": rel(2.0 * charges.q_minus @ charges.q_minus),
+        "plus": rel(2.0 * square(charges.q_plus)),
+        "minus": rel(2.0 * square(charges.q_minus)),
     }
-
-    ground = degeneracy_groups(ed.values, DEGENERACY_TOL)[0]
-    vac_norms = []
-    for i in range(ground[0], ground[0] + ground[1]):
-        v = ed.vectors[:, i]
-        vac_norms.append(
-            float(
-                math.sqrt(
-                    np.linalg.norm(charges.q_plus @ v) ** 2
-                    + np.linalg.norm(charges.q_minus @ v) ** 2
-                )
-            )
-        )
     passed = all(
         r <= tol_algebra
         for d in (anti, comm, grading, nil)
@@ -473,7 +495,7 @@ def susy_algebra_report(
         commutator_with_h=comm,
         anticommutator_with_grading=grading,
         nilpotency=nil,
-        vacuum_annihilation=tuple(vac_norms),
+        vacuum_annihilation=vac_norms,
         passed=passed,
     )
 

@@ -6,6 +6,11 @@ identity it must satisfy, with both squeeze signs tried and the better
 one kept.  All residuals are measured away from the truncation boundary,
 on an interior index set (the rows and columns kept by the interior
 projector), and relative to the spectral norm of the Hermitian target.
+The conjugation U^dag lhs U and the unitarity check U^dag U are formed
+by parity sector (linalg.SectorMatrix): a squeeze, its Hamiltonians and
+their products are parity-even, so half their blocks are exactly zero
+and skipped; the polaron frame mixes the sectors and pays the dense
+cost.  unitary_exp builds the squeeze from its even and odd levels.
 """
 
 from __future__ import annotations
@@ -18,8 +23,16 @@ import numpy as np
 
 from .errors import TransformMismatchError, TruncationError, ValidationError
 from .fock import FockParams, I2, embed_boson, interior_projector, kron, make_operators
-from .linalg import hermitian_norm, projected_norm, spectral_norm, unitary_exp
-from .model import ModelParams, Schedule, fields, hamiltonian, h_total_r, renormalized_frequency
+from .linalg import SectorMatrix, hermitian_norm, projected_norm, unitary_exp
+from .model import (
+    ModelParams,
+    Schedule,
+    fields,
+    hamiltonian,
+    h_total_r,
+    parity_order,
+    renormalized_frequency,
+)
 
 MAX_SQUEEZE = 2.0
 
@@ -76,20 +89,40 @@ def verify_equivalence(
 
     rhs must be Hermitian.  P is given by its index set and defaults to the
     buffer-based interior; callers whose unitary spreads Fock support
-    (squeezes) pass a tighter one.
+    (squeezes) pass a tighter one.  The products U^dag lhs U and U^dag U
+    are formed by parity sector (linalg.SectorMatrix), and the unitarity
+    defect is |U^dag U - 1|_2.
     """
     if u.shape != lhs.shape or lhs.shape != rhs.shape:
         raise ValidationError(
             f"shape mismatch: U {u.shape}, lhs {lhs.shape}, rhs {rhs.shape}"
         )
+    rhs_norm = hermitian_norm(rhs)
+    return _equivalence_report(
+        u, SectorMatrix.split(lhs, parity_order(fp)), rhs, rhs_norm, fp,
+        identity_name, params_used, projector,
+    )
+
+
+def _equivalence_report(
+    u: np.ndarray,
+    lhs: SectorMatrix,
+    rhs: np.ndarray,
+    rhs_norm: float,
+    fp: FockParams,
+    identity_name: str,
+    params_used: object,
+    projector: np.ndarray | None,
+) -> TransformReport:
+    """verify_equivalence with lhs already split and |rhs|_2 already taken."""
     p = interior_projector(fp) if projector is None else projector
-    diff = u.conj().T @ lhs @ u - rhs
-    residual = projected_norm(diff, p) / max(1.0, hermitian_norm(rhs))
-    defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    us = SectorMatrix.split(u, lhs.order)
+    u_dag = us.adjoint()
+    residual = projected_norm((u_dag @ lhs @ us).dense() - rhs, p) / max(1.0, rhs_norm)
     return TransformReport(
         identity_name=identity_name,
         residual=residual,
-        unitarity_defect=defect,
+        unitarity_defect=hermitian_norm((u_dag @ us).dense() - np.eye(u.shape[0])),
         params_used=params_used,
         fock=fp,
     )
@@ -130,16 +163,16 @@ def u_a2_with_report(
     lhs = hamiltonian(p, fp)
     rhs = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
     projector = squeeze_interior_projector(fp, zeta)
+    rhs_norm = hermitian_norm(rhs)
+    lhs_sectors = SectorMatrix.split(lhs, parity_order(fp))
     # The generator is anti-Hermitian, so S(-zeta) = S(zeta)^dag.
     s_plus = squeeze(zeta, fp)
     best: tuple[np.ndarray, TransformReport] | None = None
     for sign, s in ((1.0, s_plus), (-1.0, s_plus.conj().T)):
         u = embed_boson(s, fp)
-        rep = verify_equivalence(
-            u, lhs, rhs, fp,
-            identity_name="a2-removal",
-            params_used={"params": p, "zeta": sign * zeta},
-            projector=projector,
+        rep = _equivalence_report(
+            u, lhs_sectors, rhs, rhs_norm, fp,
+            "a2-removal", {"params": p, "zeta": sign * zeta}, projector,
         )
         if best is None or rep.residual < best[1].residual:
             best = (u, rep)

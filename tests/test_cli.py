@@ -67,6 +67,9 @@ def test_verify_suite_passes(capsys):
     assert "FAIL" not in out
     assert "transform.a2_removal" in out
     assert "broken.vacuum_nonannihilation.1" in out
+    rows = out.splitlines()
+    assert len(rows) == 25
+    assert all(row.endswith(",pass") for row in rows)
 
 
 def test_witten_transition(capsys):

@@ -6,6 +6,7 @@ import pytest
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     EigenDecomposition,
+    SectorMatrix,
     _principal_blocks,
     banded_eigh,
     hermitian_eigs,
@@ -124,15 +125,30 @@ def test_principal_blocks_follow_zero_pattern():
     a = np.zeros((4, 4), dtype=complex)
     a[2, 0] = 2.0j
     a[1, 1] = 3.0
-    blocks = list(_principal_blocks(a))
-    assert [b.shape for b in blocks] == [(1, 1, 1), (1, 2, 2)]
-    np.testing.assert_array_equal(blocks[0], [[[3.0]]])
-    np.testing.assert_array_equal(blocks[1], [[[0.0, 0.0], [2.0j, 0.0]]])
+    (idx1, blocks1), (idx2, blocks2) = _principal_blocks(a)
+    np.testing.assert_array_equal(idx1, [[1]])
+    np.testing.assert_array_equal(blocks1, [[[3.0]]])
+    np.testing.assert_array_equal(idx2, [[0, 2]])
+    np.testing.assert_array_equal(blocks2, [[[0.0, 0.0], [2.0j, 0.0]]])
     assert list(_principal_blocks(np.zeros((3, 3), dtype=complex))) == []
     dense = np.ones((3, 3), dtype=complex)
-    (whole,) = _principal_blocks(dense)
+    ((idx, whole),) = _principal_blocks(dense)
+    np.testing.assert_array_equal(idx, [[0, 1, 2]])
     assert whole.shape == (1, 3, 3) and np.shares_memory(whole, dense)
     assert spectral_norm(a) == pytest.approx(3.0)
+
+
+def test_sector_matrix_grid_and_shape_checks():
+    a = np.arange(16.0).reshape(4, 4) + 0j
+    order = np.array([2, 0, 3, 1])
+    x = SectorMatrix.split(a, order)
+    np.testing.assert_array_equal(x.blocks[0][1], a[np.ix_([2, 0], [3, 1])])
+    np.testing.assert_array_equal(x.dense(), a)
+    # An exactly zero block is stored as None.
+    assert SectorMatrix.split(np.diag([1.0, 2.0, 3.0, 4.0]), np.arange(4)).blocks[0][1] is None
+    for bad, order in ((a, np.arange(6)), (np.eye(3), np.arange(3))):
+        with pytest.raises(DimensionError):
+            SectorMatrix.split(bad, order)
 
 
 def test_projected_norm_basics():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import (
+    SectorMatrix,
     hermitian_eigs,
     hermitian_norm,
     kron,
@@ -344,3 +346,106 @@ def test_chain_witten_index_matches_dense(case):
     chains = witten_index(parity_chains_r(s, r, fp), None, beta)
     assert abs(chains.index_value - dense.index_value) <= WITTEN_ATOL
     assert chains.rounded == dense.rounded
+
+
+# Block eigensolves against scipy's dense solvers.  The tolerances are
+# fixed in advance: 1e-12 relative to max(1, |A|_2) for the eigenvalues and
+# for |AV - V Lambda|_2, and 1e-12 absolute for |V^dag V - 1|_2 and for
+# |unitary_exp(iA) - expm(iA)|_2.
+EIG_TOL = 1e-12
+
+
+@st.composite
+def permuted_block_hermitian(draw):
+    """A symmetrically permuted direct sum of Hermitian blocks W diag(lam) W^dag.
+
+    Block sizes are mixed (1 to 5), a block may repeat the previous one,
+    and the eigenvalues are drawn from a few fixed values (0 included) or
+    freely from [-2, 2], so levels are degenerate within and across
+    blocks.  W is a seeded random unitary.
+    """
+    level = st.one_of(st.sampled_from([0.0, 0.5, -1.5, 2.0]), st.floats(-2.0, 2.0))
+    blocks = []
+    for m in draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6)):
+        if blocks and blocks[-1].shape[0] == m and draw(st.booleans()):
+            blocks.append(blocks[-1])
+            continue
+        lam = np.array(draw(st.lists(level, min_size=m, max_size=m)))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        w, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        blocks.append((w * lam) @ w.conj().T)
+    a = sla.block_diag(*blocks)
+    a = (a + a.conj().T) / 2
+    perm = np.array(draw(st.permutations(range(a.shape[0]))))
+    return a[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_hermitian())
+def test_block_hermitian_eigs_match_dense(a):
+    n = a.shape[0]
+    scale = max(1.0, np.linalg.norm(a, 2))
+    ed = hermitian_eigs(a)
+    assert np.max(np.abs(ed.values - sla.eigh(a, eigvals_only=True))) <= EIG_TOL * scale
+    assert np.linalg.norm(a @ ed.vectors - ed.vectors * ed.values, 2) <= EIG_TOL * scale
+    assert np.linalg.norm(ed.vectors.conj().T @ ed.vectors - np.eye(n), 2) <= EIG_TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_hermitian())
+def test_block_unitary_exp_matches_expm(a):
+    k = 1j * a
+    assert np.linalg.norm(unitary_exp(k) - sla.expm(k), 2) <= EIG_TOL
+
+
+# Sector products against dense ones.  The tolerance is fixed in advance:
+# 1e-12 relative to max(1, |x|_2 |y|_2), entrywise; a dropped nonzero
+# block shows as an O(1) error.
+SECTOR_RTOL = 1e-12
+
+
+@st.composite
+def sector_operators(draw):
+    """Two 2n x 2n complex operators and a basis order splitting them.
+
+    Each of the eight n x n sector blocks is, independently, exactly zero,
+    a random block with a random share of exact zeros, or a dense random
+    block, so every parity mix occurs, including all four blocks nonzero.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    order = np.array(draw(st.permutations(range(2 * n))))
+    ops = []
+    for _ in range(2):
+        grid = [[None, None], [None, None]]
+        for s in range(2):
+            for t in range(2):
+                kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+                re = draw(arrays(np.float64, (n, n), elements=reals))
+                im = draw(arrays(np.float64, (n, n), elements=reals))
+                keep = draw(arrays(np.bool_, (n, n))) if kind == "sparse" else kind == "dense"
+                grid[s][t] = (re + 1j * im) * keep
+        a = np.empty((2 * n, 2 * n), dtype=complex)
+        a[np.ix_(order, order)] = np.block(grid)
+        ops.append(a)
+    return ops[0], ops[1], order
+
+
+@settings(max_examples=80, deadline=None)
+@given(sector_operators(), st.data())
+def test_sector_products_equal_dense(case, data):
+    x, y, order = case
+    xs, ys = SectorMatrix.split(x, order), SectorMatrix.split(y, order)
+    np.testing.assert_array_equal(xs.dense(), x)
+    tol = SECTOR_RTOL * max(1.0, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
+    np.testing.assert_allclose((xs @ ys).dense(), x @ y, rtol=0, atol=tol)
+    np.testing.assert_allclose(
+        (2.0 * (xs @ ys) - ys @ xs.adjoint() + xs).dense(),
+        2.0 * (x @ y) - y @ x.conj().T + x,
+        rtol=0, atol=tol + SECTOR_RTOL * np.linalg.norm(x, 2),
+    )
+    idx = np.array(
+        data.draw(st.lists(st.integers(min_value=0, max_value=x.shape[0] - 1), unique=True)),
+        dtype=int,
+    )
+    want = projected_norm(x, idx)
+    assert abs(xs.projected_norm(idx) - want) <= NORM_RTOL * max(1.0, want)

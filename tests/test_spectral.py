@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
-from susyrabi.fock import FockParams
+from susyrabi.fock import FockParams, interior_projector
+from susyrabi.linalg import SectorMatrix, projected_norm
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -13,6 +14,7 @@ from susyrabi.model import (
     h_total_r,
     hamiltonian,
     parity_chains_r,
+    parity_order,
 )
 from susyrabi.spectral import (
     degeneracy_groups,
@@ -243,6 +245,59 @@ def test_algebra_report_detects_wrong_pairing(fp_mid):
     rep = susy_algebra_report(h_wrong, free_supercharges(OMEGA, fp_mid), fp_mid)
     assert not rep.passed
     assert rep.anticommutator["11"] > 1e-3
+
+
+def test_sector_products_of_charges_equal_dense():
+    # Every product the algebra report forms, by parity sector and dense.
+    fp = FockParams(n_fock=32, buffer=8)
+    order = parity_order(fp)
+    for charges, h in (
+        (free_supercharges(OMEGA, fp), hamiltonian(ModelParams(OMEGA, OMEGA), fp)),
+        (broken_supercharges(OMEGA, fp), hamiltonian(ModelParams(0.0, OMEGA), fp)),
+    ):
+        ops = (h, charges.q1, charges.q2, charges.q_plus, charges.q_minus, charges.grading)
+        for x in ops:
+            for y in ops:
+                got = (SectorMatrix.split(x, order) @ SectorMatrix.split(y, order)).dense()
+                np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-12)
+
+
+def dense_algebra_residuals(h, charges, fp):
+    """The nine residuals of susy_algebra_report, from dense products."""
+    p = interior_projector(fp)
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
+    q1, q2, gr = charges.q1, charges.q2, charges.grading
+
+    def rel(m):
+        return projected_norm(m, p) / scale
+
+    return {
+        "anticommutator": {
+            "11": rel(2.0 * q1 @ q1 - h),
+            "22": rel(2.0 * q2 @ q2 - h),
+            "12": rel(q1 @ q2 + q2 @ q1),
+        },
+        "commutator_with_h": {"1": rel(q1 @ h - h @ q1), "2": rel(q2 @ h - h @ q2)},
+        "anticommutator_with_grading": {"1": rel(q1 @ gr + gr @ q1), "2": rel(q2 @ gr + gr @ q2)},
+        "nilpotency": {
+            "plus": rel(2.0 * charges.q_plus @ charges.q_plus),
+            "minus": rel(2.0 * charges.q_minus @ charges.q_minus),
+        },
+    }
+
+
+def test_algebra_residuals_equal_dense_oracle():
+    # Matched and mismatched pairs, so both tiny and O(1) residuals occur.
+    fp = FockParams(n_fock=64, buffer=16)
+    hams = (hamiltonian(ModelParams(OMEGA, OMEGA), fp), hamiltonian(ModelParams(0.0, OMEGA), fp))
+    for charges in (free_supercharges(OMEGA, fp), broken_supercharges(OMEGA, fp)):
+        for h in hams:
+            rep = susy_algebra_report(h, charges, fp)
+            for group, want in dense_algebra_residuals(h, charges, fp).items():
+                got = getattr(rep, group)
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert abs(got[name] - want[name]) <= 1e-14, (group, name)
 
 
 def test_goldstino_zero_energy_excitations(fp_mid):

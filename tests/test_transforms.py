@@ -146,6 +146,36 @@ def test_a2_removal_identity(c):
     )
 
 
+def test_verify_equivalence_equals_dense_oracle():
+    # A squeeze (two of four parity blocks nonzero) and a polaron frame (all
+    # four), each against its matched and a mismatched target.
+    fp = FockParams(n_fock=64, buffer=16)
+    c = 0.2513
+    omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
+    zeta = 0.5 * math.log(omega_g / OMEGA)
+    beta = 0.5
+    squeeze_lhs = hamiltonian(ModelParams(OMEGA, OMEGA, OMEGA, c), fp)
+    polaron_lhs = hamiltonian(ModelParams(0.0, OMEGA, beta * OMEGA, 0.0), fp,
+                              shift=beta**2 * OMEGA)
+    cases = [
+        (embed_boson(squeeze(zeta, fp), fp), squeeze_lhs,
+         hamiltonian(ModelParams(OMEGA, omega_g, g_tilde, 0.0), fp),
+         squeeze_interior_projector(fp, zeta)),
+        (u_polaron(beta, fp), polaron_lhs, hamiltonian(ModelParams(0.0, OMEGA), fp), None),
+    ]
+    cases += [(u, lhs, hamiltonian(ModelParams(OMEGA, 2.0 * OMEGA), fp), p)
+              for u, lhs, _, p in cases]
+    for u, lhs, rhs, p in cases:
+        rep = verify_equivalence(u, lhs, rhs, fp, projector=p)
+        kept = interior_projector(fp) if p is None else p
+        want = projected_norm(u.conj().T @ lhs @ u - rhs, kept) / max(
+            1.0, np.linalg.norm(rhs, 2)
+        )
+        assert abs(rep.residual - want) <= 1e-14 * max(1.0, want)
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(fp.total_dim), 2)
+        assert abs(rep.unitarity_defect - defect) <= 1e-14
+
+
 def test_a2_removal_trivial_without_a2_term(fp_mid):
     u = u_a2(ModelParams(OMEGA, OMEGA, OMEGA, 0.0), fp_mid)
     np.testing.assert_allclose(u, np.eye(fp_mid.total_dim), atol=1e-13)
