@@ -11,8 +11,10 @@ permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
 entries (_principal_blocks).  hermitian_eigs and unitary_exp solve block
 by block over that split and scatter the results back, so a diagonal
 matrix costs O(n), the squeeze generator splits into its even and odd
-levels, and a matrix without a zero entry takes one dense call;
-hermitian_eigs is also the dense reference oracle for the chains.  Every
+levels, and a matrix without a zero entry takes one dense call.
+hermitian_eigs of a dense Hamiltonian is the reference oracle for the
+chains; it solves each parity sector as a dense block, and the property
+tests check that block solve against an unstructured scipy eigh.  Every
 spectral norm (spectral_norm, hermitian_norm, projected_norm) is the
 largest of the blocks' norms.  Identity residuals are measured on an
 interior given as an index set: projected_norm slices the kept rows and
@@ -275,24 +277,6 @@ def hermitian_norm(a: np.ndarray) -> float:
     )
 
 
-def _index_set(idx: np.ndarray, dim: int) -> np.ndarray:
-    """idx checked as a 1-D set of distinct integer indices in 0..dim-1."""
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
-        raise ContractViolationError(
-            f"interior must be a 1-D integer index set, got {idx.dtype} of shape {idx.shape}"
-        )
-    if not idx.size:
-        return idx.astype(int)
-    if idx.min() < 0 or idx.max() >= dim:
-        raise ContractViolationError(
-            f"interior indices must lie in 0..{dim - 1}, got {idx.min()}..{idx.max()}"
-        )
-    if np.unique(idx).size != idx.size:
-        raise ContractViolationError("interior indices must be distinct")
-    return idx
-
-
 def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
     """Spectral norm of A restricted to the basis indices idx.
 
@@ -302,7 +286,19 @@ def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
     distinct indices inside A; an empty set gives 0.
     """
     a = _check_square(a)
-    idx = _index_set(idx, a.shape[0])
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise ContractViolationError(
+            f"interior must be a 1-D integer index set, got {idx.dtype} of shape {idx.shape}"
+        )
+    if not idx.size:
+        return 0.0
+    if idx.min() < 0 or idx.max() >= a.shape[0]:
+        raise ContractViolationError(
+            f"interior indices must lie in 0..{a.shape[0] - 1}, got {idx.min()}..{idx.max()}"
+        )
+    if np.unique(idx).size != idx.size:
+        raise ContractViolationError("interior indices must be distinct")
     return spectral_norm(a[np.ix_(idx, idx)])
 
 
@@ -392,25 +388,3 @@ class SectorMatrix:
                 if self.blocks[s][t] is not None:
                     out[np.ix_(halves[s], halves[t])] = self.blocks[s][t]
         return out
-
-    def projected_norm(self, idx: np.ndarray) -> float:
-        """projected_norm(self.dense(), idx), from the kept parts of the blocks."""
-        n = self.n
-        idx = _index_set(idx, 2 * n)
-        position = np.empty(2 * n, dtype=int)
-        position[self.order] = np.arange(2 * n)
-        kept = np.sort(position[idx])
-        local = (kept[kept < n], kept[kept >= n] - n)
-        return spectral_norm(
-            np.block(
-                [
-                    [
-                        np.zeros((local[s].size, local[t].size))
-                        if self.blocks[s][t] is None
-                        else self.blocks[s][t][np.ix_(local[s], local[t])]
-                        for t in range(2)
-                    ]
-                    for s in range(2)
-                ]
-            )
-        )

@@ -7,8 +7,9 @@ chains (model.ParityChains) and solve them with the banded core in
 lowest_k.  The Witten index takes chains too: the grading -sz is
 diagonal in the chain basis, so each level's expectation comes from its
 real chain eigenvector.  The dense 2N x 2N builders stay as the
-reference oracle for both and serve the checks that need operator
-products: the algebra reports.  Every operator there commutes or
+reference oracle for both (hermitian_eigs solves them per parity sector,
+as dense blocks of their zero pattern) and serve the checks that need
+operator products: the algebra reports.  Every operator there commutes or
 anticommutes with the parity, so the report splits each one once into
 its parity-sector blocks (linalg.SectorMatrix, in the chain order of
 model.parity_order) and forms each product from the nonzero block
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, basis_state, interior_projector
-from .linalg import SectorMatrix, banded_eigh, banded_lowest, hermitian_eigs
+from .linalg import SectorMatrix, banded_eigh, banded_lowest, hermitian_eigs, projected_norm
 from .model import (
     ModelParams,
     ParityChains,
@@ -96,7 +97,9 @@ def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
 
     ParityChains take the banded core: each chain yields its lowest
     min(k, N) levels and the merged set is cut to k.  A dense matrix goes
-    through a full eigendecomposition; that path is the reference oracle.
+    through hermitian_eigs, a full eigendecomposition of each block of its
+    zero pattern (of each parity sector, for a Hamiltonian); that path is
+    the reference oracle.
     """
     dim = h.dim if isinstance(h, ParityChains) else h.shape[0]
     if not 1 <= k <= dim:
@@ -369,8 +372,9 @@ def witten_index(
     over each (near-)degenerate subspace is the basis-independent trace.
     ParityChains take the banded path with the grading -sz, which is
     diagonal in the chain basis, and grading must be None.  A dense h
-    with its dense grading goes through a full eigendecomposition; that
-    path is the reference oracle.
+    with its dense grading goes through hermitian_eigs, a full
+    eigendecomposition of each block of h's zero pattern (each parity
+    sector); that path is the reference oracle.
     """
     if beta <= 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
@@ -465,7 +469,7 @@ def susy_algebra_report(
     )
 
     def rel(m: SectorMatrix) -> float:
-        return m.projected_norm(p) / scale
+        return projected_norm(m.dense(), p) / scale
 
     def square(q: np.ndarray) -> SectorMatrix:
         # q+ and q- are split only here, so their grids do not outlive it.
