@@ -5,7 +5,9 @@ index = s*N + n with s=0 the up-spin |up> = (1,0)^T, s=1 the down-spin,
 and n the Fock level 0..N-1.  All golden data depends on this ordering.
 hbar = 1 everywhere; energies are in the paper-style frequency units.
 The interior on which operator identities are checked is an index set
-of this basis, not a projector matrix.
+of this basis, not a projector matrix.  Every operator here is real
+(float64) except sigma_y, so products and solves built from them stay
+in real arithmetic until a complex factor enters.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import kron
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-S_PLUS = (SX + 1j * SY) / 2
-S_MINUS = (SX - 1j * SY) / 2
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+I2 = np.eye(2)
+S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+S_MINUS = S_PLUS.T.copy()
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,10 @@ def make_operators(fp: FockParams) -> OperatorSet:
 @functools.lru_cache(maxsize=4)
 def _cached_operators(fp: FockParams) -> OperatorSet:
     n = fp.n_fock
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n))
     levels = np.arange(1, n)
     a[levels - 1, levels] = np.sqrt(levels)
-    a_dag = a.conj().T
+    a_dag = a.T.copy()
     ops = OperatorSet(
         a=a,
         a_dag=a_dag,
@@ -108,8 +110,8 @@ def _cached_operators(fp: FockParams) -> OperatorSet:
 
 
 def embed_boson(op: np.ndarray, fp: FockParams) -> np.ndarray:
-    """1 (x) op on the full 2N space."""
-    op = np.asarray(op, dtype=complex)
+    """1 (x) op on the full 2N space, real when op is."""
+    op = np.asarray(op)
     if op.shape != (fp.n_fock, fp.n_fock):
         raise DimensionError(
             f"boson operator must be {fp.n_fock}x{fp.n_fock}, got {op.shape}"
@@ -118,11 +120,11 @@ def embed_boson(op: np.ndarray, fp: FockParams) -> np.ndarray:
 
 
 def embed_qubit(op: np.ndarray, fp: FockParams) -> np.ndarray:
-    """op (x) 1 on the full 2N space."""
-    op = np.asarray(op, dtype=complex)
+    """op (x) 1 on the full 2N space, real when op is."""
+    op = np.asarray(op)
     if op.shape != (2, 2):
         raise DimensionError(f"qubit operator must be 2x2, got {op.shape}")
-    return kron(op, np.eye(fp.n_fock, dtype=complex))
+    return kron(op, np.eye(fp.n_fock))
 
 
 def interior_projector(fp: FockParams, cut: int | None = None) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Linear algebra substrate: banded eigensolvers and dense complex tools.
+"""Linear algebra substrate: banded eigensolvers and dense real or complex tools.
 
 banded_lowest is the spectral core: it returns the lowest eigenvalues of
 a real symmetric band matrix, which is what each parity chain of the
 Hamiltonian is (see model.ParityChains).  banded_eigh gives all
 eigenpairs of such a chain; the Witten index uses it.  Everything else
-works on plain square complex numpy arrays in double precision.  The
+works on plain square numpy arrays in double precision, float64 or
+complex, and real input stays real: the model's Fock-basis operators,
+all real except sigma_y, take real LAPACK and BLAS calls.  The
 structure these operators have is their zero pattern: a spin (x) Fock
 operator built from ladder operators splits, after one symmetric
 permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
@@ -56,7 +58,9 @@ class EigenDecomposition:
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    """a as a square float64 or complex array; real input stays real."""
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     return a
@@ -122,12 +126,12 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
     back into the full basis and the eigenvalues merged in ascending
     order; a zero row and column is the eigenpair (0, unit vector).  So a
     diagonal matrix costs O(n) and a matrix without a zero entry one dense
-    call.
+    call.  Real symmetric input gives real eigenvectors.
     """
     h = _hermitian_part(_check_square(a))
     n = h.shape[0]
     values = np.zeros(n)
-    vectors = np.zeros((n, n), dtype=complex)
+    vectors = np.zeros((n, n), dtype=h.dtype)
     np.fill_diagonal(vectors, 1.0)
     for idx, vals, vecs in _block_eighs(h):
         # Eigenpair i of block j takes column slot idx[j, i].
@@ -177,7 +181,8 @@ def unitary_exp(k: np.ndarray) -> np.ndarray:
     block exp(K_b) = V diag(exp(-i lambda)) V^dagger scattered back into
     the identity, so the squeeze generator a^2 - a_dag^2 splits into its
     even and odd levels.  The result is unitary to solver precision by
-    construction.
+    construction.  A real K (skew-symmetric) has a real exponential, so
+    the result is then returned as its real part.
     """
     k = _check_square(k, "exponent")
     scale = max(1.0, float(np.max(np.abs(k))) if k.size else 0.0)
@@ -192,7 +197,7 @@ def unitary_exp(k: np.ndarray) -> np.ndarray:
         out[idx[:, :, None], idx[:, None, :]] = (
             vectors * np.exp(-1j * values)[:, None, :]
         ) @ vectors.conj().transpose(0, 2, 1)
-    return out
+    return out if np.iscomplexobj(k) else out.real
 
 
 def _principal_blocks(a: np.ndarray):
@@ -379,9 +384,13 @@ class SectorMatrix:
         )
 
     def dense(self) -> np.ndarray:
-        """The matrix in the original basis; the inverse of split."""
+        """The matrix in the original basis; the inverse of split.
+
+        It is float64 unless a block is complex.
+        """
         n = self.n
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        present = [b for row in self.blocks for b in row if b is not None]
+        out = np.zeros((2 * n, 2 * n), dtype=np.result_type(np.float64, *present))
         halves = np.split(self.order, 2)
         for s in range(2):
             for t in range(2):

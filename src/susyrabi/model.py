@@ -241,7 +241,7 @@ def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     # W = omega * x with x = (a + a_dag) / sqrt(2*omega)
     w = math.sqrt(s.omega / 2.0) * (ops.a + ops.a_dag)
     dim = fp.total_dim
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     if g != 0.0:
         h = h + g * math.sqrt(2.0 / s.omega) * kron(ops.sx, w)
         h = h + (2.0 * s.c / s.omega) * g**2 * embed_boson(w @ w, fp)
@@ -322,7 +322,7 @@ def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
     ops = make_operators(fp)
-    root_n = np.diag(np.sqrt(np.diagonal(ops.n_op).real + 0.5)).astype(complex)
+    root_n = np.diag(np.sqrt(np.diagonal(ops.n_op) + 0.5))
     pref = math.sqrt(omega / 2.0)
     q1 = pref * kron(ops.sx, root_n)
     q2 = pref * kron(ops.sy, root_n)
@@ -349,8 +349,8 @@ class FieldSet:
     d_minus: np.ndarray
 
 
-def fields(s: Schedule, r: float, fp: FockParams) -> FieldSet:
-    """Field operators at interpolation point r.
+def heavy_field(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
+    """The heavy-boson annihilator B_r at interpolation point r, real.
 
     B_r = (c1+c2) b + (c1-c2) b_dag + (g_tilde/omega_g) sx with
     c1 = sqrt(omega_g/omega)/2, c2 = sqrt(omega/omega_g)/2.
@@ -359,12 +359,23 @@ def fields(s: Schedule, r: float, fp: FockParams) -> FieldSet:
     _check_r(r)
     ops = make_operators(fp)
     og = s.omega_g(r)
-    gt = s.g_tilde(r)
     c1 = 0.5 * math.sqrt(og / s.omega)
     c2 = 0.5 * math.sqrt(s.omega / og)
+    return (
+        (c1 + c2) * embed_boson(ops.a, fp)
+        + (c1 - c2) * embed_boson(ops.a_dag, fp)
+        + (s.g_tilde(r) / og) * embed_qubit(ops.sx, fp)
+    )
+
+
+def fields(s: Schedule, r: float, fp: FockParams) -> FieldSet:
+    """Field operators at interpolation point r; B_r is heavy_field's."""
+    _check_r(r)
+    ops = make_operators(fp)
+    og = s.omega_g(r)
     b = embed_boson(ops.a, fp)
     b_dag = embed_boson(ops.a_dag, fp)
-    b_r = (c1 + c2) * b + (c1 - c2) * b_dag + (gt / og) * embed_qubit(ops.sx, fp)
+    b_r = heavy_field(s, r, fp)
     b_r_dag = b_r.conj().T
     phi_r = math.sqrt(1.0 / (2.0 * og)) * (b_r + b_r_dag)
     pi_r = -1j * math.sqrt(og / 2.0) * (b_r - b_r_dag)

@@ -9,8 +9,11 @@ projector), and relative to the spectral norm of the Hermitian target.
 The conjugation U^dag lhs U and the unitarity check U^dag U are formed
 by parity sector (linalg.SectorMatrix): a squeeze, its Hamiltonians and
 their products are parity-even, so half their blocks are exactly zero
-and skipped; the polaron frame mixes the sectors and pays the dense
-cost.  unitary_exp builds the squeeze from its even and odd levels.
+and skipped.  Every unitary here is real: unitary_exp gives the
+squeeze as a real matrix from its even and odd levels, and the
+displacement D(beta) comes from one real symmetric tridiagonal
+eigensolve (see displacement).  The polaron frame mixes the sectors, so
+its products take all four blocks, in real arithmetic.
 """
 
 from __future__ import annotations
@@ -22,13 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransformMismatchError, TruncationError, ValidationError
-from .fock import FockParams, I2, embed_boson, interior_projector, kron, make_operators
-from .linalg import SectorMatrix, hermitian_norm, projected_norm, unitary_exp
+from .fock import (
+    FockParams,
+    I2,
+    SZ,
+    embed_boson,
+    embed_qubit,
+    interior_projector,
+    kron,
+    make_operators,
+)
+from .linalg import SectorMatrix, banded_eigh, hermitian_norm, projected_norm, unitary_exp
 from .model import (
     ModelParams,
     Schedule,
-    fields,
     hamiltonian,
+    heavy_field,
     h_total_r,
     parity_order,
     renormalized_frequency,
@@ -49,7 +61,15 @@ class TransformReport:
 
 
 def displacement(beta: float, fp: FockParams) -> np.ndarray:
-    """D(beta) = exp[beta (a_dag - a)] on the boson factor."""
+    """D(beta) = exp[beta (a_dag - a)] on the boson factor, real.
+
+    With Phi = diag(i^n), Phi^dag beta (a_dag - a) Phi = -i T for the real
+    symmetric tridiagonal T with zero diagonal and off-diagonal
+    beta sqrt(n+1).  So D = Phi exp(-i T) Phi^dag, and with T = W diag(L) W^T
+    (linalg.banded_eigh) entry (m, n) is C, S, -C or -S as (m - n) mod 4
+    is 0, 1, 2 or 3, where C = W cos(L) W^T and S = W sin(L) W^T: one real
+    tridiagonal eigensolve and two real N x N products.
+    """
     if beta**2 > fp.n_fock / 2:
         raise TruncationError(
             f"displacement amplitude {beta} too large for n_fock={fp.n_fock} "
@@ -62,8 +82,15 @@ def displacement(beta: float, fp: FockParams) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    ops = make_operators(fp)
-    return unitary_exp(beta * (ops.a_dag - ops.a))
+    n = fp.n_fock
+    band = np.zeros((2, n))
+    band[1, :-1] = beta * np.sqrt(np.arange(1.0, n))
+    ed = banded_eigh(band)
+    w = ed.vectors
+    lag = np.subtract.outer(np.arange(n), np.arange(n)) % 4
+    even = (w * np.cos(ed.values)) @ w.T
+    odd = (w * np.sin(ed.values)) @ w.T
+    return np.where(lag % 2 == 0, even, odd) * np.where(lag < 2, 1.0, -1.0)
 
 
 def squeeze(zeta: float, fp: FockParams) -> np.ndarray:
@@ -212,14 +239,17 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     """Check the heavy-field rewriting of H(r).
 
     omega_g(r) (B_r^dag B_r + 1/2) - (omega_a(r)/2)(D- + D+) = H(r),
-    measured on the interior and relative to |H(r)|_2.  No unitary is
-    involved, so the unitarity defect is 0.
+    measured on the interior and relative to |H(r)|_2.  B_r is real and
+    D- + D+ = -sz exactly, so only B_r is built.  B_r^dag B_r is the dense
+    product: summed by parity sector, its terms come in another order and
+    the residual moves at round-off.  No unitary is involved, so the
+    unitarity defect is 0.
     """
-    fs = fields(s, r, fp)
+    b_r = heavy_field(s, r, fp)
     og = s.omega_g(r)
-    lhs = og * (fs.b_r.conj().T @ fs.b_r + 0.5 * np.eye(fp.total_dim)) - (
+    lhs = og * (b_r.T @ b_r + 0.5 * np.eye(fp.total_dim)) - (
         s.omega_a(r) / 2.0
-    ) * (fs.d_minus + fs.d_plus)
+    ) * embed_qubit(-SZ, fp)
     rhs = h_total_r(s, r, fp)
     return TransformReport(
         identity_name="field-rewriting",

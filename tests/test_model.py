@@ -37,6 +37,21 @@ def lowest(h, k):
     return np.linalg.eigvalsh(h)[:k]
 
 
+def test_real_operators_are_float64(fp_small):
+    # Every operator of the model is real except sigma_y, so the real ones
+    # are held as float64 and the linear algebra on them stays real.
+    ops = make_operators(fp_small)
+    for name in ("a", "a_dag", "n_op", "sx", "sy", "sz", "s_plus", "s_minus"):
+        arr = getattr(ops, name)
+        assert arr.dtype == (np.complex128 if name == "sy" else np.float64), name
+        assert not arr.flags.writeable, name
+    assert hamiltonian(ModelParams(OMEGA, OMEGA, 1.3, 0.2513), fp_small).dtype == np.float64
+    assert h_interaction(Schedule(OMEGA, OMEGA, 0.2513), 0.5, fp_small).dtype == np.float64
+    assert free_supercharges(OMEGA, fp_small).q1.dtype == np.float64
+    assert free_supercharges(OMEGA, fp_small).q2.dtype == np.complex128
+    assert broken_supercharges(OMEGA, fp_small).q1.dtype == np.float64
+
+
 def test_model_params_validation():
     with pytest.raises(ValidationError):
         ModelParams(omega_a=1.0, omega_b=0.0)

@@ -443,3 +443,57 @@ def test_sector_products_equal_dense(case):
         2.0 * (x @ y) - y @ x.conj().T + x,
         rtol=0, atol=tol + SECTOR_RTOL * np.linalg.norm(x, 2),
     )
+
+
+# Real input stays real.  The tolerances are fixed in advance: 1e-12
+# relative to max(1, the complex call's value) for norms and eigenvalues,
+# and EIG_TOL absolute for |unitary_exp(K) - expm(K)|_2.
+REAL_RTOL = 1e-12
+
+
+@st.composite
+def real_with_index_set(draw):
+    """A real n x n matrix with a random share of exact zeros, and an index set."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    a = draw(arrays(np.float64, (n, n), elements=reals))
+    keep = draw(arrays(np.bool_, (n, n)))
+    idx = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    return a * keep, np.array(idx, dtype=int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_with_index_set())
+def test_real_input_matches_complex_call(case):
+    a, idx = case
+    h = a + a.T
+    for got, want in (
+        (spectral_norm(a), spectral_norm(a.astype(complex))),
+        (hermitian_norm(h), hermitian_norm(h.astype(complex))),
+        (projected_norm(a, idx), projected_norm(a.astype(complex), idx)),
+    ):
+        assert abs(got - want) <= REAL_RTOL * max(1.0, want)
+    ed = hermitian_eigs(h)
+    want = hermitian_eigs(h.astype(complex)).values
+    assert ed.vectors.dtype == np.float64
+    assert np.max(np.abs(ed.values - want)) <= REAL_RTOL * max(1.0, np.max(np.abs(want)))
+    k = (a - a.T) / 3.0
+    u = unitary_exp(k)
+    assert u.dtype == np.float64
+    assert np.linalg.norm(u - sla.expm(k), 2) <= EIG_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_real_sector_products_stay_real(n, data):
+    order = np.array(data.draw(st.permutations(range(2 * n))))
+    x, y = (
+        data.draw(arrays(np.float64, (2 * n, 2 * n), elements=reals))
+        * data.draw(arrays(np.bool_, (2 * n, 2 * n)))
+        for _ in range(2)
+    )
+    xs, ys = SectorMatrix.split(x, order), SectorMatrix.split(y, order)
+    for m in (xs, xs @ ys, 2.0 * (xs @ ys) - ys @ xs.adjoint()):
+        assert m.dense().dtype == np.float64
+        assert all(b is None or b.dtype == np.float64 for row in m.blocks for b in row)
+    tol = SECTOR_RTOL * max(1.0, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
+    np.testing.assert_allclose((xs @ ys).dense(), x @ y, rtol=0, atol=tol)

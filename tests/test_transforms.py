@@ -11,8 +11,15 @@ from susyrabi.errors import (
     ValidationError,
 )
 from susyrabi.fock import FockParams, basis_state, embed_boson, interior_projector, make_operators
-from susyrabi.linalg import projected_norm, spectral_norm
-from susyrabi.model import ModelParams, Schedule, hamiltonian, renormalized_frequency
+from susyrabi.linalg import hermitian_norm, projected_norm, spectral_norm, unitary_exp
+from susyrabi.model import (
+    ModelParams,
+    Schedule,
+    fields,
+    h_total_r,
+    hamiltonian,
+    renormalized_frequency,
+)
 from susyrabi.transforms import (
     displacement,
     field_identity_report,
@@ -64,6 +71,20 @@ def test_displacement_group_law(fp_mid):
     lhs = displacement(0.8, fp_mid) @ displacement(0.5, fp_mid)
     rhs = displacement(1.3, fp_mid)
     assert projected_norm(lhs - rhs, p) < 1e-8
+
+
+# The tridiagonal D(beta) against its oracle, unitary_exp of the
+# generator.  Tolerances fixed in advance: 1e-13 absolute, entrywise.
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("beta", [0.3, -1.0, 1.9])
+def test_displacement_is_real_orthogonal_and_matches_oracle(n, beta):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    ops = make_operators(fp)
+    d = displacement(beta, fp)
+    assert d.dtype == np.float64
+    np.testing.assert_allclose(d, unitary_exp(beta * (ops.a_dag - ops.a)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d.T @ d, np.eye(n), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(displacement(-beta, fp), d.T, rtol=0, atol=1e-13)
 
 
 def test_displacement_amplitude_guard():
@@ -250,3 +271,20 @@ def test_field_identity_across_r():
         for r in (0.0, 0.5, 1.0):
             rep = field_identity_report(s, r, fp)
             assert rep.residual < 1e-8, (c, r)
+
+
+def test_field_identity_matches_fields_lhs():
+    # field_identity_report builds only B_r; the residual must be the one
+    # of the full FieldSet lhs, to 1e-14 absolute (fixed in advance).
+    fp = FockParams(n_fock=128, buffer=32)
+    p = interior_projector(fp)
+    for c in (0.0, 0.2513, 1.257):
+        s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
+        for r in (0.0, 0.5, 1.0):
+            fs = fields(s, r, fp)
+            lhs = s.omega_g(r) * (fs.b_r.conj().T @ fs.b_r + 0.5 * np.eye(fp.total_dim)) - (
+                s.omega_a(r) / 2.0
+            ) * (fs.d_minus + fs.d_plus)
+            rhs = h_total_r(s, r, fp)
+            want = projected_norm(lhs - rhs, p) / max(1.0, hermitian_norm(rhs))
+            assert abs(field_identity_report(s, r, fp).residual - want) <= 1e-14, (c, r)
