@@ -22,8 +22,8 @@ from .model import (
     free_supercharges,
     hamiltonian,
     mass_increment,
-    parity_chains_r,
     renormalized_frequency,
+    squeezed_chains,
 )
 from .output import emit_flow_csv, emit_flow_svg, emit_spectrum_csv
 from .spectral import (
@@ -93,7 +93,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    vals = lowest_k(parity_chains_r(cfg.schedule(), args.r, cfg.fock()), cfg.k_levels)
+    s = cfg.schedule()
+    vals = lowest_k(squeezed_chains(s.params(args.r), cfg.fock(), s.self_energy(args.r)),
+                    cfg.k_levels)
     table = SpectrumTable(
         energies=vals,
         groups=degeneracy_groups(vals, cfg.tol_degeneracy),
@@ -174,7 +176,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     beta = args.beta if args.beta is not None else 5.0 / cfg.omega
     for r in (0.0, 1.0):
-        rep = witten_index(parity_chains_r(s, r, fp), None, beta)
+        rep = witten_index(squeezed_chains(s.params(r), fp, s.self_energy(r)), None, beta)
         print(
             f"r={r}: index {rep.index_value:.6f} (rounded {rep.rounded}, "
             f"beta {rep.beta:.4g}, tail {rep.truncation_tail:.2e})"
@@ -185,7 +187,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
 def _cmd_converge(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     rep = truncation_convergence(
-        lambda fp: parity_chains_r(s, 1.0, fp),
+        lambda fp: squeezed_chains(s.params(1.0), fp, s.self_energy(1.0)),
         cfg.k_levels,
         cfg.tol_convergence,
         cfg.fock(),

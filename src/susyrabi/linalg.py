@@ -2,8 +2,10 @@
 
 banded_lowest is the spectral core: it returns the lowest eigenvalues of
 a real symmetric band matrix, which is what each parity chain of the
-Hamiltonian is (see model.ParityChains).  banded_eigh gives all
-eigenpairs of such a chain; the Witten index uses it.  Everything else
+Hamiltonian is (see model.ParityChains): tridiagonal in the squeezed
+frame that the spectrum paths use, pentadiagonal for the truncated H
+that the tests use as oracle.  banded_eigh gives all eigenpairs of such
+a chain; the Witten index uses it.  Everything else
 works on plain square numpy arrays in double precision, float64 or
 complex, and real input stays real: the model's Fock-basis operators,
 all real except sigma_y, take real LAPACK and BLAS calls.  The
@@ -95,6 +97,23 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _drop_negligible(a: np.ndarray) -> np.ndarray:
+    """a with every entry below eps * max|a| / n set to exactly zero.
+
+    The dropped part E has |E|_2 <= |E|_F < eps * max|a| <= eps * |a|_2,
+    so by Weyl's inequality no eigenvalue moves by more than rounding.
+    LAPACK's Hermitian eigensolvers lose accuracy on entries far below
+    the rest (near 1e-175 beside O(1) entries, real and complex calls
+    alike), and a dropped entry may also split a block of the zero
+    pattern.
+    """
+    if not a.size:
+        return a
+    mag = np.abs(a)
+    small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[0]
+    return np.where(small, 0.0, a) if small.any() else a
+
+
 def _block_eighs(h: np.ndarray):
     """Yield (idx, values, vectors) for each stack of h's principal blocks.
 
@@ -126,9 +145,11 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
     back into the full basis and the eigenvalues merged in ascending
     order; a zero row and column is the eigenpair (0, unit vector).  So a
     diagonal matrix costs O(n) and a matrix without a zero entry one dense
-    call.  Real symmetric input gives real eigenvectors.
+    call.  Entries below rounding relative to the largest are dropped
+    first (_drop_negligible).  Real symmetric input gives real
+    eigenvectors.
     """
-    h = _hermitian_part(_check_square(a))
+    h = _drop_negligible(_hermitian_part(_check_square(a)))
     n = h.shape[0]
     values = np.zeros(n)
     vectors = np.zeros((n, n), dtype=h.dtype)
@@ -144,8 +165,9 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
 def banded_lowest(band: np.ndarray, m: int) -> np.ndarray:
     """The m smallest eigenvalues, ascending, of a real symmetric band matrix.
 
-    band is in lower banded storage, band[d, j] = A[j + d, j].  Only the
-    requested eigenvalues are computed (LAPACK ?sbevx through eig_banded).
+    band is in lower banded storage, band[d, j] = A[j + d, j], with any
+    number of rows: two for a tridiagonal matrix.  Only the requested
+    eigenvalues are computed (LAPACK ?sbevx through eig_banded).
     """
     band = np.asarray(band, dtype=float)
     if band.ndim != 2 or not 1 <= m <= band.shape[1]:
@@ -265,7 +287,8 @@ def hermitian_norm(a: np.ndarray) -> float:
     Cheaper than the singular values, but only the same for Hermitian
     input, so a defect beyond HERMITICITY_RTOL is a contract violation.
     The eigenvalues are taken block by block over A's zero pattern, on
-    the principal blocks of _principal_blocks.
+    the principal blocks of _principal_blocks, after the entries below
+    rounding relative to the largest are dropped (_drop_negligible).
     """
     a = _check_square(a)
     if not a.size:
@@ -277,7 +300,10 @@ def hermitian_norm(a: np.ndarray) -> float:
             f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
         )
     return max(
-        (float(np.max(np.abs(np.linalg.eigvalsh(b)))) for _, b in _principal_blocks(a)),
+        (
+            float(np.max(np.abs(np.linalg.eigvalsh(b))))
+            for _, b in _principal_blocks(_drop_negligible(a))
+        ),
         default=0.0,
     )
 

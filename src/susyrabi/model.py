@@ -155,13 +155,16 @@ class ParityChains:
     The parity -sz*exp(i*pi*a_dag a) commutes with every H(omega_a,
     omega_b, g, c), since (a+a_dag)^2 is even.  Chain 0 is the basis
     |up,0>, |down,1>, |up,2>, ...; chain 1 starts at |down,0>.  Each is
-    a real symmetric N x N matrix, pentadiagonal (tridiagonal at c*g = 0),
-    and bands[i, d, j] = chain_i[j + d, j] for d = 0, 1, 2 (the lower
-    banded form of scipy.linalg.eig_banded).  Together the two chains
-    have exactly the spectrum of the dense 2N x 2N matrix.
+    a real symmetric N x N band matrix, and bands[i, d, j] =
+    chain_i[j + d, j] for d = 0 .. bands.shape[1] - 1 (the lower banded
+    form of scipy.linalg.eig_banded).  parity_chains gives the
+    pentadiagonal chains of the truncated H, whose two chains have
+    exactly the spectrum of the dense 2N x 2N matrix; squeezed_chains
+    gives the tridiagonal chains of the same H in the squeezed frame
+    without the A^2 term, which the spectrum paths solve.
     """
 
-    bands: np.ndarray  # shape (2, 3, n_fock), read-only
+    bands: np.ndarray  # shape (2, 2 or 3, n_fock), read-only
 
     @property
     def n_fock(self) -> int:
@@ -208,6 +211,32 @@ def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityC
     bands[1, 0] = common - spin
     bands[:, 1, :-1] = p.g * np.sqrt(n[1:])
     bands[:, 2, :-2] = a2 * np.sqrt(n[1:-1] * n[2:])
+    bands.flags.writeable = False
+    return ParityChains(bands)
+
+
+def squeezed_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
+    """hamiltonian(p, fp, shift) in the A^2-removing squeezed frame, as parity chains.
+
+    The squeeze that verify checks (transforms.u_a2_with_report) maps H(omega_a,
+    omega_b, g, c) onto the Rabi Hamiltonian H(omega_a, omega_g, g_tilde,
+    0) with (omega_g, g_tilde) = renormalized_frequency(omega_b, c, g),
+    and leaves sz alone, so the chain bases and the grading -sz are those
+    of parity_chains.  The chains are tridiagonal:
+    diagonal      omega_g(n+1/2) +/- (omega_a/2)(-1)^n + shift,
+    first band    g_tilde sqrt(n+1).
+    Truncated at N, they differ from parity_chains only through the
+    truncation, and converge at the N that required_n_fock sizes for
+    beta = g_tilde/omega_g, where the unsqueezed chains may not.
+    """
+    omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
+    n = np.arange(fp.n_fock, dtype=float)
+    common = omega_g * (n + 0.5) + shift
+    spin = p.omega_a / 2.0 * (1.0 - 2.0 * (n % 2))
+    bands = np.zeros((2, 2, fp.n_fock))
+    bands[0, 0] = common + spin
+    bands[1, 0] = common - spin
+    bands[:, 1, :-1] = g_tilde * np.sqrt(n[1:])
     bands.flags.writeable = False
     return ParityChains(bands)
 
@@ -262,7 +291,7 @@ def h_total_r(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
 
 
 def parity_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:
-    """H(r) of h_total_r, self-energy shift included, as parity chains."""
+    """H(r) of h_total_r, self-energy shift included, as pentadiagonal parity chains."""
     _check_r(r)
     return parity_chains(s.params(r), fp, shift=s.self_energy(r))
 
@@ -278,7 +307,10 @@ def heavy_hamiltonian(s: Schedule, fp: FockParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperchargeSet:
-    """Real charges q1, q2, complex charges q+/-, and the grading -sz."""
+    """Hermitian charges q1, q2, nilpotent q+/- = (q1 +/- i q2)/sqrt(2), grading -sz.
+
+    Every array is float64 except q2, which is i times a real matrix.
+    """
 
     q1: np.ndarray
     q2: np.ndarray
@@ -301,12 +333,12 @@ def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
     down = kron(ops.s_minus, ops.a_dag)
     root = math.sqrt(omega / 2.0)
     q1 = root * (up + down)
-    q2 = 1j * root * (down - up)
+    q2_over_i = root * (down - up)
     return SuperchargeSet(
         q1=q1,
-        q2=q2,
-        q_plus=(q1 + 1j * q2) / math.sqrt(2.0),
-        q_minus=(q1 - 1j * q2) / math.sqrt(2.0),
+        q2=1j * q2_over_i,
+        q_plus=(q1 - q2_over_i) / math.sqrt(2.0),
+        q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
         grading=embed_qubit(-ops.sz, fp),
         variant="free",
     )
@@ -325,12 +357,13 @@ def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
     root_n = np.diag(np.sqrt(np.diagonal(ops.n_op) + 0.5))
     pref = math.sqrt(omega / 2.0)
     q1 = pref * kron(ops.sx, root_n)
-    q2 = pref * kron(ops.sy, root_n)
+    # sy = i (s- - s+), so Q2 = i * q2_over_i with q2_over_i real.
+    q2_over_i = pref * kron(ops.s_minus - ops.s_plus, root_n)
     return SuperchargeSet(
         q1=q1,
-        q2=q2,
-        q_plus=(q1 + 1j * q2) / math.sqrt(2.0),
-        q_minus=(q1 - 1j * q2) / math.sqrt(2.0),
+        q2=1j * q2_over_i,
+        q_plus=(q1 - q2_over_i) / math.sqrt(2.0),
+        q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
         grading=embed_qubit(-ops.sz, fp),
         variant="broken",
     )

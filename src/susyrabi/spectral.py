@@ -2,13 +2,16 @@
 
 Callers that need only the lowest levels (sweeps over r and g,
 truncation convergence, the limit and no-go checks, and the CLI
-spectrum and converge commands) build the Hamiltonian as its two parity
-chains (model.ParityChains) and solve them with the banded core in
-lowest_k.  The Witten index takes chains too: the grading -sz is
-diagonal in the chain basis, so each level's expectation comes from its
-real chain eigenvector.  The dense 2N x 2N builders stay as the
-reference oracle for both (hermitian_eigs solves them per parity sector,
-as dense blocks of their zero pattern) and serve the checks that need
+spectrum and converge commands) build the Hamiltonian in the squeezed
+frame without the A^2 term, as its two tridiagonal parity chains
+(model.squeezed_chains), and solve them with the banded core in
+lowest_k.  The Witten index takes these chains too: the squeeze leaves
+sz alone, so the grading -sz is diagonal in the chain basis and each
+level's expectation comes from its real chain eigenvector.  The
+pentadiagonal chains of the truncated H (model.parity_chains) and the
+dense 2N x 2N builders stay as the reference oracles (hermitian_eigs
+solves the latter per parity sector, as dense blocks of their zero
+pattern); the dense builders also serve the checks that need
 operator products: the algebra reports.  Every operator there commutes or
 anticommutes with the parity, so the report splits each one once into
 its parity-sector blocks (linalg.SectorMatrix, in the chain order of
@@ -43,10 +46,9 @@ from .model import (
     broken_supercharges,
     hamiltonian,
     heavy_hamiltonian,
-    parity_chains,
-    parity_chains_r,
     parity_order,
     renormalized_frequency,
+    squeezed_chains,
 )
 
 DEGENERACY_TOL = 1e-6
@@ -162,7 +164,8 @@ def spectral_flow_r(
 
     _check_workers_env()
     tables = tuple(
-        _table(parity_chains_r(s, r, fp), k, fp, tol_degeneracy) for r in grid
+        _table(squeezed_chains(s.params(r), fp, s.self_energy(r)), k, fp, tol_degeneracy)
+        for r in grid
     )
     return FlowResult(
         grid=grid,
@@ -200,8 +203,8 @@ def sweep_hamiltonian_g(omega: float, c: float, g: float, fp: FockParams) -> np.
 
 
 def _sweep_chains_g(omega: float, c: float, g: float, fp: FockParams) -> ParityChains:
-    """sweep_hamiltonian_g as parity chains."""
-    return parity_chains(
+    """sweep_hamiltonian_g as squeezed parity chains."""
+    return squeezed_chains(
         ModelParams(omega, omega, g, c), fp, shift=_self_energy_g(omega, c, g)
     )
 
@@ -561,9 +564,9 @@ def limit_check(
     pair_tol, when given, is the looser grouping tolerance for the r=1
     endpoint (the c=0 cat-state pairs split only exponentially).
     """
-    vals_r1 = lowest_k(parity_chains_r(s, 1.0, fp), k)
+    vals_r1 = lowest_k(squeezed_chains(s.params(1.0), fp, s.self_energy(1.0)), k)
     target = lowest_k(heavy_hamiltonian(s, fp), k)
-    vals_r0 = lowest_k(parity_chains_r(s, 0.0, fp), k)
+    vals_r0 = lowest_k(squeezed_chains(s.params(0.0), fp, s.self_energy(0.0)), k)
     groups_r0 = tuple(size for _, size in degeneracy_groups(vals_r0, tol_degeneracy))
     groups_r1 = tuple(
         size

@@ -50,6 +50,8 @@ def test_real_operators_are_float64(fp_small):
     assert free_supercharges(OMEGA, fp_small).q1.dtype == np.float64
     assert free_supercharges(OMEGA, fp_small).q2.dtype == np.complex128
     assert broken_supercharges(OMEGA, fp_small).q1.dtype == np.float64
+    for ch in (free_supercharges(OMEGA, fp_small), broken_supercharges(OMEGA, fp_small)):
+        assert ch.q_plus.dtype == ch.q_minus.dtype == np.float64, ch.variant
 
 
 def test_model_params_validation():
@@ -172,6 +174,14 @@ def test_heavy_hamiltonian_ladder(fp_small):
     np.testing.assert_allclose(
         vals, omega_g * np.array([0.5, 0.5, 1.5, 1.5]), atol=1e-10
     )
+
+
+def test_nilpotent_charges_are_built_from_q1_and_q2(fp_small):
+    for ch in (free_supercharges(OMEGA, fp_small), broken_supercharges(OMEGA, fp_small)):
+        for q, sign in ((ch.q_plus, 1.0), (ch.q_minus, -1.0)):
+            np.testing.assert_allclose(
+                q, (ch.q1 + sign * 1j * ch.q2) / math.sqrt(2.0), rtol=0, atol=1e-14
+            )
 
 
 def test_free_supercharges_annihilate_vacuum(fp_small):

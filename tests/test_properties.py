@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,9 +30,11 @@ from susyrabi.model import (
     mass_increment,
     parity_chains,
     parity_chains_r,
+    parity_order,
     renormalized_frequency,
+    squeezed_chains,
 )
-from susyrabi.spectral import degeneracy_groups, lowest_k, witten_index
+from susyrabi.spectral import degeneracy_groups, lowest_k, required_n_fock, witten_index
 
 ints = st.integers(min_value=-5, max_value=5)
 
@@ -179,7 +181,7 @@ def chain_matrix(band):
     """Full symmetric matrix of one chain from its lower banded storage."""
     n = band.shape[1]
     m = np.diag(band[0])
-    for d in (1, 2):
+    for d in range(1, band.shape[0]):
         m += np.diag(band[d, : n - d], -d) + np.diag(band[d, : n - d], d)
     return m
 
@@ -205,6 +207,42 @@ def test_spectrum_is_union_of_the_two_chains(case):
     union = np.sort(np.concatenate(
         [np.linalg.eigvalsh(chain_matrix(band)) for band in chains.bands]))
     assert_energies_close(union, dense)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain_cases)
+def test_squeezed_chains_are_parity_blocks_of_squeezed_rabi_h(case):
+    # The squeezed frame is the Rabi Hamiltonian at (omega_g, g_tilde), c = 0.
+    p, fp, shift = case_params(case)
+    omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
+    h = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
+    h = h + shift * np.eye(fp.total_dim)
+    chains = squeezed_chains(p, fp, shift)
+    assert chains.bands.shape == (2, 2, fp.n_fock)
+    for band, idx in zip(chains.bands, np.split(parity_order(fp), 2)):
+        block = h[np.ix_(idx, idx)]
+        scale = max(1.0, float(np.max(np.abs(block))))
+        np.testing.assert_allclose(chain_matrix(band), block, rtol=0, atol=1e-12 * scale)
+
+
+# Squeezed chains at the truncation required_n_fock sizes against the
+# pentadiagonal chains at eight times that truncation.  The tolerance is
+# fixed in advance: 1e-11 relative to max(1, |E|); the largest deviation
+# seen over the range is about 1e-12, the reference chains' own error.
+SQUEEZE_RTOL = 1e-11
+OMEGA = 6.2832
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0),  # omega_a / omega
+       st.floats(min_value=0.0, max_value=5.0),  # g / omega
+       st.floats(min_value=0.0, max_value=1.5))  # c
+def test_squeezed_chains_match_converged_pentadiagonal_chains(wa_ratio, g_ratio, c):
+    p = ModelParams(wa_ratio * OMEGA, OMEGA, g_ratio * OMEGA, c)
+    n = required_n_fock(OMEGA, c, p.g, n_min=128)
+    got = lowest_k(squeezed_chains(p, FockParams(n_fock=n, buffer=0)), 8)
+    want = lowest_k(parity_chains(p, FockParams(n_fock=8 * n, buffer=0)), 8)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= SQUEEZE_RTOL
 
 
 @settings(max_examples=10, deadline=None)
@@ -461,8 +499,17 @@ def real_with_index_set(draw):
     return a * keep, np.array(idx, dtype=int)
 
 
+def tiny_entries_beside_unit_ones():
+    """Entries near 1e-175 beside O(1) ones: LAPACK's Hermitian solvers
+    returned sqrt(6) + 5e-7 for the complex copy of this matrix."""
+    a = np.full((10, 10), 5.23891913e-175)
+    a[0, 1], a[0, 4], a[1, 6], a[5, 4] = 1.0, 2.0, 1.0, 1.0
+    return a, np.array([], dtype=int)
+
+
 @settings(max_examples=60, deadline=None)
 @given(real_with_index_set())
+@example(case=tiny_entries_beside_unit_ones())
 def test_real_input_matches_complex_call(case):
     a, idx = case
     h = a + a.T

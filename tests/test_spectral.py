@@ -13,8 +13,10 @@ from susyrabi.model import (
     free_supercharges,
     h_total_r,
     hamiltonian,
+    parity_chains,
     parity_chains_r,
     parity_order,
+    squeezed_chains,
 )
 from susyrabi.spectral import (
     degeneracy_groups,
@@ -108,6 +110,21 @@ def test_spectral_flow_g_auto_truncation():
     assert abs(vals[1] - vals[0]) < 1e-4 * OMEGA
     target = np.repeat(OMEGA * (np.arange(3) + 0.5), 2)
     assert np.max(np.abs(vals - target)) < 1e-2 * OMEGA
+
+
+def test_squeezed_chains_converge_where_bare_chains_do_not():
+    # At c = 1.257, g = 5 omega the bare-frame chains at N = 256 are about
+    # 9e-5 (relative) off their N = 4096 levels; the squeezed frame, which
+    # required_n_fock sizes, is converged there.
+    p = ModelParams(OMEGA, OMEGA, 5.0 * OMEGA, 1.257)
+    fp = FockParams(n_fock=256, buffer=64)
+    ref = lowest_k(parity_chains(p, FockParams(n_fock=4096, buffer=0)), 8)
+
+    def deviation(chains):
+        return np.max(np.abs(lowest_k(chains, 8) - ref) / np.abs(ref))
+
+    assert deviation(squeezed_chains(p, fp)) <= 1e-11
+    assert deviation(parity_chains(p, fp)) > 1e-6
 
 
 def test_spectral_flow_g_cap():
