@@ -268,7 +268,7 @@ def no_go_asymptote_check(
     Both targets are g -> infinity limits.  At finite g with c > 0 the
     lowest pair is split by omega*exp(-2*beta^2), beta = g_tilde/omega(g),
     not by omega, so max_deviation is a sizeable fraction of omega there
-    (0.17*omega at g = 5*omega, c = 0.2513); only a bound such as
+    (0.062*omega at g = 5*omega, c = 0.2513, k = 6); only a bound such as
     0.5*omega holds.
     """
     if g < 3.0 * omega:

@@ -232,6 +232,18 @@ def test_witten_index_chains_match_dense_endpoints(fp_mid):
         witten_index(h_total_r(s, 0.0, fp_mid), None, beta)
 
 
+@pytest.mark.parametrize("c", [0.0, 0.2513, 1.257])
+def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
+    # The squeeze leaves sz alone, so the chain grading carries over.
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
+    beta = 5.0 / OMEGA
+    for r in (0.0, 0.5, 1.0):
+        squeezed = witten_index(squeezed_chains(s.params(r), fp_mid, s.self_energy(r)), None, beta)
+        bare = witten_index(parity_chains_r(s, r, fp_mid), None, beta)
+        assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
+        assert squeezed.truncation_tail == pytest.approx(bare.truncation_tail, rel=1e-9)
+
+
 def test_algebra_report_free(fp_mid):
     h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
     rep = susy_algebra_report(h, free_supercharges(OMEGA, fp_mid), fp_mid)
