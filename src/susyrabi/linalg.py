@@ -22,10 +22,11 @@ tests check that block solve against an unstructured scipy eigh.  Every
 spectral norm (spectral_norm, hermitian_norm, projected_norm) is the
 largest of the blocks' norms.  Identity residuals are measured on an
 interior given as an index set: projected_norm slices the kept rows and
-columns instead of multiplying by a 0/1 projector.  SectorMatrix holds
-an operator as its 2 x 2 grid of parity-sector blocks and forms products
-sector by sector, skipping exactly zero blocks.  MAX_DIM bounds only the
-dense path.
+columns instead of multiplying by a 0/1 projector.  BlockStack holds the
+operands of one identity check on the components of their joint zero
+pattern, found once, and forms sums, products and the interior residual
+norm as batched calls over the stacked blocks, with no dense matrix
+formed.  MAX_DIM bounds only the dense path.
 """
 
 from __future__ import annotations
@@ -265,7 +266,14 @@ def _principal_blocks(a: np.ndarray):
     sizes = size[order]
     for m in np.unique(sizes):
         idx = order[sizes == m].reshape(-1, m)
-        yield idx, a[idx[:, :, None], idx[:, None, :]]
+        yield idx, _gather(a, idx)
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The stack A[idx[j], idx[j]] for the rows of idx; a view if idx is all of A."""
+    if idx.shape == (1, a.shape[0]):
+        return a[None]
+    return a[idx[:, :, None], idx[:, None, :]]
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -317,96 +325,102 @@ def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
     distinct indices inside A; an empty set gives 0.
     """
     a = _check_square(a)
+    idx = _check_index_set(idx, a.shape[0])
+    return spectral_norm(a[np.ix_(idx, idx)]) if idx.size else 0.0
+
+
+def _check_index_set(idx: np.ndarray, n: int) -> np.ndarray:
+    """idx as an array, if it is a 1-D set of distinct integers in 0..n-1."""
     idx = np.asarray(idx)
     if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
         raise ContractViolationError(
             f"interior must be a 1-D integer index set, got {idx.dtype} of shape {idx.shape}"
         )
-    if not idx.size:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= a.shape[0]:
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ContractViolationError(
-            f"interior indices must lie in 0..{a.shape[0] - 1}, got {idx.min()}..{idx.max()}"
+            f"interior indices must lie in 0..{n - 1}, got {idx.min()}..{idx.max()}"
         )
     if np.unique(idx).size != idx.size:
         raise ContractViolationError("interior indices must be distinct")
-    return spectral_norm(a[np.ix_(idx, idx)])
+    return idx
 
 
-class SectorMatrix:
-    """A 2n x 2n matrix held as its 2 x 2 grid of n x n sector blocks.
+class BlockStack:
+    """An n x n matrix held as its principal blocks on a given partition.
 
-    order is a permutation of the 2n basis indices: sector 0 is
-    order[:n] and sector 1 is order[n:], so blocks[s][t] is
-    A[order[s*n:(s+1)*n]][:, order[t*n:(t+1)*n]].  A block that is
-    exactly zero is stored as None.  A product skips every term with such
-    a factor and so equals the dense product up to summation order; sums,
-    differences and scalar multiples are the dense ones entrywise.  An
-    operator that commutes or anticommutes with the sector parity has two
-    None blocks, and its products cost a quarter of the dense ones.
+    The partition is a tuple of index arrays of shape (k, m), each row an
+    ascending index set, together covering 0..n-1 once; partition_of
+    finds the one that every operand of a check fits.  blocks[s] of shape
+    (k, m, m) is the stack A[idx[j], idx[j]] for the rows idx[j] of
+    partition[s].  A matrix with no entry between different index sets is
+    the direct sum of its blocks, and so are its sums, scalar multiples,
+    adjoints and products with another matrix on the same partition: each
+    is one batched numpy call per stack, equal to the dense one up to
+    summation order.
     """
 
     # Makes numpy scalars defer to __rmul__ instead of broadcasting.
     __array_ufunc__ = None
 
-    def __init__(self, blocks, order: np.ndarray):
-        """blocks is a 2 x 2 nested sequence of n x n arrays or None."""
-        self.order = order
-        self.n = order.size // 2
-        self.blocks = tuple(
-            tuple(b if b is not None and b.any() else None for b in row) for row in blocks
-        )
+    def __init__(self, partition: tuple[np.ndarray, ...], blocks: tuple[np.ndarray, ...]):
+        self.partition = partition
+        self.blocks = blocks
+
+    @property
+    def dim(self) -> int:
+        """n, the number of indices the partition covers."""
+        return sum(idx.size for idx in self.partition)
+
+    @staticmethod
+    def partition_of(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The connected components of the operands' joint zero pattern.
+
+        Index i joins j when any operand has a nonzero (i, j) or (j, i)
+        entry; these are _principal_blocks of that pattern, except that
+        an index with no nonzero entry is a component of its own, so the
+        partition covers every index.
+        """
+        ops = [_check_square(op) for op in ops]
+        n = ops[0].shape[0]
+        if any(op.shape != (n, n) for op in ops):
+            raise DimensionError(f"operands differ in shape: {[op.shape for op in ops]}")
+        nz = np.eye(n, dtype=bool)
+        for op in ops:
+            nz |= op != 0
+        return tuple(idx for idx, _ in _principal_blocks(nz))
 
     @classmethod
-    def split(cls, a: np.ndarray, order: np.ndarray) -> SectorMatrix:
-        """A, given in the original basis, as its sector grid in order."""
+    def split(cls, a: np.ndarray, partition: tuple[np.ndarray, ...]) -> BlockStack:
+        """A, given in the original basis, as its blocks on partition.
+
+        Entries between different index sets are not kept: A must have
+        none, which holds for every operand of partition_of.
+        """
         a = _check_square(a)
-        if order.shape != a.shape[:1] or a.shape[0] % 2:
-            raise DimensionError(
-                f"cannot split a {a.shape} matrix by an order of shape {order.shape}"
-            )
-        halves = np.split(order, 2)
-        return cls([[a[np.ix_(r, c)] for c in halves] for r in halves], order)
+        dim = sum(idx.size for idx in partition)
+        if dim != a.shape[0]:
+            raise DimensionError(f"a partition of {dim} indices cannot split a {a.shape} matrix")
+        return cls(partition, tuple(_gather(a, idx) for idx in partition))
 
-    def _zip(self, other: SectorMatrix, op) -> SectorMatrix:
-        return SectorMatrix(
-            [
-                [
-                    None if x is None and y is None
-                    else op(0.0 if x is None else x, 0.0 if y is None else y)
-                    for x, y in zip(row_x, row_y)
-                ]
-                for row_x, row_y in zip(self.blocks, other.blocks)
-            ],
-            self.order,
-        )
+    def _zip(self, other: BlockStack, op) -> BlockStack:
+        return BlockStack(self.partition, tuple(map(op, self.blocks, other.blocks)))
 
-    def __add__(self, other: SectorMatrix) -> SectorMatrix:
+    def __add__(self, other: BlockStack) -> BlockStack:
         return self._zip(other, np.add)
 
-    def __sub__(self, other: SectorMatrix) -> SectorMatrix:
+    def __sub__(self, other: BlockStack) -> BlockStack:
         return self._zip(other, np.subtract)
 
-    def __rmul__(self, scalar: complex) -> SectorMatrix:
-        return SectorMatrix(
-            [[None if b is None else scalar * b for b in row] for row in self.blocks],
-            self.order,
-        )
+    def __matmul__(self, other: BlockStack) -> BlockStack:
+        return self._zip(other, np.matmul)
 
-    def __matmul__(self, other: SectorMatrix) -> SectorMatrix:
-        out = [[None, None], [None, None]]
-        for s in range(2):
-            for t in range(2):
-                for x, y in ((self.blocks[s][u], other.blocks[u][t]) for u in range(2)):
-                    if x is not None and y is not None:
-                        out[s][t] = x @ y if out[s][t] is None else out[s][t] + x @ y
-        return SectorMatrix(out, self.order)
+    def __rmul__(self, scalar: complex) -> BlockStack:
+        return BlockStack(self.partition, tuple(scalar * b for b in self.blocks))
 
-    def adjoint(self) -> SectorMatrix:
-        """The conjugate transpose, sector by sector."""
-        return SectorMatrix(
-            [[None if b is None else b.conj().T for b in col] for col in zip(*self.blocks)],
-            self.order,
+    def adjoint(self) -> BlockStack:
+        """The conjugate transpose, block by block."""
+        return BlockStack(
+            self.partition, tuple(b.conj().transpose(0, 2, 1) for b in self.blocks)
         )
 
     def dense(self) -> np.ndarray:
@@ -414,12 +428,34 @@ class SectorMatrix:
 
         It is float64 unless a block is complex.
         """
-        n = self.n
-        present = [b for row in self.blocks for b in row if b is not None]
-        out = np.zeros((2 * n, 2 * n), dtype=np.result_type(np.float64, *present))
-        halves = np.split(self.order, 2)
-        for s in range(2):
-            for t in range(2):
-                if self.blocks[s][t] is not None:
-                    out[np.ix_(halves[s], halves[t])] = self.blocks[s][t]
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(np.float64, *self.blocks))
+        for idx, b in zip(self.partition, self.blocks):
+            out[idx[:, :, None], idx[:, None, :]] = b
+        return out
+
+    def norm(self, interior: np.ndarray | None = None) -> float:
+        """Spectral norm, or that of the part on the interior index set.
+
+        With an interior this is projected_norm of the dense matrix: the
+        rows and columns outside it are zeroed in each block, the kept
+        positions moved to the front of their block, and each stack cut
+        to its widest kept set before one batched SVD.  Blocks with no
+        kept index are skipped.
+        """
+        if interior is not None:
+            inside = np.zeros(self.dim, dtype=bool)
+            inside[_check_index_set(interior, self.dim)] = True
+        out = 0.0
+        for idx, b in zip(self.partition, self.blocks):
+            if interior is not None:
+                keep = inside[idx]
+                hit = keep.any(axis=1)
+                keep, b = keep[hit], b[hit]
+                width = keep.sum(axis=1).max(initial=0)
+                pos = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+                keep = np.take_along_axis(keep, pos, axis=1)
+                b = b[np.arange(len(b))[:, None, None], pos[:, :, None], pos[:, None, :]]
+                b = b * (keep[:, :, None] & keep[:, None, :])
+            if b.size:
+                out = max(out, float(np.linalg.svd(b, compute_uv=False).max()))
         return out

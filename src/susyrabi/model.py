@@ -181,7 +181,8 @@ def parity_order(fp: FockParams) -> np.ndarray:
 
     Chain position n holds Fock level n: on chain 0 with spin up for even
     n and down for odd n, on chain 1 the other way round (see
-    ParityChains).  This is the order for linalg.SectorMatrix; the
+    ParityChains).  It maps a chain vector or band into the 2N basis,
+    which is how the tests compare the chains with the dense H; the
     interior of fock.interior_projector is chain positions 0..cut-1 of
     both chains.
     """

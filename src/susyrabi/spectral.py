@@ -12,13 +12,13 @@ pentadiagonal chains of the truncated H (model.parity_chains) and the
 dense 2N x 2N builders stay as the reference oracles (hermitian_eigs
 solves the latter per parity sector, as dense blocks of their zero
 pattern); the dense builders also serve the checks that need
-operator products: the algebra reports.  Every operator there commutes or
-anticommutes with the parity, so the report splits each one once into
-its parity-sector blocks (linalg.SectorMatrix, in the chain order of
-model.parity_order) and forms each product from the nonzero block
-products only; residuals are measured on the interior index set of
-fock.interior_projector, which is chain positions 0..cut-1 of both
-chains.  The Hamiltonians that verify checks are diagonal, so the
+operator products: the algebra reports.  Each report splits H, the
+charges and the grading once on the components of their joint zero
+pattern (linalg.BlockStack): every charge couples each boson level to
+a single partner, so the blocks are 2 x 2 pairs and singletons and
+every product is a batched 2 x 2 one, O(N) in all.  Residuals are
+measured on the interior index set of fock.interior_projector, straight
+from the blocks.  The Hamiltonians that verify checks are diagonal, so the
 eigensolve that finds their ground states and scale is O(N).
 
 Sweep grid points are evaluated serially in grid order.  The
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, basis_state, interior_projector
-from .linalg import SectorMatrix, banded_eigh, banded_lowest, hermitian_eigs, projected_norm
+from .linalg import BlockStack, banded_eigh, banded_lowest, hermitian_eigs
 from .model import (
     ModelParams,
     ParityChains,
@@ -46,7 +46,6 @@ from .model import (
     broken_supercharges,
     hamiltonian,
     heavy_hamiltonian,
-    parity_order,
     renormalized_frequency,
     squeezed_chains,
 )
@@ -296,7 +295,14 @@ def no_go_asymptote_check(
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Result of doubling the truncation until the low spectrum stabilizes."""
+    """Result of doubling the truncation until the low spectrum stabilizes.
+
+    n_star is the first of fp0.n_fock, 2 fp0.n_fock, 4 fp0.n_fock, ...
+    whose lowest levels agree with those of its own double: a floor set
+    by the configured truncation, not the smallest truncation that has
+    converged, which may lie below fp0.n_fock.  energies are the levels
+    at n_star and drift their largest move on doubling it.
+    """
 
     n_star: int
     drift: float
@@ -313,8 +319,10 @@ def truncation_convergence(
 ) -> ConvergenceReport:
     """Double n_fock until the lowest k eigenvalues move by <= tol.
 
-    n_star is the smallest truncation whose spectrum already agrees with
-    the doubled one.  builder may return a dense matrix or ParityChains;
+    Only the doublings of fp0.n_fock are tried, so n_star is the first of
+    them whose spectrum agrees with its own double, never below
+    fp0.n_fock, even where a smaller truncation would already agree (see
+    ConvergenceReport).  builder may return a dense matrix or ParityChains;
     lowest_k solves either.
     """
     if tol <= 0:
@@ -466,18 +474,12 @@ def susy_algebra_report(
         raise ValidationError(f"shape mismatch: H {h.shape}, charges {charges.q1.shape}")
     p = interior_projector(fp)
     scale, vac_norms = _scale_and_vacuum_norms(h, charges)
-    order = parity_order(fp)
-    hs, q1, q2, gr = (
-        SectorMatrix.split(m, order) for m in (h, charges.q1, charges.q2, charges.grading)
-    )
+    ops = (h, charges.q1, charges.q2, charges.grading, charges.q_plus, charges.q_minus)
+    partition = BlockStack.partition_of(*ops)
+    hs, q1, q2, gr, q_plus, q_minus = (BlockStack.split(m, partition) for m in ops)
 
-    def rel(m: SectorMatrix) -> float:
-        return projected_norm(m.dense(), p) / scale
-
-    def square(q: np.ndarray) -> SectorMatrix:
-        # q+ and q- are split only here, so their grids do not outlive it.
-        qs = SectorMatrix.split(q, order)
-        return qs @ qs
+    def rel(m: BlockStack) -> float:
+        return m.norm(p) / scale
 
     q = {"1": q1, "2": q2}
     anti = {
@@ -488,8 +490,8 @@ def susy_algebra_report(
     comm = {name: rel(qi @ hs - hs @ qi) for name, qi in q.items()}
     grading = {name: rel(qi @ gr + gr @ qi) for name, qi in q.items()}
     nil = {
-        "plus": rel(2.0 * square(charges.q_plus)),
-        "minus": rel(2.0 * square(charges.q_minus)),
+        "plus": rel(2.0 * (q_plus @ q_plus)),
+        "minus": rel(2.0 * (q_minus @ q_minus)),
     }
     passed = all(
         r <= tol_algebra

@@ -6,21 +6,24 @@ identity it must satisfy, with both squeeze signs tried and the better
 one kept.  All residuals are measured away from the truncation boundary,
 on an interior index set (the rows and columns kept by the interior
 projector), and relative to the spectral norm of the Hermitian target.
-The conjugation U^dag lhs U and the unitarity check U^dag U are formed
-by parity sector (linalg.SectorMatrix): a squeeze, its Hamiltonians and
-their products are parity-even, so half their blocks are exactly zero
-and skipped.  Every unitary here is real: unitary_exp gives the
-squeeze as a real matrix from its even and odd levels, and the
-displacement D(beta) comes from one real symmetric tridiagonal
-eigensolve (see displacement).  The polaron frame mixes the sectors, so
-its products take all four blocks, in real arithmetic.
+U, lhs and rhs are split once on the components of their joint zero
+pattern (linalg.BlockStack), and the conjugation U^dag lhs U and its
+residual norm are taken block by block: a squeeze and its Hamiltonians
+keep the parity, so they split into the two parity sectors, while the
+polaron frame mixes them and stays one block.  The unitarity defect
+|U^dag U - 1|_2 is computed from the blocks only when a report's
+unitarity_defect is read.  Every unitary here is real: unitary_exp
+gives the squeeze as a real matrix from its even and odd levels, and
+the displacement D(beta) comes from one real symmetric tridiagonal
+eigensolve (see displacement).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,14 +38,13 @@ from .fock import (
     kron,
     make_operators,
 )
-from .linalg import SectorMatrix, banded_eigh, hermitian_norm, projected_norm, unitary_exp
+from .linalg import BlockStack, banded_eigh, hermitian_norm, projected_norm, unitary_exp
 from .model import (
     ModelParams,
     Schedule,
     hamiltonian,
     heavy_field,
     h_total_r,
-    parity_order,
     renormalized_frequency,
 )
 
@@ -51,13 +53,25 @@ MAX_SQUEEZE = 2.0
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Outcome of one unitary-equivalence check."""
+    """Outcome of one unitary-equivalence check.
+
+    unitary holds the blocks of the checked U, or None when no unitary is
+    involved; unitarity_defect is computed from it on first read.
+    """
 
     identity_name: str
     residual: float
-    unitarity_defect: float
     params_used: object
     fock: FockParams
+    unitary: BlockStack | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def unitarity_defect(self) -> float:
+        """|U^dag U - 1|_2, block by block over U's partition; 0 without a unitary."""
+        if self.unitary is None:
+            return 0.0
+        u = self.unitary
+        return (u.adjoint() @ u - BlockStack.split(np.eye(u.dim), u.partition)).norm()
 
 
 def displacement(beta: float, fp: FockParams) -> np.ndarray:
@@ -116,42 +130,40 @@ def verify_equivalence(
 
     rhs must be Hermitian.  P is given by its index set and defaults to the
     buffer-based interior; callers whose unitary spreads Fock support
-    (squeezes) pass a tighter one.  The products U^dag lhs U and U^dag U
-    are formed by parity sector (linalg.SectorMatrix), and the unitarity
-    defect is |U^dag U - 1|_2.
+    (squeezes) pass a tighter one.  U, lhs and rhs are split on the
+    components of their joint zero pattern (linalg.BlockStack), so the
+    products and the residual norm are taken block by block; the
+    unitarity defect |U^dag U - 1|_2 is computed when first read.
     """
     if u.shape != lhs.shape or lhs.shape != rhs.shape:
         raise ValidationError(
             f"shape mismatch: U {u.shape}, lhs {lhs.shape}, rhs {rhs.shape}"
         )
-    rhs_norm = hermitian_norm(rhs)
+    partition = BlockStack.partition_of(u, lhs, rhs)
+    us, lhs_b, rhs_b = (BlockStack.split(m, partition) for m in (u, lhs, rhs))
     return _equivalence_report(
-        u, SectorMatrix.split(lhs, parity_order(fp)), rhs, rhs_norm, fp,
-        identity_name, params_used, projector,
+        us, lhs_b, rhs_b, hermitian_norm(rhs), fp, identity_name, params_used, projector
     )
 
 
 def _equivalence_report(
-    u: np.ndarray,
-    lhs: SectorMatrix,
-    rhs: np.ndarray,
+    u: BlockStack,
+    lhs: BlockStack,
+    rhs: BlockStack,
     rhs_norm: float,
     fp: FockParams,
     identity_name: str,
     params_used: object,
     projector: np.ndarray | None,
 ) -> TransformReport:
-    """verify_equivalence with lhs already split and |rhs|_2 already taken."""
+    """verify_equivalence with every matrix split and |rhs|_2 already taken."""
     p = interior_projector(fp) if projector is None else projector
-    us = SectorMatrix.split(u, lhs.order)
-    u_dag = us.adjoint()
-    residual = projected_norm((u_dag @ lhs @ us).dense() - rhs, p) / max(1.0, rhs_norm)
     return TransformReport(
         identity_name=identity_name,
-        residual=residual,
-        unitarity_defect=hermitian_norm((u_dag @ us).dense() - np.eye(u.shape[0])),
+        residual=(u.adjoint() @ lhs @ u - rhs).norm(p) / max(1.0, rhs_norm),
         params_used=params_used,
         fock=fp,
+        unitary=u,
     )
 
 
@@ -191,14 +203,16 @@ def u_a2_with_report(
     rhs = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
     projector = squeeze_interior_projector(fp, zeta)
     rhs_norm = hermitian_norm(rhs)
-    lhs_sectors = SectorMatrix.split(lhs, parity_order(fp))
-    # The generator is anti-Hermitian, so S(-zeta) = S(zeta)^dag.
+    # The generator is anti-Hermitian, so S(-zeta) = S(zeta)^dag, and the
+    # two signs share one zero pattern and so one partition.
     s_plus = squeeze(zeta, fp)
+    u_plus = embed_boson(s_plus, fp)
+    partition = BlockStack.partition_of(u_plus, lhs, rhs)
+    lhs_b, rhs_b = (BlockStack.split(m, partition) for m in (lhs, rhs))
     best: tuple[np.ndarray, TransformReport] | None = None
-    for sign, s in ((1.0, s_plus), (-1.0, s_plus.conj().T)):
-        u = embed_boson(s, fp)
+    for sign, u in ((1.0, u_plus), (-1.0, u_plus.conj().T)):
         rep = _equivalence_report(
-            u, lhs_sectors, rhs, rhs_norm, fp,
+            BlockStack.split(u, partition), lhs_b, rhs_b, rhs_norm, fp,
             "a2-removal", {"params": p, "zeta": sign * zeta}, projector,
         )
         if best is None or rep.residual < best[1].residual:
@@ -241,7 +255,7 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     omega_g(r) (B_r^dag B_r + 1/2) - (omega_a(r)/2)(D- + D+) = H(r),
     measured on the interior and relative to |H(r)|_2.  B_r is real and
     D- + D+ = -sz exactly, so only B_r is built.  B_r^dag B_r is the dense
-    product: summed by parity sector, its terms come in another order and
+    product: summed block by block, its terms come in another order and
     the residual moves at round-off.  No unitary is involved, so the
     unitarity defect is 0.
     """
@@ -255,7 +269,6 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
         identity_name="field-rewriting",
         residual=projected_norm(lhs - rhs, interior_projector(fp))
         / max(1.0, hermitian_norm(rhs)),
-        unitarity_defect=0.0,
         params_used={"schedule": s, "r": r},
         fock=fp,
     )

@@ -5,8 +5,8 @@ import pytest
 
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
+    BlockStack,
     EigenDecomposition,
-    SectorMatrix,
     _principal_blocks,
     banded_eigh,
     hermitian_eigs,
@@ -138,17 +138,32 @@ def test_principal_blocks_follow_zero_pattern():
     assert spectral_norm(a) == pytest.approx(3.0)
 
 
-def test_sector_matrix_grid_and_shape_checks():
+def test_block_stack_partition_and_shape_checks():
     a = np.arange(16.0).reshape(4, 4) + 0j
     order = np.array([2, 0, 3, 1])
-    x = SectorMatrix.split(a, order)
-    np.testing.assert_array_equal(x.blocks[0][1], a[np.ix_([2, 0], [3, 1])])
-    np.testing.assert_array_equal(x.dense(), a)
-    # An exactly zero block is stored as None.
-    assert SectorMatrix.split(np.diag([1.0, 2.0, 3.0, 4.0]), np.arange(4)).blocks[0][1] is None
-    for bad, order in ((a, np.arange(6)), (np.eye(3), np.arange(3))):
-        with pytest.raises(DimensionError):
-            SectorMatrix.split(bad, order)
+    # A matrix without a zero entry is one block, a view of itself.
+    (whole,) = BlockStack.partition_of(a)
+    np.testing.assert_array_equal(whole, [[0, 1, 2, 3]])
+    np.testing.assert_array_equal(BlockStack.split(a, (whole,)).dense(), a)
+    # Kept on the two halves of order only, it splits into those halves.
+    sectors = np.zeros((4, 4), dtype=bool)
+    for half in np.split(order, 2):
+        sectors[np.ix_(half, half)] = True
+    (pairs,) = BlockStack.partition_of(a * sectors)
+    np.testing.assert_array_equal(pairs, [[0, 2], [1, 3]])
+    x = BlockStack.split(a * sectors, (pairs,))
+    np.testing.assert_array_equal(x.blocks[0][0], a[np.ix_([0, 2], [0, 2])])
+    np.testing.assert_array_equal(x.dense(), a * sectors)
+    # Every index is covered, one with no nonzero entry as its own block.
+    (singles,) = BlockStack.partition_of(np.diag([1.0, 2.0, 3.0, 4.0]), np.zeros((4, 4)))
+    np.testing.assert_array_equal(singles, [[0], [1], [2], [3]])
+    assert [idx.tolist() for idx in BlockStack.partition_of(np.zeros((2, 2)))] == [[[0], [1]]]
+    with pytest.raises(DimensionError):
+        BlockStack.split(a, (np.arange(6)[None],))
+    with pytest.raises(DimensionError):
+        BlockStack.partition_of(np.eye(3), np.eye(4))
+    with pytest.raises(DimensionError):
+        BlockStack.partition_of(np.ones((2, 3)))
 
 
 def test_projected_norm_basics():

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings
+from scipy.sparse.csgraph import connected_components
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import (
-    SectorMatrix,
+    BlockStack,
     hermitian_eigs,
     hermitian_norm,
     kron,
@@ -34,7 +35,13 @@ from susyrabi.model import (
     renormalized_frequency,
     squeezed_chains,
 )
-from susyrabi.spectral import degeneracy_groups, lowest_k, required_n_fock, witten_index
+from susyrabi.spectral import (
+    WITTEN_TAIL_MAX,
+    degeneracy_groups,
+    lowest_k,
+    required_n_fock,
+    witten_index,
+)
 
 ints = st.integers(min_value=-5, max_value=5)
 
@@ -444,7 +451,7 @@ SECTOR_RTOL = 1e-12
 
 @st.composite
 def sector_operators(draw):
-    """Two 2n x 2n complex operators and a basis order splitting them.
+    """Two 2n x 2n complex operators, split into sectors by a random basis order.
 
     Each of the eight n x n sector blocks is, independently, exactly zero,
     a random block with a random share of exact zeros, or a dense random
@@ -465,14 +472,15 @@ def sector_operators(draw):
         a = np.empty((2 * n, 2 * n), dtype=complex)
         a[np.ix_(order, order)] = np.block(grid)
         ops.append(a)
-    return ops[0], ops[1], order
+    return ops[0], ops[1]
 
 
 @settings(max_examples=80, deadline=None)
 @given(sector_operators())
 def test_sector_products_equal_dense(case):
-    x, y, order = case
-    xs, ys = SectorMatrix.split(x, order), SectorMatrix.split(y, order)
+    x, y = case
+    partition = BlockStack.partition_of(x, y)
+    xs, ys = BlockStack.split(x, partition), BlockStack.split(y, partition)
     np.testing.assert_array_equal(xs.dense(), x)
     tol = SECTOR_RTOL * max(1.0, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
     np.testing.assert_allclose((xs @ ys).dense(), x @ y, rtol=0, atol=tol)
@@ -532,15 +540,92 @@ def test_real_input_matches_complex_call(case):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_real_sector_products_stay_real(n, data):
-    order = np.array(data.draw(st.permutations(range(2 * n))))
     x, y = (
         data.draw(arrays(np.float64, (2 * n, 2 * n), elements=reals))
         * data.draw(arrays(np.bool_, (2 * n, 2 * n)))
         for _ in range(2)
     )
-    xs, ys = SectorMatrix.split(x, order), SectorMatrix.split(y, order)
+    partition = BlockStack.partition_of(x, y)
+    xs, ys = BlockStack.split(x, partition), BlockStack.split(y, partition)
     for m in (xs, xs @ ys, 2.0 * (xs @ ys) - ys @ xs.adjoint()):
         assert m.dense().dtype == np.float64
-        assert all(b is None or b.dtype == np.float64 for row in m.blocks for b in row)
+        assert all(b.dtype == np.float64 for b in m.blocks)
     tol = SECTOR_RTOL * max(1.0, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
     np.testing.assert_allclose((xs @ ys).dense(), x @ y, rtol=0, atol=tol)
+
+
+@st.composite
+def labelled_operators(draw):
+    """Two real n x n matrices kept on random groups, with random zeros inside.
+
+    Entries join only indices of one group, so the joint pattern has up to
+    four components, some finer than the groups; with an index set.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    label = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    same = label[:, None] == label[None, :]
+    x, y = (
+        draw(arrays(np.float64, (n, n), elements=reals)) * draw(arrays(np.bool_, (n, n))) * same
+        for _ in range(2)
+    )
+    idx = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    return x, y, np.array(idx, dtype=int)
+
+
+# Fixed in advance: 1e-12 relative to max(1, the dense value).
+BLOCK_NORM_RTOL = 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_operators())
+def test_block_partition_and_interior_norm(case):
+    x, y, idx = case
+    n = x.shape[0]
+    partition = BlockStack.partition_of(x, y)
+    joint = (x != 0) | (y != 0) | np.eye(n, dtype=bool)
+    count, label = connected_components(joint, directed=True, connection="weak")
+    components = {frozenset(np.flatnonzero(label == c).tolist()) for c in range(count)}
+    got = [row.tolist() for stack in partition for row in stack]
+    assert all(row == sorted(row) for row in got)
+    assert len(got) == count and {frozenset(row) for row in got} == components
+    assert len({stack.shape[1] for stack in partition}) == len(partition)
+    for a in (x, x - y.T):
+        blocks = BlockStack.split(a, partition)
+        np.testing.assert_array_equal(blocks.dense(), a)
+        for got_norm, want in (
+            (blocks.norm(idx), projected_norm(a, idx)),
+            (blocks.norm(), spectral_norm(a)),
+        ):
+            assert abs(got_norm - want) <= BLOCK_NORM_RTOL * max(1.0, want)
+
+
+# Adding levels k..K-1 to a sum that passed its tail check at level k-1
+# moves it by at most (K - k) * WITTEN_TAIL_MAX, since each of their
+# Boltzmann weights is at most that tail; fixed in advance as 2N times it.
+squeezed_witten_cases = st.tuples(
+    st.floats(min_value=0.5, max_value=10.0),  # omega
+    st.floats(min_value=0.0, max_value=2.0),  # g_max / omega
+    st.floats(min_value=0.0, max_value=1.5),  # c
+    st.floats(min_value=0.0, max_value=1.0),  # r
+    st.integers(min_value=48, max_value=128),  # n_fock
+    st.floats(min_value=2.0, max_value=10.0),  # beta * omega
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(squeezed_witten_cases)
+def test_squeezed_witten_index_stable_in_k(case):
+    omega, g_ratio, c, r, n, beta_omega = case
+    s = Schedule(omega=omega, g_max=g_ratio * omega, c=c)
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    chains = squeezed_chains(s.params(r), fp, s.self_energy(r))
+    beta = beta_omega / omega
+    try:
+        first = witten_index(chains, None, beta, k=60)
+    except InvalidBetaError:
+        assume(False)
+    tol = 2 * n * WITTEN_TAIL_MAX
+    for k in (90, 2 * n):
+        rep = witten_index(chains, None, beta, k=k)
+        assert abs(rep.index_value - first.index_value) <= tol
+        assert rep.rounded == first.rounded

@@ -5,7 +5,7 @@ import pytest
 
 from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
 from susyrabi.fock import FockParams, interior_projector
-from susyrabi.linalg import SectorMatrix, projected_norm
+from susyrabi.linalg import BlockStack, projected_norm
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -15,7 +15,6 @@ from susyrabi.model import (
     hamiltonian,
     parity_chains,
     parity_chains_r,
-    parity_order,
     squeezed_chains,
 )
 from susyrabi.spectral import (
@@ -277,17 +276,23 @@ def test_algebra_report_detects_wrong_pairing(fp_mid):
 
 
 def test_sector_products_of_charges_equal_dense():
-    # Every product the algebra report forms, by parity sector and dense.
+    # Every product the algebra report forms, on the joint-pattern blocks
+    # and dense: the free charges pair (up, n) with (down, n+1) and leave
+    # (down, 0) and (up, N-1) alone, the broken ones pair (up, n) with
+    # (down, n).
     fp = FockParams(n_fock=32, buffer=8)
-    order = parity_order(fp)
-    for charges, h in (
-        (free_supercharges(OMEGA, fp), hamiltonian(ModelParams(OMEGA, OMEGA), fp)),
-        (broken_supercharges(OMEGA, fp), hamiltonian(ModelParams(0.0, OMEGA), fp)),
+    for charges, h, sizes in (
+        (free_supercharges(OMEGA, fp), hamiltonian(ModelParams(OMEGA, OMEGA), fp),
+         [(2, 1), (31, 2)]),
+        (broken_supercharges(OMEGA, fp), hamiltonian(ModelParams(0.0, OMEGA), fp),
+         [(32, 2)]),
     ):
         ops = (h, charges.q1, charges.q2, charges.q_plus, charges.q_minus, charges.grading)
+        partition = BlockStack.partition_of(*ops)
+        assert [idx.shape for idx in partition] == sizes
         for x in ops:
             for y in ops:
-                got = (SectorMatrix.split(x, order) @ SectorMatrix.split(y, order)).dense()
+                got = (BlockStack.split(x, partition) @ BlockStack.split(y, partition)).dense()
                 np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-12)
 
 
