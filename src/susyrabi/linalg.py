@@ -120,17 +120,13 @@ def _block_eighs(h: np.ndarray):
 
     idx, values and vectors have shapes (k, m), (k, m) and (k, m, m): the
     eigenpairs of the blocks h[idx[j], idx[j]], values ascending per block.
-    A matrix that is one block takes the single dense scipy call; stacks
-    of smaller blocks take one batched call each.  Indices that
-    _principal_blocks leaves out are zero rows and columns of h.
+    Each stack takes one batched numpy call, a matrix that is one block
+    included.  Indices that _principal_blocks leaves out are zero rows
+    and columns of h.
     """
     for idx, blocks in _principal_blocks(h):
         try:
-            if blocks.shape[1] == h.shape[0]:
-                values, vectors = sla.eigh(blocks[0])
-                values, vectors = values[None], vectors[None]
-            else:
-                values, vectors = np.linalg.eigh(blocks)
+            values, vectors = np.linalg.eigh(blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
             raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
         yield idx, values, vectors

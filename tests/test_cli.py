@@ -167,12 +167,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run_command([]) == 1
 
 
-def run_module(*argv):
+def fresh_env():
+    """This environment without OPENBLAS_THREAD_TIMEOUT, with src on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "susyrabi.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
 
 
 def test_module_entry_point_runs_commands():
@@ -182,3 +187,25 @@ def test_module_entry_point_runs_commands():
     bad = run_module("mass", "--g", "6.2832", "--c", "-1")
     assert bad.returncode == 1
     assert "error:" in bad.stderr
+
+
+IMPORT_PROBE = (
+    "import json, os, sys\n"
+    "import susyrabi.cli\n"
+    "print(json.dumps({'timeout': os.environ.get('OPENBLAS_THREAD_TIMEOUT'),"
+    " 'scipy': sorted(m for m in sys.modules if m.startswith('scipy.'))}))\n"
+)
+
+
+@pytest.mark.parametrize("preset, want", [(None, "22"), ("28", "28")])
+def test_cli_import_sets_openblas_timeout_without_heavy_scipy(preset, want):
+    env = fresh_env()
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    probe = json.loads(run.stdout)
+    assert probe["timeout"] == want
+    heavy = [m for m in probe["scipy"] if m.split(".")[1] in ("sparse", "special")]
+    assert heavy == []
