@@ -58,7 +58,6 @@ from .transforms import (
     field_identity_report,
     polaron_equivalence_report,
     squeeze,
-    u_a2,
     u_a2_with_report,
     u_polaron,
     verify_equivalence,

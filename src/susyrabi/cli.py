@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            text = open(args.config, encoding="utf-8").read()
+            text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
         cfg = parse_config(text)

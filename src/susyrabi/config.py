@@ -6,9 +6,9 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .fock import FockParams
-from .model import G_SCHEDULES, OMEGA_A_SCHEDULES, Schedule
+from .model import Schedule
 
 
 @dataclass(frozen=True)
@@ -82,28 +82,20 @@ def _coerce(name: str, value, kind):
 
 
 def validate(cfg: RunConfig) -> RunConfig:
-    """Enforce the RunConfig invariants, raising ConfigError with the cause."""
+    """Enforce the RunConfig invariants, raising ConfigError with the cause.
+
+    The rules on omega, g_max, c, the schedule names, n_fock and buffer
+    are those of FockParams and Schedule, checked by building both.
+    """
     for name in ("omega", "g_max", "c", "sweep_start", "sweep_stop",
                  "tol_degeneracy", "tol_algebra", "tol_convergence"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"key {name!r} must be finite")
-    if cfg.omega <= 0:
-        raise ConfigError("omega must be > 0")
-    if cfg.g_max < 0 or cfg.c < 0:
-        raise ConfigError("g_max and c must be non-negative")
-    if cfg.omega_a_schedule not in OMEGA_A_SCHEDULES:
-        raise ConfigError(
-            f"unknown omega_a_schedule {cfg.omega_a_schedule!r}; "
-            f"known: {sorted(OMEGA_A_SCHEDULES)}"
-        )
-    if cfg.g_schedule not in G_SCHEDULES:
-        raise ConfigError(
-            f"unknown g_schedule {cfg.g_schedule!r}; known: {sorted(G_SCHEDULES)}"
-        )
-    if cfg.n_fock < 8:
-        raise ConfigError("n_fock must be >= 8")
-    if not 0 <= cfg.buffer <= cfg.n_fock // 2:
-        raise ConfigError("buffer must satisfy 0 <= buffer <= n_fock/2")
+    try:
+        cfg.fock()
+        cfg.schedule()
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.sweep_kind not in ("r", "g"):
         raise ConfigError(f"sweep kind must be 'r' or 'g', got {cfg.sweep_kind!r}")
     if cfg.sweep_points < 2:

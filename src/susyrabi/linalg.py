@@ -5,17 +5,19 @@ a real symmetric band matrix, which is what each parity chain of the
 Hamiltonian is (see model.ParityChains): tridiagonal in the squeezed
 frame that the spectrum paths use, pentadiagonal for the truncated H
 that the tests use as oracle.  banded_eigh gives all eigenpairs of such
-a chain; the Witten index uses it.  Everything else
+a chain; the Witten index uses it, and so does skew_tridiagonal_exp,
+the one matrix exponential here: exp(K) for a real skew-symmetric
+tridiagonal K, which is what the displacement and squeeze generators
+are (the squeeze on its even and on its odd levels).  Everything else
 works on plain square numpy arrays in double precision, float64 or
 complex, and real input stays real: the model's Fock-basis operators,
 all real except sigma_y, take real LAPACK and BLAS calls.  The
 structure these operators have is their zero pattern: a spin (x) Fock
 operator built from ladder operators splits, after one symmetric
 permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
-entries (_principal_blocks).  hermitian_eigs and unitary_exp solve block
-by block over that split and scatter the results back, so a diagonal
-matrix costs O(n), the squeeze generator splits into its even and odd
-levels, and a matrix without a zero entry takes one dense call.
+entries (_principal_blocks).  hermitian_eigs solves block by block over
+that split and scatters the results back, so a diagonal matrix costs
+O(n) and a matrix without a zero entry takes one dense call.
 hermitian_eigs of a dense Hamiltonian is the reference oracle for the
 chains; it solves each parity sector as a dense block, and the property
 tests check that block solve against an unstructured scipy eigh.  Every
@@ -115,43 +117,30 @@ def _drop_negligible(a: np.ndarray) -> np.ndarray:
     return np.where(small, 0.0, a) if small.any() else a
 
 
-def _block_eighs(h: np.ndarray):
-    """Yield (idx, values, vectors) for each stack of h's principal blocks.
-
-    idx, values and vectors have shapes (k, m), (k, m) and (k, m, m): the
-    eigenpairs of the blocks h[idx[j], idx[j]], values ascending per block.
-    Each stack takes one batched numpy call, a matrix that is one block
-    included.  Indices that _principal_blocks leaves out are zero rows
-    and columns of h.
-    """
-    for idx, blocks in _principal_blocks(h):
-        try:
-            values, vectors = np.linalg.eigh(blocks)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-            raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
-        yield idx, values, vectors
-
-
 def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a (nearly) Hermitian matrix.
 
     The input is symmetrized as (A + A^dagger)/2 before solving; truncation
     of ladder operators routinely introduces 1-ulp asymmetries, so asymmetry
     is warned about rather than rejected.  The blocks of A's zero pattern
-    are solved separately (see _block_eighs), their eigenvectors scattered
-    back into the full basis and the eigenvalues merged in ascending
-    order; a zero row and column is the eigenpair (0, unit vector).  So a
-    diagonal matrix costs O(n) and a matrix without a zero entry one dense
-    call.  Entries below rounding relative to the largest are dropped
-    first (_drop_negligible).  Real symmetric input gives real
-    eigenvectors.
+    are solved separately, one batched call per stack of equal-size
+    blocks (_principal_blocks), their eigenvectors scattered back into the
+    full basis and the eigenvalues merged in ascending order; a zero row
+    and column is the eigenpair (0, unit vector).  So a diagonal matrix
+    costs O(n) and a matrix without a zero entry one dense call.  Entries
+    below rounding relative to the largest are dropped first
+    (_drop_negligible).  Real symmetric input gives real eigenvectors.
     """
     h = _drop_negligible(_hermitian_part(_check_square(a)))
     n = h.shape[0]
     values = np.zeros(n)
     vectors = np.zeros((n, n), dtype=h.dtype)
     np.fill_diagonal(vectors, 1.0)
-    for idx, vals, vecs in _block_eighs(h):
+    for idx, blocks in _principal_blocks(h):
+        try:
+            vals, vecs = np.linalg.eigh(blocks)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
         # Eigenpair i of block j takes column slot idx[j, i].
         values[idx] = vals
         vectors[idx[:, :, None], idx[:, None, :]] = vecs
@@ -193,30 +182,26 @@ def banded_eigh(band: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def unitary_exp(k: np.ndarray) -> np.ndarray:
-    """exp(K) for skew-Hermitian K, via diagonalization of the Hermitian iK.
+def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
+    """exp(K) for the real skew-symmetric tridiagonal K with K[j+1, j] = e[j] = -K[j, j+1].
 
-    The exponential is taken block by block over K's zero pattern, each
-    block exp(K_b) = V diag(exp(-i lambda)) V^dagger scattered back into
-    the identity, so the squeeze generator a^2 - a_dag^2 splits into its
-    even and odd levels.  The result is unitary to solver precision by
-    construction.  A real K (skew-symmetric) has a real exponential, so
-    the result is then returned as its real part.
+    K has n = len(e) + 1 rows.  With Phi = diag(i^j), Phi^dag K Phi = -i T
+    for the real symmetric tridiagonal T with zero diagonal and
+    off-diagonal e.  So exp(K) = Phi exp(-i T) Phi^dag, and with
+    T = W diag(L) W^T (banded_eigh) entry (j, k) is C, S, -C or -S as
+    (j - k) mod 4 is 0, 1, 2 or 3, where C = W cos(L) W^T and
+    S = W sin(L) W^T: one real tridiagonal eigensolve and two real n x n
+    products.  The result is real and orthogonal to solver precision.
     """
-    k = _check_square(k, "exponent")
-    scale = max(1.0, float(np.max(np.abs(k))) if k.size else 0.0)
-    defect = np.max(np.abs(k + k.conj().T)) if k.size else 0.0
-    if defect > HERMITICITY_RTOL * scale:
-        raise ContractViolationError(
-            f"unitary_exp requires skew-Hermitian input (defect {defect:.3e})"
-        )
-    out = np.eye(k.shape[0], dtype=complex)
-    for idx, values, vectors in _block_eighs(_hermitian_part(1j * k)):
-        # K = -i (iK)  =>  exp(K) = V diag(exp(-i lambda)) V^dagger
-        out[idx[:, :, None], idx[:, None, :]] = (
-            vectors * np.exp(-1j * values)[:, None, :]
-        ) @ vectors.conj().transpose(0, 2, 1)
-    return out if np.iscomplexobj(k) else out.real
+    n = len(e) + 1
+    band = np.zeros((2, n))
+    band[1, :-1] = e
+    ed = banded_eigh(band)
+    w = ed.vectors
+    lag = np.subtract.outer(np.arange(n), np.arange(n)) % 4
+    even = (w * np.cos(ed.values)) @ w.T
+    odd = (w * np.sin(ed.values)) @ w.T
+    return np.where(lag % 2 == 0, even, odd) * np.where(lag < 2, 1.0, -1.0)
 
 
 def _principal_blocks(a: np.ndarray):

@@ -21,15 +21,12 @@ measured on the interior index set of fock.interior_projector, straight
 from the blocks.  The Hamiltonians that verify checks are diagonal, so the
 eigensolve that finds their ground states and scale is O(N).
 
-Sweep grid points are evaluated serially in grid order.  The
-SUSYRABI_WORKERS environment variable is still validated at sweep
-entry, but it no longer schedules anything.
+Sweep grid points are evaluated serially in grid order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -53,24 +50,6 @@ from .model import (
 DEGENERACY_TOL = 1e-6
 WITTEN_TAIL_MAX = 1e-8
 CONVERGENCE_N_CAP = 2048
-
-WORKERS_ENV = "SUSYRABI_WORKERS"
-
-
-def _check_workers_env() -> None:
-    """Reject a malformed SUSYRABI_WORKERS; unset is fine.
-
-    Sweeps run serially, so the value schedules nothing, but the README
-    documents the variable and a bad value stays an input error.
-    """
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +140,6 @@ def spectral_flow_r(
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValidationError("r grid must lie within [0, 1]")
 
-    _check_workers_env()
     tables = tuple(
         _table(squeezed_chains(s.params(r), fp, s.self_energy(r)), k, fp, tol_degeneracy)
         for r in grid
@@ -175,10 +153,11 @@ def spectral_flow_r(
 
 
 def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
-    """Smallest power-of-two truncation safely holding the displaced states.
+    """Smallest truncation n_min * 2^k safely holding the displaced states.
 
     The polaron displacement is beta = g_tilde/omega_g; we keep
-    beta^2 < N/8 with a power-of-two N.
+    beta^2 < N/8, doubling N from max(n_min, 8) until that holds, so
+    n_min = 100 gives 100, 200, 400, ...
     """
     omega_g, g_tilde = renormalized_frequency(omega, c, g) if g > 0 else (omega, 0.0)
     beta = g_tilde / omega_g if g > 0 else 0.0
@@ -234,7 +213,6 @@ def spectral_flow_g(
         fp_g = FockParams(n_fock=n_req, buffer=min(fp.buffer, n_req // 2))
         return _table(_sweep_chains_g(omega, c, g, fp_g), k, fp_g, tol_degeneracy)
 
-    _check_workers_env()
     tables = tuple(point(g) for g in g_grid)
     return FlowResult(
         grid=g_grid,

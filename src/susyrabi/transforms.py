@@ -1,21 +1,21 @@
 """Displacement, squeeze and polaron unitaries, and equivalence checking.
 
-The frequency-renormalizing unitary is realized as a one-mode squeeze;
-its correctness is established numerically against the conjugation
-identity it must satisfy, with both squeeze signs tried and the better
-one kept.  All residuals are measured away from the truncation boundary,
-on an interior index set (the rows and columns kept by the interior
-projector), and relative to the spectral norm of the Hermitian target.
-U, lhs and rhs are split once on the components of their joint zero
-pattern (linalg.BlockStack), and the conjugation U^dag lhs U and its
-residual norm are taken block by block: a squeeze and its Hamiltonians
-keep the parity, so they split into the two parity sectors, while the
-polaron frame mixes them and stays one block.  The unitarity defect
-|U^dag U - 1|_2 is computed from the blocks only when a report's
-unitarity_defect is read.  Every unitary here is real: unitary_exp
-gives the squeeze as a real matrix from its even and odd levels, and
-the displacement D(beta) comes from one real symmetric tridiagonal
-eigensolve (see displacement).
+The frequency-renormalizing unitary is realized as a one-mode squeeze
+S(+zeta); its correctness is established numerically against the
+conjugation identity it must satisfy.  All residuals are measured away
+from the truncation boundary, on an interior index set (the rows and
+columns kept by the interior projector), and relative to the spectral
+norm of the Hermitian target.  U, lhs and rhs are split once on the
+components of their joint zero pattern (linalg.BlockStack), and the
+conjugation U^dag lhs U and its residual norm are taken block by block:
+a squeeze and its Hamiltonians keep the parity, so they split into the
+two parity sectors, while the polaron frame mixes them and stays one
+block.  The unitarity defect |U^dag U - 1|_2 is computed from the
+blocks only when a report's unitarity_defect is read.  Every unitary
+here is real: both generators, beta (a_dag - a) and
+(zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
+squeeze on its even and on its odd levels), so each exponential is one
+linalg.skew_tridiagonal_exp, a real tridiagonal eigensolve.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .fock import (
     kron,
     make_operators,
 )
-from .linalg import BlockStack, banded_eigh, hermitian_norm, projected_norm, unitary_exp
+from .linalg import BlockStack, hermitian_norm, projected_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     Schedule,
@@ -77,12 +77,8 @@ class TransformReport:
 def displacement(beta: float, fp: FockParams) -> np.ndarray:
     """D(beta) = exp[beta (a_dag - a)] on the boson factor, real.
 
-    With Phi = diag(i^n), Phi^dag beta (a_dag - a) Phi = -i T for the real
-    symmetric tridiagonal T with zero diagonal and off-diagonal
-    beta sqrt(n+1).  So D = Phi exp(-i T) Phi^dag, and with T = W diag(L) W^T
-    (linalg.banded_eigh) entry (m, n) is C, S, -C or -S as (m - n) mod 4
-    is 0, 1, 2 or 3, where C = W cos(L) W^T and S = W sin(L) W^T: one real
-    tridiagonal eigensolve and two real N x N products.
+    The generator is real skew-symmetric tridiagonal with sub-diagonal
+    beta sqrt(n+1), so D is one linalg.skew_tridiagonal_exp.
     """
     if beta**2 > fp.n_fock / 2:
         raise TruncationError(
@@ -96,25 +92,27 @@ def displacement(beta: float, fp: FockParams) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    n = fp.n_fock
-    band = np.zeros((2, n))
-    band[1, :-1] = beta * np.sqrt(np.arange(1.0, n))
-    ed = banded_eigh(band)
-    w = ed.vectors
-    lag = np.subtract.outer(np.arange(n), np.arange(n)) % 4
-    even = (w * np.cos(ed.values)) @ w.T
-    odd = (w * np.sin(ed.values)) @ w.T
-    return np.where(lag % 2 == 0, even, odd) * np.where(lag < 2, 1.0, -1.0)
+    return skew_tridiagonal_exp(beta * np.sqrt(np.arange(1.0, fp.n_fock)))
 
 
 def squeeze(zeta: float, fp: FockParams) -> np.ndarray:
-    """S(zeta) = exp[(zeta/2)(a^2 - a_dag^2)] on the boson factor."""
+    """S(zeta) = exp[(zeta/2)(a^2 - a_dag^2)] on the boson factor, real.
+
+    The generator couples level n only to n + 2, with entry
+    -(zeta/2) sqrt((n+1)(n+2)) below the diagonal, so on the even levels
+    and on the odd levels it is a real skew-symmetric tridiagonal chain
+    and S is their two linalg.skew_tridiagonal_exp.
+    """
     if abs(zeta) > MAX_SQUEEZE:
         raise ValidationError(
             f"|zeta| must be <= {MAX_SQUEEZE} for truncation safety, got {zeta}"
         )
-    ops = make_operators(fp)
-    return unitary_exp(zeta / 2.0 * (ops.a @ ops.a - ops.a_dag @ ops.a_dag))
+    n = np.arange(fp.n_fock - 2)
+    e = -zeta / 2.0 * np.sqrt((n + 1.0) * (n + 2.0))
+    out = np.zeros((fp.n_fock, fp.n_fock))
+    for s in (0, 1):
+        out[s::2, s::2] = skew_tridiagonal_exp(e[s::2])
+    return out
 
 
 def verify_equivalence(
@@ -141,29 +139,14 @@ def verify_equivalence(
         )
     partition = BlockStack.partition_of(u, lhs, rhs)
     us, lhs_b, rhs_b = (BlockStack.split(m, partition) for m in (u, lhs, rhs))
-    return _equivalence_report(
-        us, lhs_b, rhs_b, hermitian_norm(rhs), fp, identity_name, params_used, projector
-    )
-
-
-def _equivalence_report(
-    u: BlockStack,
-    lhs: BlockStack,
-    rhs: BlockStack,
-    rhs_norm: float,
-    fp: FockParams,
-    identity_name: str,
-    params_used: object,
-    projector: np.ndarray | None,
-) -> TransformReport:
-    """verify_equivalence with every matrix split and |rhs|_2 already taken."""
     p = interior_projector(fp) if projector is None else projector
+    residual = (us.adjoint() @ lhs_b @ us - rhs_b).norm(p)
     return TransformReport(
         identity_name=identity_name,
-        residual=(u.adjoint() @ lhs @ u - rhs).norm(p) / max(1.0, rhs_norm),
+        residual=residual / max(1.0, hermitian_norm(rhs)),
         params_used=params_used,
         fock=fp,
-        unitary=u,
+        unitary=us,
     )
 
 
@@ -192,45 +175,30 @@ def u_a2_with_report(
 ) -> tuple[np.ndarray, TransformReport]:
     """Squeeze unitary removing the A^2 term, plus its verification report.
 
-    Conjugation by the result maps H(omega_a, omega_b, g, c) to the plain
-    Rabi Hamiltonian at the renormalized frequency and coupling.  The
-    squeeze angle is log(omega_g/omega_b)/2; the sign is fixed at build
-    time by minimizing the residual.
+    Conjugation by U = 1 (x) S(zeta), zeta = log(omega_g/omega_b)/2, maps
+    H(omega_a, omega_b, g, c) to the plain Rabi Hamiltonian at the
+    renormalized frequency and coupling.  The sign is fixed: a wrong
+    convention shows as a large residual, which raises
+    TransformMismatchError when check is set.
     """
     omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
-    lhs = hamiltonian(p, fp)
-    rhs = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
-    projector = squeeze_interior_projector(fp, zeta)
-    rhs_norm = hermitian_norm(rhs)
-    # The generator is anti-Hermitian, so S(-zeta) = S(zeta)^dag, and the
-    # two signs share one zero pattern and so one partition.
-    s_plus = squeeze(zeta, fp)
-    u_plus = embed_boson(s_plus, fp)
-    partition = BlockStack.partition_of(u_plus, lhs, rhs)
-    lhs_b, rhs_b = (BlockStack.split(m, partition) for m in (lhs, rhs))
-    best: tuple[np.ndarray, TransformReport] | None = None
-    for sign, u in ((1.0, u_plus), (-1.0, u_plus.conj().T)):
-        rep = _equivalence_report(
-            BlockStack.split(u, partition), lhs_b, rhs_b, rhs_norm, fp,
-            "a2-removal", {"params": p, "zeta": sign * zeta}, projector,
-        )
-        if best is None or rep.residual < best[1].residual:
-            best = (u, rep)
-        if zeta == 0.0:
-            break
-    u, rep = best
+    u = embed_boson(squeeze(zeta, fp), fp)
+    rep = verify_equivalence(
+        u,
+        hamiltonian(p, fp),
+        hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp),
+        fp,
+        identity_name="a2-removal",
+        params_used={"params": p, "zeta": zeta},
+        projector=squeeze_interior_projector(fp, zeta),
+    )
     if check and rep.residual > tol:
         raise TransformMismatchError(
             f"A^2-removal residual {rep.residual:.3e} exceeds {tol:.1e}; "
             f"wrong convention or insufficient truncation (N={fp.n_fock})"
         )
     return u, rep
-
-
-def u_a2(p: ModelParams, fp: FockParams, check: bool = True, tol: float = 1e-6) -> np.ndarray:
-    """The A^2-removing squeeze unitary on the full 2N space."""
-    return u_a2_with_report(p, fp, check=check, tol=tol)[0]
 
 
 def u_polaron(beta: float, fp: FockParams) -> np.ndarray:

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     # c comes from the file, g_max from the overriding flag.
     assert "omega_g 16.9947" in out
+
+
+def test_config_file_is_closed_after_loading(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"c": 0.2513}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command(["mass", "--config", str(cfg)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: kron, eigensolver, unitary exponential."""
+"""Dense linear-algebra substrate: kron, eigensolver, block norms."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from susyrabi.linalg import (
     kron,
     projected_norm,
     spectral_norm,
-    unitary_exp,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,30 +88,6 @@ def test_eigs_warns_and_symmetrizes_on_asymmetry():
         ed = hermitian_eigs(m)
     sym = (m + m.conj().T) / 2
     np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(sym))
-
-
-def test_unitary_exp_zero_is_identity():
-    np.testing.assert_allclose(unitary_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-
-def test_unitary_exp_pauli_rotation():
-    # exp(i pi/2 sz) = diag(i, -i)
-    out = unitary_exp(1j * np.pi / 2 * SZ)
-    np.testing.assert_allclose(out, np.diag([1j, -1j]), atol=1e-14)
-
-
-def test_unitary_exp_is_unitary_and_inverts():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-    k = (m - m.conj().T) / 2
-    u = unitary_exp(k)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(20), atol=1e-12)
-    np.testing.assert_allclose(u @ unitary_exp(-k), np.eye(20), atol=1e-12)
-
-
-def test_unitary_exp_rejects_non_skew():
-    with pytest.raises(ContractViolationError):
-        unitary_exp(SZ)
 
 
 def test_spectral_norm_diag():

@@ -361,10 +361,3 @@ def test_worker_env_determinism(fp_small, monkeypatch):
     for ta, ts in zip(flow_auto.tables, flow_serial.tables):
         np.testing.assert_array_equal(ta.energies, ts.energies)
         assert ta.groups == ts.groups
-
-
-def test_worker_env_validation(fp_small, monkeypatch):
-    monkeypatch.setenv("SUSYRABI_WORKERS", "zero")
-    s = Schedule(omega=OMEGA, g_max=OMEGA)
-    with pytest.raises(ValidationError):
-        spectral_flow_r(s, [0.0, 1.0], 3, fp_small)

@@ -11,7 +11,7 @@ from susyrabi.errors import (
     ValidationError,
 )
 from susyrabi.fock import FockParams, basis_state, embed_boson, interior_projector, make_operators
-from susyrabi.linalg import hermitian_norm, projected_norm, spectral_norm, unitary_exp
+from susyrabi.linalg import hermitian_norm, projected_norm, spectral_norm
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -26,13 +26,19 @@ from susyrabi.transforms import (
     polaron_equivalence_report,
     squeeze,
     squeeze_interior_projector,
-    u_a2,
     u_a2_with_report,
     u_polaron,
     verify_equivalence,
 )
 
 OMEGA = 6.2832
+
+
+def dense_exp(k):
+    """exp(K) for real skew-symmetric K, the textbook way: V diag(e^(-i lam)) V^dag
+    from the eigenpairs (lam, V) of the Hermitian iK."""
+    lam, v = np.linalg.eigh(1j * k)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def test_displacement_zero_is_identity(fp_small):
@@ -73,7 +79,7 @@ def test_displacement_group_law(fp_mid):
     assert projected_norm(lhs - rhs, p) < 1e-8
 
 
-# The tridiagonal D(beta) against its oracle, unitary_exp of the
+# The tridiagonal D(beta) against its oracle, the dense exponential of the
 # generator.  Tolerances fixed in advance: 1e-13 absolute, entrywise.
 @pytest.mark.parametrize("n", [16, 64, 256])
 @pytest.mark.parametrize("beta", [0.3, -1.0, 1.9])
@@ -82,9 +88,23 @@ def test_displacement_is_real_orthogonal_and_matches_oracle(n, beta):
     ops = make_operators(fp)
     d = displacement(beta, fp)
     assert d.dtype == np.float64
-    np.testing.assert_allclose(d, unitary_exp(beta * (ops.a_dag - ops.a)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d, dense_exp(beta * (ops.a_dag - ops.a)), rtol=0, atol=1e-13)
     np.testing.assert_allclose(d.T @ d, np.eye(n), rtol=0, atol=1e-13)
     np.testing.assert_allclose(displacement(-beta, fp), d.T, rtol=0, atol=1e-13)
+
+
+# The squeeze from its even and odd chains against the dense exponential
+# of the generator.  Tolerances fixed in advance: 1e-13 absolute, entrywise.
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+@pytest.mark.parametrize("zeta", [0.3, -1.0, 2.0])
+def test_squeeze_is_real_orthogonal_and_matches_oracle(n, zeta):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    ops = make_operators(fp)
+    s = squeeze(zeta, fp)
+    assert s.dtype == np.float64
+    k = zeta / 2.0 * (ops.a @ ops.a - ops.a_dag @ ops.a_dag)
+    np.testing.assert_allclose(s, dense_exp(k), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(s.T @ s, np.eye(n), rtol=0, atol=1e-13)
 
 
 def test_displacement_amplitude_guard():
@@ -198,7 +218,7 @@ def test_verify_equivalence_equals_dense_oracle():
 
 
 def test_a2_removal_trivial_without_a2_term(fp_mid):
-    u = u_a2(ModelParams(OMEGA, OMEGA, OMEGA, 0.0), fp_mid)
+    u = u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.0), fp_mid)[0]
     np.testing.assert_allclose(u, np.eye(fp_mid.total_dim), atol=1e-13)
 
 
@@ -207,7 +227,7 @@ def test_a2_removal_detects_wrong_target():
     fp = FockParams(n_fock=128, buffer=32)
     p = ModelParams(OMEGA, OMEGA, OMEGA, 0.2513)
     omega_g, g_tilde = renormalized_frequency(OMEGA, p.c, p.g)
-    u = u_a2(p, fp, check=False)
+    u = u_a2_with_report(p, fp, check=False)[0]
     lhs = hamiltonian(p, fp)
     wrong = hamiltonian(ModelParams(OMEGA, 2.0 * omega_g, g_tilde, 0.0), fp)
     zeta = 0.5 * math.log(omega_g / OMEGA)
@@ -219,7 +239,7 @@ def test_a2_removal_detects_wrong_target():
 
 def test_a2_removal_raises_on_mismatch(fp_mid):
     with pytest.raises(TransformMismatchError):
-        u_a2(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp_mid, tol=1e-15)
+        u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp_mid, tol=1e-15)
 
 
 def test_polaron_unitary_is_unitary(fp_mid):
@@ -229,7 +249,7 @@ def test_polaron_unitary_is_unitary(fp_mid):
 
 def test_negated_generator_is_the_adjoint(fp_mid):
     # Both generators are anti-Hermitian, so S(-zeta) = S(zeta)^dag and
-    # D(-beta) = D(beta)^dag; u_a2_with_report and u_polaron build one each.
+    # D(-beta) = D(beta)^dag; the polaron frame builds D(-beta) as the adjoint.
     for make, x in ((squeeze, 0.4), (displacement, 0.7)):
         np.testing.assert_allclose(make(-x, fp_mid), make(x, fp_mid).conj().T, atol=1e-12)
 
