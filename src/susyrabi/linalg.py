@@ -15,20 +15,19 @@ all real except sigma_y, take real LAPACK and BLAS calls.  The
 structure these operators have is their zero pattern: a spin (x) Fock
 operator built from ladder operators splits, after one symmetric
 permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
-entries (_principal_blocks).  hermitian_eigs solves block by block over
-that split and scatters the results back, so a diagonal matrix costs
-O(n) and a matrix without a zero entry takes one dense call.
-hermitian_eigs of a dense Hamiltonian is the reference oracle for the
-chains; it solves each parity sector as a dense block, and the property
-tests check that block solve against an unstructured scipy eigh.  Every
-spectral norm (spectral_norm, hermitian_norm, projected_norm) is the
-largest of the blocks' norms.  Identity residuals are measured on an
-interior given as an index set: projected_norm slices the kept rows and
-columns instead of multiplying by a 0/1 projector.  BlockStack holds the
-operands of one identity check on the components of their joint zero
-pattern, found once, and forms sums, products and the interior residual
-norm as batched calls over the stacked blocks, with no dense matrix
-formed.  MAX_DIM bounds only the dense path.
+entries.  BlockStack is the one block structure: BlockStack.partition_of
+finds the connected components of the operands' joint zero pattern
+(the one zero-pattern search, _components), and BlockStack holds each
+operand as its principal blocks on them, stacked by size.  Sums,
+products, the spectral norm, the norm on an interior index set and the
+Hermitian norm are then one batched numpy call per stack, with no dense
+matrix formed.  hermitian_eigs solves the blocks of its input's own
+partition, one batched eigh per stack, and scatters the results back,
+so a diagonal matrix costs O(n) and a matrix without a zero entry one
+dense call.  hermitian_eigs of a dense Hamiltonian is the reference
+oracle for the chains; the property tests check its block solve, and
+every BlockStack norm, against unstructured scipy and numpy calls.
+MAX_DIM bounds only the dense path.
 """
 
 from __future__ import annotations
@@ -103,8 +102,10 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
     """a with every entry below eps * max|a| / n set to exactly zero.
 
-    The dropped part E has |E|_2 <= |E|_F < eps * max|a| <= eps * |a|_2,
-    so by Weyl's inequality no eigenvalue moves by more than rounding.
+    a is an n x n matrix, or a stack of them with max|a| over the stack.
+    The dropped part E of a matrix has |E|_2 <= |E|_F < eps * max|a|,
+    and max|a| is at most the largest spectral norm in a, so by Weyl's
+    inequality no eigenvalue moves by more than rounding relative to it.
     LAPACK's Hermitian eigensolvers lose accuracy on entries far below
     the rest (near 1e-175 beside O(1) entries, real and complex calls
     alike), and a dropped entry may also split a block of the zero
@@ -113,7 +114,7 @@ def _drop_negligible(a: np.ndarray) -> np.ndarray:
     if not a.size:
         return a
     mag = np.abs(a)
-    small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[0]
+    small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[-1]
     return np.where(small, 0.0, a) if small.any() else a
 
 
@@ -122,29 +123,30 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
 
     The input is symmetrized as (A + A^dagger)/2 before solving; truncation
     of ladder operators routinely introduces 1-ulp asymmetries, so asymmetry
-    is warned about rather than rejected.  The blocks of A's zero pattern
-    are solved separately, one batched call per stack of equal-size
-    blocks (_principal_blocks), their eigenvectors scattered back into the
-    full basis and the eigenvalues merged in ascending order; a zero row
-    and column is the eigenpair (0, unit vector).  So a diagonal matrix
-    costs O(n) and a matrix without a zero entry one dense call.  Entries
-    below rounding relative to the largest are dropped first
-    (_drop_negligible).  Real symmetric input gives real eigenvectors.
+    is warned about rather than rejected.  A is split on its own zero
+    pattern (BlockStack.partition_of) and each stack of equal-size blocks
+    is solved by one batched call; the eigenvectors are scattered back
+    into the full basis and the eigenvalues merged in ascending order.  A
+    zero row and column is a 1 x 1 block, the eigenpair (0, unit vector).
+    So a diagonal matrix costs O(n) and a matrix without a zero entry one
+    dense call.  Entries below rounding relative to the largest are
+    dropped first (_drop_negligible).  Real symmetric input gives real
+    eigenvectors.
     """
     h = _drop_negligible(_hermitian_part(_check_square(a)))
-    n = h.shape[0]
-    values = np.zeros(n)
-    vectors = np.zeros((n, n), dtype=h.dtype)
-    np.fill_diagonal(vectors, 1.0)
-    for idx, blocks in _principal_blocks(h):
+    hs = BlockStack.split(h, BlockStack.partition_of(h))
+    values = np.zeros(hs.dim)
+    vectors = []
+    for idx, blocks in zip(hs.partition, hs.blocks):
         try:
             vals, vecs = np.linalg.eigh(blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
             raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
-        # Eigenpair i of block j takes column slot idx[j, i].
         values[idx] = vals
-        vectors[idx[:, :, None], idx[:, None, :]] = vecs
+        vectors.append(vecs)
     order = np.argsort(values, kind="stable")
+    # Eigenpair i of block j takes column slot idx[j, i].
+    vectors = BlockStack(hs.partition, tuple(vectors)).dense()
     return EigenDecomposition(values=values[order], vectors=vectors[:, order])
 
 
@@ -204,28 +206,19 @@ def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
     return np.where(lag % 2 == 0, even, odd) * np.where(lag < 2, 1.0, -1.0)
 
 
-def _principal_blocks(a: np.ndarray):
-    """Yield the nonzero principal blocks of square A, stacked by size.
+def _components(nz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index sets of the connected components of a boolean pattern, stacked by size.
 
-    The blocks are the connected components of the graph that joins i and
-    j whenever A[i, j] or A[j, i] is nonzero, so one symmetric permutation
-    makes A their direct sum and its singular values and eigenvalues are
-    the union of theirs.  Each yield is a pair (idx, blocks): idx of shape
-    (k, m) holds the index sets, each ascending, of the k components of
-    size m, and blocks of shape (k, m, m) holds A[idx[j], idx[j]].  A
-    component that is a single zero diagonal entry is left out, so a zero
-    matrix has no blocks; a matrix that is one component is yielded whole,
-    as (arange(n)[None], a[None]).
+    nz is square with its diagonal set, and i joins j whenever nz[i, j]
+    or nz[j, i] is.  Each array of the result has shape (k, m) and holds
+    the k components of size m, one per row, each ascending; the arrays
+    come in ascending m.  A pattern without a false entry is one
+    component, found without a search.
     """
-    n = a.shape[0]
-    nz = a != 0
+    n = nz.shape[0]
     if nz.all():
-        if a.size:
-            yield np.arange(n)[None], a[None]
-        return
-    nz |= nz.T
-    diag = nz.diagonal().copy()
-    np.fill_diagonal(nz, True)
+        return (np.arange(n)[None],) if n else ()
+    nz = nz | nz.T
     _, cols = np.nonzero(nz)
     starts = np.concatenate(([0], np.cumsum(nz.sum(axis=1))[:-1]))
     # Each index takes the smallest label among its neighbours, then the
@@ -240,14 +233,10 @@ def _principal_blocks(a: np.ndarray):
         label = new
     size = np.bincount(label, minlength=n)[label]
     if size[0] == n:
-        yield np.arange(n)[None], a[None]
-        return
+        return (np.arange(n)[None],)
     order = np.lexsort((label, size))
-    order = order[(size[order] > 1) | diag[order]]
     sizes = size[order]
-    for m in np.unique(sizes):
-        idx = order[sizes == m].reshape(-1, m)
-        yield idx, _gather(a, idx)
+    return tuple(order[sizes == m].reshape(-1, m) for m in np.unique(sizes))
 
 
 def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -255,59 +244,6 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.shape == (1, a.shape[0]):
         return a[None]
     return a[idx[:, :, None], idx[:, None, :]]
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, taken block by block over A's zero pattern.
-
-    The blocks are those of _principal_blocks; the norm is the largest of
-    their SVD norms, and a matrix without a zero entry is a single SVD.
-    """
-    a = _check_square(a)
-    return max(
-        (float(np.linalg.svd(b, compute_uv=False).max()) for _, b in _principal_blocks(a)),
-        default=0.0,
-    )
-
-
-def hermitian_norm(a: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, max |eigenvalue|.
-
-    Cheaper than the singular values, but only the same for Hermitian
-    input, so a defect beyond HERMITICITY_RTOL is a contract violation.
-    The eigenvalues are taken block by block over A's zero pattern, on
-    the principal blocks of _principal_blocks, after the entries below
-    rounding relative to the largest are dropped (_drop_negligible).
-    """
-    a = _check_square(a)
-    if not a.size:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(a))))
-    defect = np.max(np.abs(a - a.conj().T))
-    if defect > HERMITICITY_RTOL * scale:
-        raise ContractViolationError(
-            f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
-        )
-    return max(
-        (
-            float(np.max(np.abs(np.linalg.eigvalsh(b))))
-            for _, b in _principal_blocks(_drop_negligible(a))
-        ),
-        default=0.0,
-    )
-
-
-def projected_norm(a: np.ndarray, idx: np.ndarray) -> float:
-    """Spectral norm of A restricted to the basis indices idx.
-
-    This is |P A P|_2 for the 0/1 diagonal projector P onto idx: the
-    spectral_norm of the kept block, so it too is taken block by block
-    over that block's zero pattern.  idx must be a 1-D integer array of
-    distinct indices inside A; an empty set gives 0.
-    """
-    a = _check_square(a)
-    idx = _check_index_set(idx, a.shape[0])
-    return spectral_norm(a[np.ix_(idx, idx)]) if idx.size else 0.0
 
 
 def _check_index_set(idx: np.ndarray, n: int) -> np.ndarray:
@@ -357,9 +293,9 @@ class BlockStack:
         """The connected components of the operands' joint zero pattern.
 
         Index i joins j when any operand has a nonzero (i, j) or (j, i)
-        entry; these are _principal_blocks of that pattern, except that
-        an index with no nonzero entry is a component of its own, so the
-        partition covers every index.
+        entry; an index with no nonzero entry is a component of its own,
+        so the partition covers every index.  Components of equal size
+        share one stack, and the stacks come in ascending size.
         """
         ops = [_check_square(op) for op in ops]
         n = ops[0].shape[0]
@@ -368,7 +304,7 @@ class BlockStack:
         nz = np.eye(n, dtype=bool)
         for op in ops:
             nz |= op != 0
-        return tuple(idx for idx, _ in _principal_blocks(nz))
+        return _components(nz)
 
     @classmethod
     def split(cls, a: np.ndarray, partition: tuple[np.ndarray, ...]) -> BlockStack:
@@ -415,13 +351,13 @@ class BlockStack:
         return out
 
     def norm(self, interior: np.ndarray | None = None) -> float:
-        """Spectral norm, or that of the part on the interior index set.
+        """Spectral norm, or |P A P|_2 for the projector P onto an interior.
 
-        With an interior this is projected_norm of the dense matrix: the
-        rows and columns outside it are zeroed in each block, the kept
-        positions moved to the front of their block, and each stack cut
-        to its widest kept set before one batched SVD.  Blocks with no
-        kept index are skipped.
+        The interior is a 1-D integer array of distinct indices of A, and
+        an empty one gives 0.  The rows and columns outside it are zeroed
+        in each block, the kept positions moved to the front of their
+        block, and each stack cut to its widest kept set before one
+        batched SVD.  Blocks with no kept index are skipped.
         """
         if interior is not None:
             inside = np.zeros(self.dim, dtype=bool)
@@ -440,3 +376,30 @@ class BlockStack:
             if b.size:
                 out = max(out, float(np.linalg.svd(b, compute_uv=False).max()))
         return out
+
+    def hermitian_norm(self) -> float:
+        """Spectral norm of a Hermitian matrix, max |eigenvalue| over the blocks.
+
+        Cheaper than the singular values, but only the same for Hermitian
+        input, so a defect beyond HERMITICITY_RTOL * max(1, max|A|) is a
+        contract violation.  In each stack the entries below rounding
+        relative to its largest are dropped (_drop_negligible) before one
+        batched eigvalsh.
+        """
+        scale = defect = 0.0
+        for b in self.blocks:
+            if b.size:
+                scale = max(scale, float(np.abs(b).max()))
+                defect = max(defect, float(np.abs(b - b.conj().transpose(0, 2, 1)).max()))
+        if defect > HERMITICITY_RTOL * max(1.0, scale):
+            raise ContractViolationError(
+                f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
+            )
+        return max(
+            (
+                float(np.abs(np.linalg.eigvalsh(_drop_negligible(b))).max())
+                for b in self.blocks
+                if b.size
+            ),
+            default=0.0,
+        )

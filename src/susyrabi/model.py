@@ -157,11 +157,12 @@ class ParityChains:
     |up,0>, |down,1>, |up,2>, ...; chain 1 starts at |down,0>.  Each is
     a real symmetric N x N band matrix, and bands[i, d, j] =
     chain_i[j + d, j] for d = 0 .. bands.shape[1] - 1 (the lower banded
-    form of scipy.linalg.eig_banded).  parity_chains gives the
-    pentadiagonal chains of the truncated H, whose two chains have
-    exactly the spectrum of the dense 2N x 2N matrix; squeezed_chains
-    gives the tridiagonal chains of the same H in the squeezed frame
-    without the A^2 term, which the spectrum paths solve.
+    form of scipy.linalg.eig_banded).  parity_chains gives the chains
+    of the truncated H, pentadiagonal with an A^2 term and tridiagonal
+    without, which have exactly the spectrum of the dense 2N x 2N
+    matrix; squeezed_chains gives the tridiagonal chains of the same H
+    in the squeezed frame without the A^2 term, which the spectrum paths
+    solve.
     """
 
     bands: np.ndarray  # shape (2, 2 or 3, n_fock), read-only
@@ -200,6 +201,8 @@ def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityC
     second band   c g^2 sqrt((n+1)(n+2)).
     (x^2)_nn is that of the literal truncated product x @ x used by the
     dense builder: 2n+1, except N-1 (not 2N-1) in the corner n = N-1.
+    Without an A^2 term (c g^2 = 0) the second band is zero and left
+    out, so the chains are tridiagonal.
     """
     n = np.arange(fp.n_fock, dtype=float)
     a2 = p.c * p.g**2
@@ -207,11 +210,12 @@ def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityC
     x2_diag[-1] = n[-1]
     common = p.omega_b * (n + 0.5) + a2 * x2_diag + shift
     spin = p.omega_a / 2.0 * (1.0 - 2.0 * (n % 2))
-    bands = np.zeros((2, 3, fp.n_fock))
+    bands = np.zeros((2, 3 if a2 else 2, fp.n_fock))
     bands[0, 0] = common + spin
     bands[1, 0] = common - spin
     bands[:, 1, :-1] = p.g * np.sqrt(n[1:])
-    bands[:, 2, :-2] = a2 * np.sqrt(n[1:-1] * n[2:])
+    if a2:
+        bands[:, 2, :-2] = a2 * np.sqrt(n[1:-1] * n[2:])
     bands.flags.writeable = False
     return ParityChains(bands)
 
@@ -222,24 +226,14 @@ def squeezed_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> Parit
     The squeeze that verify checks (transforms.u_a2_with_report) maps H(omega_a,
     omega_b, g, c) onto the Rabi Hamiltonian H(omega_a, omega_g, g_tilde,
     0) with (omega_g, g_tilde) = renormalized_frequency(omega_b, c, g),
-    and leaves sz alone, so the chain bases and the grading -sz are those
-    of parity_chains.  The chains are tridiagonal:
-    diagonal      omega_g(n+1/2) +/- (omega_a/2)(-1)^n + shift,
-    first band    g_tilde sqrt(n+1).
-    Truncated at N, they differ from parity_chains only through the
-    truncation, and converge at the N that required_n_fock sizes for
+    and leaves sz alone, so these are the parity_chains of that
+    Hamiltonian, tridiagonal since it has no A^2 term.  Truncated at N,
+    they differ from the parity_chains of H only through the truncation,
+    and converge at the N that required_n_fock sizes for
     beta = g_tilde/omega_g, where the unsqueezed chains may not.
     """
     omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
-    n = np.arange(fp.n_fock, dtype=float)
-    common = omega_g * (n + 0.5) + shift
-    spin = p.omega_a / 2.0 * (1.0 - 2.0 * (n % 2))
-    bands = np.zeros((2, 2, fp.n_fock))
-    bands[0, 0] = common + spin
-    bands[1, 0] = common - spin
-    bands[:, 1, :-1] = g_tilde * np.sqrt(n[1:])
-    bands.flags.writeable = False
-    return ParityChains(bands)
+    return parity_chains(ModelParams(p.omega_a, omega_g, g_tilde), fp, shift)
 
 
 def h_susy_ss(omega: float, fp: FockParams) -> np.ndarray:

@@ -5,17 +5,21 @@ S(+zeta); its correctness is established numerically against the
 conjugation identity it must satisfy.  All residuals are measured away
 from the truncation boundary, on an interior index set (the rows and
 columns kept by the interior projector), and relative to the spectral
-norm of the Hermitian target.  U, lhs and rhs are split once on the
-components of their joint zero pattern (linalg.BlockStack), and the
-conjugation U^dag lhs U and its residual norm are taken block by block:
-a squeeze and its Hamiltonians keep the parity, so they split into the
-two parity sectors, while the polaron frame mixes them and stays one
-block.  The unitarity defect |U^dag U - 1|_2 is computed from the
-blocks only when a report's unitarity_defect is read.  Every unitary
-here is real: both generators, beta (a_dag - a) and
-(zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
-squeeze on its even and on its odd levels), so each exponential is one
-linalg.skew_tridiagonal_exp, a real tridiagonal eigensolve.
+norm of the Hermitian target.  A squeeze or a displacement spreads Fock
+support, so its check cuts the interior further, by a rule in zeta or
+in beta sqrt(N), and raises TruncationError where fewer than 8 levels
+would remain.  The operands of a check are split once on the components
+of their joint zero pattern (linalg.BlockStack), and the conjugation
+U^dag lhs U, the residual norm and the scale |rhs|_2 are all taken
+block by block: a squeeze and its Hamiltonians, like both sides of the
+field rewriting, keep the parity, so they split into the two parity
+sectors, while the polaron frame mixes them and stays one block.  The
+unitarity defect |U^dag U - 1|_2 is computed from the blocks only when
+a report's unitarity_defect is read.  Every unitary here is real: both
+generators, beta (a_dag - a) and (zeta/2)(a^2 - a_dag^2), are real
+skew-symmetric and tridiagonal (the squeeze on its even and on its odd
+levels), so each exponential is one linalg.skew_tridiagonal_exp, a real
+tridiagonal eigensolve.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .fock import (
     kron,
     make_operators,
 )
-from .linalg import BlockStack, hermitian_norm, projected_norm, skew_tridiagonal_exp
+from .linalg import BlockStack, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     Schedule,
@@ -49,6 +53,12 @@ from .model import (
 )
 
 MAX_SQUEEZE = 2.0
+
+# The error of the truncated D(beta) spreads in from the top Fock level
+# over about 2.3-2.5 beta sqrt(N) levels (measured at beta = 1 for N = 256
+# to 2048, and at beta = 2 for N = 256 to 1024); the polaron check cuts
+# ceil(POLARON_SPREAD beta sqrt(N)) levels.
+POLARON_SPREAD = 3.0
 
 
 @dataclass(frozen=True)
@@ -128,10 +138,11 @@ def verify_equivalence(
 
     rhs must be Hermitian.  P is given by its index set and defaults to the
     buffer-based interior; callers whose unitary spreads Fock support
-    (squeezes) pass a tighter one.  U, lhs and rhs are split on the
-    components of their joint zero pattern (linalg.BlockStack), so the
-    products and the residual norm are taken block by block; the
-    unitarity defect |U^dag U - 1|_2 is computed when first read.
+    (squeezes, displacements) pass a tighter one.  U, lhs and rhs are
+    split once, on the components of their joint zero pattern
+    (linalg.BlockStack), and the products, the residual norm and the
+    scale |rhs|_2 are all taken from those blocks; the unitarity defect
+    |U^dag U - 1|_2 is computed when first read.
     """
     if u.shape != lhs.shape or lhs.shape != rhs.shape:
         raise ValidationError(
@@ -143,7 +154,7 @@ def verify_equivalence(
     residual = (us.adjoint() @ lhs_b @ us - rhs_b).norm(p)
     return TransformReport(
         identity_name=identity_name,
-        residual=residual / max(1.0, hermitian_norm(rhs)),
+        residual=residual / max(1.0, rhs_b.hermitian_norm()),
         params_used=params_used,
         fock=fp,
         unitary=us,
@@ -158,10 +169,19 @@ def squeeze_interior_projector(fp: FockParams, zeta: float) -> np.ndarray:
     the truncation.  The cut is the stricter of N - buffer and
     0.7 * N * exp(-2|zeta|); see interior_projector for the indices.
     """
-    cut = min(fp.n_fock - fp.buffer, int(0.7 * fp.n_fock * math.exp(-2.0 * abs(zeta))))
+    cut = int(0.7 * fp.n_fock * math.exp(-2.0 * abs(zeta)))
+    return _checked_interior(fp, cut, f"squeeze angle {zeta}")
+
+
+def _checked_interior(fp: FockParams, cut: int, cause: str) -> np.ndarray:
+    """interior_projector at the stricter of cut and N - buffer.
+
+    Raises TruncationError, naming the cause, below 8 levels.
+    """
+    cut = min(fp.n_fock - fp.buffer, cut)
     if cut < 8:
         raise TruncationError(
-            f"squeeze angle {zeta} leaves fewer than 8 checkable levels at "
+            f"{cause} leaves fewer than 8 checkable levels at "
             f"n_fock={fp.n_fock}; increase the truncation"
         )
     return interior_projector(fp, cut)
@@ -224,8 +244,9 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     measured on the interior and relative to |H(r)|_2.  B_r is real and
     D- + D+ = -sz exactly, so only B_r is built.  B_r^dag B_r is the dense
     product: summed block by block, its terms come in another order and
-    the residual moves at round-off.  No unitary is involved, so the
-    unitarity defect is 0.
+    the residual moves at round-off.  Both sides are split once, into the
+    two parity sectors, and the residual norm and |H(r)|_2 are taken from
+    those blocks.  No unitary is involved, so the unitarity defect is 0.
     """
     b_r = heavy_field(s, r, fp)
     og = s.omega_g(r)
@@ -233,10 +254,12 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
         s.omega_a(r) / 2.0
     ) * embed_qubit(-SZ, fp)
     rhs = h_total_r(s, r, fp)
+    partition = BlockStack.partition_of(lhs, rhs)
+    lhs_b, rhs_b = BlockStack.split(lhs, partition), BlockStack.split(rhs, partition)
     return TransformReport(
         identity_name="field-rewriting",
-        residual=projected_norm(lhs - rhs, interior_projector(fp))
-        / max(1.0, hermitian_norm(rhs)),
+        residual=(lhs_b - rhs_b).norm(interior_projector(fp))
+        / max(1.0, rhs_b.hermitian_norm()),
         params_used={"schedule": s, "r": r},
         fock=fp,
     )
@@ -249,9 +272,19 @@ def polaron_equivalence_report(
 
     U^dag {H(omega_a, omega_b, g, 0) + g^2/omega_b} U
       = H(0, omega_b, 0, 0)
-        - (omega_a/2) {s+ D(g/omega_b)^2 + s- D(-g/omega_b)^2}.
+        - (omega_a/2) {s+ D(g/omega_b)^2 + s- D(-g/omega_b)^2},
+
+    on the levels below the stricter of N - buffer and
+    N - ceil(POLARON_SPREAD beta sqrt(N)), beta = g/omega_b, which keeps
+    the truncation error of D(beta) out; TruncationError below 8 levels.
     """
-    d = displacement(g / omega_b, fp)
+    beta = g / omega_b
+    projector = _checked_interior(
+        fp,
+        fp.n_fock - math.ceil(POLARON_SPREAD * beta * math.sqrt(fp.n_fock)),
+        f"displacement amplitude {beta}",
+    )
+    d = displacement(beta, fp)
     u = _polaron(d, fp)
     ops = make_operators(fp)
     lhs = hamiltonian(ModelParams(omega_a, omega_b, g, 0.0), fp, shift=g**2 / omega_b)
@@ -263,4 +296,5 @@ def polaron_equivalence_report(
         u, lhs, rhs, fp,
         identity_name="polaron-frame",
         params_used={"omega_a": omega_a, "omega_b": omega_b, "g": g},
+        projector=projector,
     )

@@ -7,12 +7,9 @@ from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     BlockStack,
     EigenDecomposition,
-    _principal_blocks,
     banded_eigh,
     hermitian_eigs,
     kron,
-    projected_norm,
-    spectral_norm,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,27 +87,35 @@ def test_eigs_warns_and_symmetrizes_on_asymmetry():
     np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(sym))
 
 
+def split_own(a):
+    """a as a BlockStack on its own zero pattern."""
+    return BlockStack.split(a, BlockStack.partition_of(a))
+
+
 def test_spectral_norm_diag():
-    assert spectral_norm(np.diag([1.0, -5.0, 2.0]).astype(complex)) == pytest.approx(5.0)
+    assert split_own(np.diag([1.0, -5.0, 2.0]).astype(complex)).norm() == pytest.approx(5.0)
 
 
 def test_principal_blocks_follow_zero_pattern():
     # Components {0, 2} (joined by one off-diagonal entry) and {1}; index 3
-    # is a zero singleton and yields no block.
+    # is a zero singleton and is a component of its own.
     a = np.zeros((4, 4), dtype=complex)
     a[2, 0] = 2.0j
     a[1, 1] = 3.0
-    (idx1, blocks1), (idx2, blocks2) = _principal_blocks(a)
-    np.testing.assert_array_equal(idx1, [[1]])
-    np.testing.assert_array_equal(blocks1, [[[3.0]]])
-    np.testing.assert_array_equal(idx2, [[0, 2]])
-    np.testing.assert_array_equal(blocks2, [[[0.0, 0.0], [2.0j, 0.0]]])
-    assert list(_principal_blocks(np.zeros((3, 3), dtype=complex))) == []
+    x = split_own(a)
+    singles, pairs = x.partition
+    np.testing.assert_array_equal(singles, [[1], [3]])
+    np.testing.assert_array_equal(x.blocks[0], [[[3.0]], [[0.0]]])
+    np.testing.assert_array_equal(pairs, [[0, 2]])
+    np.testing.assert_array_equal(x.blocks[1], [[[0.0, 0.0], [2.0j, 0.0]]])
+    zeros = BlockStack.partition_of(np.zeros((3, 3), dtype=complex))
+    assert [idx.tolist() for idx in zeros] == [[[0], [1], [2]]]
     dense = np.ones((3, 3), dtype=complex)
-    ((idx, whole),) = _principal_blocks(dense)
-    np.testing.assert_array_equal(idx, [[0, 1, 2]])
-    assert whole.shape == (1, 3, 3) and np.shares_memory(whole, dense)
-    assert spectral_norm(a) == pytest.approx(3.0)
+    whole = split_own(dense)
+    ((idx,),) = whole.partition
+    np.testing.assert_array_equal(idx, [0, 1, 2])
+    assert whole.blocks[0].shape == (1, 3, 3) and np.shares_memory(whole.blocks[0], dense)
+    assert x.norm() == pytest.approx(3.0)
 
 
 def test_block_stack_partition_and_shape_checks():
@@ -142,10 +147,10 @@ def test_block_stack_partition_and_shape_checks():
 
 
 def test_projected_norm_basics():
-    a = np.diag([1.0, 5.0]).astype(complex)
-    assert projected_norm(a, np.arange(2)) == pytest.approx(5.0)
-    assert projected_norm(a, np.array([0])) == pytest.approx(1.0)
-    assert projected_norm(a, np.array([], dtype=int)) == pytest.approx(0.0)
+    a = split_own(np.diag([1.0, 5.0]).astype(complex))
+    assert a.norm(np.arange(2)) == pytest.approx(5.0)
+    assert a.norm(np.array([0])) == pytest.approx(1.0)
+    assert a.norm(np.array([], dtype=int)) == pytest.approx(0.0)
 
 
 def test_projected_norm_rejects_non_projector():
@@ -160,7 +165,7 @@ def test_projected_norm_rejects_non_projector():
     ]
     for idx in malformed:
         with pytest.raises(ContractViolationError):
-            projected_norm(np.eye(2), idx)
+            split_own(np.eye(2)).norm(idx)
 
 
 def test_banded_eigh_matches_dense():

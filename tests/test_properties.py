@@ -15,11 +15,8 @@ from susyrabi.fock import FockParams
 from susyrabi.linalg import (
     BlockStack,
     hermitian_eigs,
-    hermitian_norm,
     kron,
-    projected_norm,
     skew_tridiagonal_exp,
-    spectral_norm,
 )
 from susyrabi.model import (
     ModelParams,
@@ -276,6 +273,16 @@ NORM_RTOL = 1e-12
 WITTEN_ATOL = 1e-10
 
 
+def split_own(a):
+    """a as a BlockStack on its own zero pattern."""
+    return BlockStack.split(a, BlockStack.partition_of(a))
+
+
+def dense_interior_norm(a, idx):
+    """|P a P|_2 for the projector P onto idx, from numpy's dense norm."""
+    return np.linalg.norm(a[np.ix_(idx, idx)], 2) if idx.size else 0.0
+
+
 @st.composite
 def complex_with_index_set(draw):
     n = draw(st.integers(min_value=1, max_value=12))
@@ -292,7 +299,7 @@ def test_projected_norm_equals_dense_projector(case):
     p = np.zeros(a.shape)
     p[idx, idx] = 1.0
     want = np.linalg.norm(p @ a @ p, 2)
-    assert abs(projected_norm(a, idx) - want) <= NORM_RTOL * max(1.0, want)
+    assert abs(split_own(a).norm(idx) - want) <= NORM_RTOL * max(1.0, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,11 +309,11 @@ def test_hermitian_norm_equals_svd_norm(re, im):
     m = re + 1j * im
     h = m + m.conj().T
     want = np.linalg.norm(h, 2)
-    assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
+    assert abs(split_own(h).hermitian_norm() - want) <= NORM_RTOL * max(1.0, want)
     anti = m - m.conj().T
     if np.max(np.abs(anti)) > 1e-6:
         with pytest.raises(ContractViolationError):
-            hermitian_norm(h + 1e-3 * anti)
+            split_own(h + 1e-3 * anti).hermitian_norm()
 
 
 # Block-by-block norms against the dense SVD norm.  The tolerance is fixed
@@ -347,15 +354,15 @@ def permuted_block_diagonal(draw):
 @settings(max_examples=80, deadline=None)
 @given(permuted_block_diagonal(), st.data())
 def test_block_norms_equal_dense_norm(a, data):
-    assert_same_norm(spectral_norm(a), np.linalg.norm(a, 2))
+    assert_same_norm(split_own(a).norm(), np.linalg.norm(a, 2))
     h = a + a.conj().T
-    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
+    assert_same_norm(split_own(h).hermitian_norm(), np.linalg.norm(h, 2))
     n = a.shape[0]
     idx = np.array(
         data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)),
         dtype=int,
     )
-    assert_same_norm(projected_norm(a, idx), np.linalg.norm(a[np.ix_(idx, idx)], 2))
+    assert_same_norm(split_own(a).norm(idx), dense_interior_norm(a, idx))
 
 
 @pytest.mark.parametrize("a", [
@@ -365,11 +372,11 @@ def test_block_norms_equal_dense_norm(a, data):
     np.array([[0.0, 0.3 - 2.0j], [0.0, 0.0]]),
 ])
 def test_block_norms_on_special_matrices(a):
-    assert_same_norm(spectral_norm(a), np.linalg.norm(a, 2))
+    assert_same_norm(split_own(a).norm(), np.linalg.norm(a, 2))
     h = a + a.conj().T
-    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
+    assert_same_norm(split_own(h).hermitian_norm(), np.linalg.norm(h, 2))
     idx = np.arange(a.shape[0])[::2]
-    assert_same_norm(projected_norm(a, idx), np.linalg.norm(a[np.ix_(idx, idx)], 2))
+    assert_same_norm(split_own(a).norm(idx), dense_interior_norm(a, idx))
 
 
 witten_cases = st.tuples(
@@ -521,15 +528,34 @@ def test_real_input_matches_complex_call(case):
     a, idx = case
     h = a + a.T
     for got, want in (
-        (spectral_norm(a), spectral_norm(a.astype(complex))),
-        (hermitian_norm(h), hermitian_norm(h.astype(complex))),
-        (projected_norm(a, idx), projected_norm(a.astype(complex), idx)),
+        (split_own(a).norm(), split_own(a.astype(complex)).norm()),
+        (split_own(h).hermitian_norm(), split_own(h.astype(complex)).hermitian_norm()),
+        (split_own(a).norm(idx), split_own(a.astype(complex)).norm(idx)),
     ):
         assert abs(got - want) <= REAL_RTOL * max(1.0, want)
     ed = hermitian_eigs(h)
     want = hermitian_eigs(h.astype(complex)).values
     assert ed.vectors.dtype == np.float64
     assert np.max(np.abs(ed.values - want)) <= REAL_RTOL * max(1.0, np.max(np.abs(want)))
+
+
+@st.composite
+def hermitian_with_zeros(draw):
+    """A real or complex Hermitian n x n matrix with a random share of exact zeros."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(arrays(np.float64, (n, n), elements=reals))
+    if draw(st.booleans()):
+        m = m + 1j * draw(arrays(np.float64, (n, n), elements=reals))
+    keep = draw(arrays(np.bool_, (n, n)))
+    return (m + m.conj().T) * (keep & keep.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_with_zeros())
+@example(h=tiny_entries_beside_unit_ones()[0] + tiny_entries_beside_unit_ones()[0].T)
+def test_block_hermitian_norm_equals_dense_norm(h):
+    want = np.linalg.norm(h, 2)
+    assert abs(split_own(h).hermitian_norm() - want) <= NORM_RTOL * max(1.0, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -588,8 +614,8 @@ def test_block_partition_and_interior_norm(case):
         blocks = BlockStack.split(a, partition)
         np.testing.assert_array_equal(blocks.dense(), a)
         for got_norm, want in (
-            (blocks.norm(idx), projected_norm(a, idx)),
-            (blocks.norm(), spectral_norm(a)),
+            (blocks.norm(idx), dense_interior_norm(a, idx)),
+            (blocks.norm(), np.linalg.norm(a, 2)),
         ):
             assert abs(got_norm - want) <= BLOCK_NORM_RTOL * max(1.0, want)
 

@@ -11,7 +11,6 @@ from susyrabi.errors import (
     ValidationError,
 )
 from susyrabi.fock import FockParams, basis_state, embed_boson, interior_projector, make_operators
-from susyrabi.linalg import hermitian_norm, projected_norm, spectral_norm
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -41,6 +40,11 @@ def dense_exp(k):
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
+def interior_norm(a, idx):
+    """|P a P|_2 for the projector P onto the index set idx."""
+    return np.linalg.norm(a[np.ix_(idx, idx)], 2)
+
+
 def test_displacement_zero_is_identity(fp_small):
     np.testing.assert_allclose(
         displacement(0.0, fp_small), np.eye(fp_small.n_fock), atol=1e-14
@@ -67,7 +71,7 @@ def test_displacement_shifts_annihilator(fp_mid):
     d = displacement(beta, fp_mid)
     ops = make_operators(fp_mid)
     shifted = d.conj().T @ ops.a @ d
-    assert projected_norm(shifted - ops.a - beta * np.eye(n), np.arange(n // 2)) < 1e-10
+    assert interior_norm(shifted - ops.a - beta * np.eye(n), np.arange(n // 2)) < 1e-10
 
 
 def test_displacement_group_law(fp_mid):
@@ -76,7 +80,7 @@ def test_displacement_group_law(fp_mid):
     p = idx[idx < fp_mid.n_fock]
     lhs = displacement(0.8, fp_mid) @ displacement(0.5, fp_mid)
     rhs = displacement(1.3, fp_mid)
-    assert projected_norm(lhs - rhs, p) < 1e-8
+    assert interior_norm(lhs - rhs, p) < 1e-8
 
 
 # The tridiagonal D(beta) against its oracle, the dense exponential of the
@@ -135,7 +139,7 @@ def test_squeeze_scales_position_quadrature():
     idx = squeeze_interior_projector(fp, zeta)
     p = idx[idx < fp.n_fock]
     conj = s.conj().T @ x @ s
-    assert projected_norm(conj - math.exp(-zeta) * x, p) < 1e-7
+    assert interior_norm(conj - math.exp(-zeta) * x, p) < 1e-7
 
 
 def test_squeeze_angle_guard(fp_small):
@@ -209,7 +213,7 @@ def test_verify_equivalence_equals_dense_oracle():
     for u, lhs, rhs, p in cases:
         rep = verify_equivalence(u, lhs, rhs, fp, projector=p)
         kept = interior_projector(fp) if p is None else p
-        want = projected_norm(u.conj().T @ lhs @ u - rhs, kept) / max(
+        want = interior_norm(u.conj().T @ lhs @ u - rhs, kept) / max(
             1.0, np.linalg.norm(rhs, 2)
         )
         assert abs(rep.residual - want) <= 1e-14 * max(1.0, want)
@@ -244,7 +248,7 @@ def test_a2_removal_raises_on_mismatch(fp_mid):
 
 def test_polaron_unitary_is_unitary(fp_mid):
     u = u_polaron(0.7, fp_mid)
-    assert spectral_norm(u.conj().T @ u - np.eye(fp_mid.total_dim)) < 1e-10
+    assert np.linalg.norm(u.conj().T @ u - np.eye(fp_mid.total_dim), 2) < 1e-10
 
 
 def test_negated_generator_is_the_adjoint(fp_mid):
@@ -258,6 +262,20 @@ def test_polaron_equivalence(fp_default):
     rep = polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp_default)
     assert rep.residual < 1e-7
     assert rep.unitarity_defect < 1e-10
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_polaron_equivalence_at_strong_displacement(n):
+    # beta = 2: the truncation error of D(beta) reaches below N - 64, so the
+    # check must cut its interior by beta sqrt(N) to pass the 1e-7 threshold.
+    rep = polaron_equivalence_report(OMEGA, OMEGA, 2.0 * OMEGA, FockParams(n_fock=n, buffer=64))
+    assert rep.residual <= 1e-7
+
+
+def test_polaron_equivalence_raises_when_no_level_is_checkable():
+    # beta = 3 at N = 64: 3 beta sqrt(N) = 72 levels exceed the truncation.
+    with pytest.raises(TruncationError):
+        polaron_equivalence_report(OMEGA, OMEGA, 3.0 * OMEGA, FockParams(n_fock=64, buffer=16))
 
 
 def test_polaron_diagonalizes_coupling_at_zero_splitting(fp_mid):
@@ -306,5 +324,5 @@ def test_field_identity_matches_fields_lhs():
                 s.omega_a(r) / 2.0
             ) * (fs.d_minus + fs.d_plus)
             rhs = h_total_r(s, r, fp)
-            want = projected_norm(lhs - rhs, p) / max(1.0, hermitian_norm(rhs))
+            want = interior_norm(lhs - rhs, p) / max(1.0, np.linalg.norm(rhs, 2))
             assert abs(field_identity_report(s, r, fp).residual - want) <= 1e-14, (c, r)
