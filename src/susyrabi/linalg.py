@@ -4,30 +4,34 @@ banded_lowest is the spectral core: it returns the lowest eigenvalues of
 a real symmetric band matrix, which is what each parity chain of the
 Hamiltonian is (see model.ParityChains): tridiagonal in the squeezed
 frame that the spectrum paths use, pentadiagonal for the truncated H
-that the tests use as oracle.  banded_eigh gives all eigenpairs of such
-a chain; the Witten index uses it, and so does skew_tridiagonal_exp,
-the one matrix exponential here: exp(K) for a real skew-symmetric
-tridiagonal K, which is what the displacement and squeeze generators
-are (the squeeze on its even and on its odd levels).  Everything else
-works on plain square numpy arrays in double precision, float64 or
-complex, and real input stays real: the model's Fock-basis operators,
-all real except sigma_y, take real LAPACK and BLAS calls.  The
-structure these operators have is their zero pattern: a spin (x) Fock
-operator built from ladder operators splits, after one symmetric
+that the tests use as oracle.  banded_norm, the spectral norm of a
+leading block of such a chain, is two single-eigenvalue solves; the
+field-rewriting check takes its residual and scale from it.  banded_eigh
+gives all eigenpairs of such a chain; the Witten index uses it, and so
+does skew_tridiagonal_exp, the one matrix exponential here: exp(K) for a
+real skew-symmetric tridiagonal K, which is what the displacement and
+squeeze generators are (the squeeze on its even and on its odd levels).
+Everything else works on plain square numpy arrays in double precision,
+float64 or complex, and real input stays real: the model's Fock-basis
+operators, all real except sigma_y, take real LAPACK and BLAS calls.
+The structure these operators have is their zero pattern: a spin (x)
+Fock operator built from ladder operators splits, after one symmetric
 permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
 entries.  BlockStack is the one block structure: BlockStack.partition_of
-finds the connected components of the operands' joint zero pattern
-(the one zero-pattern search, _components), and BlockStack holds each
-operand as its principal blocks on them, stacked by size.  Sums,
-products, the spectral norm, the norm on an interior index set and the
-Hermitian norm are then one batched numpy call per stack, with no dense
-matrix formed.  hermitian_eigs solves the blocks of its input's own
-partition, one batched eigh per stack, and scatters the results back,
-so a diagonal matrix costs O(n) and a matrix without a zero entry one
-dense call.  hermitian_eigs of a dense Hamiltonian is the reference
-oracle for the chains; the property tests check its block solve, and
-every BlockStack norm, against unstructured scipy and numpy calls.
-MAX_DIM bounds only the dense path.
+finds the connected components of the operands' joint zero pattern (the
+one zero-pattern search, _components), and BlockStack holds each operand
+as its principal blocks on them, stacked by size; a caller that knows an
+operator's blocks (the parity chains, the spin sectors) builds the
+BlockStack from them directly.  Sums, products, the spectral norm, the
+norm on an interior index set and the Hermitian norm are then one
+batched numpy call per stack, with no dense matrix formed.
+hermitian_eigs solves the blocks of its input's own partition, one
+batched eigh per stack, and scatters the results back, so a diagonal
+matrix costs O(n) and a matrix without a zero entry one dense call.
+hermitian_eigs of a dense Hamiltonian is the reference oracle for the
+chains; the property tests check its block solve, and every BlockStack
+norm, against unstructured scipy and numpy calls.  MAX_DIM bounds only
+the dense path.
 """
 
 from __future__ import annotations
@@ -168,6 +172,17 @@ def banded_lowest(band: np.ndarray, m: int) -> np.ndarray:
         raise SolverError(f"banded eigensolver failed: {exc}") from exc
 
 
+def banded_norm(band: np.ndarray, cut: int | None = None) -> float:
+    """Spectral norm of the leading cut x cut block of a real symmetric band matrix.
+
+    band is in lower banded storage, as for banded_lowest; cut defaults
+    to the whole matrix.  The norm is max(|lambda_min|, |lambda_max|), two
+    single-eigenvalue banded solves.
+    """
+    b = np.asarray(band, dtype=float)[:, :cut]
+    return max(abs(float(banded_lowest(b, 1)[0])), abs(float(banded_lowest(-b, 1)[0])))
+
+
 def banded_eigh(band: np.ndarray) -> EigenDecomposition:
     """All eigenpairs of a real symmetric band matrix, eigenvalues ascending.
 
@@ -266,14 +281,16 @@ class BlockStack:
     """An n x n matrix held as its principal blocks on a given partition.
 
     The partition is a tuple of index arrays of shape (k, m), each row an
-    ascending index set, together covering 0..n-1 once; partition_of
-    finds the one that every operand of a check fits.  blocks[s] of shape
-    (k, m, m) is the stack A[idx[j], idx[j]] for the rows idx[j] of
-    partition[s].  A matrix with no entry between different index sets is
-    the direct sum of its blocks, and so are its sums, scalar multiples,
-    adjoints and products with another matrix on the same partition: each
-    is one batched numpy call per stack, equal to the dense one up to
-    summation order.
+    index set in any order, together covering 0..n-1 once; partition_of
+    finds the one that every operand of a check fits, with ascending
+    rows, and a caller that knows the structure may give its own (the
+    parity chains, in chain order).  blocks[s] of shape (k, m, m) is the
+    stack A[idx[j], idx[j]] for the rows idx[j] of partition[s], so block
+    position i stands for index idx[j][i].  A matrix with no entry between
+    different index sets is the direct sum of its blocks, and so are its
+    sums, scalar multiples, adjoints and products with another matrix on
+    the same partition: each is one batched numpy call per stack, equal
+    to the dense one up to summation order.
     """
 
     # Makes numpy scalars defer to __rmul__ instead of broadcasting.

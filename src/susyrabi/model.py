@@ -176,6 +176,15 @@ class ParityChains:
         """Dimension of the dense matrix the chains stand for."""
         return 2 * self.n_fock
 
+    def matrices(self) -> np.ndarray:
+        """The two chains as full symmetric N x N matrices, a (2, N, N) stack."""
+        n = self.n_fock
+        out = np.zeros((2, n, n))
+        j = np.arange(n)
+        for d in range(self.bands.shape[1]):
+            out[:, j[d:], j[: n - d]] = out[:, j[: n - d], j[d:]] = self.bands[:, d, : n - d]
+        return out
+
 
 def parity_order(fp: FockParams) -> np.ndarray:
     """Basis indices of chain 0 followed by those of chain 1.
@@ -183,9 +192,10 @@ def parity_order(fp: FockParams) -> np.ndarray:
     Chain position n holds Fock level n: on chain 0 with spin up for even
     n and down for odd n, on chain 1 the other way round (see
     ParityChains).  It maps a chain vector or band into the 2N basis,
-    which is how the tests compare the chains with the dense H; the
-    interior of fock.interior_projector is chain positions 0..cut-1 of
-    both chains.
+    which is how the tests compare the chains with the dense H, and its
+    two halves are the partition on which the A^2-removal check
+    (transforms.u_a2_with_report) holds its operands; the interior of
+    fock.interior_projector is chain positions 0..cut-1 of both chains.
     """
     n = np.arange(fp.n_fock)
     flip = n % 2
@@ -377,22 +387,32 @@ class FieldSet:
     d_minus: np.ndarray
 
 
-def heavy_field(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
-    """The heavy-boson annihilator B_r at interpolation point r, real.
+def heavy_field_coefficients(s: Schedule, r: float) -> tuple[float, float, float]:
+    """(alpha, gamma, kappa) with B_r = alpha b + gamma b_dag + kappa sx at point r.
 
-    B_r = (c1+c2) b + (c1-c2) b_dag + (g_tilde/omega_g) sx with
-    c1 = sqrt(omega_g/omega)/2, c2 = sqrt(omega/omega_g)/2.
-    [sx, B_r] = 0 exactly (spin-chiral symmetry).
+    alpha = c1+c2, gamma = c1-c2 and kappa = g_tilde/omega_g, with
+    c1 = sqrt(omega_g/omega)/2 and c2 = sqrt(omega/omega_g)/2.
     """
     _check_r(r)
-    ops = make_operators(fp)
     og = s.omega_g(r)
     c1 = 0.5 * math.sqrt(og / s.omega)
     c2 = 0.5 * math.sqrt(s.omega / og)
+    return c1 + c2, c1 - c2, s.g_tilde(r) / og
+
+
+def heavy_field(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
+    """The heavy-boson annihilator B_r at interpolation point r, real.
+
+    B_r = alpha b + gamma b_dag + kappa sx with the coefficients of
+    heavy_field_coefficients.  [sx, B_r] = 0 exactly (spin-chiral
+    symmetry).
+    """
+    alpha, gamma, kappa = heavy_field_coefficients(s, r)
+    ops = make_operators(fp)
     return (
-        (c1 + c2) * embed_boson(ops.a, fp)
-        + (c1 - c2) * embed_boson(ops.a_dag, fp)
-        + (s.g_tilde(r) / og) * embed_qubit(ops.sx, fp)
+        alpha * embed_boson(ops.a, fp)
+        + gamma * embed_boson(ops.a_dag, fp)
+        + kappa * embed_qubit(ops.sx, fp)
     )
 
 

@@ -8,18 +8,31 @@ columns kept by the interior projector), and relative to the spectral
 norm of the Hermitian target.  A squeeze or a displacement spreads Fock
 support, so its check cuts the interior further, by a rule in zeta or
 in beta sqrt(N), and raises TruncationError where fewer than 8 levels
-would remain.  The operands of a check are split once on the components
-of their joint zero pattern (linalg.BlockStack), and the conjugation
-U^dag lhs U, the residual norm and the scale |rhs|_2 are all taken
-block by block: a squeeze and its Hamiltonians, like both sides of the
-field rewriting, keep the parity, so they split into the two parity
-sectors, while the polaron frame mixes them and stays one block.  The
-unitarity defect |U^dag U - 1|_2 is computed from the blocks only when
-a report's unitarity_defect is read.  Every unitary here is real: both
-generators, beta (a_dag - a) and (zeta/2)(a^2 - a_dag^2), are real
-skew-symmetric and tridiagonal (the squeeze on its even and on its odd
-levels), so each exponential is one linalg.skew_tridiagonal_exp, a real
-tridiagonal eigensolve.
+would remain.
+
+Each of the three checks builds its operands on the blocks its algebra
+gives it, as linalg.BlockStack, with no dense 2N x 2N operand:
+
+- A^2 removal: S(zeta) couples only levels of equal parity, so 1 (x) S
+  is S on each parity chain, and the check conjugates the chains of H
+  (model.parity_chains) into the squeezed chains (model.squeezed_chains)
+  with N x N products.
+- Field rewriting: B_r^dag B_r is one pentadiagonal band on each chain,
+  compared with model.parity_chains_r in band storage; its residual and
+  scale are linalg.banded_norm, O(N).
+- Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
+  the residual lives on the two N x N spin-diagonal blocks.  Only the
+  scale |rhs|_2 is a dense 2N eigensolve.
+
+verify_equivalence, u_polaron, squeeze and displacement stay the dense
+oracles the tests compare these checks with: verify_equivalence splits
+its operands once on the components of their joint zero pattern
+(BlockStack.partition_of).  The unitarity defect |U^dag U - 1|_2 is
+computed from a report's blocks only when its unitarity_defect is read.
+Every unitary here is real: both generators, beta (a_dag - a) and
+(zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
+squeeze on its even and on its odd levels), so each exponential is one
+linalg.skew_tridiagonal_exp, a real tridiagonal eigensolve.
 """
 
 from __future__ import annotations
@@ -32,24 +45,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TransformMismatchError, TruncationError, ValidationError
-from .fock import (
-    FockParams,
-    I2,
-    SZ,
-    embed_boson,
-    embed_qubit,
-    interior_projector,
-    kron,
-    make_operators,
-)
-from .linalg import BlockStack, skew_tridiagonal_exp
+from .fock import FockParams, I2, interior_projector, kron, make_operators
+from .linalg import BlockStack, banded_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     Schedule,
-    hamiltonian,
-    heavy_field,
-    h_total_r,
+    heavy_field_coefficients,
+    parity_chains,
+    parity_chains_r,
+    parity_order,
     renormalized_frequency,
+    squeezed_chains,
 )
 
 MAX_SQUEEZE = 2.0
@@ -200,37 +206,46 @@ def u_a2_with_report(
     renormalized frequency and coupling.  The sign is fixed: a wrong
     convention shows as a large residual, which raises
     TransformMismatchError when check is set.
+
+    S couples only levels of equal parity, which on one parity chain carry
+    the same spin, so U is S on each chain in the chain's position basis.
+    The check runs on the chain partition (model.parity_order): lhs is the
+    two chains of model.parity_chains, rhs those of model.squeezed_chains,
+    and the scale is the largest linalg.banded_norm of the rhs chains.
+    The returned U is the dense 1 (x) S; report.unitary holds its chains.
     """
-    omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
+    omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
-    u = embed_boson(squeeze(zeta, fp), fp)
-    rep = verify_equivalence(
-        u,
-        hamiltonian(p, fp),
-        hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp),
-        fp,
+    s = squeeze(zeta, fp)
+    chains = (parity_order(fp).reshape(2, fp.n_fock),)
+    us = BlockStack(chains, (np.stack([s, s]),))
+    lhs = BlockStack(chains, (parity_chains(p, fp).matrices(),))
+    rhs = squeezed_chains(p, fp)
+    residual = (us.adjoint() @ lhs @ us - BlockStack(chains, (rhs.matrices(),))).norm(
+        squeeze_interior_projector(fp, zeta)
+    )
+    rep = TransformReport(
         identity_name="a2-removal",
+        residual=residual / max(1.0, max(banded_norm(b) for b in rhs.bands)),
         params_used={"params": p, "zeta": zeta},
-        projector=squeeze_interior_projector(fp, zeta),
+        fock=fp,
+        unitary=us,
     )
     if check and rep.residual > tol:
         raise TransformMismatchError(
             f"A^2-removal residual {rep.residual:.3e} exceeds {tol:.1e}; "
             f"wrong convention or insufficient truncation (N={fp.n_fock})"
         )
-    return u, rep
+    return us.dense(), rep
 
 
 def u_polaron(beta: float, fp: FockParams) -> np.ndarray:
     """The spin-conditioned displacement diagonalizing the linear coupling.
 
-    U(beta) = {(s- - 1) s+ D(beta) + (s+ + 1) s- D(-beta)} / sqrt(2).
+    U(beta) = {(s- - 1) s+ D(beta) + (s+ + 1) s- D(-beta)} / sqrt(2),
+    with D(-beta) = D(beta)^dag.
     """
-    return _polaron(displacement(beta, fp), fp)
-
-
-def _polaron(d: np.ndarray, fp: FockParams) -> np.ndarray:
-    """U(beta) of u_polaron from d = D(beta), with D(-beta) = D(beta)^dag."""
+    d = displacement(beta, fp)
     ops = make_operators(fp)
     spin_a = (ops.s_minus - I2) @ ops.s_plus
     spin_b = (ops.s_plus + I2) @ ops.s_minus
@@ -238,28 +253,41 @@ def _polaron(d: np.ndarray, fp: FockParams) -> np.ndarray:
 
 
 def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformReport:
-    """Check the heavy-field rewriting of H(r).
+    """Check the heavy-field rewriting of H(r) on its two parity chains.
 
     omega_g(r) (B_r^dag B_r + 1/2) - (omega_a(r)/2)(D- + D+) = H(r),
-    measured on the interior and relative to |H(r)|_2.  B_r is real and
-    D- + D+ = -sz exactly, so only B_r is built.  B_r^dag B_r is the dense
-    product: summed block by block, its terms come in another order and
-    the residual moves at round-off.  Both sides are split once, into the
-    two parity sectors, and the residual norm and |H(r)|_2 are taken from
-    those blocks.  No unitary is involved, so the unitarity defect is 0.
+    measured on the interior and relative to |H(r)|_2.  D- + D+ = -sz
+    exactly.  B_r maps chain i to chain 1-i through the same real
+    tridiagonal M = alpha a + gamma a_dag + kappa (model.heavy_field_coefficients),
+    so B_r^dag B_r is M^T M on each chain: pentadiagonal, built in band
+    storage with the truncated corner of the literal product.  The lhs on
+    chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz = (-1)^n on
+    chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains_r.  The
+    interior is the leading N - buffer positions of each chain, so the
+    residual and |H(r)|_2 are linalg.banded_norm of the chains, O(N).  No
+    unitary is involved, so the unitarity defect is 0.
     """
-    b_r = heavy_field(s, r, fp)
-    og = s.omega_g(r)
-    lhs = og * (b_r.T @ b_r + 0.5 * np.eye(fp.total_dim)) - (
-        s.omega_a(r) / 2.0
-    ) * embed_qubit(-SZ, fp)
-    rhs = h_total_r(s, r, fp)
-    partition = BlockStack.partition_of(lhs, rhs)
-    lhs_b, rhs_b = BlockStack.split(lhs, partition), BlockStack.split(rhs, partition)
+    alpha, gamma, kappa = heavy_field_coefficients(s, r)
+    n = fp.n_fock
+    # M[j, j+1] = up[j], M[j+1, j] = low[j], M[j, j] = kappa.
+    up = alpha * np.sqrt(np.arange(1.0, n))
+    low = gamma * np.sqrt(np.arange(1.0, n))
+    mtm = np.zeros((3, n))
+    mtm[0] = kappa**2 + 0.5
+    mtm[0, 1:] += up**2
+    mtm[0, :-1] += low**2
+    mtm[1, :-1] = kappa * (up + low)
+    mtm[2, :-2] = up[1:] * low[:-1]
+    spin = s.omega_a(r) / 2.0 * (1.0 - 2.0 * (np.arange(n) % 2))
+    diff = np.stack([s.omega_g(r) * mtm] * 2)  # the lhs chains, then lhs - rhs
+    diff[0, 0] += spin
+    diff[1, 0] -= spin
+    rhs = parity_chains_r(s, r, fp).bands
+    diff[:, : rhs.shape[1]] -= rhs
+    residual = max(banded_norm(band, n - fp.buffer) for band in diff)
     return TransformReport(
         identity_name="field-rewriting",
-        residual=(lhs_b - rhs_b).norm(interior_projector(fp))
-        / max(1.0, rhs_b.hermitian_norm()),
+        residual=residual / max(1.0, max(banded_norm(band) for band in rhs)),
         params_used={"schedule": s, "r": r},
         fock=fp,
     )
@@ -277,6 +305,16 @@ def polaron_equivalence_report(
     on the levels below the stricter of N - buffer and
     N - ceil(POLARON_SPREAD beta sqrt(N)), beta = g/omega_b, which keeps
     the truncation error of D(beta) out; TruncationError below 8 levels.
+
+    U = (R (x) 1) diag(D^T, D) with D = D(beta) and the spin rotation
+    R = [[1, -1], [1, 1]]/sqrt(2), for which R^dag sz R = -sx and
+    R^dag sx R = sz.  So the spin-diagonal blocks of the lhs are
+    D h+ D^T and D^T h- D, with h+/- = omega_b(n+1/2) +/- g x + g^2/omega_b,
+    and its off-diagonal blocks are -(omega_a/2) D^2 and its transpose,
+    those of the rhs.  The residual is the two diagonal blocks less
+    omega_b(n+1/2), a BlockStack on the two spin sectors; only the scale
+    |rhs|_2 is one dense 2N eigensolve.  report.unitary is diag(D^T, D),
+    whose defect differs from that of the dense U by R's rounding only.
     """
     beta = g / omega_b
     projector = _checked_interior(
@@ -285,16 +323,23 @@ def polaron_equivalence_report(
         f"displacement amplitude {beta}",
     )
     d = displacement(beta, fp)
-    u = _polaron(d, fp)
     ops = make_operators(fp)
-    lhs = hamiltonian(ModelParams(omega_a, omega_b, g, 0.0), fp, shift=g**2 / omega_b)
-    d2 = d @ d
-    rhs = hamiltonian(ModelParams(0.0, omega_b, 0.0, 0.0), fp) - (omega_a / 2.0) * (
-        kron(ops.s_plus, d2) + kron(ops.s_minus, d2.conj().T)
+    free = omega_b * (ops.n_op + 0.5 * np.eye(fp.n_fock))
+    coupling = g * (ops.a + ops.a_dag)
+    shift = g**2 / omega_b * np.eye(fp.n_fock)
+    spins = (np.arange(fp.total_dim).reshape(2, fp.n_fock),)
+    u = BlockStack(spins, (np.stack([d.T, d]),))
+    lhs = BlockStack(spins, (np.stack([free + coupling + shift, free - coupling + shift]),))
+    residual = (u.adjoint() @ lhs @ u - BlockStack(spins, (np.stack([free, free]),))).norm(
+        projector
     )
-    return verify_equivalence(
-        u, lhs, rhs, fp,
+    off = -(omega_a / 2.0) * (d @ d)
+    rhs = np.block([[free, off], [off.T, free]])
+    return TransformReport(
         identity_name="polaron-frame",
+        residual=residual
+        / max(1.0, BlockStack.split(rhs, (np.arange(fp.total_dim)[None],)).hermitian_norm()),
         params_used={"omega_a": omega_a, "omega_b": omega_b, "g": g},
-        projector=projector,
+        fock=fp,
+        unitary=u,
     )

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
-from susyrabi.fock import FockParams
+from susyrabi.fock import FockParams, interior_projector
 from susyrabi.linalg import (
     BlockStack,
+    banded_norm,
     hermitian_eigs,
     kron,
     skew_tridiagonal_exp,
@@ -235,6 +236,59 @@ def test_squeezed_chains_are_parity_blocks_of_squeezed_rabi_h(case):
         block = h[np.ix_(idx, idx)]
         scale = max(1.0, float(np.max(np.abs(block))))
         np.testing.assert_allclose(chain_matrix(band), block, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chain_cases)
+def test_chain_matrices_are_the_band_storage(case):
+    p, fp, shift = case_params(case)
+    chains = parity_chains(p, fp, shift)
+    for band, m in zip(chains.bands, chains.matrices()):
+        np.testing.assert_array_equal(m, chain_matrix(band))
+
+
+# banded_norm against numpy's dense norm of the leading block.  The
+# tolerance is fixed in advance: 1e-12 relative to max(1, the dense norm).
+BANDED_NORM_RTOL = 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=3), st.integers(min_value=2, max_value=16),
+       st.data())
+def test_banded_norm_equals_dense_leading_block_norm(rows, n, data):
+    band = data.draw(arrays(np.float64, (rows, n), elements=reals))
+    full = chain_matrix(band)
+    for cut in range(1, n + 1):
+        want = np.linalg.norm(full[:cut, :cut], 2)
+        assert abs(banded_norm(band, cut) - want) <= BANDED_NORM_RTOL * max(1.0, want)
+    want = np.linalg.norm(full, 2)
+    assert abs(banded_norm(band) - want) <= BANDED_NORM_RTOL * max(1.0, want)
+
+
+# A BlockStack on the parity chains, whose rows are in chain order rather
+# than ascending, against numpy on the dense matrix.  The tolerance is
+# fixed in advance: 1e-12 relative to max(1, the dense norm).
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=8, max_value=20), st.data())
+def test_block_stack_on_chain_partition_equals_dense(n, data):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    m = data.draw(arrays(np.float64, (2, n, n), elements=reals))
+    blocks = m + m.transpose(0, 2, 1)
+    chains = parity_order(fp).reshape(2, n)
+    want = np.zeros((2 * n, 2 * n))
+    for idx, block in zip(chains, blocks):
+        want[np.ix_(idx, idx)] = block
+    bs = BlockStack((chains,), (blocks,))
+    np.testing.assert_array_equal(bs.dense(), want)
+    full = np.linalg.norm(want, 2)
+    assert abs(bs.hermitian_norm() - full) <= BANDED_NORM_RTOL * max(1.0, full)
+    subset = np.array(
+        data.draw(st.lists(st.integers(min_value=0, max_value=2 * n - 1), unique=True)),
+        dtype=int,
+    )
+    for idx in (interior_projector(fp), subset):
+        expect = dense_interior_norm(want, idx)
+        assert abs(bs.norm(idx) - expect) <= BANDED_NORM_RTOL * max(1.0, expect)
 
 
 # Squeezed chains at the truncation required_n_fock sizes against the

@@ -1,5 +1,6 @@
 """Displacement/squeeze/polaron unitaries and equivalence reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,13 +11,25 @@ from susyrabi.errors import (
     TruncationError,
     ValidationError,
 )
-from susyrabi.fock import FockParams, basis_state, embed_boson, interior_projector, make_operators
+from susyrabi import fock, linalg, model, transforms
+from susyrabi.fock import (
+    SZ,
+    FockParams,
+    basis_state,
+    embed_boson,
+    embed_qubit,
+    interior_projector,
+    kron,
+    make_operators,
+)
 from susyrabi.model import (
     ModelParams,
     Schedule,
     fields,
     h_total_r,
     hamiltonian,
+    heavy_field,
+    parity_chains,
     renormalized_frequency,
 )
 from susyrabi.transforms import (
@@ -326,3 +339,133 @@ def test_field_identity_matches_fields_lhs():
             rhs = h_total_r(s, r, fp)
             want = interior_norm(lhs - rhs, p) / max(1.0, np.linalg.norm(rhs, 2))
             assert abs(field_identity_report(s, r, fp).residual - want) <= 1e-14, (c, r)
+
+
+# The structured checks against their dense oracles: verify_equivalence on
+# the 2N x 2N operands for the squeeze and the polaron frame, numpy's norms
+# for the field rewriting.  Tolerances fixed in advance: 1e-14 * max(1, want)
+# absolute where the identity holds, 1e-12 relative where it is made to
+# fail, and 1e-14 absolute for the unitarity defect.
+STRUCTURED_N = (32, 64, 128)
+STRUCTURED_C = (0.0, 0.2513, 1.257)
+MISMATCH_RTOL = 1e-12
+
+
+def dense_a2_report(p, fp, target):
+    omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
+    zeta = 0.5 * math.log(omega_g / p.omega_b)
+    u = embed_boson(squeeze(zeta, fp), fp)
+    return u, verify_equivalence(u, hamiltonian(p, fp), hamiltonian(target, fp), fp,
+                                 projector=squeeze_interior_projector(fp, zeta))
+
+
+def dense_polaron_report(omega_a, g, fp):
+    beta = g / OMEGA
+    cut = min(fp.n_fock - fp.buffer,
+              fp.n_fock - math.ceil(transforms.POLARON_SPREAD * beta * math.sqrt(fp.n_fock)))
+    d = transforms.displacement(beta, fp)
+    d2 = d @ d
+    ops = make_operators(fp)
+    lhs = hamiltonian(ModelParams(omega_a, OMEGA, g, 0.0), fp, shift=g**2 / OMEGA)
+    rhs = hamiltonian(ModelParams(0.0, OMEGA), fp) - (omega_a / 2.0) * (
+        kron(ops.s_plus, d2) + kron(ops.s_minus, d2.T))
+    u = u_polaron(beta, fp)
+    return u, verify_equivalence(u, lhs, rhs, fp, projector=interior_projector(fp, cut))
+
+
+def dense_field_residual(s, r, fp, rhs):
+    b_r = heavy_field(s, r, fp)
+    lhs = s.omega_g(r) * (b_r.T @ b_r + 0.5 * np.eye(fp.total_dim)) - (
+        s.omega_a(r) / 2.0) * embed_qubit(-SZ, fp)
+    return interior_norm(lhs - rhs, interior_projector(fp)) / max(1.0, np.linalg.norm(rhs, 2))
+
+
+def assert_matches(got, want):
+    assert abs(got - want) <= 1e-14 * max(1.0, want), (got, want)
+
+
+def assert_mismatch_matches(got, want):
+    assert want > 1e-6, want
+    assert abs(got - want) <= MISMATCH_RTOL * want, (got, want)
+
+
+def unitarity_defect(u):
+    return np.linalg.norm(u.T @ u - np.eye(u.shape[0]), 2)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("c", STRUCTURED_C)
+def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    p = ModelParams(OMEGA, OMEGA, OMEGA, c)
+    omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
+    try:
+        dense_u, want = dense_a2_report(p, fp, ModelParams(OMEGA, omega_g, g_tilde, 0.0))
+    except TruncationError:
+        # C = 1.257 below N = 128: the squeeze leaves fewer than 8 levels.
+        with pytest.raises(TruncationError):
+            u_a2_with_report(p, fp, check=False)
+        return
+    u, rep = u_a2_with_report(p, fp, check=False)
+    np.testing.assert_array_equal(u, dense_u)
+    assert_matches(rep.residual, want.residual)
+    assert abs(rep.unitarity_defect - unitarity_defect(dense_u)) <= 1e-14
+    # A target at 1.01 omega_g, in the rhs chains and in the dense rhs alike.
+    wrong = ModelParams(OMEGA, 1.01 * omega_g, g_tilde, 0.0)
+    monkeypatch.setattr(transforms, "squeezed_chains", lambda p, fp: parity_chains(wrong, fp))
+    _, want = dense_a2_report(p, fp, wrong)
+    assert_mismatch_matches(u_a2_with_report(p, fp, check=False)[1].residual, want.residual)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("beta", (0.25, 0.5, 1.0))
+def test_structured_polaron_frame_equals_dense_oracle(n, beta, monkeypatch):
+    # The polaron frame is the c = 0 check, so beta = g/omega takes the place of C.
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    g = beta * OMEGA
+    rep = polaron_equivalence_report(OMEGA, OMEGA, g, fp)
+    dense_u, want = dense_polaron_report(OMEGA, g, fp)
+    assert_matches(rep.residual, want.residual)
+    assert abs(rep.unitarity_defect - unitarity_defect(dense_u)) <= 1e-14
+    # D(1.01 beta) in place of D(beta), in the structured and the dense frame alike.
+    exact = transforms.displacement
+    monkeypatch.setattr(transforms, "displacement", lambda b, fp: exact(1.01 * b, fp))
+    _, want = dense_polaron_report(OMEGA, g, fp)
+    got = polaron_equivalence_report(OMEGA, OMEGA, g, fp).residual
+    assert_mismatch_matches(got, want.residual)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("c", STRUCTURED_C)
+def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
+    for r in (0.5, 1.0):
+        want = dense_field_residual(s, r, fp, h_total_r(s, r, fp))
+        assert_matches(field_identity_report(s, r, fp).residual, want)
+    # H(r) at 1.01 omega_b, in the rhs chains and in the dense rhs alike.
+    def wrong(s, r):
+        return dataclasses.replace(s.params(r), omega_b=1.01 * s.omega)
+    monkeypatch.setattr(transforms, "parity_chains_r",
+                        lambda s, r, fp: parity_chains(wrong(s, r), fp, s.self_energy(r)))
+    for r in (0.5, 1.0):
+        want = dense_field_residual(s, r, fp,
+                                    hamiltonian(wrong(s, r), fp, shift=s.self_energy(r)))
+        assert_mismatch_matches(field_identity_report(s, r, fp).residual, want)
+
+
+def test_transform_checks_build_no_dense_operand(monkeypatch):
+    # Only the polaron's scale is a dense 2N matrix, and it is built without
+    # kron; no check splits a dense operand on its zero pattern.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 2N x 2N builder called")
+
+    for module, name in ((linalg, "kron"), (fock, "kron"), (model, "kron"),
+                         (transforms, "kron"), (model, "hamiltonian"),
+                         (fock, "embed_qubit"), (model, "embed_qubit")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(linalg.BlockStack, "partition_of", staticmethod(refuse))
+    fp = FockParams(n_fock=64, buffer=16)
+    u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp, check=False)
+    polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
+    field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
