@@ -20,12 +20,10 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
 from .fock import FockParams, OperatorSet, make_operators
 from .model import (
-    FieldSet,
     ModelParams,
     Schedule,
     SuperchargeSet,
     broken_supercharges,
-    fields,
     free_supercharges,
     hamiltonian,
     h_interaction,
@@ -60,7 +58,6 @@ from .transforms import (
     squeeze,
     u_a2_with_report,
     u_polaron,
-    verify_equivalence,
 )
 
 __version__ = "0.1.0"

@@ -20,11 +20,12 @@ permutation, into its parity sectors, 2 x 2 spin-flip pairs or single
 entries.  BlockStack is the one block structure: BlockStack.partition_of
 finds the connected components of the operands' joint zero pattern (the
 one zero-pattern search, _components), and BlockStack holds each operand
-as its principal blocks on them, stacked by size; a caller that knows an
-operator's blocks (the parity chains, the spin sectors) builds the
-BlockStack from them directly.  Sums, products, the spectral norm, the
-norm on an interior index set and the Hermitian norm are then one
-batched numpy call per stack, with no dense matrix formed.
+as its principal blocks on them, stacked by size.  Sums, products, the
+spectral norm, the norm on an interior index set and the Hermitian norm
+are then one batched numpy call per stack, with no dense matrix formed;
+the SUSY-algebra reports work this way.  The transform checks need no
+search: their operands are plain (2, N, N) stacks of parity-chain or
+spin-sector blocks, and only the polaron check's scale is a BlockStack.
 hermitian_eigs solves the blocks of its input's own partition, one
 batched eigh per stack, and scatters the results back, so a diagonal
 matrix costs O(n) and a matrix without a zero entry one dense call.
@@ -281,16 +282,14 @@ class BlockStack:
     """An n x n matrix held as its principal blocks on a given partition.
 
     The partition is a tuple of index arrays of shape (k, m), each row an
-    index set in any order, together covering 0..n-1 once; partition_of
-    finds the one that every operand of a check fits, with ascending
-    rows, and a caller that knows the structure may give its own (the
-    parity chains, in chain order).  blocks[s] of shape (k, m, m) is the
-    stack A[idx[j], idx[j]] for the rows idx[j] of partition[s], so block
-    position i stands for index idx[j][i].  A matrix with no entry between
-    different index sets is the direct sum of its blocks, and so are its
-    sums, scalar multiples, adjoints and products with another matrix on
-    the same partition: each is one batched numpy call per stack, equal
-    to the dense one up to summation order.
+    index set, together covering 0..n-1 once; partition_of finds the one
+    that every operand of a check fits, with ascending rows.  blocks[s] of
+    shape (k, m, m) is the stack A[idx[j], idx[j]] for the rows idx[j] of
+    partition[s], so block position i stands for index idx[j][i].  A
+    matrix with no entry between different index sets is the direct sum
+    of its blocks, and so are its sums, scalar multiples and products with
+    another matrix on the same partition: each is one batched numpy call
+    per stack, equal to the dense one up to summation order.
     """
 
     # Makes numpy scalars defer to __rmul__ instead of broadcasting.
@@ -350,12 +349,6 @@ class BlockStack:
 
     def __rmul__(self, scalar: complex) -> BlockStack:
         return BlockStack(self.partition, tuple(scalar * b for b in self.blocks))
-
-    def adjoint(self) -> BlockStack:
-        """The conjugate transpose, block by block."""
-        return BlockStack(
-            self.partition, tuple(b.conj().transpose(0, 2, 1) for b in self.blocks)
-        )
 
     def dense(self) -> np.ndarray:
         """The matrix in the original basis; the inverse of split.

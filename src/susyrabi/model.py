@@ -1,4 +1,4 @@
-"""Hamiltonians, supercharges, field operators and derived scalars.
+"""Hamiltonians, supercharges, the heavy field and derived scalars.
 
 The family H(omega_a, omega_b, g, c) is the quantum Rabi model plus the
 quadratic (A^2-type) boson self-interaction c*g^2*(a+a_dag)^2.  The
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .fock import FockParams, I2, make_operators, embed_boson, embed_qubit, kron
+from .fock import FockParams, make_operators, embed_boson, embed_qubit, kron
 
 
 @dataclass(frozen=True)
@@ -184,22 +184,6 @@ class ParityChains:
         for d in range(self.bands.shape[1]):
             out[:, j[d:], j[: n - d]] = out[:, j[: n - d], j[d:]] = self.bands[:, d, : n - d]
         return out
-
-
-def parity_order(fp: FockParams) -> np.ndarray:
-    """Basis indices of chain 0 followed by those of chain 1.
-
-    Chain position n holds Fock level n: on chain 0 with spin up for even
-    n and down for odd n, on chain 1 the other way round (see
-    ParityChains).  It maps a chain vector or band into the 2N basis,
-    which is how the tests compare the chains with the dense H, and its
-    two halves are the partition on which the A^2-removal check
-    (transforms.u_a2_with_report) holds its operands; the interior of
-    fock.interior_projector is chain positions 0..cut-1 of both chains.
-    """
-    n = np.arange(fp.n_fock)
-    flip = n % 2
-    return np.concatenate([flip * fp.n_fock + n, (1 - flip) * fp.n_fock + n])
 
 
 def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
@@ -374,19 +358,6 @@ def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
     )
 
 
-@dataclass(frozen=True)
-class FieldSet:
-    """Heavy-boson fields Phi_r, Pi_r; light fields phi, pi; B_r and D+/-."""
-
-    phi_r: np.ndarray
-    pi_r: np.ndarray
-    phi: np.ndarray
-    pi: np.ndarray
-    b_r: np.ndarray
-    d_plus: np.ndarray
-    d_minus: np.ndarray
-
-
 def heavy_field_coefficients(s: Schedule, r: float) -> tuple[float, float, float]:
     """(alpha, gamma, kappa) with B_r = alpha b + gamma b_dag + kappa sx at point r.
 
@@ -413,30 +384,4 @@ def heavy_field(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
         alpha * embed_boson(ops.a, fp)
         + gamma * embed_boson(ops.a_dag, fp)
         + kappa * embed_qubit(ops.sx, fp)
-    )
-
-
-def fields(s: Schedule, r: float, fp: FockParams) -> FieldSet:
-    """Field operators at interpolation point r; B_r is heavy_field's."""
-    _check_r(r)
-    ops = make_operators(fp)
-    og = s.omega_g(r)
-    b = embed_boson(ops.a, fp)
-    b_dag = embed_boson(ops.a_dag, fp)
-    b_r = heavy_field(s, r, fp)
-    b_r_dag = b_r.conj().T
-    phi_r = math.sqrt(1.0 / (2.0 * og)) * (b_r + b_r_dag)
-    pi_r = -1j * math.sqrt(og / 2.0) * (b_r - b_r_dag)
-    phi = math.sqrt(1.0 / (2.0 * s.omega)) * (b + b_dag)
-    pi = -1j * math.sqrt(s.omega / 2.0) * (b - b_dag)
-    d_plus = embed_qubit(-(ops.sz - 1j * ops.sy) / 2.0, fp)
-    d_minus = embed_qubit(-(ops.sz + 1j * ops.sy) / 2.0, fp)
-    return FieldSet(
-        phi_r=phi_r,
-        pi_r=pi_r,
-        phi=phi,
-        pi=pi,
-        b_r=b_r,
-        d_plus=d_plus,
-        d_minus=d_minus,
     )

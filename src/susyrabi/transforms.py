@@ -3,15 +3,15 @@
 The frequency-renormalizing unitary is realized as a one-mode squeeze
 S(+zeta); its correctness is established numerically against the
 conjugation identity it must satisfy.  All residuals are measured away
-from the truncation boundary, on an interior index set (the rows and
-columns kept by the interior projector), and relative to the spectral
-norm of the Hermitian target.  A squeeze or a displacement spreads Fock
-support, so its check cuts the interior further, by a rule in zeta or
-in beta sqrt(N), and raises TruncationError where fewer than 8 levels
-would remain.
+from the truncation boundary, on the leading cut x cut block of each
+N x N operand (boson levels 0..cut-1), and relative to the spectral norm
+of the Hermitian target.  The cut is N - buffer, or less where a squeeze
+or a displacement spreads Fock support: a rule in zeta or in
+beta sqrt(N), with TruncationError where fewer than 8 levels would
+remain.
 
-Each of the three checks builds its operands on the blocks its algebra
-gives it, as linalg.BlockStack, with no dense 2N x 2N operand:
+Each of the three checks holds its operands as plain (2, N, N) stacks of
+the blocks its algebra gives it, with no dense 2N x 2N operand:
 
 - A^2 removal: S(zeta) couples only levels of equal parity, so 1 (x) S
   is S on each parity chain, and the check conjugates the chains of H
@@ -24,12 +24,9 @@ gives it, as linalg.BlockStack, with no dense 2N x 2N operand:
   the residual lives on the two N x N spin-diagonal blocks.  Only the
   scale |rhs|_2 is a dense 2N eigensolve.
 
-verify_equivalence, u_polaron, squeeze and displacement stay the dense
-oracles the tests compare these checks with: verify_equivalence splits
-its operands once on the components of their joint zero pattern
-(BlockStack.partition_of).  The unitarity defect |U^dag U - 1|_2 is
-computed from a report's blocks only when its unitarity_defect is read.
-Every unitary here is real: both generators, beta (a_dag - a) and
+u_polaron, squeeze and displacement are the paper's formulas, and the
+tests compare each check with numpy on the dense operators built from
+them.  Every unitary here is real: both generators, beta (a_dag - a) and
 (zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
 squeeze on its even and on its odd levels), so each exponential is one
 linalg.skew_tridiagonal_exp, a real tridiagonal eigensolve.
@@ -39,13 +36,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TransformMismatchError, TruncationError, ValidationError
-from .fock import FockParams, I2, interior_projector, kron, make_operators
+from .fock import FockParams, I2, kron, make_operators
 from .linalg import BlockStack, banded_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
@@ -53,7 +49,6 @@ from .model import (
     heavy_field_coefficients,
     parity_chains,
     parity_chains_r,
-    parity_order,
     renormalized_frequency,
     squeezed_chains,
 )
@@ -69,25 +64,9 @@ POLARON_SPREAD = 3.0
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Outcome of one unitary-equivalence check.
+    """Outcome of one unitary-equivalence check: its relative interior residual."""
 
-    unitary holds the blocks of the checked U, or None when no unitary is
-    involved; unitarity_defect is computed from it on first read.
-    """
-
-    identity_name: str
     residual: float
-    params_used: object
-    fock: FockParams
-    unitary: BlockStack | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def unitarity_defect(self) -> float:
-        """|U^dag U - 1|_2, block by block over U's partition; 0 without a unitary."""
-        if self.unitary is None:
-            return 0.0
-        u = self.unitary
-        return (u.adjoint() @ u - BlockStack.split(np.eye(u.dim), u.partition)).norm()
 
 
 def displacement(beta: float, fp: FockParams) -> np.ndarray:
@@ -131,66 +110,37 @@ def squeeze(zeta: float, fp: FockParams) -> np.ndarray:
     return out
 
 
-def verify_equivalence(
-    u: np.ndarray,
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    fp: FockParams,
-    identity_name: str = "",
-    params_used: object = None,
-    projector: np.ndarray | None = None,
-) -> TransformReport:
-    """Report | P (U^dag lhs U - rhs) P |_2 / max(1, |rhs|_2) and the unitarity defect.
-
-    rhs must be Hermitian.  P is given by its index set and defaults to the
-    buffer-based interior; callers whose unitary spreads Fock support
-    (squeezes, displacements) pass a tighter one.  U, lhs and rhs are
-    split once, on the components of their joint zero pattern
-    (linalg.BlockStack), and the products, the residual norm and the
-    scale |rhs|_2 are all taken from those blocks; the unitarity defect
-    |U^dag U - 1|_2 is computed when first read.
-    """
-    if u.shape != lhs.shape or lhs.shape != rhs.shape:
-        raise ValidationError(
-            f"shape mismatch: U {u.shape}, lhs {lhs.shape}, rhs {rhs.shape}"
-        )
-    partition = BlockStack.partition_of(u, lhs, rhs)
-    us, lhs_b, rhs_b = (BlockStack.split(m, partition) for m in (u, lhs, rhs))
-    p = interior_projector(fp) if projector is None else projector
-    residual = (us.adjoint() @ lhs_b @ us - rhs_b).norm(p)
-    return TransformReport(
-        identity_name=identity_name,
-        residual=residual / max(1.0, rhs_b.hermitian_norm()),
-        params_used=params_used,
-        fock=fp,
-        unitary=us,
-    )
-
-
-def squeeze_interior_projector(fp: FockParams, zeta: float) -> np.ndarray:
-    """Interior index set safe under a squeeze of angle zeta.
+def squeeze_cut(fp: FockParams, zeta: float) -> int:
+    """Number of leading levels checkable under a squeeze of angle zeta.
 
     A squeeze spreads Fock level n up to about n*exp(2|zeta|), so identity
     checks are only meaningful on levels whose squeezed image stays inside
     the truncation.  The cut is the stricter of N - buffer and
-    0.7 * N * exp(-2|zeta|); see interior_projector for the indices.
+    0.7 * N * exp(-2|zeta|).
     """
     cut = int(0.7 * fp.n_fock * math.exp(-2.0 * abs(zeta)))
-    return _checked_interior(fp, cut, f"squeeze angle {zeta}")
+    return _checked_cut(fp, cut, f"squeeze angle {zeta}")
 
 
-def _checked_interior(fp: FockParams, cut: int, cause: str) -> np.ndarray:
-    """interior_projector at the stricter of cut and N - buffer.
+def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
+    """The stricter of cut and N - buffer.
 
-    Raises TruncationError, naming the cause, below 8 levels.
+    Raises TruncationError below 8 levels, naming the cause, or the
+    buffer where N - buffer is the stricter.
     """
-    cut = min(fp.n_fock - fp.buffer, cut)
+    if fp.n_fock - fp.buffer < cut:
+        cut, cause = fp.n_fock - fp.buffer, f"buffer {fp.buffer}"
     if cut < 8:
         raise TruncationError(
             f"{cause} leaves fewer than 8 checkable levels at "
             f"n_fock={fp.n_fock}; increase the truncation"
         )
-    return interior_projector(fp, cut)
+    return cut
+
+
+def _leading_norm(stack: np.ndarray, cut: int) -> float:
+    """Largest spectral norm of the leading cut x cut blocks of a (k, N, N) stack."""
+    return float(np.linalg.svd(stack[:, :cut, :cut], compute_uv=False).max())
 
 
 def u_a2_with_report(
@@ -199,7 +149,7 @@ def u_a2_with_report(
     check: bool = True,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, TransformReport]:
-    """Squeeze unitary removing the A^2 term, plus its verification report.
+    """Squeeze S removing the A^2 term, plus its verification report.
 
     Conjugation by U = 1 (x) S(zeta), zeta = log(omega_g/omega_b)/2, maps
     H(omega_a, omega_b, g, c) to the plain Rabi Hamiltonian at the
@@ -208,35 +158,27 @@ def u_a2_with_report(
     TransformMismatchError when check is set.
 
     S couples only levels of equal parity, which on one parity chain carry
-    the same spin, so U is S on each chain in the chain's position basis.
-    The check runs on the chain partition (model.parity_order): lhs is the
-    two chains of model.parity_chains, rhs those of model.squeezed_chains,
-    and the scale is the largest linalg.banded_norm of the rhs chains.
-    The returned U is the dense 1 (x) S; report.unitary holds its chains.
+    the same spin, so U is S on each chain in the chain's position basis:
+    the residual is S^T L S - R on the chains L of model.parity_chains and
+    R of model.squeezed_chains, on their leading squeeze_cut levels, and
+    the scale is the largest linalg.banded_norm of the R chains.  The
+    returned unitary is the N x N S.
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
     s = squeeze(zeta, fp)
-    chains = (parity_order(fp).reshape(2, fp.n_fock),)
-    us = BlockStack(chains, (np.stack([s, s]),))
-    lhs = BlockStack(chains, (parity_chains(p, fp).matrices(),))
+    cut = squeeze_cut(fp, zeta)
     rhs = squeezed_chains(p, fp)
-    residual = (us.adjoint() @ lhs @ us - BlockStack(chains, (rhs.matrices(),))).norm(
-        squeeze_interior_projector(fp, zeta)
-    )
+    diff = s.T @ parity_chains(p, fp).matrices() @ s - rhs.matrices()
     rep = TransformReport(
-        identity_name="a2-removal",
-        residual=residual / max(1.0, max(banded_norm(b) for b in rhs.bands)),
-        params_used={"params": p, "zeta": zeta},
-        fock=fp,
-        unitary=us,
+        _leading_norm(diff, cut) / max(1.0, max(banded_norm(b) for b in rhs.bands))
     )
     if check and rep.residual > tol:
         raise TransformMismatchError(
             f"A^2-removal residual {rep.residual:.3e} exceeds {tol:.1e}; "
             f"wrong convention or insufficient truncation (N={fp.n_fock})"
         )
-    return us.dense(), rep
+    return s, rep
 
 
 def u_polaron(beta: float, fp: FockParams) -> np.ndarray:
@@ -264,8 +206,7 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz = (-1)^n on
     chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains_r.  The
     interior is the leading N - buffer positions of each chain, so the
-    residual and |H(r)|_2 are linalg.banded_norm of the chains, O(N).  No
-    unitary is involved, so the unitarity defect is 0.
+    residual and |H(r)|_2 are linalg.banded_norm of the chains, O(N).
     """
     alpha, gamma, kappa = heavy_field_coefficients(s, r)
     n = fp.n_fock
@@ -285,12 +226,7 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     rhs = parity_chains_r(s, r, fp).bands
     diff[:, : rhs.shape[1]] -= rhs
     residual = max(banded_norm(band, n - fp.buffer) for band in diff)
-    return TransformReport(
-        identity_name="field-rewriting",
-        residual=residual / max(1.0, max(banded_norm(band) for band in rhs)),
-        params_used={"schedule": s, "r": r},
-        fock=fp,
-    )
+    return TransformReport(residual / max(1.0, max(banded_norm(band) for band in rhs)))
 
 
 def polaron_equivalence_report(
@@ -312,12 +248,11 @@ def polaron_equivalence_report(
     D h+ D^T and D^T h- D, with h+/- = omega_b(n+1/2) +/- g x + g^2/omega_b,
     and its off-diagonal blocks are -(omega_a/2) D^2 and its transpose,
     those of the rhs.  The residual is the two diagonal blocks less
-    omega_b(n+1/2), a BlockStack on the two spin sectors; only the scale
-    |rhs|_2 is one dense 2N eigensolve.  report.unitary is diag(D^T, D),
-    whose defect differs from that of the dense U by R's rounding only.
+    omega_b(n+1/2), a (2, N, N) stack; only the scale |rhs|_2 is one
+    dense 2N eigensolve.
     """
     beta = g / omega_b
-    projector = _checked_interior(
+    cut = _checked_cut(
         fp,
         fp.n_fock - math.ceil(POLARON_SPREAD * beta * math.sqrt(fp.n_fock)),
         f"displacement amplitude {beta}",
@@ -327,19 +262,10 @@ def polaron_equivalence_report(
     free = omega_b * (ops.n_op + 0.5 * np.eye(fp.n_fock))
     coupling = g * (ops.a + ops.a_dag)
     shift = g**2 / omega_b * np.eye(fp.n_fock)
-    spins = (np.arange(fp.total_dim).reshape(2, fp.n_fock),)
-    u = BlockStack(spins, (np.stack([d.T, d]),))
-    lhs = BlockStack(spins, (np.stack([free + coupling + shift, free - coupling + shift]),))
-    residual = (u.adjoint() @ lhs @ u - BlockStack(spins, (np.stack([free, free]),))).norm(
-        projector
-    )
+    u = np.stack([d.T, d])
+    lhs = np.stack([free + coupling + shift, free - coupling + shift])
+    residual = _leading_norm(u.transpose(0, 2, 1) @ lhs @ u - free, cut)
     off = -(omega_a / 2.0) * (d @ d)
     rhs = np.block([[free, off], [off.T, free]])
-    return TransformReport(
-        identity_name="polaron-frame",
-        residual=residual
-        / max(1.0, BlockStack.split(rhs, (np.arange(fp.total_dim)[None],)).hermitian_norm()),
-        params_used={"omega_a": omega_a, "omega_b": omega_b, "g": g},
-        fock=fp,
-        unitary=u,
-    )
+    scale = BlockStack.split(rhs, (np.arange(fp.total_dim)[None],)).hermitian_norm()
+    return TransformReport(residual / max(1.0, scale))

@@ -50,12 +50,11 @@ def test_sweep_requires_csv_path():
     assert run_command(["sweep", *FAST]) == 1
 
 
-def test_sweep_determinism_across_worker_counts(tmp_path, monkeypatch):
+def test_sweep_csv_is_identical_across_repeat_runs(tmp_path):
     args = ["sweep", "--sweep-points", "9", "--k-levels", "5",
             "--c", "0.2513", *FAST]
-    p1, p2 = tmp_path / "auto.csv", tmp_path / "serial.csv"
+    p1, p2 = tmp_path / "first.csv", tmp_path / "second.csv"
     assert run_command([*args, "--out-csv", str(p1)]) == 0
-    monkeypatch.setenv("SUSYRABI_WORKERS", "1")
     assert run_command([*args, "--out-csv", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -144,6 +143,15 @@ def test_exit_code_numerical_errors(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_truncation_error_names_the_buffer(capsys):
+    # At N = 8 the squeeze rule keeps int(0.7 N) = 5 levels, but N - buffer = 4
+    # is the stricter cut, so the error must blame the buffer.
+    assert run_command(["verify", "--n-fock", "8", "--buffer", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: buffer 4 leaves fewer than 8 checkable levels at n_fock=8")
+    assert "squeeze angle" not in err
 
 
 # The CLI contract: every RunConfig field is a flag of this type.

@@ -18,12 +18,12 @@ from susyrabi.model import (
     ModelParams,
     Schedule,
     broken_supercharges,
-    fields,
     free_supercharges,
     h_interaction,
     h_susy_ss,
     h_total_r,
     hamiltonian,
+    heavy_field,
     heavy_hamiltonian,
     mass_increment,
     renormalized_frequency,
@@ -247,35 +247,36 @@ def test_supercharges_against_wrong_hamiltonian(fp_small):
 
 def test_field_b_r_commutes_with_sx(fp_small):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
-    fs = fields(s, 0.7, fp_small)
+    b_r = heavy_field(s, 0.7, fp_small)
     sx = embed_qubit(make_operators(fp_small).sx, fp_small)
-    np.testing.assert_allclose(fs.b_r @ sx, sx @ fs.b_r, atol=1e-12)
+    np.testing.assert_allclose(b_r @ sx, sx @ b_r, atol=1e-12)
 
 
 def test_field_b_r_reduces_to_bare_mode_at_start(fp_small):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
-    fs = fields(s, 0.0, fp_small)
     a_full = embed_boson(make_operators(fp_small).a, fp_small)
-    np.testing.assert_allclose(fs.b_r, a_full, atol=1e-13)
+    np.testing.assert_allclose(heavy_field(s, 0.0, fp_small), a_full, atol=1e-13)
 
 
 def test_field_commutator_interior(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
-    fs = fields(s, 1.0, fp_mid)
+    b_r = heavy_field(s, 1.0, fp_mid)
     p = interior_projector(fp_mid)
-    comm = fs.b_r @ fs.b_r.conj().T - fs.b_r.conj().T @ fs.b_r
+    comm = b_r @ b_r.T - b_r.T @ b_r
     assert interior_norm(comm - np.eye(fp_mid.total_dim), p) < 1e-10
-    # Canonical pair for the heavy fields, interior-projected.
-    ccr = fs.phi_r @ fs.pi_r - fs.pi_r @ fs.phi_r
+    # Canonical pair for the heavy fields Phi_r and Pi_r, interior-projected.
+    og = s.omega_g(1.0)
+    phi_r = math.sqrt(1.0 / (2.0 * og)) * (b_r + b_r.T)
+    pi_r = -1j * math.sqrt(og / 2.0) * (b_r - b_r.T)
+    ccr = phi_r @ pi_r - pi_r @ phi_r
     assert interior_norm(ccr - 1j * np.eye(fp_mid.total_dim), p) < 1e-10
 
 
 def test_chiral_projectors_algebra(fp_small):
-    s = Schedule(omega=OMEGA, g_max=OMEGA)
-    fs = fields(s, 0.5, fp_small)
+    ops = make_operators(fp_small)
+    d_plus = embed_qubit(-(ops.sz - 1j * ops.sy) / 2.0, fp_small)
+    d_minus = embed_qubit(-(ops.sz + 1j * ops.sy) / 2.0, fp_small)
     eye = np.eye(fp_small.total_dim)
-    np.testing.assert_allclose(
-        fs.d_plus @ fs.d_minus + fs.d_minus @ fs.d_plus, eye, atol=1e-13
-    )
-    assert np.linalg.norm(fs.d_plus @ fs.d_plus, 2) < 1e-13
-    assert np.linalg.norm(fs.d_minus @ fs.d_minus, 2) < 1e-13
+    np.testing.assert_allclose(d_plus @ d_minus + d_minus @ d_plus, eye, atol=1e-13)
+    assert np.linalg.norm(d_plus @ d_plus, 2) < 1e-13
+    assert np.linalg.norm(d_minus @ d_minus, 2) < 1e-13

@@ -25,7 +25,6 @@ from susyrabi.fock import (
 from susyrabi.model import (
     ModelParams,
     Schedule,
-    fields,
     h_total_r,
     hamiltonian,
     heavy_field,
@@ -37,10 +36,9 @@ from susyrabi.transforms import (
     field_identity_report,
     polaron_equivalence_report,
     squeeze,
-    squeeze_interior_projector,
+    squeeze_cut,
     u_a2_with_report,
     u_polaron,
-    verify_equivalence,
 )
 
 OMEGA = 6.2832
@@ -56,6 +54,11 @@ def dense_exp(k):
 def interior_norm(a, idx):
     """|P a P|_2 for the projector P onto the index set idx."""
     return np.linalg.norm(a[np.ix_(idx, idx)], 2)
+
+
+def dense_residual(u, lhs, rhs, idx):
+    """|P (U^dag lhs U - rhs) P|_2 / max(1, |rhs|_2), the check every transform report makes."""
+    return interior_norm(u.conj().T @ lhs @ u - rhs, idx) / max(1.0, np.linalg.norm(rhs, 2))
 
 
 def test_displacement_zero_is_identity(fp_small):
@@ -149,10 +152,8 @@ def test_squeeze_scales_position_quadrature():
     s = squeeze(zeta, fp)
     ops = make_operators(fp)
     x = ops.a + ops.a_dag
-    idx = squeeze_interior_projector(fp, zeta)
-    p = idx[idx < fp.n_fock]
     conj = s.conj().T @ x @ s
-    assert interior_norm(conj - math.exp(-zeta) * x, p) < 1e-7
+    assert interior_norm(conj - math.exp(-zeta) * x, np.arange(squeeze_cut(fp, zeta))) < 1e-7
 
 
 def test_squeeze_angle_guard(fp_small):
@@ -162,38 +163,21 @@ def test_squeeze_angle_guard(fp_small):
 
 def test_squeeze_interior_projector_shrinks_with_angle():
     fp = FockParams(n_fock=256, buffer=64)
-    rank = lambda z: squeeze_interior_projector(fp, z).size
+    rank = lambda z: interior_projector(fp, squeeze_cut(fp, z)).size
     # At zero angle the cut is the plain 0.7*N safety margin.
     assert rank(0.0) == 2 * min(fp.n_fock - fp.buffer, int(0.7 * fp.n_fock))
     assert rank(0.5) < rank(0.0)
     with pytest.raises(TruncationError):
-        squeeze_interior_projector(FockParams(n_fock=8, buffer=0), 2.0)
-
-
-def test_verify_equivalence_identity_and_defect(fp_small):
-    h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_small)
-    rep = verify_equivalence(
-        np.eye(fp_small.total_dim, dtype=complex), h, h, fp_small, "self"
-    )
-    assert rep.residual == pytest.approx(0.0, abs=1e-14)
-    assert rep.unitarity_defect == pytest.approx(0.0, abs=1e-14)
-    assert rep.identity_name == "self"
-
-
-def test_verify_equivalence_shape_check(fp_small):
-    with pytest.raises(ValidationError):
-        verify_equivalence(
-            np.eye(4), np.eye(4), np.eye(6), fp_small
-        )
+        squeeze_cut(FockParams(n_fock=8, buffer=0), 2.0)
 
 
 @pytest.mark.parametrize("c", [0.2513, 0.628, 1.257])
 def test_a2_removal_identity(c):
     fp = FockParams(n_fock=384, buffer=96)
     p = ModelParams(OMEGA, OMEGA, OMEGA, c)
-    u, rep = u_a2_with_report(p, fp)
+    s, rep = u_a2_with_report(p, fp)
     assert rep.residual < 1e-6
-    assert rep.unitarity_defect < 1e-10
+    assert np.linalg.norm(s.T @ s - np.eye(fp.n_fock), 2) < 1e-10
     # The squeeze maps the full model onto the plain Rabi model at the
     # renormalized parameters; their low spectra must agree too.
     omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
@@ -204,39 +188,9 @@ def test_a2_removal_identity(c):
     )
 
 
-def test_verify_equivalence_equals_dense_oracle():
-    # A squeeze (two of four parity blocks nonzero) and a polaron frame (all
-    # four), each against its matched and a mismatched target.
-    fp = FockParams(n_fock=64, buffer=16)
-    c = 0.2513
-    omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
-    zeta = 0.5 * math.log(omega_g / OMEGA)
-    beta = 0.5
-    squeeze_lhs = hamiltonian(ModelParams(OMEGA, OMEGA, OMEGA, c), fp)
-    polaron_lhs = hamiltonian(ModelParams(0.0, OMEGA, beta * OMEGA, 0.0), fp,
-                              shift=beta**2 * OMEGA)
-    cases = [
-        (embed_boson(squeeze(zeta, fp), fp), squeeze_lhs,
-         hamiltonian(ModelParams(OMEGA, omega_g, g_tilde, 0.0), fp),
-         squeeze_interior_projector(fp, zeta)),
-        (u_polaron(beta, fp), polaron_lhs, hamiltonian(ModelParams(0.0, OMEGA), fp), None),
-    ]
-    cases += [(u, lhs, hamiltonian(ModelParams(OMEGA, 2.0 * OMEGA), fp), p)
-              for u, lhs, _, p in cases]
-    for u, lhs, rhs, p in cases:
-        rep = verify_equivalence(u, lhs, rhs, fp, projector=p)
-        kept = interior_projector(fp) if p is None else p
-        want = interior_norm(u.conj().T @ lhs @ u - rhs, kept) / max(
-            1.0, np.linalg.norm(rhs, 2)
-        )
-        assert abs(rep.residual - want) <= 1e-14 * max(1.0, want)
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(fp.total_dim), 2)
-        assert abs(rep.unitarity_defect - defect) <= 1e-14
-
-
 def test_a2_removal_trivial_without_a2_term(fp_mid):
-    u = u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.0), fp_mid)[0]
-    np.testing.assert_allclose(u, np.eye(fp_mid.total_dim), atol=1e-13)
+    s = u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.0), fp_mid)[0]
+    np.testing.assert_allclose(s, np.eye(fp_mid.n_fock), atol=1e-13)
 
 
 def test_a2_removal_detects_wrong_target():
@@ -244,14 +198,11 @@ def test_a2_removal_detects_wrong_target():
     fp = FockParams(n_fock=128, buffer=32)
     p = ModelParams(OMEGA, OMEGA, OMEGA, 0.2513)
     omega_g, g_tilde = renormalized_frequency(OMEGA, p.c, p.g)
-    u = u_a2_with_report(p, fp, check=False)[0]
+    u = embed_boson(u_a2_with_report(p, fp, check=False)[0], fp)
     lhs = hamiltonian(p, fp)
     wrong = hamiltonian(ModelParams(OMEGA, 2.0 * omega_g, g_tilde, 0.0), fp)
     zeta = 0.5 * math.log(omega_g / OMEGA)
-    rep = verify_equivalence(
-        u, lhs, wrong, fp, projector=squeeze_interior_projector(fp, zeta)
-    )
-    assert rep.residual > 0.05
+    assert dense_residual(u, lhs, wrong, interior_projector(fp, squeeze_cut(fp, zeta))) > 0.05
 
 
 def test_a2_removal_raises_on_mismatch(fp_mid):
@@ -272,9 +223,7 @@ def test_negated_generator_is_the_adjoint(fp_mid):
 
 
 def test_polaron_equivalence(fp_default):
-    rep = polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp_default)
-    assert rep.residual < 1e-7
-    assert rep.unitarity_defect < 1e-10
+    assert polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp_default).residual < 1e-7
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -300,8 +249,7 @@ def test_polaron_diagonalizes_coupling_at_zero_splitting(fp_mid):
         g**2 / OMEGA
     ) * np.eye(fp_mid.total_dim)
     rhs = hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp_mid)
-    rep = verify_equivalence(u, lhs, rhs, fp_mid)
-    assert rep.residual < 1e-9
+    assert dense_residual(u, lhs, rhs, interior_projector(fp_mid)) < 1e-9
 
 
 def test_polaron_frame_ground_state(fp_mid):
@@ -324,42 +272,26 @@ def test_field_identity_across_r():
             assert rep.residual < 1e-8, (c, r)
 
 
-def test_field_identity_matches_fields_lhs():
-    # field_identity_report builds only B_r; the residual must be the one
-    # of the full FieldSet lhs, to 1e-14 absolute (fixed in advance).
-    fp = FockParams(n_fock=128, buffer=32)
-    p = interior_projector(fp)
-    for c in (0.0, 0.2513, 1.257):
-        s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
-        for r in (0.0, 0.5, 1.0):
-            fs = fields(s, r, fp)
-            lhs = s.omega_g(r) * (fs.b_r.conj().T @ fs.b_r + 0.5 * np.eye(fp.total_dim)) - (
-                s.omega_a(r) / 2.0
-            ) * (fs.d_minus + fs.d_plus)
-            rhs = h_total_r(s, r, fp)
-            want = interior_norm(lhs - rhs, p) / max(1.0, np.linalg.norm(rhs, 2))
-            assert abs(field_identity_report(s, r, fp).residual - want) <= 1e-14, (c, r)
-
-
-# The structured checks against their dense oracles: verify_equivalence on
-# the 2N x 2N operands for the squeeze and the polaron frame, numpy's norms
-# for the field rewriting.  Tolerances fixed in advance: 1e-14 * max(1, want)
-# absolute where the identity holds, 1e-12 relative where it is made to
-# fail, and 1e-14 absolute for the unitarity defect.
+# The structured checks against their dense oracles: dense_residual on the
+# 2N x 2N operands for the squeeze and the polaron frame, numpy's norms for
+# the field rewriting.  Tolerances fixed in advance: 1e-14 * max(1, want)
+# absolute where the identity holds and 1e-12 relative where it is made to
+# fail.
 STRUCTURED_N = (32, 64, 128)
 STRUCTURED_C = (0.0, 0.2513, 1.257)
 MISMATCH_RTOL = 1e-12
 
 
-def dense_a2_report(p, fp, target):
+def dense_a2_residual(p, fp, target):
+    """S(zeta) and the dense A^2-removal residual against the target parameters."""
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
-    u = embed_boson(squeeze(zeta, fp), fp)
-    return u, verify_equivalence(u, hamiltonian(p, fp), hamiltonian(target, fp), fp,
-                                 projector=squeeze_interior_projector(fp, zeta))
+    idx = interior_projector(fp, squeeze_cut(fp, zeta))
+    s = squeeze(zeta, fp)
+    return s, dense_residual(embed_boson(s, fp), hamiltonian(p, fp), hamiltonian(target, fp), idx)
 
 
-def dense_polaron_report(omega_a, g, fp):
+def dense_polaron_residual(omega_a, g, fp):
     beta = g / OMEGA
     cut = min(fp.n_fock - fp.buffer,
               fp.n_fock - math.ceil(transforms.POLARON_SPREAD * beta * math.sqrt(fp.n_fock)))
@@ -369,8 +301,7 @@ def dense_polaron_report(omega_a, g, fp):
     lhs = hamiltonian(ModelParams(omega_a, OMEGA, g, 0.0), fp, shift=g**2 / OMEGA)
     rhs = hamiltonian(ModelParams(0.0, OMEGA), fp) - (omega_a / 2.0) * (
         kron(ops.s_plus, d2) + kron(ops.s_minus, d2.T))
-    u = u_polaron(beta, fp)
-    return u, verify_equivalence(u, lhs, rhs, fp, projector=interior_projector(fp, cut))
+    return dense_residual(u_polaron(beta, fp), lhs, rhs, interior_projector(fp, cut))
 
 
 def dense_field_residual(s, r, fp, rhs):
@@ -389,10 +320,6 @@ def assert_mismatch_matches(got, want):
     assert abs(got - want) <= MISMATCH_RTOL * want, (got, want)
 
 
-def unitarity_defect(u):
-    return np.linalg.norm(u.T @ u - np.eye(u.shape[0]), 2)
-
-
 @pytest.mark.parametrize("n", STRUCTURED_N)
 @pytest.mark.parametrize("c", STRUCTURED_C)
 def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch):
@@ -400,39 +327,46 @@ def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch):
     p = ModelParams(OMEGA, OMEGA, OMEGA, c)
     omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
     try:
-        dense_u, want = dense_a2_report(p, fp, ModelParams(OMEGA, omega_g, g_tilde, 0.0))
+        dense_s, want = dense_a2_residual(p, fp, ModelParams(OMEGA, omega_g, g_tilde, 0.0))
     except TruncationError:
         # C = 1.257 below N = 128: the squeeze leaves fewer than 8 levels.
         with pytest.raises(TruncationError):
             u_a2_with_report(p, fp, check=False)
         return
-    u, rep = u_a2_with_report(p, fp, check=False)
-    np.testing.assert_array_equal(u, dense_u)
-    assert_matches(rep.residual, want.residual)
-    assert abs(rep.unitarity_defect - unitarity_defect(dense_u)) <= 1e-14
+    s, rep = u_a2_with_report(p, fp, check=False)
+    np.testing.assert_array_equal(s, dense_s)
+    assert_matches(rep.residual, want)
     # A target at 1.01 omega_g, in the rhs chains and in the dense rhs alike.
     wrong = ModelParams(OMEGA, 1.01 * omega_g, g_tilde, 0.0)
     monkeypatch.setattr(transforms, "squeezed_chains", lambda p, fp: parity_chains(wrong, fp))
-    _, want = dense_a2_report(p, fp, wrong)
-    assert_mismatch_matches(u_a2_with_report(p, fp, check=False)[1].residual, want.residual)
+    _, want = dense_a2_residual(p, fp, wrong)
+    assert_mismatch_matches(u_a2_with_report(p, fp, check=False)[1].residual, want)
+
+
+# At omega_a = omega/2 the off-diagonal blocks of the polaron rhs, and so its
+# scale, differ from those at omega_a = omega_b.  The omega_a = omega cases are
+# named by beta alone.
+POLARON_CASES = [
+    pytest.param(beta, omega_a, id=str(beta) if omega_a == OMEGA else f"{beta}-omega_a={omega_a}")
+    for omega_a in (OMEGA, 0.5 * OMEGA)
+    for beta in (0.25, 0.5, 1.0)
+]
 
 
 @pytest.mark.parametrize("n", STRUCTURED_N)
-@pytest.mark.parametrize("beta", (0.25, 0.5, 1.0))
-def test_structured_polaron_frame_equals_dense_oracle(n, beta, monkeypatch):
+@pytest.mark.parametrize("beta, omega_a", POLARON_CASES)
+def test_structured_polaron_frame_equals_dense_oracle(n, beta, omega_a, monkeypatch):
     # The polaron frame is the c = 0 check, so beta = g/omega takes the place of C.
     fp = FockParams(n_fock=n, buffer=n // 4)
     g = beta * OMEGA
-    rep = polaron_equivalence_report(OMEGA, OMEGA, g, fp)
-    dense_u, want = dense_polaron_report(OMEGA, g, fp)
-    assert_matches(rep.residual, want.residual)
-    assert abs(rep.unitarity_defect - unitarity_defect(dense_u)) <= 1e-14
+    rep = polaron_equivalence_report(omega_a, OMEGA, g, fp)
+    assert_matches(rep.residual, dense_polaron_residual(omega_a, g, fp))
     # D(1.01 beta) in place of D(beta), in the structured and the dense frame alike.
     exact = transforms.displacement
     monkeypatch.setattr(transforms, "displacement", lambda b, fp: exact(1.01 * b, fp))
-    _, want = dense_polaron_report(OMEGA, g, fp)
-    got = polaron_equivalence_report(OMEGA, OMEGA, g, fp).residual
-    assert_mismatch_matches(got, want.residual)
+    want = dense_polaron_residual(omega_a, g, fp)
+    got = polaron_equivalence_report(omega_a, OMEGA, g, fp).residual
+    assert_mismatch_matches(got, want)
 
 
 @pytest.mark.parametrize("n", STRUCTURED_N)
@@ -440,7 +374,7 @@ def test_structured_polaron_frame_equals_dense_oracle(n, beta, monkeypatch):
 def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
     fp = FockParams(n_fock=n, buffer=n // 4)
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
-    for r in (0.5, 1.0):
+    for r in (0.0, 0.5, 1.0):
         want = dense_field_residual(s, r, fp, h_total_r(s, r, fp))
         assert_matches(field_identity_report(s, r, fp).residual, want)
     # H(r) at 1.01 omega_b, in the rhs chains and in the dense rhs alike.
