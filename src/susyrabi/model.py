@@ -299,6 +299,11 @@ class SuperchargeSet:
     """Hermitian charges q1, q2, nilpotent q+/- = (q1 +/- i q2)/sqrt(2), grading -sz.
 
     Every array is float64 except q2, which is i times a real matrix.
+    Each charge flips the qubit, and pairs holds the spin-flip pairs it
+    acts within: an (N, 2) array of basis indices, one pair per row, each
+    up-spin index of the 2N basis in exactly one row and each down-spin
+    index too.  Every charge, the grading and the Hamiltonian the charges
+    belong to have no entry outside these 2 x 2 blocks.
     """
 
     q1: np.ndarray
@@ -306,14 +311,24 @@ class SuperchargeSet:
     q_plus: np.ndarray
     q_minus: np.ndarray
     grading: np.ndarray
+    pairs: np.ndarray
     variant: str  # "free" | "broken"
+
+
+def _spin_flip_pairs(fp: FockParams, lag: int) -> np.ndarray:
+    """The rows ((n - lag) mod N, N + n): |up, n - lag> beside |down, n>."""
+    n = np.arange(fp.n_fock)
+    return np.stack([(n - lag) % fp.n_fock, fp.n_fock + n], axis=1)
 
 
 def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
     """Charges of the unbroken N=2 SUSY of H(omega, omega, 0, 0).
 
     q1 = sqrt(omega/2)(s+ a + s- a_dag), q2 = i sqrt(omega/2)(s- a_dag - s+ a);
-    q+ = sqrt(omega) s+ a, q- = sqrt(omega) s- a_dag.
+    q+ = sqrt(omega) s+ a, q- = sqrt(omega) s- a_dag.  They move the boson
+    by one level, so the pairs are (|up, n-1>, |down, n>); the two states
+    no charge reaches, |down, 0> and |up, N-1>, share row 0 with no
+    coupling between them.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
@@ -329,6 +344,7 @@ def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
         q_plus=(q1 - q2_over_i) / math.sqrt(2.0),
         q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
         grading=embed_qubit(-ops.sz, fp),
+        pairs=_spin_flip_pairs(fp, lag=1),
         variant="free",
     )
 
@@ -338,7 +354,8 @@ def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
 
     Q1 = sqrt(omega/2) sx sqrt(n+1/2), Q2 with sy;
     Q+/- = s+/- sqrt(omega (n+1/2)).  The operator square root is taken
-    entrywise on the diagonal of n+1/2 (exact in the Fock basis).
+    entrywise on the diagonal of n+1/2 (exact in the Fock basis).  They
+    leave the boson where it is, so the pairs are (|up, n>, |down, n>).
     """
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
@@ -354,6 +371,7 @@ def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
         q_plus=(q1 - q2_over_i) / math.sqrt(2.0),
         q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
         grading=embed_qubit(-ops.sz, fp),
+        pairs=_spin_flip_pairs(fp, lag=0),
         variant="broken",
     )
 

@@ -12,14 +12,13 @@ parity chains of the truncated H (model.parity_chains, pentadiagonal
 with an A^2 term) and the dense 2N x 2N builders stay as the reference
 oracles (hermitian_eigs solves the latter per parity sector, as dense
 blocks of their zero pattern); the dense builders also serve the checks
-that need operator products: the algebra reports.  Each report splits
-H, the charges and the grading once on the components of their joint
-zero pattern (linalg.BlockStack): every charge couples each boson level to
-a single partner, so the blocks are 2 x 2 pairs and singletons and
-every product is a batched 2 x 2 one, O(N) in all.  Residuals are
-measured on the interior index set of fock.interior_projector, straight
-from the blocks.  The Hamiltonians that verify checks are diagonal, so the
-eigensolve that finds their ground states and scale is O(N).
+that need operator products: the algebra reports.  Every charge flips
+the qubit within fixed 2 x 2 spin-flip pairs (model.SuperchargeSet.pairs),
+and H and the grading act within the same pairs, so each report gathers
+its operands on those pairs once and every product is a batched 2 x 2
+one, O(N) in all.  Residuals are measured on the interior index set of
+fock.interior_projector, straight from the blocks, and one batched eigh
+of the 2 x 2 blocks of H gives its ground states and scale.
 
 Sweep grid points are evaluated serially in grid order.
 """
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, basis_state, interior_projector
-from .linalg import BlockStack, banded_eigh, banded_lowest, hermitian_eigs
+from .linalg import banded_eigh, banded_lowest, hermitian_eigs
 from .model import (
     ModelParams,
     ParityChains,
@@ -418,45 +417,68 @@ class AlgebraReport:
     passed: bool
 
 
-def _scale_and_vacuum_norms(
-    h: np.ndarray, charges: SuperchargeSet
-) -> tuple[float, tuple[float, ...]]:
-    """max(1, |H|_2) and, per ground state v of h, sqrt(|q+ v|^2 + |q- v|^2).
-
-    A function of its own so that the eigenvectors are freed before the
-    algebra report forms its products.
-    """
-    ed = hermitian_eigs(h)
-    start, size = degeneracy_groups(ed.values, DEGENERACY_TOL)[0]
-    vac_norms = tuple(
-        float(
-            math.sqrt(
-                np.linalg.norm(charges.q_plus @ v) ** 2
-                + np.linalg.norm(charges.q_minus @ v) ** 2
-            )
-        )
-        for v in ed.vectors[:, start : start + size].T
-    )
-    return max(1.0, float(np.max(np.abs(ed.values)))), vac_norms
-
-
 def susy_algebra_report(
     h: np.ndarray,
     charges: SuperchargeSet,
     fp: FockParams,
     tol_algebra: float = 1e-10,
 ) -> AlgebraReport:
-    """Measure every defining identity of the N=2 algebra against h."""
-    if h.shape != charges.q1.shape:
-        raise ValidationError(f"shape mismatch: H {h.shape}, charges {charges.q1.shape}")
-    p = interior_projector(fp)
-    scale, vac_norms = _scale_and_vacuum_norms(h, charges)
-    ops = (h, charges.q1, charges.q2, charges.grading, charges.q_plus, charges.q_minus)
-    partition = BlockStack.partition_of(*ops)
-    hs, q1, q2, gr, q_plus, q_minus = (BlockStack.split(m, partition) for m in ops)
+    """Measure every defining identity of the N=2 algebra against h.
 
-    def rel(m: BlockStack) -> float:
-        return m.norm(p) / scale
+    h, the charges and the grading are gathered on charges.pairs into
+    (N, 2, 2) stacks, and every product is a batched 2 x 2 one.  An
+    operand with a nonzero entry outside the pairs is a ValidationError,
+    since the gather would drop it.  One batched eigh of the h stack
+    gives the scale max(1, |H|_2) and the ground states, each on its own
+    pair.  A residual is the largest singular value of its blocks with
+    the rows and columns outside fock.interior_projector zeroed.
+    """
+    if not h.shape == charges.q1.shape == (fp.total_dim, fp.total_dim):
+        raise ValidationError(
+            f"shape mismatch: H {h.shape}, charges {charges.q1.shape}, "
+            f"n_fock {fp.n_fock}"
+        )
+    idx = charges.pairs
+    ops = {
+        "H": h,
+        "q1": charges.q1,
+        "q2": charges.q2,
+        "grading": charges.grading,
+        "q+": charges.q_plus,
+        "q-": charges.q_minus,
+    }
+    stacks = []
+    for name, m in ops.items():
+        stack = m[idx[:, :, None], idx[:, None, :]]
+        if np.count_nonzero(stack) != np.count_nonzero(m):
+            raise ValidationError(
+                f"{name} has entries outside the {charges.variant} charges' spin-flip pairs"
+            )
+        stacks.append(stack)
+    hs, q1, q2, gr, q_plus, q_minus = stacks
+
+    values, vectors = np.linalg.eigh(hs)
+    values = values.ravel()
+    order = np.argsort(values, kind="stable")
+    scale = max(1.0, float(np.max(np.abs(values))))
+    start, size = degeneracy_groups(values[order], DEGENERACY_TOL)[0]
+    vac_norms = tuple(
+        float(
+            math.sqrt(
+                np.linalg.norm(q_plus[j] @ vectors[j, :, i]) ** 2
+                + np.linalg.norm(q_minus[j] @ vectors[j, :, i]) ** 2
+            )
+        )
+        for j, i in zip(*np.divmod(order[start : start + size], 2))
+    )
+
+    inside = np.zeros(fp.total_dim, dtype=bool)
+    inside[interior_projector(fp)] = True
+    keep = inside[idx]
+    mask = keep[:, :, None] & keep[:, None, :]
+
+    def rel(m: np.ndarray) -> float:
+        return float(np.linalg.svd(m * mask, compute_uv=False).max()) / scale
 
     q = {"1": q1, "2": q2}
     anti = {

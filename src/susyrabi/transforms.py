@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import TransformMismatchError, TruncationError, ValidationError
 from .fock import FockParams, I2, kron, make_operators
-from .linalg import BlockStack, banded_norm, skew_tridiagonal_exp
+from .linalg import banded_norm, hermitian_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     Schedule,
@@ -206,8 +206,10 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz = (-1)^n on
     chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains_r.  The
     interior is the leading N - buffer positions of each chain, so the
-    residual and |H(r)|_2 are linalg.banded_norm of the chains, O(N).
+    residual and |H(r)|_2 are linalg.banded_norm of the chains, O(N);
+    TruncationError below 8 levels, as for the other two checks.
     """
+    cut = _checked_cut(fp, fp.n_fock, "the truncation")
     alpha, gamma, kappa = heavy_field_coefficients(s, r)
     n = fp.n_fock
     # M[j, j+1] = up[j], M[j+1, j] = low[j], M[j, j] = kappa.
@@ -225,7 +227,7 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     diff[1, 0] -= spin
     rhs = parity_chains_r(s, r, fp).bands
     diff[:, : rhs.shape[1]] -= rhs
-    residual = max(banded_norm(band, n - fp.buffer) for band in diff)
+    residual = max(banded_norm(band, cut) for band in diff)
     return TransformReport(residual / max(1.0, max(banded_norm(band) for band in rhs)))
 
 
@@ -267,5 +269,5 @@ def polaron_equivalence_report(
     residual = _leading_norm(u.transpose(0, 2, 1) @ lhs @ u - free, cut)
     off = -(omega_a / 2.0) * (d @ d)
     rhs = np.block([[free, off], [off.T, free]])
-    scale = BlockStack.split(rhs, (np.arange(fp.total_dim)[None],)).hermitian_norm()
+    scale = hermitian_norm(rhs)
     return TransformReport(residual / max(1.0, scale))

@@ -1,14 +1,16 @@
-"""Dense linear-algebra substrate: kron, eigensolver, block norms."""
+"""Dense linear-algebra substrate: kron, eigensolver, Hermitian norm."""
 
 import numpy as np
 import pytest
 
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
-    BlockStack,
     EigenDecomposition,
+    _components,
+    _gather,
     banded_eigh,
     hermitian_eigs,
+    hermitian_norm,
     kron,
 )
 
@@ -87,85 +89,44 @@ def test_eigs_warns_and_symmetrizes_on_asymmetry():
     np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(sym))
 
 
-def split_own(a):
-    """a as a BlockStack on its own zero pattern."""
-    return BlockStack.split(a, BlockStack.partition_of(a))
-
-
 def test_spectral_norm_diag():
-    assert split_own(np.diag([1.0, -5.0, 2.0]).astype(complex)).norm() == pytest.approx(5.0)
+    assert hermitian_norm(np.diag([1.0, -5.0, 2.0]).astype(complex)) == pytest.approx(5.0)
+    assert hermitian_norm(np.zeros((0, 0))) == 0.0
+    with pytest.raises(DimensionError):
+        hermitian_norm(np.ones((2, 3)))
+    with pytest.raises(ContractViolationError):
+        hermitian_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_principal_blocks_follow_zero_pattern():
     # Components {0, 2} (joined by one off-diagonal entry) and {1}; index 3
-    # is a zero singleton and is a component of its own.
+    # has no entry off the diagonal and is a component of its own.
+    nz = np.eye(4, dtype=bool)
+    nz[2, 0] = True
+    singles, pairs = _components(nz)
+    np.testing.assert_array_equal(singles, [[1], [3]])
+    np.testing.assert_array_equal(pairs, [[0, 2]])
+    assert [idx.tolist() for idx in _components(np.eye(3, dtype=bool))] == [[[0], [1], [2]]]
+    assert _components(np.zeros((0, 0), dtype=bool)) == ()
+    # Kept on the two halves of a permutation only, a pattern splits into them.
+    sectors = np.zeros((4, 4), dtype=bool)
+    for half in np.split(np.array([2, 0, 3, 1]), 2):
+        sectors[np.ix_(half, half)] = True
+    (halves,) = _components(sectors)
+    np.testing.assert_array_equal(halves, [[0, 2], [1, 3]])
+    # A pattern without a false entry is one component, gathered as a view.
+    dense = np.ones((3, 3), dtype=complex)
+    (whole,) = _components(dense != 0)
+    np.testing.assert_array_equal(whole, [[0, 1, 2]])
+    assert _gather(dense, whole).shape == (1, 3, 3)
+    assert np.shares_memory(_gather(dense, whole), dense)
     a = np.zeros((4, 4), dtype=complex)
     a[2, 0] = 2.0j
     a[1, 1] = 3.0
-    x = split_own(a)
-    singles, pairs = x.partition
-    np.testing.assert_array_equal(singles, [[1], [3]])
-    np.testing.assert_array_equal(x.blocks[0], [[[3.0]], [[0.0]]])
-    np.testing.assert_array_equal(pairs, [[0, 2]])
-    np.testing.assert_array_equal(x.blocks[1], [[[0.0, 0.0], [2.0j, 0.0]]])
-    zeros = BlockStack.partition_of(np.zeros((3, 3), dtype=complex))
-    assert [idx.tolist() for idx in zeros] == [[[0], [1], [2]]]
-    dense = np.ones((3, 3), dtype=complex)
-    whole = split_own(dense)
-    ((idx,),) = whole.partition
-    np.testing.assert_array_equal(idx, [0, 1, 2])
-    assert whole.blocks[0].shape == (1, 3, 3) and np.shares_memory(whole.blocks[0], dense)
-    assert x.norm() == pytest.approx(3.0)
-
-
-def test_block_stack_partition_and_shape_checks():
-    a = np.arange(16.0).reshape(4, 4) + 0j
-    order = np.array([2, 0, 3, 1])
-    # A matrix without a zero entry is one block, a view of itself.
-    (whole,) = BlockStack.partition_of(a)
-    np.testing.assert_array_equal(whole, [[0, 1, 2, 3]])
-    np.testing.assert_array_equal(BlockStack.split(a, (whole,)).dense(), a)
-    # Kept on the two halves of order only, it splits into those halves.
-    sectors = np.zeros((4, 4), dtype=bool)
-    for half in np.split(order, 2):
-        sectors[np.ix_(half, half)] = True
-    (pairs,) = BlockStack.partition_of(a * sectors)
-    np.testing.assert_array_equal(pairs, [[0, 2], [1, 3]])
-    x = BlockStack.split(a * sectors, (pairs,))
-    np.testing.assert_array_equal(x.blocks[0][0], a[np.ix_([0, 2], [0, 2])])
-    np.testing.assert_array_equal(x.dense(), a * sectors)
-    # Every index is covered, one with no nonzero entry as its own block.
-    (singles,) = BlockStack.partition_of(np.diag([1.0, 2.0, 3.0, 4.0]), np.zeros((4, 4)))
-    np.testing.assert_array_equal(singles, [[0], [1], [2], [3]])
-    assert [idx.tolist() for idx in BlockStack.partition_of(np.zeros((2, 2)))] == [[[0], [1]]]
-    with pytest.raises(DimensionError):
-        BlockStack.split(a, (np.arange(6)[None],))
-    with pytest.raises(DimensionError):
-        BlockStack.partition_of(np.eye(3), np.eye(4))
-    with pytest.raises(DimensionError):
-        BlockStack.partition_of(np.ones((2, 3)))
-
-
-def test_projected_norm_basics():
-    a = split_own(np.diag([1.0, 5.0]).astype(complex))
-    assert a.norm(np.arange(2)) == pytest.approx(5.0)
-    assert a.norm(np.array([0])) == pytest.approx(1.0)
-    assert a.norm(np.array([], dtype=int)) == pytest.approx(0.0)
-
-
-def test_projected_norm_rejects_non_projector():
-    # An interior is a set of distinct basis indices inside the matrix.
-    malformed = [
-        np.array([0.0, 1.0]),  # not integer
-        np.array([True, False]),  # a mask, not an index set
-        np.array([[0, 1]]),  # not 1-D
-        np.array([0, 2]),  # past the end
-        np.array([-1, 0]),  # negative
-        np.array([1, 1]),  # duplicate
-    ]
-    for idx in malformed:
-        with pytest.raises(ContractViolationError):
-            split_own(np.eye(2)).norm(idx)
+    np.testing.assert_array_equal(_gather(a, pairs), [[[0.0, 0.0], [2.0j, 0.0]]])
+    np.testing.assert_allclose(
+        hermitian_eigs(a + a.conj().T).values, np.linalg.eigvalsh(a + a.conj().T), atol=1e-14
+    )
 
 
 def test_banded_eigh_matches_dense():

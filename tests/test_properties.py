@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
-from susyrabi.fock import FockParams, interior_projector
+from susyrabi.fock import FockParams
 from susyrabi.linalg import (
-    BlockStack,
+    _components,
     banded_norm,
     hermitian_eigs,
+    hermitian_norm,
     kron,
     skew_tridiagonal_exp,
 )
@@ -276,32 +277,6 @@ def test_banded_norm_equals_dense_leading_block_norm(rows, n, data):
     assert abs(banded_norm(band) - want) <= BANDED_NORM_RTOL * max(1.0, want)
 
 
-# A BlockStack on the parity chains, whose rows are in chain order rather
-# than ascending, against numpy on the dense matrix.  The tolerance is
-# fixed in advance: 1e-12 relative to max(1, the dense norm).
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=8, max_value=20), st.data())
-def test_block_stack_on_chain_partition_equals_dense(n, data):
-    fp = FockParams(n_fock=n, buffer=n // 4)
-    m = data.draw(arrays(np.float64, (2, n, n), elements=reals))
-    blocks = m + m.transpose(0, 2, 1)
-    chains = parity_order(fp).reshape(2, n)
-    want = np.zeros((2 * n, 2 * n))
-    for idx, block in zip(chains, blocks):
-        want[np.ix_(idx, idx)] = block
-    bs = BlockStack((chains,), (blocks,))
-    np.testing.assert_array_equal(bs.dense(), want)
-    full = np.linalg.norm(want, 2)
-    assert abs(bs.hermitian_norm() - full) <= BANDED_NORM_RTOL * max(1.0, full)
-    subset = np.array(
-        data.draw(st.lists(st.integers(min_value=0, max_value=2 * n - 1), unique=True)),
-        dtype=int,
-    )
-    for idx in (interior_projector(fp), subset):
-        expect = dense_interior_norm(want, idx)
-        assert abs(bs.norm(idx) - expect) <= BANDED_NORM_RTOL * max(1.0, expect)
-
-
 # Squeezed chains at the truncation required_n_fock sizes against the
 # pentadiagonal chains at eight times that truncation.  The tolerance is
 # fixed in advance: 1e-11 relative to max(1, |E|); the largest deviation
@@ -338,35 +313,6 @@ NORM_RTOL = 1e-12
 WITTEN_ATOL = 1e-10
 
 
-def split_own(a):
-    """a as a BlockStack on its own zero pattern."""
-    return BlockStack.split(a, BlockStack.partition_of(a))
-
-
-def dense_interior_norm(a, idx):
-    """|P a P|_2 for the projector P onto idx, from numpy's dense norm."""
-    return np.linalg.norm(a[np.ix_(idx, idx)], 2) if idx.size else 0.0
-
-
-@st.composite
-def complex_with_index_set(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    re = draw(arrays(np.float64, (n, n), elements=reals))
-    im = draw(arrays(np.float64, (n, n), elements=reals))
-    idx = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
-    return re + 1j * im, np.array(idx, dtype=int)
-
-
-@settings(max_examples=60, deadline=None)
-@given(complex_with_index_set())
-def test_projected_norm_equals_dense_projector(case):
-    a, idx = case
-    p = np.zeros(a.shape)
-    p[idx, idx] = 1.0
-    want = np.linalg.norm(p @ a @ p, 2)
-    assert abs(split_own(a).norm(idx) - want) <= NORM_RTOL * max(1.0, want)
-
-
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (7, 7), elements=reals),
        arrays(np.float64, (7, 7), elements=reals))
@@ -374,16 +320,16 @@ def test_hermitian_norm_equals_svd_norm(re, im):
     m = re + 1j * im
     h = m + m.conj().T
     want = np.linalg.norm(h, 2)
-    assert abs(split_own(h).hermitian_norm() - want) <= NORM_RTOL * max(1.0, want)
+    assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
     anti = m - m.conj().T
     if np.max(np.abs(anti)) > 1e-6:
         with pytest.raises(ContractViolationError):
-            split_own(h + 1e-3 * anti).hermitian_norm()
+            hermitian_norm(h + 1e-3 * anti)
 
 
-# Block-by-block norms against the dense SVD norm.  The tolerance is fixed
-# in advance: 1e-12 relative to the dense norm, and exactly 0 for a zero
-# matrix.
+# Hermitian norms of block-diagonal matrices against the dense SVD norm.
+# The tolerance is fixed in advance: 1e-12 relative to the dense norm, and
+# exactly 0 for a zero matrix.
 BLOCK_RTOL = 1e-12
 
 
@@ -417,17 +363,10 @@ def permuted_block_diagonal(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(permuted_block_diagonal(), st.data())
-def test_block_norms_equal_dense_norm(a, data):
-    assert_same_norm(split_own(a).norm(), np.linalg.norm(a, 2))
+@given(permuted_block_diagonal())
+def test_block_norms_equal_dense_norm(a):
     h = a + a.conj().T
-    assert_same_norm(split_own(h).hermitian_norm(), np.linalg.norm(h, 2))
-    n = a.shape[0]
-    idx = np.array(
-        data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)),
-        dtype=int,
-    )
-    assert_same_norm(split_own(a).norm(idx), dense_interior_norm(a, idx))
+    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
 
 
 @pytest.mark.parametrize("a", [
@@ -437,11 +376,8 @@ def test_block_norms_equal_dense_norm(a, data):
     np.array([[0.0, 0.3 - 2.0j], [0.0, 0.0]]),
 ])
 def test_block_norms_on_special_matrices(a):
-    assert_same_norm(split_own(a).norm(), np.linalg.norm(a, 2))
     h = a + a.conj().T
-    assert_same_norm(split_own(h).hermitian_norm(), np.linalg.norm(h, 2))
-    idx = np.arange(a.shape[0])[::2]
-    assert_same_norm(split_own(a).norm(idx), dense_interior_norm(a, idx))
+    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
 
 
 witten_cases = st.tuples(
@@ -515,67 +451,17 @@ def test_block_hermitian_eigs_match_dense(a):
     assert np.linalg.norm(ed.vectors.conj().T @ ed.vectors - np.eye(n), 2) <= EIG_TOL
 
 
-# Sector products against dense ones.  The tolerance is fixed in advance:
-# 1e-12 relative to max(1, |x|_2 |y|_2), entrywise; a dropped nonzero
-# block shows as an O(1) error.
-SECTOR_RTOL = 1e-12
-
-
-@st.composite
-def sector_operators(draw):
-    """Two 2n x 2n complex operators, split into sectors by a random basis order.
-
-    Each of the eight n x n sector blocks is, independently, exactly zero,
-    a random block with a random share of exact zeros, or a dense random
-    block, so every parity mix occurs, including all four blocks nonzero.
-    """
-    n = draw(st.integers(min_value=1, max_value=6))
-    order = np.array(draw(st.permutations(range(2 * n))))
-    ops = []
-    for _ in range(2):
-        grid = [[None, None], [None, None]]
-        for s in range(2):
-            for t in range(2):
-                kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
-                re = draw(arrays(np.float64, (n, n), elements=reals))
-                im = draw(arrays(np.float64, (n, n), elements=reals))
-                keep = draw(arrays(np.bool_, (n, n))) if kind == "sparse" else kind == "dense"
-                grid[s][t] = (re + 1j * im) * keep
-        a = np.empty((2 * n, 2 * n), dtype=complex)
-        a[np.ix_(order, order)] = np.block(grid)
-        ops.append(a)
-    return ops[0], ops[1]
-
-
-@settings(max_examples=80, deadline=None)
-@given(sector_operators())
-def test_sector_products_equal_dense(case):
-    x, y = case
-    partition = BlockStack.partition_of(x, y)
-    xs, ys = BlockStack.split(x, partition), BlockStack.split(y, partition)
-    np.testing.assert_array_equal(xs.dense(), x)
-    tol = SECTOR_RTOL * max(1.0, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
-    np.testing.assert_allclose((xs @ ys).dense(), x @ y, rtol=0, atol=tol)
-    np.testing.assert_allclose(
-        (2.0 * (xs @ ys) - ys @ BlockStack.split(x.conj().T, partition) + xs).dense(),
-        2.0 * (x @ y) - y @ x.conj().T + x,
-        rtol=0, atol=tol + SECTOR_RTOL * np.linalg.norm(x, 2),
-    )
-
-
 # Real input stays real.  The tolerance is fixed in advance: 1e-12
 # relative to max(1, the complex call's value) for norms and eigenvalues.
 REAL_RTOL = 1e-12
 
 
 @st.composite
-def real_with_index_set(draw):
-    """A real n x n matrix with a random share of exact zeros, and an index set."""
+def real_with_zeros(draw):
+    """A real n x n matrix with a random share of exact zeros."""
     n = draw(st.integers(min_value=1, max_value=12))
     a = draw(arrays(np.float64, (n, n), elements=reals))
-    keep = draw(arrays(np.bool_, (n, n)))
-    idx = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
-    return a * keep, np.array(idx, dtype=int)
+    return a * draw(arrays(np.bool_, (n, n)))
 
 
 def tiny_entries_beside_unit_ones():
@@ -583,21 +469,16 @@ def tiny_entries_beside_unit_ones():
     returned sqrt(6) + 5e-7 for the complex copy of this matrix."""
     a = np.full((10, 10), 5.23891913e-175)
     a[0, 1], a[0, 4], a[1, 6], a[5, 4] = 1.0, 2.0, 1.0, 1.0
-    return a, np.array([], dtype=int)
+    return a
 
 
 @settings(max_examples=60, deadline=None)
-@given(real_with_index_set())
-@example(case=tiny_entries_beside_unit_ones())
-def test_real_input_matches_complex_call(case):
-    a, idx = case
+@given(real_with_zeros())
+@example(a=tiny_entries_beside_unit_ones())
+def test_real_input_matches_complex_call(a):
     h = a + a.T
-    for got, want in (
-        (split_own(a).norm(), split_own(a.astype(complex)).norm()),
-        (split_own(h).hermitian_norm(), split_own(h.astype(complex)).hermitian_norm()),
-        (split_own(a).norm(idx), split_own(a.astype(complex)).norm(idx)),
-    ):
-        assert abs(got - want) <= REAL_RTOL * max(1.0, want)
+    want = hermitian_norm(h.astype(complex))
+    assert abs(hermitian_norm(h) - want) <= REAL_RTOL * max(1.0, want)
     ed = hermitian_eigs(h)
     want = hermitian_eigs(h.astype(complex)).values
     assert ed.vectors.dtype == np.float64
@@ -617,72 +498,36 @@ def hermitian_with_zeros(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(hermitian_with_zeros())
-@example(h=tiny_entries_beside_unit_ones()[0] + tiny_entries_beside_unit_ones()[0].T)
+@example(h=tiny_entries_beside_unit_ones() + tiny_entries_beside_unit_ones().T)
 def test_block_hermitian_norm_equals_dense_norm(h):
     want = np.linalg.norm(h, 2)
-    assert abs(split_own(h).hermitian_norm() - want) <= NORM_RTOL * max(1.0, want)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.data())
-def test_real_sector_products_stay_real(n, data):
-    x, y = (
-        data.draw(arrays(np.float64, (2 * n, 2 * n), elements=reals))
-        * data.draw(arrays(np.bool_, (2 * n, 2 * n)))
-        for _ in range(2)
-    )
-    partition = BlockStack.partition_of(x, y)
-    xs, ys = BlockStack.split(x, partition), BlockStack.split(y, partition)
-    for m in (xs, xs @ ys, 2.0 * (xs @ ys) - ys @ BlockStack.split(x.conj().T, partition)):
-        assert m.dense().dtype == np.float64
-        assert all(b.dtype == np.float64 for b in m.blocks)
-    tol = SECTOR_RTOL * max(1.0, np.linalg.norm(x, 2) * np.linalg.norm(y, 2))
-    np.testing.assert_allclose((xs @ ys).dense(), x @ y, rtol=0, atol=tol)
+    assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
 
 
 @st.composite
-def labelled_operators(draw):
-    """Two real n x n matrices kept on random groups, with random zeros inside.
+def labelled_patterns(draw):
+    """The joint zero pattern of two n x n matrices kept on random groups.
 
-    Entries join only indices of one group, so the joint pattern has up to
-    four components, some finer than the groups; with an index set.
+    Entries join only indices of one group, with random zeros inside, so
+    the pattern has up to four components and some finer than the groups.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     label = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     same = label[:, None] == label[None, :]
-    x, y = (
-        draw(arrays(np.float64, (n, n), elements=reals)) * draw(arrays(np.bool_, (n, n))) * same
-        for _ in range(2)
-    )
-    idx = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
-    return x, y, np.array(idx, dtype=int)
-
-
-# Fixed in advance: 1e-12 relative to max(1, the dense value).
-BLOCK_NORM_RTOL = 1e-12
+    x, y = (draw(arrays(np.bool_, (n, n))) & same for _ in range(2))
+    return x | y | np.eye(n, dtype=bool)
 
 
 @settings(max_examples=80, deadline=None)
-@given(labelled_operators())
-def test_block_partition_and_interior_norm(case):
-    x, y, idx = case
-    n = x.shape[0]
-    partition = BlockStack.partition_of(x, y)
-    joint = (x != 0) | (y != 0) | np.eye(n, dtype=bool)
+@given(labelled_patterns())
+def test_components_match_scipy_connected_components(joint):
     count, label = connected_components(joint, directed=True, connection="weak")
     components = {frozenset(np.flatnonzero(label == c).tolist()) for c in range(count)}
+    partition = _components(joint)
     got = [row.tolist() for stack in partition for row in stack]
     assert all(row == sorted(row) for row in got)
     assert len(got) == count and {frozenset(row) for row in got} == components
-    assert len({stack.shape[1] for stack in partition}) == len(partition)
-    for a in (x, x - y.T):
-        blocks = BlockStack.split(a, partition)
-        np.testing.assert_array_equal(blocks.dense(), a)
-        for got_norm, want in (
-            (blocks.norm(idx), dense_interior_norm(a, idx)),
-            (blocks.norm(), np.linalg.norm(a, 2)),
-        ):
-            assert abs(got_norm - want) <= BLOCK_NORM_RTOL * max(1.0, want)
+    assert [stack.shape[1] for stack in partition] == sorted({len(row) for row in got})
 
 
 # Adding levels k..K-1 to a sum that passed its tail check at level k-1

@@ -5,7 +5,6 @@ import pytest
 
 from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
 from susyrabi.fock import FockParams, interior_projector
-from susyrabi.linalg import BlockStack
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -275,24 +274,34 @@ def test_algebra_report_detects_wrong_pairing(fp_mid):
     assert rep.anticommutator["11"] > 1e-3
 
 
+def test_algebra_report_rejects_h_outside_the_pairs(fp_mid):
+    # The coupling g sx (a + a_dag) joins (up, n) with (down, n + 1), which
+    # no free pair holds: the report refuses it instead of dropping it.
+    h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.3 * OMEGA), fp_mid)
+    with pytest.raises(ValidationError, match="H has entries outside"):
+        susy_algebra_report(h, free_supercharges(OMEGA, fp_mid), fp_mid)
+
+
 def test_sector_products_of_charges_equal_dense():
-    # Every product the algebra report forms, on the joint-pattern blocks
-    # and dense: the free charges pair (up, n) with (down, n+1) and leave
-    # (down, 0) and (up, N-1) alone, the broken ones pair (up, n) with
-    # (down, n).
+    # Every product the algebra report forms, on the 2 x 2 spin-flip pairs
+    # and dense: the free charges pair (up, n - 1) with (down, n), so the
+    # uncoupled (up, N - 1) and (down, 0) share row 0; the broken ones pair
+    # (up, n) with (down, n).
     fp = FockParams(n_fock=32, buffer=8)
-    for charges, h, sizes in (
+    n = np.arange(32)
+    for charges, h, pairs in (
         (free_supercharges(OMEGA, fp), hamiltonian(ModelParams(OMEGA, OMEGA), fp),
-         [(2, 1), (31, 2)]),
+         np.stack([(n - 1) % 32, 32 + n], axis=1)),
         (broken_supercharges(OMEGA, fp), hamiltonian(ModelParams(0.0, OMEGA), fp),
-         [(32, 2)]),
+         np.stack([n, 32 + n], axis=1)),
     ):
+        np.testing.assert_array_equal(charges.pairs, pairs)
+        rows, cols = pairs[:, :, None], pairs[:, None, :]
         ops = (h, charges.q1, charges.q2, charges.q_plus, charges.q_minus, charges.grading)
-        partition = BlockStack.partition_of(*ops)
-        assert [idx.shape for idx in partition] == sizes
         for x in ops:
             for y in ops:
-                got = (BlockStack.split(x, partition) @ BlockStack.split(y, partition)).dense()
+                got = np.zeros((64, 64), dtype=complex)
+                got[rows, cols] = x[rows, cols] @ y[rows, cols]
                 np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-12)
 
 
@@ -320,18 +329,40 @@ def dense_algebra_residuals(h, charges, fp):
     }
 
 
+def dense_vacuum_norms(h, charges):
+    """sqrt(|q+ v|^2 + |q- v|^2) per ground state v of a dense eigh of h."""
+    values, vectors = np.linalg.eigh(h)
+    start, size = degeneracy_groups(values)[0]
+    return sorted(
+        np.sqrt(np.linalg.norm(charges.q_plus @ v) ** 2 + np.linalg.norm(charges.q_minus @ v) ** 2)
+        for v in vectors[:, start : start + size].T
+    )
+
+
 def test_algebra_residuals_equal_dense_oracle():
-    # Matched and mismatched pairs, so both tiny and O(1) residuals occur.
-    fp = FockParams(n_fock=64, buffer=16)
-    hams = (hamiltonian(ModelParams(OMEGA, OMEGA), fp), hamiltonian(ModelParams(0.0, OMEGA), fp))
-    for charges in (free_supercharges(OMEGA, fp), broken_supercharges(OMEGA, fp)):
-        for h in hams:
-            rep = susy_algebra_report(h, charges, fp)
-            for group, want in dense_algebra_residuals(h, charges, fp).items():
-                got = getattr(rep, group)
-                assert got.keys() == want.keys()
-                for name in want:
-                    assert abs(got[name] - want[name]) <= 1e-14, (group, name)
+    # Matched and mismatched pairs, so both tiny and O(1) residuals occur;
+    # N = 9 is odd, and every N has the free charges' wrap-around row.
+    # Tolerances fixed in advance: 1e-14 absolute for the residuals and
+    # 1e-14 * max(1, want) for the vacuum norms.
+    for n in (8, 9, 64):
+        fp = FockParams(n_fock=n, buffer=n // 4)
+        for omega in (OMEGA, 0.5 * OMEGA):
+            hams = (hamiltonian(ModelParams(omega, omega), fp),
+                    hamiltonian(ModelParams(0.0, omega), fp))
+            for charges in (free_supercharges(omega, fp), broken_supercharges(omega, fp)):
+                for h in hams:
+                    case = (n, omega, charges.variant)
+                    rep = susy_algebra_report(h, charges, fp)
+                    for group, want in dense_algebra_residuals(h, charges, fp).items():
+                        got = getattr(rep, group)
+                        assert got.keys() == want.keys()
+                        for name in want:
+                            assert abs(got[name] - want[name]) <= 1e-14, (case, group, name)
+                    want = dense_vacuum_norms(h, charges)
+                    got = sorted(rep.vacuum_annihilation)
+                    assert len(got) == len(want), case
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 1e-14 * max(1.0, w), case
 
 
 def test_goldstino_zero_energy_excitations(fp_mid):

@@ -11,7 +11,7 @@ from susyrabi.errors import (
     TruncationError,
     ValidationError,
 )
-from susyrabi import fock, linalg, model, transforms
+from susyrabi import fock, linalg, model, spectral, transforms
 from susyrabi.fock import (
     SZ,
     FockParams,
@@ -272,6 +272,13 @@ def test_field_identity_across_r():
             assert rep.residual < 1e-8, (c, r)
 
 
+def test_field_identity_raises_when_the_buffer_leaves_too_few_levels():
+    # Buffer 4 at N = 8 leaves 4 levels, below the 8-level floor of every check.
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
+    with pytest.raises(TruncationError, match="buffer 4 leaves fewer than 8"):
+        field_identity_report(s, 0.5, FockParams(n_fock=8, buffer=4))
+
+
 # The structured checks against their dense oracles: dense_residual on the
 # 2N x 2N operands for the squeeze and the polaron frame, numpy's norms for
 # the field rewriting.  Tolerances fixed in advance: 1e-14 * max(1, want)
@@ -390,16 +397,25 @@ def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
 
 def test_transform_checks_build_no_dense_operand(monkeypatch):
     # Only the polaron's scale is a dense 2N matrix, and it is built without
-    # kron; no check splits a dense operand on its zero pattern.
+    # kron; no check searches the zero pattern of an operand.  The algebra
+    # reports take dense inputs, built before the refusals, and search no
+    # pattern either: their blocks are the charges' spin-flip pairs.
+    fp = FockParams(n_fock=64, buffer=16)
+    algebra_inputs = [
+        (hamiltonian(ModelParams(OMEGA, OMEGA), fp), model.free_supercharges(OMEGA, fp)),
+        (hamiltonian(ModelParams(0.0, OMEGA), fp), model.broken_supercharges(OMEGA, fp)),
+    ]
+
     def refuse(*args, **kwargs):
-        raise AssertionError("dense 2N x 2N builder called")
+        raise AssertionError("dense 2N x 2N builder or zero-pattern search called")
 
     for module, name in ((linalg, "kron"), (fock, "kron"), (model, "kron"),
                          (transforms, "kron"), (model, "hamiltonian"),
-                         (fock, "embed_qubit"), (model, "embed_qubit")):
+                         (fock, "embed_qubit"), (model, "embed_qubit"),
+                         (linalg, "_components")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(linalg.BlockStack, "partition_of", staticmethod(refuse))
-    fp = FockParams(n_fock=64, buffer=16)
     u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp, check=False)
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
     field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
+    for h, charges in algebra_inputs:
+        assert spectral.susy_algebra_report(h, charges, fp).passed
