@@ -24,6 +24,7 @@ from .model import (
     Schedule,
     SuperchargeSet,
     broken_supercharges,
+    charge_pairs,
     free_supercharges,
     hamiltonian,
     h_interaction,
@@ -44,6 +45,7 @@ from .spectral import (
     limit_check,
     lowest_k,
     no_go_asymptote_check,
+    pair_algebra_report,
     spectral_flow_g,
     spectral_flow_r,
     susy_algebra_report,

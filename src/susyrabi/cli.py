@@ -19,9 +19,7 @@ from .config import FIELD_TYPES, RunConfig, parse_config, validate
 from .errors import NumericalError, ValidationError
 from .model import (
     ModelParams,
-    broken_supercharges,
-    free_supercharges,
-    hamiltonian,
+    charge_pairs,
     mass_increment,
     renormalized_frequency,
     squeezed_chains,
@@ -32,9 +30,9 @@ from .spectral import (
     degeneracy_groups,
     goldstino_check,
     lowest_k,
+    pair_algebra_report,
     spectral_flow_g,
     spectral_flow_r,
-    susy_algebra_report,
     truncation_convergence,
     witten_index,
 )
@@ -133,12 +131,10 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     fp = cfg.fock()
     rows: list[tuple[str, float, float]] = []  # name, value, threshold
 
-    h_free = hamiltonian(ModelParams(cfg.omega, cfg.omega, 0.0, 0.0), fp)
-    free = susy_algebra_report(h_free, free_supercharges(cfg.omega, fp), fp,
-                               cfg.tol_algebra)
-    h_broken = hamiltonian(ModelParams(0.0, cfg.omega, 0.0, 0.0), fp)
-    broken = susy_algebra_report(h_broken, broken_supercharges(cfg.omega, fp), fp,
-                                 cfg.tol_algebra)
+    free, broken = (
+        pair_algebra_report(*charge_pairs(variant, cfg.omega, fp), fp, cfg.tol_algebra)
+        for variant in ("free", "broken")
+    )
     for rep in (free, broken):
         for group, values in (
             ("anticommutator", rep.anticommutator),

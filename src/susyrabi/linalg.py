@@ -14,15 +14,10 @@ squeeze generators are (the squeeze on its even and on its odd levels).
 Everything else works on plain square numpy arrays in double precision,
 float64 or complex, and real input stays real: the model's Fock-basis
 operators, all real except sigma_y, take real LAPACK and BLAS calls.
-hermitian_eigs, the reference oracle for the chains, splits its input on
-the connected components of its own zero pattern (_components): a
-Hamiltonian built from ladder operators falls into its two parity
-sectors, a diagonal one into single entries.  It solves each stack of
-equal-size components with one batched eigh and scatters the results
-back, so a diagonal matrix costs O(n) and a matrix without a zero entry
-one dense call; the property tests check it against unstructured scipy
-and numpy calls.  hermitian_norm is the spectral norm of a Hermitian
-matrix from its eigenvalues.  MAX_DIM bounds only the dense path.
+hermitian_eigs, one dense eigh, is the reference oracle that the tests
+check the chains against; no command calls it.  hermitian_norm is the
+spectral norm of a Hermitian matrix from its eigenvalues.  MAX_DIM
+bounds only kron.
 """
 
 from __future__ import annotations
@@ -101,8 +96,7 @@ def _drop_negligible(a: np.ndarray) -> np.ndarray:
     eps * max|a|, and max|a| is at most |a|_2, so by Weyl's inequality
     no eigenvalue moves by more than rounding relative to it.  LAPACK's
     Hermitian eigensolvers lose accuracy on entries far below the rest
-    (near 1e-175 beside O(1) entries, real and complex calls alike), and
-    a dropped entry may also split a component of the zero pattern.
+    (near 1e-175 beside O(1) entries, real and complex calls alike).
     """
     if not a.size:
         return a
@@ -112,35 +106,20 @@ def _drop_negligible(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a (nearly) Hermitian matrix.
+    """Eigendecomposition of a (nearly) Hermitian matrix, the dense reference oracle.
 
     The input is symmetrized as (A + A^dagger)/2 before solving; truncation
     of ladder operators routinely introduces 1-ulp asymmetries, so asymmetry
-    is warned about rather than rejected.  A is split on the connected
-    components of its own zero pattern (_components) and each stack of
-    equal-size components is solved by one batched call; the eigenvectors
-    are scattered back into the full basis and the eigenvalues merged in
-    ascending order.  A zero row and column is a 1 x 1 component, the
-    eigenpair (0, unit vector).  So a diagonal matrix costs O(n) and a
-    matrix without a zero entry one dense call.  Entries below rounding
-    relative to the largest are dropped first (_drop_negligible).  Real
+    is warned about rather than rejected.  Entries below rounding relative
+    to the largest are dropped (_drop_negligible) before one eigh.  Real
     symmetric input gives real eigenvectors.
     """
     h = _drop_negligible(_hermitian_part(_check_square(a)))
-    nz = h != 0
-    np.fill_diagonal(nz, True)
-    values = np.zeros(h.shape[0])
-    vectors = np.zeros(h.shape, dtype=h.dtype)
-    for idx in _components(nz):
-        try:
-            vals, vecs = np.linalg.eigh(_gather(h, idx))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-            raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
-        values[idx] = vals
-        # Eigenpair i of component j takes column slot idx[j, i].
-        vectors[idx[:, :, None], idx[:, None, :]] = vecs
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=vectors[:, order])
+    try:
+        values, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def hermitian_norm(a: np.ndarray) -> float:
@@ -227,43 +206,3 @@ def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
     even = (w * np.cos(ed.values)) @ w.T
     odd = (w * np.sin(ed.values)) @ w.T
     return np.where(lag % 2 == 0, even, odd) * np.where(lag < 2, 1.0, -1.0)
-
-
-def _components(nz: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index sets of the connected components of a boolean pattern, stacked by size.
-
-    nz is square with its diagonal set, and i joins j whenever nz[i, j]
-    or nz[j, i] is.  Each array of the result has shape (k, m) and holds
-    the k components of size m, one per row, each ascending; the arrays
-    come in ascending m.  A pattern without a false entry is one
-    component, found without a search.
-    """
-    n = nz.shape[0]
-    if nz.all():
-        return (np.arange(n)[None],) if n else ()
-    nz = nz | nz.T
-    _, cols = np.nonzero(nz)
-    starts = np.concatenate(([0], np.cumsum(nz.sum(axis=1))[:-1]))
-    # Each index takes the smallest label among its neighbours, then the
-    # label of that label (pointer jumping), until every component carries
-    # the label of its smallest index.
-    label = np.arange(n)
-    while True:
-        new = np.minimum.reduceat(label[cols], starts)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    size = np.bincount(label, minlength=n)[label]
-    if size[0] == n:
-        return (np.arange(n)[None],)
-    order = np.lexsort((label, size))
-    sizes = size[order]
-    return tuple(order[sizes == m].reshape(-1, m) for m in np.unique(sizes))
-
-
-def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The stack A[idx[j], idx[j]] for the rows of idx; a view if idx is all of A."""
-    if idx.shape == (1, a.shape[0]):
-        return a[None]
-    return a[idx[:, :, None], idx[:, None, :]]

@@ -16,7 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .fock import FockParams, make_operators, embed_boson, embed_qubit, kron
+from .fock import (
+    I2, S_MINUS, S_PLUS, SZ, FockParams, embed_boson, embed_qubit, kron, make_operators,
+)
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,9 @@ class SuperchargeSet:
     acts within: an (N, 2) array of basis indices, one pair per row, each
     up-spin index of the 2N basis in exactly one row and each down-spin
     index too.  Every charge, the grading and the Hamiltonian the charges
-    belong to have no entry outside these 2 x 2 blocks.
+    belong to have no entry outside these 2 x 2 blocks.  charge_pairs
+    gives the operators as (N, 2, 2) stacks of those blocks, and
+    free_supercharges and broken_supercharges as dense 2N x 2N arrays.
     """
 
     q1: np.ndarray
@@ -321,59 +325,71 @@ def _spin_flip_pairs(fp: FockParams, lag: int) -> np.ndarray:
     return np.stack([(n - lag) % fp.n_fock, fp.n_fock + n], axis=1)
 
 
-def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
-    """Charges of the unbroken N=2 SUSY of H(omega, omega, 0, 0).
+def charge_pairs(
+    variant: str, omega: float, fp: FockParams
+) -> tuple[np.ndarray, SuperchargeSet]:
+    """H and the "free" or "broken" charges as (N, 2, 2) stacks on their pairs.
 
-    q1 = sqrt(omega/2)(s+ a + s- a_dag), q2 = i sqrt(omega/2)(s- a_dag - s+ a);
-    q+ = sqrt(omega) s+ a, q- = sqrt(omega) s- a_dag.  They move the boson
-    by one level, so the pairs are (|up, n-1>, |down, n>); the two states
-    no charge reaches, |down, 0> and |up, N-1>, share row 0 with no
-    coupling between them.
+    Row j of each stack is the operator's 2 x 2 block on pair j, in the
+    order (up, down), so sz is diag(1, -1) there.  The free set belongs
+    to H(omega, omega, 0, 0), with q+ = sqrt(omega) s+ a and
+    q- = sqrt(omega) s- a_dag; its charges move the boson by one level,
+    so pair n is (|up, n-1>, |down, n>), and row 0 holds the two states
+    no charge reaches, |up, N-1> and |down, 0>, with no coupling between
+    them.  The broken set belongs to H(0, omega, 0, 0), with
+    Q+/- = s+/- sqrt(omega (n+1/2)); its charges leave the boson where it
+    is, so pair n is (|up, n>, |down, n>).  In both, with s+ x and s- x
+    the two ladder halves, q1 = sqrt(omega/2)(s+ x + s- x),
+    q2 = i sqrt(omega/2)(s- x - s+ x) and q+/- = (q1 +/- i q2)/sqrt(2).
+    The level n is sqrt(n)^2, the diagonal of the literal a_dag @ a, so
+    every entry is bitwise that of the dense operator.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
-    ops = make_operators(fp)
-    up = kron(ops.s_plus, ops.a)
-    down = kron(ops.s_minus, ops.a_dag)
+    if variant not in ("free", "broken"):
+        raise ValidationError(f"unknown charge set {variant!r}; known: 'free', 'broken'")
+    free = variant == "free"
+    pairs = _spin_flip_pairs(fp, lag=1 if free else 0)
+    n = np.arange(fp.n_fock, dtype=float)
+    level = np.sqrt(n) ** 2
+    # The boson factor on pair n: <n-1|a|n> = sqrt(n) (free), sqrt(n+1/2) (broken).
+    x = (np.sqrt(n) if free else np.sqrt(level + 0.5))[:, None, None]
+    up, down = x * S_PLUS, x * S_MINUS
     root = math.sqrt(omega / 2.0)
     q1 = root * (up + down)
     q2_over_i = root * (down - up)
-    return SuperchargeSet(
+    h = (omega if free else 0.0) / 2.0 * SZ
+    h = h + (omega * (level[pairs % fp.n_fock] + 0.5))[:, :, None] * I2
+    return h, SuperchargeSet(
         q1=q1,
         q2=1j * q2_over_i,
         q_plus=(q1 - q2_over_i) / math.sqrt(2.0),
         q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
-        grading=embed_qubit(-ops.sz, fp),
-        pairs=_spin_flip_pairs(fp, lag=1),
-        variant="free",
+        grading=np.broadcast_to(-SZ, q1.shape),
+        pairs=pairs,
+        variant=variant,
     )
+
+
+def _dense_charges(variant: str, omega: float, fp: FockParams) -> SuperchargeSet:
+    """The charge_pairs stacks scattered into 2N x 2N arrays on their pairs."""
+    c = charge_pairs(variant, omega, fp)[1]
+    idx = c.pairs[:, :, None], c.pairs[:, None, :]
+    dense = []
+    for stack in (c.q1, c.q2, c.q_plus, c.q_minus, c.grading):
+        dense.append(np.zeros((fp.total_dim, fp.total_dim), dtype=stack.dtype))
+        dense[-1][idx] = stack
+    return SuperchargeSet(*dense, pairs=c.pairs, variant=c.variant)
+
+
+def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
+    """The charges of the unbroken SUSY of H(omega, omega, 0, 0), dense (charge_pairs)."""
+    return _dense_charges("free", omega, fp)
 
 
 def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
-    """Charges of the spontaneously broken SUSY of H(0, omega, 0, 0).
-
-    Q1 = sqrt(omega/2) sx sqrt(n+1/2), Q2 with sy;
-    Q+/- = s+/- sqrt(omega (n+1/2)).  The operator square root is taken
-    entrywise on the diagonal of n+1/2 (exact in the Fock basis).  They
-    leave the boson where it is, so the pairs are (|up, n>, |down, n>).
-    """
-    if omega <= 0:
-        raise ValidationError(f"omega must be > 0, got {omega}")
-    ops = make_operators(fp)
-    root_n = np.diag(np.sqrt(np.diagonal(ops.n_op) + 0.5))
-    pref = math.sqrt(omega / 2.0)
-    q1 = pref * kron(ops.sx, root_n)
-    # sy = i (s- - s+), so Q2 = i * q2_over_i with q2_over_i real.
-    q2_over_i = pref * kron(ops.s_minus - ops.s_plus, root_n)
-    return SuperchargeSet(
-        q1=q1,
-        q2=1j * q2_over_i,
-        q_plus=(q1 - q2_over_i) / math.sqrt(2.0),
-        q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
-        grading=embed_qubit(-ops.sz, fp),
-        pairs=_spin_flip_pairs(fp, lag=0),
-        variant="broken",
-    )
+    """The charges of the broken SUSY of H(0, omega, 0, 0), dense (charge_pairs)."""
+    return _dense_charges("broken", omega, fp)
 
 
 def heavy_field_coefficients(s: Schedule, r: float) -> tuple[float, float, float]:

@@ -10,13 +10,14 @@ sz alone, so the grading -sz is diagonal in the chain basis and each
 level's expectation comes from its real chain eigenvector.  The
 parity chains of the truncated H (model.parity_chains, pentadiagonal
 with an A^2 term) and the dense 2N x 2N builders stay as the reference
-oracles (hermitian_eigs solves the latter per parity sector, as dense
-blocks of their zero pattern); the dense builders also serve the checks
-that need operator products: the algebra reports.  Every charge flips
-the qubit within fixed 2 x 2 spin-flip pairs (model.SuperchargeSet.pairs),
-and H and the grading act within the same pairs, so each report gathers
-its operands on those pairs once and every product is a batched 2 x 2
-one, O(N) in all.  Residuals are measured on the interior index set of
+oracles, which hermitian_eigs solves with one dense eigh; no command
+calls that path.  Every charge flips the qubit within fixed 2 x 2
+spin-flip pairs (model.SuperchargeSet.pairs), and H and the grading act
+within the same pairs, so the algebra reports and the goldstino check
+take H and the charges as (N, 2, 2) stacks of those blocks
+(model.charge_pairs) and every product is a batched 2 x 2 one, O(N) in
+all; susy_algebra_report gathers dense operands onto the pairs first.
+Residuals are measured on the interior index set of
 fock.interior_projector, straight from the blocks, and one batched eigh
 of the 2 x 2 blocks of H gives its ground states and scale.
 
@@ -32,14 +33,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
-from .fock import FockParams, basis_state, interior_projector
+from .fock import FockParams, interior_projector
 from .linalg import banded_eigh, banded_lowest, hermitian_eigs
 from .model import (
     ModelParams,
     ParityChains,
     Schedule,
     SuperchargeSet,
-    broken_supercharges,
+    charge_pairs,
     hamiltonian,
     renormalized_frequency,
     squeezed_chains,
@@ -75,9 +76,8 @@ def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
 
     ParityChains take the banded core: each chain yields its lowest
     min(k, N) levels and the merged set is cut to k.  A dense matrix goes
-    through hermitian_eigs, a full eigendecomposition of each block of its
-    zero pattern (of each parity sector, for a Hamiltonian); that path is
-    the reference oracle.
+    through hermitian_eigs, one full dense eigendecomposition; that path
+    is the reference oracle.
     """
     dim = h.dim if isinstance(h, ParityChains) else h.shape[0]
     if not 1 <= k <= dim:
@@ -359,12 +359,14 @@ def witten_index(
     over each (near-)degenerate subspace is the basis-independent trace.
     ParityChains take the banded path with the grading -sz, which is
     diagonal in the chain basis, and grading must be None.  A dense h
-    with its dense grading goes through hermitian_eigs, a full
-    eigendecomposition of each block of h's zero pattern (each parity
-    sector); that path is the reference oracle.
+    with its dense grading goes through hermitian_eigs, one full dense
+    eigendecomposition; that path is the reference oracle.  k below 1 is
+    a ValidationError.
     """
     if beta <= 0:
         raise ValidationError(f"beta must be > 0, got {beta}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     chains = isinstance(h, ParityChains)
     if chains != (grading is None):
         raise ValidationError("pass a dense grading with a dense h, and None with ParityChains")
@@ -423,15 +425,11 @@ def susy_algebra_report(
     fp: FockParams,
     tol_algebra: float = 1e-10,
 ) -> AlgebraReport:
-    """Measure every defining identity of the N=2 algebra against h.
+    """pair_algebra_report of a dense h and dense charges.
 
     h, the charges and the grading are gathered on charges.pairs into
-    (N, 2, 2) stacks, and every product is a batched 2 x 2 one.  An
-    operand with a nonzero entry outside the pairs is a ValidationError,
-    since the gather would drop it.  One batched eigh of the h stack
-    gives the scale max(1, |H|_2) and the ground states, each on its own
-    pair.  A residual is the largest singular value of its blocks with
-    the rows and columns outside fock.interior_projector zeroed.
+    (N, 2, 2) stacks.  An operand with a nonzero entry outside the pairs
+    is a ValidationError, since the gather would drop it.
     """
     if not h.shape == charges.q1.shape == (fp.total_dim, fp.total_dim):
         raise ValidationError(
@@ -443,11 +441,11 @@ def susy_algebra_report(
         "H": h,
         "q1": charges.q1,
         "q2": charges.q2,
-        "grading": charges.grading,
         "q+": charges.q_plus,
         "q-": charges.q_minus,
+        "grading": charges.grading,
     }
-    stacks = []
+    stacks = []  # H, then the SuperchargeSet fields in order
     for name, m in ops.items():
         stack = m[idx[:, :, None], idx[:, None, :]]
         if np.count_nonzero(stack) != np.count_nonzero(m):
@@ -455,9 +453,31 @@ def susy_algebra_report(
                 f"{name} has entries outside the {charges.variant} charges' spin-flip pairs"
             )
         stacks.append(stack)
-    hs, q1, q2, gr, q_plus, q_minus = stacks
+    stacked = SuperchargeSet(*stacks[1:], pairs=idx, variant=charges.variant)
+    return pair_algebra_report(stacks[0], stacked, fp, tol_algebra)
 
-    values, vectors = np.linalg.eigh(hs)
+
+def pair_algebra_report(
+    h: np.ndarray,
+    charges: SuperchargeSet,
+    fp: FockParams,
+    tol_algebra: float = 1e-10,
+) -> AlgebraReport:
+    """Measure every defining identity of the N=2 algebra against h, on the pairs.
+
+    h and the charges are (N, 2, 2) stacks on charges.pairs, as
+    model.charge_pairs gives them, so every product is a batched 2 x 2
+    one, O(N) in all.  One batched eigh of the h stack gives the scale
+    max(1, |H|_2) and the ground states, each on its own pair.  A
+    residual is the largest singular value of its blocks with the rows
+    and columns outside fock.interior_projector zeroed.
+    """
+    if not h.shape == charges.q1.shape == (fp.n_fock, 2, 2):
+        raise ValidationError(f"pair stacks {h.shape}, {charges.q1.shape}, n_fock {fp.n_fock}")
+    q1, q2, gr = charges.q1, charges.q2, charges.grading
+    q_plus, q_minus = charges.q_plus, charges.q_minus
+
+    values, vectors = np.linalg.eigh(h)
     values = values.ravel()
     order = np.argsort(values, kind="stable")
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -474,7 +494,7 @@ def susy_algebra_report(
 
     inside = np.zeros(fp.total_dim, dtype=bool)
     inside[interior_projector(fp)] = True
-    keep = inside[idx]
+    keep = inside[charges.pairs]
     mask = keep[:, :, None] & keep[:, None, :]
 
     def rel(m: np.ndarray) -> float:
@@ -482,11 +502,11 @@ def susy_algebra_report(
 
     q = {"1": q1, "2": q2}
     anti = {
-        "11": rel(2.0 * (q1 @ q1) - hs),
-        "22": rel(2.0 * (q2 @ q2) - hs),
+        "11": rel(2.0 * (q1 @ q1) - h),
+        "22": rel(2.0 * (q2 @ q2) - h),
         "12": rel(q1 @ q2 + q2 @ q1),
     }
-    comm = {name: rel(qi @ hs - hs @ qi) for name, qi in q.items()}
+    comm = {name: rel(qi @ h - h @ qi) for name, qi in q.items()}
     grading = {name: rel(qi @ gr + gr @ qi) for name, qi in q.items()}
     nil = {
         "plus": rel(2.0 * (q_plus @ q_plus)),
@@ -521,11 +541,13 @@ def goldstino_check(omega: float, fp: FockParams) -> GoldstinoReport:
     """Check H Q+|down,0> = (omega/2) Q+|down,0> and the sigma_x partner.
 
     The excitation energy equals the vacuum energy: zero energy increment.
-    H and Q+/- are real, so they act on the real parts of the unit
-    vectors, and H is applied once per excitation.
+    Q+|down,0> and Q-|up,0> both lie in pair 0 of the broken charges,
+    (|up,0>, |down,0>), so H and the charges act on them as the real
+    2 x 2 blocks of that pair (model.charge_pairs), and H is applied once
+    per excitation.
     """
-    h = hamiltonian(ModelParams(0.0, omega, 0.0, 0.0), fp)
-    charges = broken_supercharges(omega, fp)
+    h, charges = charge_pairs("broken", omega, fp)
+    h = h[0]
     e0 = omega / 2.0
 
     def eigen_residual(vec: np.ndarray) -> tuple[float, float]:
@@ -534,10 +556,8 @@ def goldstino_check(omega: float, fp: FockParams) -> GoldstinoReport:
         energy = float(vec @ h_vec / np.linalg.norm(vec) ** 2)
         return res, energy
 
-    exc_plus = charges.q_plus @ basis_state("down", 0, fp).real
-    exc_minus = charges.q_minus @ basis_state("up", 0, fp).real
-    res_p, energy_p = eigen_residual(exc_plus)
-    res_m, energy_m = eigen_residual(exc_minus)
+    res_p, energy_p = eigen_residual(charges.q_plus[0, :, 1])
+    res_m, energy_m = eigen_residual(charges.q_minus[0, :, 0])
     increment = max(abs(energy_p - e0), abs(energy_m - e0))
     return GoldstinoReport(
         residual_plus=res_p, residual_minus=res_m, energy_increment=increment

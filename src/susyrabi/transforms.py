@@ -21,8 +21,8 @@ the blocks its algebra gives it, with no dense 2N x 2N operand:
   compared with model.parity_chains_r in band storage; its residual and
   scale are linalg.banded_norm, O(N).
 - Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
-  the residual lives on the two N x N spin-diagonal blocks.  Only the
-  scale |rhs|_2 is a dense 2N eigensolve.
+  the residual lives on the two N x N spin-diagonal blocks, and the
+  scale |rhs|_2 on two N x N blocks that the parity of D splits it into.
 
 u_polaron, squeeze and displacement are the paper's formulas, and the
 tests compare each check with numpy on the dense operators built from
@@ -250,8 +250,11 @@ def polaron_equivalence_report(
     D h+ D^T and D^T h- D, with h+/- = omega_b(n+1/2) +/- g x + g^2/omega_b,
     and its off-diagonal blocks are -(omega_a/2) D^2 and its transpose,
     those of the rhs.  The residual is the two diagonal blocks less
-    omega_b(n+1/2), a (2, N, N) stack; only the scale |rhs|_2 is one
-    dense 2N eigensolve.
+    omega_b(n+1/2), a (2, N, N) stack.  The off-diagonal block
+    O = -(omega_a/2) D^2 has O^T = P O P with P = diag((-1)^n), since
+    D(beta)^T = D(-beta) = P D(beta) P; so the rhs is unitarily the direct
+    sum of omega_b(n+1/2) +/- O P, and the scale |rhs|_2 is the larger
+    linalg.hermitian_norm of those two N x N blocks.
     """
     beta = g / omega_b
     cut = _checked_cut(
@@ -267,7 +270,7 @@ def polaron_equivalence_report(
     u = np.stack([d.T, d])
     lhs = np.stack([free + coupling + shift, free - coupling + shift])
     residual = _leading_norm(u.transpose(0, 2, 1) @ lhs @ u - free, cut)
-    off = -(omega_a / 2.0) * (d @ d)
-    rhs = np.block([[free, off], [off.T, free]])
-    scale = hermitian_norm(rhs)
+    # O P, with P = diag((-1)^n) scaling the columns.
+    off_p = -(omega_a / 2.0) * (d @ d) * (1.0 - 2.0 * (np.arange(fp.n_fock) % 2))
+    scale = max(hermitian_norm(free + off_p), hermitian_norm(free - off_p))
     return TransformReport(residual / max(1.0, scale))

@@ -6,8 +6,6 @@ import pytest
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     EigenDecomposition,
-    _components,
-    _gather,
     banded_eigh,
     hermitian_eigs,
     hermitian_norm,
@@ -98,32 +96,11 @@ def test_spectral_norm_diag():
         hermitian_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_principal_blocks_follow_zero_pattern():
-    # Components {0, 2} (joined by one off-diagonal entry) and {1}; index 3
-    # has no entry off the diagonal and is a component of its own.
-    nz = np.eye(4, dtype=bool)
-    nz[2, 0] = True
-    singles, pairs = _components(nz)
-    np.testing.assert_array_equal(singles, [[1], [3]])
-    np.testing.assert_array_equal(pairs, [[0, 2]])
-    assert [idx.tolist() for idx in _components(np.eye(3, dtype=bool))] == [[[0], [1], [2]]]
-    assert _components(np.zeros((0, 0), dtype=bool)) == ()
-    # Kept on the two halves of a permutation only, a pattern splits into them.
-    sectors = np.zeros((4, 4), dtype=bool)
-    for half in np.split(np.array([2, 0, 3, 1]), 2):
-        sectors[np.ix_(half, half)] = True
-    (halves,) = _components(sectors)
-    np.testing.assert_array_equal(halves, [[0, 2], [1, 3]])
-    # A pattern without a false entry is one component, gathered as a view.
-    dense = np.ones((3, 3), dtype=complex)
-    (whole,) = _components(dense != 0)
-    np.testing.assert_array_equal(whole, [[0, 1, 2]])
-    assert _gather(dense, whole).shape == (1, 3, 3)
-    assert np.shares_memory(_gather(dense, whole), dense)
+def test_hermitian_eigs_of_sparse_complex_matrix_match_eigvalsh():
+    # Exact zeros off a few entries, a complex coupling and an isolated level.
     a = np.zeros((4, 4), dtype=complex)
     a[2, 0] = 2.0j
     a[1, 1] = 3.0
-    np.testing.assert_array_equal(_gather(a, pairs), [[[0.0, 0.0], [2.0j, 0.0]]])
     np.testing.assert_allclose(
         hermitian_eigs(a + a.conj().T).values, np.linalg.eigvalsh(a + a.conj().T), atol=1e-14
     )

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.sparse.csgraph import connected_components
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import (
-    _components,
     banded_norm,
     hermitian_eigs,
     hermitian_norm,
@@ -502,32 +500,6 @@ def hermitian_with_zeros(draw):
 def test_block_hermitian_norm_equals_dense_norm(h):
     want = np.linalg.norm(h, 2)
     assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
-
-
-@st.composite
-def labelled_patterns(draw):
-    """The joint zero pattern of two n x n matrices kept on random groups.
-
-    Entries join only indices of one group, with random zeros inside, so
-    the pattern has up to four components and some finer than the groups.
-    """
-    n = draw(st.integers(min_value=1, max_value=12))
-    label = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    same = label[:, None] == label[None, :]
-    x, y = (draw(arrays(np.bool_, (n, n))) & same for _ in range(2))
-    return x | y | np.eye(n, dtype=bool)
-
-
-@settings(max_examples=80, deadline=None)
-@given(labelled_patterns())
-def test_components_match_scipy_connected_components(joint):
-    count, label = connected_components(joint, directed=True, connection="weak")
-    components = {frozenset(np.flatnonzero(label == c).tolist()) for c in range(count)}
-    partition = _components(joint)
-    got = [row.tolist() for stack in partition for row in stack]
-    assert all(row == sorted(row) for row in got)
-    assert len(got) == count and {frozenset(row) for row in got} == components
-    assert [stack.shape[1] for stack in partition] == sorted({len(row) for row in got})
 
 
 # Adding levels k..K-1 to a sum that passed its tail check at level k-1

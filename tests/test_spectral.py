@@ -1,14 +1,17 @@
 """Spectral flows, degeneracy grouping, Witten index, algebra reports."""
 
+import math
+
 import numpy as np
 import pytest
 
 from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
-from susyrabi.fock import FockParams, interior_projector
+from susyrabi.fock import FockParams, embed_qubit, interior_projector, kron, make_operators
 from susyrabi.model import (
     ModelParams,
     Schedule,
     broken_supercharges,
+    charge_pairs,
     free_supercharges,
     h_total_r,
     hamiltonian,
@@ -22,6 +25,7 @@ from susyrabi.spectral import (
     limit_check,
     lowest_k,
     no_go_asymptote_check,
+    pair_algebra_report,
     required_n_fock,
     spectral_flow_g,
     spectral_flow_r,
@@ -213,6 +217,17 @@ def test_witten_index_beta_guards(fp_mid):
         witten_index(h, grading, 1e-3, k=10)
 
 
+def test_witten_index_rejects_k_below_one(fp_mid):
+    # At r = 0 the index is 1; k = 0 would read the top level's tail and
+    # sum nothing, and a negative k would cut levels off the top.
+    s = Schedule(omega=OMEGA, g_max=OMEGA)
+    chains = squeezed_chains(s.params(0.0), fp_mid, s.self_energy(0.0))
+    assert witten_index(chains, None, 5.0 / OMEGA).rounded == 1
+    for k in (0, -3):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            witten_index(chains, None, 5.0 / OMEGA, k=k)
+
+
 def test_witten_index_chains_match_dense_endpoints(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     grading = free_supercharges(OMEGA, fp_mid).grading
@@ -282,27 +297,82 @@ def test_algebra_report_rejects_h_outside_the_pairs(fp_mid):
         susy_algebra_report(h, free_supercharges(OMEGA, fp_mid), fp_mid)
 
 
+def kron_charges(variant, omega, fp):
+    """The paper's charge formulas as dense kron products, the oracle for
+    model.charge_pairs: the free q+ = sqrt(omega) s+ a, q- = sqrt(omega) s- a_dag;
+    the broken Q1 = sqrt(omega/2) sx sqrt(n+1/2), Q2 the same with sy."""
+    ops = make_operators(fp)
+    root = math.sqrt(omega / 2.0)
+    if variant == "free":
+        up, down = kron(ops.s_plus, ops.a), kron(ops.s_minus, ops.a_dag)
+        q1, q2_over_i = root * (up + down), root * (down - up)
+    else:
+        root_n = np.diag(np.sqrt(np.diagonal(ops.n_op) + 0.5))
+        q1 = root * kron(ops.sx, root_n)
+        # sy = i (s- - s+), so Q2 = i * q2_over_i with q2_over_i real.
+        q2_over_i = root * kron(ops.s_minus - ops.s_plus, root_n)
+    return {
+        "q1": q1,
+        "q2": 1j * q2_over_i,
+        "q_plus": (q1 - q2_over_i) / math.sqrt(2.0),
+        "q_minus": (q1 + q2_over_i) / math.sqrt(2.0),
+        "grading": embed_qubit(-ops.sz, fp),
+    }
+
+
+def test_algebra_reports_reject_mismatched_inputs(fp_mid):
+    # Stacks of N = 64 checked at N = 128 would read the wrong interior,
+    # and a charge set has one of two names.
+    h, charges = charge_pairs("free", OMEGA, FockParams(n_fock=64, buffer=16))
+    with pytest.raises(ValidationError, match="pair stacks"):
+        pair_algebra_report(h, charges, fp_mid)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        susy_algebra_report(hamiltonian(ModelParams(OMEGA, OMEGA), fp_mid),
+                            free_supercharges(OMEGA, FockParams(n_fock=64, buffer=16)), fp_mid)
+    assert pair_algebra_report(*charge_pairs("free", OMEGA, fp_mid), fp_mid).passed
+    with pytest.raises(ValidationError, match="unknown charge set"):
+        charge_pairs("unbroken", OMEGA, fp_mid)
+
+
 def test_sector_products_of_charges_equal_dense():
-    # Every product the algebra report forms, on the 2 x 2 spin-flip pairs
-    # and dense: the free charges pair (up, n - 1) with (down, n), so the
-    # uncoupled (up, N - 1) and (down, 0) share row 0; the broken ones pair
-    # (up, n) with (down, n).
-    fp = FockParams(n_fock=32, buffer=8)
-    n = np.arange(32)
-    for charges, h, pairs in (
-        (free_supercharges(OMEGA, fp), hamiltonian(ModelParams(OMEGA, OMEGA), fp),
-         np.stack([(n - 1) % 32, 32 + n], axis=1)),
-        (broken_supercharges(OMEGA, fp), hamiltonian(ModelParams(0.0, OMEGA), fp),
-         np.stack([n, 32 + n], axis=1)),
-    ):
-        np.testing.assert_array_equal(charges.pairs, pairs)
-        rows, cols = pairs[:, :, None], pairs[:, None, :]
-        ops = (h, charges.q1, charges.q2, charges.q_plus, charges.q_minus, charges.grading)
-        for x in ops:
-            for y in ops:
-                got = np.zeros((64, 64), dtype=complex)
-                got[rows, cols] = x[rows, cols] @ y[rows, cols]
-                np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-12)
+    # The pair stacks and the dense charges are bitwise the kron formulas
+    # and hamiltonian(...), gathered on the pairs: the free charges pair
+    # (up, n - 1) with (down, n), so the uncoupled (up, N - 1) and (down, 0)
+    # share row 0; the broken ones pair (up, n) with (down, n).  At the
+    # smaller N every product the algebra report forms on the 2 x 2 pairs
+    # is also the dense one.
+    for n_fock in (8, 9, 64, 255, 256):
+        fp = FockParams(n_fock=n_fock, buffer=n_fock // 4)
+        n = np.arange(n_fock)
+        for omega in (OMEGA, 0.5 * OMEGA, 0.37):
+            for variant, dense, h, pairs in (
+                ("free", free_supercharges(omega, fp),
+                 hamiltonian(ModelParams(omega, omega), fp),
+                 np.stack([(n - 1) % n_fock, n_fock + n], axis=1)),
+                ("broken", broken_supercharges(omega, fp),
+                 hamiltonian(ModelParams(0.0, omega), fp),
+                 np.stack([n, n_fock + n], axis=1)),
+            ):
+                h_pairs, stacks = charge_pairs(variant, omega, fp)
+                np.testing.assert_array_equal(dense.pairs, pairs)
+                np.testing.assert_array_equal(stacks.pairs, pairs)
+                assert dense.variant == stacks.variant == variant
+                rows, cols = pairs[:, :, None], pairs[:, None, :]
+                assert np.array_equal(h_pairs, h[rows, cols])
+                assert np.count_nonzero(h[rows, cols]) == np.count_nonzero(h)
+                for name, want in kron_charges(variant, omega, fp).items():
+                    case = (n_fock, omega, variant, name)
+                    got = getattr(dense, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), case
+                    assert np.array_equal(getattr(stacks, name), want[rows, cols]), case
+                if n_fock > 64 or omega != OMEGA:
+                    continue
+                ops = (h, dense.q1, dense.q2, dense.q_plus, dense.q_minus, dense.grading)
+                for x in ops:
+                    for y in ops:
+                        got = np.zeros((2 * n_fock, 2 * n_fock), dtype=complex)
+                        got[rows, cols] = x[rows, cols] @ y[rows, cols]
+                        np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-12)
 
 
 def dense_algebra_residuals(h, charges, fp):

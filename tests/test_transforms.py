@@ -11,7 +11,7 @@ from susyrabi.errors import (
     TruncationError,
     ValidationError,
 )
-from susyrabi import fock, linalg, model, spectral, transforms
+from susyrabi import cli, fock, linalg, model, spectral, transforms
 from susyrabi.fock import (
     SZ,
     FockParams,
@@ -395,11 +395,12 @@ def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
         assert_mismatch_matches(field_identity_report(s, r, fp).residual, want)
 
 
-def test_transform_checks_build_no_dense_operand(monkeypatch):
-    # Only the polaron's scale is a dense 2N matrix, and it is built without
-    # kron; no check searches the zero pattern of an operand.  The algebra
-    # reports take dense inputs, built before the refusals, and search no
-    # pattern either: their blocks are the charges' spin-flip pairs.
+def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
+    # No check builds a dense 2N x 2N operand: every kron, dense Hamiltonian,
+    # embedding, dense charge set, dense eigensolve and np.block is refused,
+    # in every module that could reach one, and verify and goldstino still
+    # run end to end.  The algebra reports also take dense inputs, built
+    # before the refusals, and gather them onto the charges' spin-flip pairs.
     fp = FockParams(n_fock=64, buffer=16)
     algebra_inputs = [
         (hamiltonian(ModelParams(OMEGA, OMEGA), fp), model.free_supercharges(OMEGA, fp)),
@@ -407,15 +408,21 @@ def test_transform_checks_build_no_dense_operand(monkeypatch):
     ]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense 2N x 2N builder or zero-pattern search called")
+        raise AssertionError("dense 2N x 2N builder called")
 
-    for module, name in ((linalg, "kron"), (fock, "kron"), (model, "kron"),
-                         (transforms, "kron"), (model, "hamiltonian"),
-                         (fock, "embed_qubit"), (model, "embed_qubit"),
-                         (linalg, "_components")):
-        monkeypatch.setattr(module, name, refuse)
+    for module in (cli, fock, linalg, model, spectral, transforms):
+        for name in ("kron", "hamiltonian", "embed_qubit", "embed_boson",
+                     "free_supercharges", "broken_supercharges", "hermitian_eigs"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(np, "block", refuse)
     u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp, check=False)
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
     field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
     for h, charges in algebra_inputs:
         assert spectral.susy_algebra_report(h, charges, fp).passed
+    # N = 128: at N = 64 the A^2 row reads 2.3e-6 against its 1e-6 bound.
+    capsys.readouterr()
+    assert cli.run_command(["verify", "--n-fock", "128", "--buffer", "32", "--c", "0.2513"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 25 and all(row.endswith(",pass") for row in rows)
+    assert cli.run_command(["goldstino", "--n-fock", "128", "--buffer", "32"]) == 0
