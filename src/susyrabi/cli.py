@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -42,7 +43,14 @@ from .transforms import (
     u_a2_with_report,
 )
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    parse_args leaves a parser as it found it, so run_command and other
+    in-process callers share this one.
+    """
     parser = argparse.ArgumentParser(
         prog="susyrabi",
         description="Quantum Rabi model with A^2 term: SUSY breaking, spectral "

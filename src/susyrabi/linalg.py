@@ -7,7 +7,8 @@ frame that the spectrum paths use, pentadiagonal for the truncated H
 that the tests use as oracle.  banded_norm, the spectral norm of a
 leading block of such a chain, is two single-eigenvalue solves; the
 field-rewriting check takes its residual and scale from it.  banded_eigh
-gives all eigenpairs of such a chain; the Witten index uses it, and so
+gives all eigenpairs of a tridiagonal chain through LAPACK dstevd, the
+divide-and-conquer of Gu and Eisenstat; the Witten index uses it, and so
 does skew_tridiagonal_exp, the one matrix exponential here: exp(K) for a
 real skew-symmetric tridiagonal K, which is what the displacement and
 squeeze generators are (the squeeze on its even and on its odd levels).
@@ -16,8 +17,9 @@ float64 or complex, and real input stays real: the model's Fock-basis
 operators, all real except sigma_y, take real LAPACK and BLAS calls.
 hermitian_eigs, one dense eigh, is the reference oracle that the tests
 check the chains against; no command calls it.  hermitian_norm is the
-spectral norm of a Hermitian matrix from its eigenvalues.  MAX_DIM
-bounds only kron.
+spectral norm of a Hermitian matrix, or the largest over a stack of
+them, from their eigenvalues; the transform checks take their residual
+norms from it.  MAX_DIM bounds only kron.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import ContractViolationError, DimensionError, SolverError
 
@@ -51,11 +54,12 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """a as a square float64 or complex array; real input stays real."""
+def _check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """a as a square float64 or complex array, or a (k, n, n) stack of them
+    where stack is set; real input stays real."""
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -92,11 +96,13 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
     """a with every entry below eps * max|a| / n set to exactly zero.
 
-    a is an n x n matrix.  The dropped part E has |E|_2 <= |E|_F <
-    eps * max|a|, and max|a| is at most |a|_2, so by Weyl's inequality
-    no eigenvalue moves by more than rounding relative to it.  LAPACK's
-    Hermitian eigensolvers lose accuracy on entries far below the rest
-    (near 1e-175 beside O(1) entries, real and complex calls alike).
+    a is an n x n matrix, or a stack of them with max|a| taken over the
+    stack.  The dropped part E of each matrix has |E|_2 <= |E|_F <
+    eps * max|a|, and max|a| is at most the largest |a|_2, so by Weyl's
+    inequality no eigenvalue moves by more than rounding relative to it.
+    LAPACK's Hermitian eigensolvers lose accuracy on entries far below
+    the rest (near 1e-175 beside O(1) entries, real and complex calls
+    alike).
     """
     if not a.size:
         return a
@@ -125,15 +131,17 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
 def hermitian_norm(a: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix, its largest |eigenvalue|.
 
-    Cheaper than the singular values, but only the same for Hermitian
-    input, so a defect beyond HERMITICITY_RTOL * max(1, max|A|) is a
-    contract violation.  Entries below rounding relative to the largest
-    are dropped (_drop_negligible) before one eigvalsh.
+    a is one n x n matrix or a (k, n, n) stack of them, whose largest
+    norm is returned.  Cheaper than the singular values, but only the
+    same for Hermitian input, so a defect beyond
+    HERMITICITY_RTOL * max(1, max|A|) anywhere in the stack is a contract
+    violation.  Entries below rounding relative to the largest are
+    dropped (_drop_negligible) before one (batched) eigvalsh.
     """
-    a = _check_square(a)
+    a = _check_square(a, stack=True)
     if not a.size:
         return 0.0
-    defect = float(np.abs(a - a.conj().T).max())
+    defect = float(np.abs(a - np.swapaxes(a, -1, -2).conj()).max())
     if defect > HERMITICITY_RTOL * max(1.0, float(np.abs(a).max())):
         raise ContractViolationError(
             f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
@@ -171,18 +179,21 @@ def banded_norm(band: np.ndarray, cut: int | None = None) -> float:
 
 
 def banded_eigh(band: np.ndarray) -> EigenDecomposition:
-    """All eigenpairs of a real symmetric band matrix, eigenvalues ascending.
+    """All eigenpairs of a real symmetric tridiagonal matrix, eigenvalues ascending.
 
-    band is in lower banded storage, as for banded_lowest.  The vectors
-    are real and orthonormal, in the basis of the band matrix.
+    band is in lower banded storage with two rows, band[0] the diagonal
+    and band[1, :-1] the off-diagonal, as for banded_lowest; any other
+    shape is a DimensionError.  One LAPACK dstevd, divide and conquer on
+    the tridiagonal matrix itself; the vectors are real and orthonormal,
+    in the basis of the band matrix.
     """
     band = np.asarray(band, dtype=float)
-    if band.ndim != 2 or band.shape[1] < 1:
-        raise DimensionError(f"band of shape {band.shape} is not a band matrix")
-    try:
-        values, vectors = sla.eig_banded(band, lower=True)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise SolverError(f"banded eigensolver failed: {exc}") from exc
+    if band.ndim != 2 or band.shape[0] != 2 or band.shape[1] < 1:
+        raise DimensionError(f"band of shape {band.shape} is not a tridiagonal band")
+    # The wrapper wants an off-diagonal of length >= 1, also for n = 1.
+    values, vectors, info = lapack.dstevd(band[0], band[1, : max(band.shape[1] - 1, 1)])
+    if info != 0:  # pragma: no cover - LAPACK rarely fails here
+        raise SolverError(f"tridiagonal eigensolver failed (dstevd info {info})")
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -194,8 +205,9 @@ def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
     off-diagonal e.  So exp(K) = Phi exp(-i T) Phi^dag, and with
     T = W diag(L) W^T (banded_eigh) entry (j, k) is C, S, -C or -S as
     (j - k) mod 4 is 0, 1, 2 or 3, where C = W cos(L) W^T and
-    S = W sin(L) W^T: one real tridiagonal eigensolve and two real n x n
-    products.  The result is real and orthogonal to solver precision.
+    S = W sin(L) W^T: one real tridiagonal eigensolve (dstevd) and two
+    real n x n products.  The result is real and orthogonal to solver
+    precision.
     """
     n = len(e) + 1
     band = np.zeros((2, n))

@@ -15,8 +15,9 @@ calls that path.  Every charge flips the qubit within fixed 2 x 2
 spin-flip pairs (model.SuperchargeSet.pairs), and H and the grading act
 within the same pairs, so the algebra reports and the goldstino check
 take H and the charges as (N, 2, 2) stacks of those blocks
-(model.charge_pairs) and every product is a batched 2 x 2 one, O(N) in
-all; susy_algebra_report gathers dense operands onto the pairs first.
+(model.charge_pairs): every product is a batched 2 x 2 one and every
+block norm a closed-form one, O(N) in all; susy_algebra_report gathers
+dense operands onto the pairs first.
 Residuals are measured on the interior index set of
 fock.interior_projector, straight from the blocks, and one batched eigh
 of the 2 x 2 blocks of H gives its ground states and scale.
@@ -335,12 +336,16 @@ def _chain_graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
 
     Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
     (-1)^n on chain 1; with real eigenvectors v the expectation of a
-    level is sum_n g_n v_n^2.
+    level is sum_n g_n v_n^2.  Tridiagonal chains take banded_eigh; the
+    pentadiagonal chains of H with an A^2 term, which only the tests
+    pass, take hermitian_eigs of each N x N chain, the oracle path.
     """
     sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
+    tridiagonal = h.bands.shape[1] == 2
+    chains = h.bands if tridiagonal else h.matrices()
     values, expectations = [], []
-    for grading, band in zip((-sign, sign), h.bands):
-        ed = banded_eigh(band)
+    for grading, chain in zip((-sign, sign), chains):
+        ed = banded_eigh(chain) if tridiagonal else hermitian_eigs(chain)
         values.append(ed.values)
         expectations.append(grading @ ed.vectors**2)
     order = np.argsort(np.concatenate(values), kind="stable")
@@ -357,8 +362,10 @@ def witten_index(
 
     k is extended to the next degeneracy-group boundary so that the sum
     over each (near-)degenerate subspace is the basis-independent trace.
-    ParityChains take the banded path with the grading -sz, which is
-    diagonal in the chain basis, and grading must be None.  A dense h
+    ParityChains take the chain path with the grading -sz, which is
+    diagonal in the chain basis, and grading must be None; tridiagonal
+    chains are solved by banded_eigh, pentadiagonal ones (the oracle
+    chains with an A^2 term) by hermitian_eigs per chain.  A dense h
     with its dense grading goes through hermitian_eigs, one full dense
     eigendecomposition; that path is the reference oracle.  k below 1 is
     a ValidationError.
@@ -457,6 +464,25 @@ def susy_algebra_report(
     return pair_algebra_report(stacks[0], stacked, fp, tol_algebra)
 
 
+def _pair_norms(m: np.ndarray) -> np.ndarray:
+    """The largest singular value of each block of an (N, 2, 2) stack, in closed form.
+
+    Each block M is scaled by s = max|M_ij| (a zero block stays zero) to
+    B = M / s; with B^H B = [[p, r], [conj(r), q]] the larger singular
+    value of B is sqrt((p + q)/2 + hypot((p - q)/2, |r|)), a sum of
+    non-negative terms.  The scaling keeps p, q and |r| at most 2, so no
+    square overflows, and one underflows only where an entry is below
+    rounding relative to the largest.
+    """
+    s = np.abs(m).max(axis=(1, 2))
+    b = m / np.where(s > 0.0, s, 1.0)[:, None, None]
+    sq = np.abs(b) ** 2
+    p = sq[:, 0, 0] + sq[:, 1, 0]
+    q = sq[:, 0, 1] + sq[:, 1, 1]
+    r = np.abs(b[:, 0, 0].conj() * b[:, 0, 1] + b[:, 1, 0].conj() * b[:, 1, 1])
+    return s * np.sqrt((p + q) / 2.0 + np.hypot((p - q) / 2.0, r))
+
+
 def pair_algebra_report(
     h: np.ndarray,
     charges: SuperchargeSet,
@@ -470,7 +496,8 @@ def pair_algebra_report(
     one, O(N) in all.  One batched eigh of the h stack gives the scale
     max(1, |H|_2) and the ground states, each on its own pair.  A
     residual is the largest singular value of its blocks with the rows
-    and columns outside fock.interior_projector zeroed.
+    and columns outside fock.interior_projector zeroed, each block's in
+    closed form (_pair_norms).
     """
     if not h.shape == charges.q1.shape == (fp.n_fock, 2, 2):
         raise ValidationError(f"pair stacks {h.shape}, {charges.q1.shape}, n_fock {fp.n_fock}")
@@ -498,7 +525,7 @@ def pair_algebra_report(
     mask = keep[:, :, None] & keep[:, None, :]
 
     def rel(m: np.ndarray) -> float:
-        return float(np.linalg.svd(m * mask, compute_uv=False).max()) / scale
+        return float(_pair_norms(m * mask).max()) / scale
 
     q = {"1": q1, "2": q2}
     anti = {

@@ -24,9 +24,11 @@ the blocks its algebra gives it, with no dense 2N x 2N operand:
   the residual lives on the two N x N spin-diagonal blocks, and the
   scale |rhs|_2 on two N x N blocks that the parity of D splits it into.
 
-u_polaron, squeeze and displacement are the paper's formulas, and the
-tests compare each check with numpy on the dense operators built from
-them.  Every unitary here is real: both generators, beta (a_dag - a) and
+The squeeze and polaron residuals are symmetric (k, N, N) stacks, so
+their norms are one batched eigvalsh (_leading_norm).  u_polaron,
+squeeze and displacement are the paper's formulas, and the tests
+compare each check with numpy on the dense operators built from them.
+Every unitary here is real: both generators, beta (a_dag - a) and
 (zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
 squeeze on its even and on its odd levels), so each exponential is one
 linalg.skew_tridiagonal_exp, a real tridiagonal eigensolve.
@@ -139,8 +141,16 @@ def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
 
 
 def _leading_norm(stack: np.ndarray, cut: int) -> float:
-    """Largest spectral norm of the leading cut x cut blocks of a (k, N, N) stack."""
-    return float(np.linalg.svd(stack[:, :cut, :cut], compute_uv=False).max())
+    """Largest spectral norm of the leading cut x cut blocks of a symmetric (k, N, N) stack.
+
+    Both residuals, S^T L S - R and U^T lhs U - F, are symmetric for any
+    orthogonal S or U, since L, R, lhs and F are; only round-off breaks
+    that.  So the stack is symmetrized, which cannot hide an error of S
+    or U, and its norm is linalg.hermitian_norm, one batched eigvalsh in
+    place of the singular values.
+    """
+    block = stack[:, :cut, :cut]
+    return hermitian_norm((block + block.transpose(0, 2, 1)) / 2.0)
 
 
 def u_a2_with_report(
@@ -250,11 +260,13 @@ def polaron_equivalence_report(
     D h+ D^T and D^T h- D, with h+/- = omega_b(n+1/2) +/- g x + g^2/omega_b,
     and its off-diagonal blocks are -(omega_a/2) D^2 and its transpose,
     those of the rhs.  The residual is the two diagonal blocks less
-    omega_b(n+1/2), a (2, N, N) stack.  The off-diagonal block
+    F = omega_b(n+1/2), a symmetric (2, N, N) stack whose norm is
+    _leading_norm; F and g x are built straight from the ladder
+    formulas as N x N arrays.  The off-diagonal block
     O = -(omega_a/2) D^2 has O^T = P O P with P = diag((-1)^n), since
     D(beta)^T = D(-beta) = P D(beta) P; so the rhs is unitarily the direct
-    sum of omega_b(n+1/2) +/- O P, and the scale |rhs|_2 is the larger
-    linalg.hermitian_norm of those two N x N blocks.
+    sum of omega_b(n+1/2) +/- O P, and the scale |rhs|_2 is
+    linalg.hermitian_norm of the stack of those two N x N blocks.
     """
     beta = g / omega_b
     cut = _checked_cut(
@@ -263,14 +275,17 @@ def polaron_equivalence_report(
         f"displacement amplitude {beta}",
     )
     d = displacement(beta, fp)
-    ops = make_operators(fp)
-    free = omega_b * (ops.n_op + 0.5 * np.eye(fp.n_fock))
-    coupling = g * (ops.a + ops.a_dag)
+    # F and g x straight from the ladder formulas, with the level n as
+    # sqrt(n)^2, the diagonal of the literal a_dag @ a.
+    root = np.sqrt(np.arange(fp.n_fock, dtype=float))
+    free = np.diag(omega_b * (root**2 + 0.5))
+    coupling = np.diag(g * root[1:], 1)
+    coupling += coupling.T
     shift = g**2 / omega_b * np.eye(fp.n_fock)
     u = np.stack([d.T, d])
     lhs = np.stack([free + coupling + shift, free - coupling + shift])
     residual = _leading_norm(u.transpose(0, 2, 1) @ lhs @ u - free, cut)
     # O P, with P = diag((-1)^n) scaling the columns.
     off_p = -(omega_a / 2.0) * (d @ d) * (1.0 - 2.0 * (np.arange(fp.n_fock) % 2))
-    scale = max(hermitian_norm(free + off_p), hermitian_norm(free - off_p))
+    scale = hermitian_norm(np.stack([free + off_p, free - off_p]))
     return TransformReport(residual / max(1.0, scale))

@@ -107,14 +107,15 @@ def test_hermitian_eigs_of_sparse_complex_matrix_match_eigvalsh():
 
 
 def test_banded_eigh_matches_dense():
-    band = np.array([[2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2, 0.0], [0.1, 0.4, 0.0, 0.0]])
-    dense = np.diag(band[0])
-    for d in (1, 2):
-        dense += np.diag(band[d, : 4 - d], -d) + np.diag(band[d, : 4 - d], d)
+    band = np.array([[2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2, 0.0]])
+    dense = np.diag(band[0]) + np.diag(band[1, :3], -1) + np.diag(band[1, :3], 1)
     ed = banded_eigh(band)
     np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(dense), atol=1e-13)
     np.testing.assert_allclose(dense @ ed.vectors, ed.vectors * ed.values, atol=1e-13)
     np.testing.assert_allclose(ed.vectors.T @ ed.vectors, np.eye(4), atol=1e-13)
+    # Tridiagonal only: a pentadiagonal band and a bare vector are refused.
+    with pytest.raises(DimensionError):
+        banded_eigh(np.vstack([band, [[0.1, 0.4, 0.0, 0.0]]]))
     with pytest.raises(DimensionError):
         banded_eigh(np.ones(3))
 

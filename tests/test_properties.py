@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import (
+    banded_eigh,
     banded_norm,
     hermitian_eigs,
     hermitian_norm,
@@ -33,11 +34,13 @@ from susyrabi.model import (
 )
 from susyrabi.spectral import (
     WITTEN_TAIL_MAX,
+    _pair_norms,
     degeneracy_groups,
     lowest_k,
     required_n_fock,
     witten_index,
 )
+from susyrabi.transforms import _leading_norm
 
 ints = st.integers(min_value=-5, max_value=5)
 
@@ -90,6 +93,132 @@ def test_skew_tridiagonal_exp_matches_dense_exponential(e):
     u = skew_tridiagonal_exp(e)
     assert u.dtype == np.float64
     np.testing.assert_allclose(u, dense_exp(k), rtol=0, atol=1e-13)
+
+
+# The tridiagonal eigensolver (LAPACK dstevd) against scipy's eig_banded
+# (dsbevd, which runs the same divide and conquer and then multiplies by an
+# identity Q): bitwise equal.  Against the dense eigh, tolerances fixed in
+# advance: 1e-12 relative to max(1, |T|_2) for the eigenvalues and for
+# |TV - V Lambda|_2, and 1e-12 absolute for |V^T V - 1|_2.
+TRIDIAGONAL_RTOL = 1e-12
+
+
+@st.composite
+def tridiagonal_bands(draw):
+    """A (2, n) lower band, n in 1..64, whose diagonal is all zeros half the time."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    band = draw(arrays(np.float64, (2, n), elements=reals))
+    if draw(st.booleans()):
+        band[0] = 0.0
+    band[1, -1] = 0.0
+    return band
+
+
+@settings(max_examples=100, deadline=None)
+@given(tridiagonal_bands())
+@example(band=np.zeros((2, 1)))
+@example(band=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+def test_banded_eigh_equals_eig_banded_and_dense_eigh(band):
+    ed = banded_eigh(band)
+    values, vectors = sla.eig_banded(band, lower=True)
+    np.testing.assert_array_equal(ed.values, values)
+    np.testing.assert_array_equal(ed.vectors, vectors)
+    n = band.shape[1]
+    t = np.diag(band[0]) + np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
+    scale = max(1.0, np.linalg.norm(t, 2))
+    assert np.max(np.abs(ed.values - np.linalg.eigvalsh(t))) <= TRIDIAGONAL_RTOL * scale
+    assert np.linalg.norm(t @ ed.vectors - ed.vectors * ed.values, 2) <= TRIDIAGONAL_RTOL * scale
+    assert np.linalg.norm(ed.vectors.T @ ed.vectors - np.eye(n), 2) <= TRIDIAGONAL_RTOL
+
+
+# Norms of symmetric (k, n, n) stacks: hermitian_norm, and _leading_norm on
+# a leading cut x cut block, against the largest singular value of the
+# stack.  The tolerance is fixed in advance: 1e-12 relative to the SVD
+# norm, and exactly 0 for a zero stack.
+STACK_RTOL = 1e-12
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """A real symmetric or complex Hermitian (k, n, n) stack, k in 1..3, n in 1..12,
+    scaled by 10**e, e in -100..100, with a random share of exact zeros."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(arrays(np.float64, (k, n, n), elements=reals))
+    if draw(st.booleans()):
+        m = m + 1j * draw(arrays(np.float64, (k, n, n), elements=reals))
+    keep = draw(arrays(np.bool_, (k, n, n)))
+    keep = keep & keep.transpose(0, 2, 1)
+    scale = 10.0 ** draw(st.integers(min_value=-100, max_value=100))
+    return scale * (m + m.conj().transpose(0, 2, 1)) * keep
+
+
+def assert_stack_norm(got, stack):
+    want = float(np.linalg.svd(stack, compute_uv=False).max()) if stack.size else 0.0
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - want) <= STACK_RTOL * want, (got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_stacks(), st.data())
+def test_stack_norms_equal_svd_norm(stack, data):
+    assert_stack_norm(hermitian_norm(stack), stack)
+    if np.isrealobj(stack):
+        cut = data.draw(st.integers(min_value=1, max_value=stack.shape[1]))
+        assert_stack_norm(_leading_norm(stack, cut), stack[:, :cut, :cut])
+    # One member off Hermitian breaks the contract for the whole stack.
+    anti = np.zeros_like(stack)
+    anti[-1, 0, -1] = 1.0 + np.abs(stack).max()
+    if stack.shape[1] > 1:
+        with pytest.raises(ContractViolationError):
+            hermitian_norm(stack + anti)
+
+
+# The closed-form largest singular value of 2 x 2 blocks against numpy's
+# SVD.  The tolerance is fixed in advance: 1e-14 relative to the SVD
+# value, and exactly 0 for a zero block.
+PAIR_RTOL = 1e-14
+
+
+def assert_pair_norms(stack):
+    got = _pair_norms(stack)
+    want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[want == 0.0], 0.0)
+    nonzero = want > 0.0
+    assert np.all(np.abs(got - want)[nonzero] <= PAIR_RTOL * want[nonzero]), (got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.booleans(), st.data())
+def test_pair_norms_equal_svd(n, complex_, data):
+    stack = data.draw(arrays(np.float64, (n, 2, 2), elements=reals))
+    if complex_:
+        stack = stack + 1j * data.draw(arrays(np.float64, (n, 2, 2), elements=reals))
+    exponents = data.draw(arrays(np.int64, (n,), elements=st.integers(-170, 150)))
+    assert_pair_norms(stack * (10.0 ** exponents.astype(float))[:, None, None])
+
+
+def test_pair_norms_on_special_blocks():
+    rot = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    unitary = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+    u, v = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    blocks = [
+        2.0 * np.eye(2),  # equal singular values
+        3.0 * rot,
+        np.outer(u, v),  # rank 1
+        np.outer(u + 1j * v, v - 2j * u),
+        np.zeros((2, 2)),
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+    ]
+    for scale in (1.0, 1e-170, 3e-170, 1e150, 7e150):
+        real = np.stack([b * scale for b in blocks if np.isrealobj(b)])
+        assert_pair_norms(real)
+        assert_pair_norms(np.stack([b * scale for b in blocks] + [unitary * scale]))
+        # Entries near 1e-170 beside entries near 1e150 in one stack.
+        assert_pair_norms(np.stack([rot * 1e-170, rot * 1e150, np.outer(u, v) * scale]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -397,10 +397,11 @@ def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
 
 def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     # No check builds a dense 2N x 2N operand: every kron, dense Hamiltonian,
-    # embedding, dense charge set, dense eigensolve and np.block is refused,
-    # in every module that could reach one, and verify and goldstino still
-    # run end to end.  The algebra reports also take dense inputs, built
-    # before the refusals, and gather them onto the charges' spin-flip pairs.
+    # embedding, dense charge set, dense eigensolve, np.block and the N x N
+    # ladder-operator set is refused, in every module that could reach one,
+    # and verify and goldstino still run end to end.  The algebra reports
+    # also take dense inputs, built before the refusals, and gather them
+    # onto the charges' spin-flip pairs.
     fp = FockParams(n_fock=64, buffer=16)
     algebra_inputs = [
         (hamiltonian(ModelParams(OMEGA, OMEGA), fp), model.free_supercharges(OMEGA, fp)),
@@ -412,7 +413,8 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
 
     for module in (cli, fock, linalg, model, spectral, transforms):
         for name in ("kron", "hamiltonian", "embed_qubit", "embed_boson",
-                     "free_supercharges", "broken_supercharges", "hermitian_eigs"):
+                     "free_supercharges", "broken_supercharges", "hermitian_eigs",
+                     "make_operators"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(np, "block", refuse)
     u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp, check=False)
