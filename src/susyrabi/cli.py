@@ -23,17 +23,15 @@ from .model import (
     charge_pairs,
     mass_increment,
     renormalized_frequency,
-    squeezed_chains,
+    squeezed_chains_r,
 )
 from .output import emit_flow_csv, emit_flow_svg, emit_spectrum_csv
 from .spectral import (
-    SpectrumTable,
-    degeneracy_groups,
     goldstino_check,
-    lowest_k,
     pair_algebra_report,
     spectral_flow_g,
     spectral_flow_r,
+    spectrum_table,
     truncation_convergence,
     witten_index,
 )
@@ -74,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "spectrum":
             cmd.add_argument("--r", type=float, default=1.0)
         if name == "mass":
-            cmd.add_argument("--g", type=float, default=None,
+            cmd.add_argument("--g", type=float, default=None, dest="g_max",
                              help="coupling (alias for --g-max)")
         if name == "witten":
             cmd.add_argument("--beta", type=float, default=None)
@@ -100,13 +98,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    s = cfg.schedule()
-    vals = lowest_k(squeezed_chains(s.params(args.r), cfg.fock(), s.self_energy(args.r)),
-                    cfg.k_levels)
-    table = SpectrumTable(
-        energies=vals,
-        groups=degeneracy_groups(vals, cfg.tol_degeneracy),
-        n_fock_used=cfg.n_fock,
+    fp = cfg.fock()
+    table = spectrum_table(
+        squeezed_chains_r(cfg.schedule(), args.r, fp), cfg.k_levels, fp, cfg.tol_degeneracy
     )
     if cfg.out_csv:
         emit_spectrum_csv(table, cfg.out_csv)
@@ -158,9 +152,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     for i, val in enumerate(broken.vacuum_annihilation):
         rows.append((f"broken.vacuum_nonannihilation.{i}", abs(val - target), 1e-6))
 
-    _, a2_rep = u_a2_with_report(
-        ModelParams(cfg.omega, cfg.omega, cfg.g_max, cfg.c), fp, check=False
-    )
+    _, a2_rep = u_a2_with_report(ModelParams(cfg.omega, cfg.omega, cfg.g_max, cfg.c), fp)
     rows.append(("transform.a2_removal", a2_rep.residual, 1e-6))
     pol_rep = polaron_equivalence_report(cfg.omega, cfg.omega, cfg.g_max, fp)
     rows.append(("transform.polaron", pol_rep.residual, 1e-7))
@@ -181,7 +173,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     beta = args.beta if args.beta is not None else 5.0 / cfg.omega
     for r in (0.0, 1.0):
-        rep = witten_index(squeezed_chains(s.params(r), fp, s.self_energy(r)), None, beta)
+        rep = witten_index(squeezed_chains_r(s, r, fp), None, beta)
         print(
             f"r={r}: index {rep.index_value:.6f} (rounded {rep.rounded}, "
             f"beta {rep.beta:.4g}, tail {rep.truncation_tail:.2e})"
@@ -192,7 +184,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
 def _cmd_converge(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     rep = truncation_convergence(
-        lambda fp: squeezed_chains(s.params(1.0), fp, s.self_energy(1.0)),
+        lambda fp: squeezed_chains_r(s, 1.0, fp),
         cfg.k_levels,
         cfg.tol_convergence,
         cfg.fock(),
@@ -204,11 +196,8 @@ def _cmd_converge(args, cfg: RunConfig) -> int:
 
 
 def _cmd_mass(args, cfg: RunConfig) -> int:
-    g = args.g if args.g is not None else cfg.g_max
-    if g < 0:
-        raise ValidationError(f"g must be non-negative, got {g}")
-    omega_g, g_tilde = renormalized_frequency(cfg.omega, cfg.c, g)
-    dm = mass_increment(cfg.omega, cfg.c, g)
+    omega_g, g_tilde = renormalized_frequency(cfg.omega, cfg.c, cfg.g_max)
+    dm = mass_increment(cfg.omega, cfg.c, cfg.g_max)
     print(f"omega_g {omega_g:.6g}")
     print(f"g_tilde {g_tilde:.6g}")
     print(f"delta_m {dm:.6g}")

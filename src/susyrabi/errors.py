@@ -37,9 +37,5 @@ class TruncationError(NumericalError):
     """Fock truncation too small for the requested amplitudes."""
 
 
-class TransformMismatchError(NumericalError):
-    """A unitary-equivalence residual exceeded its threshold."""
-
-
 class InvalidBetaError(NumericalError):
     """Witten-index Boltzmann tail too large for the given beta / level count."""

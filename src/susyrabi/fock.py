@@ -7,13 +7,14 @@ hbar = 1 everywhere; energies are in the paper-style frequency units.
 The interior on which operator identities are checked is an index set
 of this basis, not a projector matrix.  Every operator here is real
 (float64) except sigma_y, so products and solves built from them stay
-in real arithmetic until a complex factor enters.
+in real arithmetic until a complex factor enters.  The qubit operators
+are the module constants SX, SY, SZ, I2, S_PLUS and S_MINUS, read-only,
+so that no caller can change them for the others.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,9 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 I2 = np.eye(2)
 S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 S_MINUS = S_PLUS.T.copy()
+for _spin in (SX, SY, SZ, I2, S_PLUS, S_MINUS):
+    _spin.flags.writeable = False
+del _spin
 
 
 @dataclass(frozen=True)
@@ -54,59 +58,30 @@ class FockParams:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Ladder and spin operators for one truncation size.
+    """The boson ladder operators for one truncation size, each N x N.
 
-    a, a_dag, n_op live on the boson factor (N x N); the spin operators on
-    the qubit factor (2 x 2).  n_op is the literal matrix product
-    a_dag @ a, so it is exactly consistent with the ladder matrices.
+    n_op is diag(sqrt(n)^2), bitwise the literal product a_dag @ a, so it
+    is exactly consistent with the ladder matrices.
     """
 
     a: np.ndarray
     a_dag: np.ndarray
     n_op: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    basis: str = field(default="qubit-major; |up>=(1,0)")
 
 
 def make_operators(fp: FockParams) -> OperatorSet:
-    """The truncated ladder operators and the qubit operators for fp.
+    """The truncated ladder operators for fp, built afresh on each call.
 
     <n-1|a|n> = sqrt(n); the commutator [a, a_dag] equals the identity on
     levels n < N-1 and carries the usual truncation defect at the corner.
-    The set is cached per FockParams and its arrays are read-only, so
-    every caller shares one copy.
     """
-    # A plain function in front of the cache keeps the calls visible to
-    # function-wrapping tracers such as perfbench/tracer.py.
-    return _cached_operators(fp)
-
-
-# Bounded: one set at N = 4096 holds three float64 N x N arrays, about 400 MB.
-@functools.lru_cache(maxsize=4)
-def _cached_operators(fp: FockParams) -> OperatorSet:
     n = fp.n_fock
     a = np.zeros((n, n))
     levels = np.arange(1, n)
     a[levels - 1, levels] = np.sqrt(levels)
-    a_dag = a.T.copy()
-    ops = OperatorSet(
-        a=a,
-        a_dag=a_dag,
-        n_op=a_dag @ a,
-        sx=SX.copy(),
-        sy=SY.copy(),
-        sz=SZ.copy(),
-        s_plus=S_PLUS.copy(),
-        s_minus=S_MINUS.copy(),
+    return OperatorSet(
+        a=a, a_dag=a.T.copy(), n_op=np.diag(np.sqrt(np.arange(n, dtype=float)) ** 2)
     )
-    for value in vars(ops).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return ops
 
 
 def embed_boson(op: np.ndarray, fp: FockParams) -> np.ndarray:

@@ -49,10 +49,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 def _check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """a as a square float64 or complex array, or a (k, n, n) stack of them
@@ -64,18 +60,19 @@ def _check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> n
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor index-major.
 
     Called as kron(spin, boson) this puts the qubit factor first, which is
-    the basis ordering used everywhere in this package.
+    the basis ordering used everywhere in this package.  A result above
+    MAX_DIM, read at each call, is a DimensionError.
     """
     a = _check_square(a, "kron factor A")
     b = _check_square(b, "kron factor B")
     dim = a.shape[0] * b.shape[0]
-    if dim > max_dim:
+    if dim > MAX_DIM:
         raise DimensionError(
-            f"kron result dimension {dim} exceeds the configured maximum {max_dim}"
+            f"kron result dimension {dim} exceeds the configured maximum {MAX_DIM}"
         )
     return np.kron(a, b)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fock import (
-    I2, S_MINUS, S_PLUS, SZ, FockParams, embed_boson, embed_qubit, kron, make_operators,
+    I2, S_MINUS, S_PLUS, SX, SZ, FockParams, embed_boson, embed_qubit, kron, make_operators,
 )
 
 
@@ -139,10 +139,10 @@ def hamiltonian(p: ModelParams, fp: FockParams, shift: float = 0.0) -> np.ndarra
     """
     ops = make_operators(fp)
     x2 = ops.a + ops.a_dag
-    h = p.omega_a / 2.0 * embed_qubit(ops.sz, fp)
+    h = p.omega_a / 2.0 * embed_qubit(SZ, fp)
     h = h + p.omega_b * embed_boson(ops.n_op + 0.5 * np.eye(fp.n_fock), fp)
     if p.g != 0.0:
-        h = h + p.g * kron(ops.sx, x2)
+        h = h + p.g * kron(SX, x2)
     if p.c != 0.0 and p.g != 0.0:
         h = h + p.c * p.g**2 * embed_boson(x2 @ x2, fp)
     if shift != 0.0:
@@ -246,7 +246,7 @@ def h_susy_ss(omega: float, fp: FockParams) -> np.ndarray:
     ops = make_operators(fp)
     return omega * embed_boson(ops.n_op + 0.5 * np.eye(fp.n_fock), fp) + (
         omega / 2.0
-    ) * embed_qubit(ops.sz, fp)
+    ) * embed_qubit(SZ, fp)
 
 
 def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
@@ -263,10 +263,10 @@ def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     dim = fp.total_dim
     h = np.zeros((dim, dim))
     if g != 0.0:
-        h = h + g * math.sqrt(2.0 / s.omega) * kron(ops.sx, w)
+        h = h + g * math.sqrt(2.0 / s.omega) * kron(SX, w)
         h = h + (2.0 * s.c / s.omega) * g**2 * embed_boson(w @ w, fp)
         h = h + s.self_energy(r) * np.eye(dim)
-    h = h + (s.omega_a(r) - s.omega) / 2.0 * embed_qubit(ops.sz, fp)
+    h = h + (s.omega_a(r) - s.omega) / 2.0 * embed_qubit(SZ, fp)
     return h
 
 
@@ -285,6 +285,12 @@ def parity_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:
     """H(r) of h_total_r, self-energy shift included, as pentadiagonal parity chains."""
     _check_r(r)
     return parity_chains(s.params(r), fp, shift=s.self_energy(r))
+
+
+def squeezed_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:
+    """H(r) of h_total_r, self-energy shift included, as tridiagonal squeezed chains."""
+    _check_r(r)
+    return squeezed_chains(s.params(r), fp, shift=s.self_energy(r))
 
 
 def heavy_hamiltonian(s: Schedule, fp: FockParams) -> np.ndarray:
@@ -417,5 +423,5 @@ def heavy_field(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     return (
         alpha * embed_boson(ops.a, fp)
         + gamma * embed_boson(ops.a_dag, fp)
-        + kappa * embed_qubit(ops.sx, fp)
+        + kappa * embed_qubit(SX, fp)
     )

@@ -4,10 +4,11 @@ Callers that need only the lowest levels (sweeps over r and g,
 truncation convergence, the limit and no-go checks, and the CLI
 spectrum and converge commands) build the Hamiltonian in the squeezed
 frame without the A^2 term, as its two tridiagonal parity chains
-(model.squeezed_chains), and solve them with the banded core in
-lowest_k.  The Witten index takes these chains too: the squeeze leaves
-sz alone, so the grading -sz is diagonal in the chain basis and each
-level's expectation comes from its real chain eigenvector.  The
+(model.squeezed_chains; model.squeezed_chains_r on the r path), and
+solve them with the banded core in lowest_k.  The Witten index takes
+these chains too: the squeeze leaves sz alone, so the grading -sz is
+diagonal in the chain basis and each level's expectation comes from
+its real chain eigenvector.  The
 parity chains of the truncated H (model.parity_chains, pentadiagonal
 with an A^2 term) and the dense 2N x 2N builders stay as the reference
 oracles, which hermitian_eigs solves with one dense eigh; no command
@@ -28,7 +29,7 @@ Sweep grid points are evaluated serially in grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .model import (
     hamiltonian,
     renormalized_frequency,
     squeezed_chains,
+    squeezed_chains_r,
 )
 
 DEGENERACY_TOL = 1e-6
@@ -69,7 +71,6 @@ class FlowResult:
     grid: np.ndarray
     tables: tuple[SpectrumTable, ...]
     sweep_kind: str  # "r_sweep" | "g_sweep"
-    meta: dict = field(default_factory=dict)
 
 
 def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
@@ -114,9 +115,10 @@ def degeneracy_groups(
     return tuple(groups)
 
 
-def _table(
+def spectrum_table(
     h: np.ndarray | ParityChains, k: int, fp: FockParams, tol_rel: float
 ) -> SpectrumTable:
+    """The lowest k levels of h (lowest_k) and their degeneracy groups at tol_rel."""
     vals = lowest_k(h, k)
     return SpectrumTable(
         energies=vals,
@@ -140,15 +142,9 @@ def spectral_flow_r(
         raise ValidationError("r grid must lie within [0, 1]")
 
     tables = tuple(
-        _table(squeezed_chains(s.params(r), fp, s.self_energy(r)), k, fp, tol_degeneracy)
-        for r in grid
+        spectrum_table(squeezed_chains_r(s, r, fp), k, fp, tol_degeneracy) for r in grid
     )
-    return FlowResult(
-        grid=grid,
-        tables=tables,
-        sweep_kind="r_sweep",
-        meta={"schedule": s, "k": k, "fock": fp},
-    )
+    return FlowResult(grid=grid, tables=tables, sweep_kind="r_sweep")
 
 
 def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
@@ -210,15 +206,10 @@ def spectral_flow_g(
                 f"or reduce the coupling range"
             )
         fp_g = FockParams(n_fock=n_req, buffer=min(fp.buffer, n_req // 2))
-        return _table(_sweep_chains_g(omega, c, g, fp_g), k, fp_g, tol_degeneracy)
+        return spectrum_table(_sweep_chains_g(omega, c, g, fp_g), k, fp_g, tol_degeneracy)
 
     tables = tuple(point(g) for g in g_grid)
-    return FlowResult(
-        grid=g_grid,
-        tables=tables,
-        sweep_kind="g_sweep",
-        meta={"omega": omega, "c": c, "k": k, "fock": fp},
-    )
+    return FlowResult(grid=g_grid, tables=tables, sweep_kind="g_sweep")
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,6 @@ class NoGoReport:
     max_deviation: float
     self_energy: float
     self_energy_limit: float | None  # 1/(4c); None when c = 0
-    target: np.ndarray
 
 
 def no_go_asymptote_check(
@@ -266,7 +256,6 @@ def no_go_asymptote_check(
         max_deviation=float(np.max(np.abs(vals - target))),
         self_energy=_self_energy_g(omega, c, g),
         self_energy_limit=limit,
-        target=target,
     )
 
 
@@ -367,11 +356,11 @@ def witten_index(
     chains are solved by banded_eigh, pentadiagonal ones (the oracle
     chains with an A^2 term) by hermitian_eigs per chain.  A dense h
     with its dense grading goes through hermitian_eigs, one full dense
-    eigendecomposition; that path is the reference oracle.  k below 1 is
-    a ValidationError.
+    eigendecomposition; that path is the reference oracle.  A beta that
+    is not finite and > 0, or a k below 1, is a ValidationError.
     """
-    if beta <= 0:
-        raise ValidationError(f"beta must be > 0, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValidationError(f"beta must be finite and > 0, got {beta}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     chains = isinstance(h, ParityChains)
@@ -602,29 +591,18 @@ class LimitReport:
     groups_r1: tuple[int, ...]
 
 
-def limit_check(
-    s: Schedule,
-    fp: FockParams,
-    k: int = 8,
-    tol_degeneracy: float = DEGENERACY_TOL,
-    pair_tol: float | None = None,
-) -> LimitReport:
+def limit_check(s: Schedule, fp: FockParams, k: int = 8) -> LimitReport:
     """Compare lowest_k(H(1)) against the analytic omega_g*(n+1/2) ladder.
 
     Each rung of the ladder is doubly degenerate (the spectrum of
     model.heavy_hamiltonian), so the target is its lowest k entries.
-
-    pair_tol, when given, is the looser grouping tolerance for the r=1
-    endpoint (the c=0 cat-state pairs split only exponentially).
+    Both endpoints are grouped at DEGENERACY_TOL.
     """
-    vals_r1 = lowest_k(squeezed_chains(s.params(1.0), fp, s.self_energy(1.0)), k)
+    vals_r1 = lowest_k(squeezed_chains_r(s, 1.0, fp), k)
     target = np.repeat(s.omega_g(1.0) * (np.arange(k) + 0.5), 2)[:k]
-    vals_r0 = lowest_k(squeezed_chains(s.params(0.0), fp, s.self_energy(0.0)), k)
-    groups_r0 = tuple(size for _, size in degeneracy_groups(vals_r0, tol_degeneracy))
-    groups_r1 = tuple(
-        size
-        for _, size in degeneracy_groups(vals_r1, pair_tol or tol_degeneracy)
-    )
+    vals_r0 = lowest_k(squeezed_chains_r(s, 0.0, fp), k)
+    groups_r0 = tuple(size for _, size in degeneracy_groups(vals_r0))
+    groups_r1 = tuple(size for _, size in degeneracy_groups(vals_r1))
     return LimitReport(
         max_deviation=float(np.max(np.abs(vals_r1 - target))),
         ground_energy=float(vals_r1[0]),

@@ -202,8 +202,7 @@ def test_criterion_08_transform_identities():
     fp_squeeze = FockParams(n_fock=384, buffer=96)
     fp = FockParams(n_fock=256, buffer=64)
     worst_a2 = max(
-        u_a2_with_report(ModelParams(OMEGA, OMEGA, G_MAX, c), fp_squeeze,
-                         check=False)[1].residual
+        u_a2_with_report(ModelParams(OMEGA, OMEGA, G_MAX, c), fp_squeeze)[1].residual
         for c in (0.2513, 0.628, 1.257)
     )
     polaron = polaron_equivalence_report(OMEGA, OMEGA, G_MAX, fp).residual

@@ -99,6 +99,35 @@ def test_mass_command(capsys):
     assert "self_energy_limit 0.994827" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--g-max", "1.0", "--g", "6.2832"],
+    ["--g", "1.0", "--g-max", "6.2832"],
+])
+def test_mass_g_is_an_alias_of_g_max(argv, capsys):
+    # --g and --g-max set the same value; the last one given wins.
+    assert run_command(["mass", "--c", "0.2513", *argv]) == 0
+    assert "omega_g 16.9947" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--g", "--g-max"])
+@pytest.mark.parametrize("value, message", [
+    ("nan", "key 'g_max' must be finite"),
+    ("inf", "key 'g_max' must be finite"),
+    ("-1", "g_max and c must be non-negative"),
+])
+def test_mass_rejects_bad_coupling(flag, value, message, capsys):
+    assert run_command(["mass", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
+def test_witten_rejects_beta_not_finite_and_positive(beta, capsys):
+    assert run_command(["witten", *FAST, "--beta", beta]) == 1
+    assert capsys.readouterr().err.startswith("error: beta must be finite and > 0, got ")
+
+
 def test_goldstino_command(capsys):
     code = run_command(["goldstino", *FAST])
     out = capsys.readouterr().out

@@ -5,6 +5,12 @@ import pytest
 
 from susyrabi.errors import DimensionError, ValidationError
 from susyrabi.fock import (
+    I2,
+    S_MINUS,
+    S_PLUS,
+    SX,
+    SY,
+    SZ,
     FockParams,
     basis_state,
     embed_boson,
@@ -39,6 +45,7 @@ def test_number_operator_is_diagonal_count(fp_small):
         np.diagonal(ops.n_op).real, np.arange(fp_small.n_fock)
     )
     assert np.count_nonzero(ops.n_op - np.diag(np.diagonal(ops.n_op))) == 0
+    np.testing.assert_array_equal(ops.n_op, ops.a_dag @ ops.a)
 
 
 def test_commutator_identity_with_corner_defect(fp_small):
@@ -60,30 +67,31 @@ def test_interior_projector_absorbs_commutator_defect(fp_small):
 
 
 def test_spin_operator_relations():
-    ops = make_operators(FockParams(n_fock=8, buffer=0))
-    np.testing.assert_array_equal(ops.s_plus, np.array([[0, 1], [0, 0]]))
-    np.testing.assert_allclose(
-        ops.s_plus @ ops.s_minus + ops.s_minus @ ops.s_plus, np.eye(2)
-    )
-    assert np.all(ops.s_plus @ ops.s_plus == 0)
-    assert np.all(ops.s_minus @ ops.s_minus == 0)
-    np.testing.assert_allclose(ops.sx @ ops.sy - ops.sy @ ops.sx, 2j * ops.sz)
+    np.testing.assert_array_equal(S_PLUS, np.array([[0, 1], [0, 0]]))
+    np.testing.assert_allclose(S_PLUS @ S_MINUS + S_MINUS @ S_PLUS, np.eye(2))
+    assert np.all(S_PLUS @ S_PLUS == 0)
+    assert np.all(S_MINUS @ S_MINUS == 0)
+    np.testing.assert_allclose(SX @ SY - SY @ SX, 2j * SZ)
     # s+/- anticommute with the grading -sz
-    np.testing.assert_allclose(
-        ops.s_plus @ (-ops.sz) + (-ops.sz) @ ops.s_plus, np.zeros((2, 2))
-    )
+    np.testing.assert_allclose(S_PLUS @ (-SZ) + (-SZ) @ S_PLUS, np.zeros((2, 2)))
+
+
+def test_spin_constants_read_only():
+    for const in (SX, SY, SZ, I2, S_PLUS, S_MINUS):
+        with pytest.raises(ValueError):
+            const[0, 0] = 7.0
 
 
 def test_embeddings_commute(fp_small):
     ops = make_operators(fp_small)
-    qb = embed_qubit(ops.sx, fp_small)
+    qb = embed_qubit(SX, fp_small)
     bo = embed_boson(ops.a, fp_small)
     np.testing.assert_allclose(qb @ bo, bo @ qb, atol=1e-13)
 
 
 def test_embed_qubit_ordering(fp_small):
     n = fp_small.n_fock
-    sz_full = embed_qubit(make_operators(fp_small).sz, fp_small)
+    sz_full = embed_qubit(SZ, fp_small)
     np.testing.assert_allclose(
         np.diagonal(sz_full).real, np.concatenate([np.ones(n), -np.ones(n)])
     )
@@ -110,16 +118,6 @@ def test_interior_projector_pattern():
     np.testing.assert_array_equal(interior_projector(fp, 3), [0, 1, 2, 8, 9, 10])
     with pytest.raises(ValidationError):
         interior_projector(fp, 9)
-
-
-def test_make_operators_cached_and_read_only():
-    fp = FockParams(n_fock=16, buffer=4)
-    ops = make_operators(fp)
-    assert make_operators(FockParams(n_fock=16, buffer=4)) is ops
-    for name in ("a", "a_dag", "n_op", "sx", "sy", "sz", "s_plus", "s_minus"):
-        with pytest.raises(ValueError):
-            getattr(ops, name)[0, 0] = 7.0
-    assert make_operators(FockParams(n_fock=16, buffer=0)) is not ops
 
 
 def test_basis_state_indexing(fp_small):

@@ -7,6 +7,11 @@ import pytest
 
 from susyrabi.errors import ValidationError
 from susyrabi.fock import (
+    S_MINUS,
+    S_PLUS,
+    SX,
+    SY,
+    SZ,
     FockParams,
     basis_state,
     embed_boson,
@@ -27,6 +32,8 @@ from susyrabi.model import (
     heavy_hamiltonian,
     mass_increment,
     renormalized_frequency,
+    squeezed_chains,
+    squeezed_chains_r,
 )
 
 OMEGA = 6.2832
@@ -45,8 +52,9 @@ def test_real_operators_are_float64(fp_small):
     # Every operator of the model is real except sigma_y, so the real ones
     # are held as float64 and the linear algebra on them stays real.
     ops = make_operators(fp_small)
-    for name in ("a", "a_dag", "n_op", "sx", "sy", "sz", "s_plus", "s_minus"):
-        arr = getattr(ops, name)
+    for name in ("a", "a_dag", "n_op"):
+        assert getattr(ops, name).dtype == np.float64, name
+    for name, arr in (("sx", SX), ("sy", SY), ("sz", SZ), ("s+", S_PLUS), ("s-", S_MINUS)):
         assert arr.dtype == (np.complex128 if name == "sy" else np.float64), name
         assert not arr.flags.writeable, name
     assert hamiltonian(ModelParams(OMEGA, OMEGA, 1.3, 0.2513), fp_small).dtype == np.float64
@@ -136,7 +144,7 @@ def test_free_hamiltonian_equals_number_form(fp_mid):
 
 def test_x_flip_symmetry_of_broken_hamiltonian(fp_small):
     h = hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp_small)
-    sx = embed_qubit(make_operators(fp_small).sx, fp_small)
+    sx = embed_qubit(SX, fp_small)
     np.testing.assert_allclose(h @ sx, sx @ h, atol=1e-12)
 
 
@@ -248,7 +256,7 @@ def test_supercharges_against_wrong_hamiltonian(fp_small):
 def test_field_b_r_commutes_with_sx(fp_small):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     b_r = heavy_field(s, 0.7, fp_small)
-    sx = embed_qubit(make_operators(fp_small).sx, fp_small)
+    sx = embed_qubit(SX, fp_small)
     np.testing.assert_allclose(b_r @ sx, sx @ b_r, atol=1e-12)
 
 
@@ -273,10 +281,22 @@ def test_field_commutator_interior(fp_mid):
 
 
 def test_chiral_projectors_algebra(fp_small):
-    ops = make_operators(fp_small)
-    d_plus = embed_qubit(-(ops.sz - 1j * ops.sy) / 2.0, fp_small)
-    d_minus = embed_qubit(-(ops.sz + 1j * ops.sy) / 2.0, fp_small)
+    d_plus = embed_qubit(-(SZ - 1j * SY) / 2.0, fp_small)
+    d_minus = embed_qubit(-(SZ + 1j * SY) / 2.0, fp_small)
     eye = np.eye(fp_small.total_dim)
     np.testing.assert_allclose(d_plus @ d_minus + d_minus @ d_plus, eye, atol=1e-13)
     assert np.linalg.norm(d_plus @ d_plus, 2) < 1e-13
     assert np.linalg.norm(d_minus @ d_minus, 2) < 1e-13
+
+
+def test_squeezed_chains_r_carry_the_self_energy(fp_small):
+    # The squeezed chains at r are those at s.params(r), shifted by the
+    # self-energy at r.
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
+    for r in (0.0, 0.5, 1.0):
+        np.testing.assert_array_equal(
+            squeezed_chains_r(s, r, fp_small).bands,
+            squeezed_chains(s.params(r), fp_small, s.self_energy(r)).bands,
+        )
+    with pytest.raises(ValidationError):
+        squeezed_chains_r(s, 1.5, fp_small)

@@ -31,6 +31,7 @@ from susyrabi.model import (
     parity_chains_r,
     renormalized_frequency,
     squeezed_chains,
+    squeezed_chains_r,
 )
 from susyrabi.spectral import (
     WITTEN_TAIL_MAX,
@@ -99,7 +100,10 @@ def test_skew_tridiagonal_exp_matches_dense_exponential(e):
 # (dsbevd, which runs the same divide and conquer and then multiplies by an
 # identity Q): bitwise equal.  Against the dense eigh, tolerances fixed in
 # advance: 1e-12 relative to max(1, |T|_2) for the eigenvalues and for
-# |TV - V Lambda|_2, and 1e-12 absolute for |V^T V - 1|_2.
+# |TV - V Lambda|_2, and 1e-12 absolute for |V^T V - 1|_2.  The dense
+# eigenvalues are hermitian_eigs', which drops entries below rounding first:
+# a raw eigvalsh puts the +/-2 of the pinned example with 1.46e-161 entries
+# at +/-1.977.
 TRIDIAGONAL_RTOL = 1e-12
 
 
@@ -118,6 +122,7 @@ def tridiagonal_bands(draw):
 @given(tridiagonal_bands())
 @example(band=np.zeros((2, 1)))
 @example(band=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+@example(band=np.array([[1.46434136e-161] * 4, [1.46434136e-161, 1.46434136e-161, 2.0, 0.0]]))
 def test_banded_eigh_equals_eig_banded_and_dense_eigh(band):
     ed = banded_eigh(band)
     values, vectors = sla.eig_banded(band, lower=True)
@@ -126,7 +131,7 @@ def test_banded_eigh_equals_eig_banded_and_dense_eigh(band):
     n = band.shape[1]
     t = np.diag(band[0]) + np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
     scale = max(1.0, np.linalg.norm(t, 2))
-    assert np.max(np.abs(ed.values - np.linalg.eigvalsh(t))) <= TRIDIAGONAL_RTOL * scale
+    assert np.max(np.abs(ed.values - hermitian_eigs(t).values)) <= TRIDIAGONAL_RTOL * scale
     assert np.linalg.norm(t @ ed.vectors - ed.vectors * ed.values, 2) <= TRIDIAGONAL_RTOL * scale
     assert np.linalg.norm(ed.vectors.T @ ed.vectors - np.eye(n), 2) <= TRIDIAGONAL_RTOL
 
@@ -650,7 +655,7 @@ def test_squeezed_witten_index_stable_in_k(case):
     omega, g_ratio, c, r, n, beta_omega = case
     s = Schedule(omega=omega, g_max=g_ratio * omega, c=c)
     fp = FockParams(n_fock=n, buffer=n // 4)
-    chains = squeezed_chains(s.params(r), fp, s.self_energy(r))
+    chains = squeezed_chains_r(s, r, fp)
     beta = beta_omega / omega
     try:
         first = witten_index(chains, None, beta, k=60)

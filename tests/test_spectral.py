@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
-from susyrabi.fock import FockParams, embed_qubit, interior_projector, kron, make_operators
+from susyrabi.fock import (
+    S_MINUS,
+    S_PLUS,
+    SX,
+    SZ,
+    FockParams,
+    embed_qubit,
+    interior_projector,
+    kron,
+    make_operators,
+)
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -18,6 +28,7 @@ from susyrabi.model import (
     parity_chains,
     parity_chains_r,
     squeezed_chains,
+    squeezed_chains_r,
 )
 from susyrabi.spectral import (
     degeneracy_groups,
@@ -211,8 +222,9 @@ def test_witten_index_free_oscillator_analytic(fp_mid):
 def test_witten_index_beta_guards(fp_mid):
     h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
     grading = free_supercharges(OMEGA, fp_mid).grading
-    with pytest.raises(ValidationError):
-        witten_index(h, grading, 0.0)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="beta must be finite and > 0"):
+            witten_index(h, grading, beta)
     with pytest.raises(InvalidBetaError):
         witten_index(h, grading, 1e-3, k=10)
 
@@ -221,7 +233,7 @@ def test_witten_index_rejects_k_below_one(fp_mid):
     # At r = 0 the index is 1; k = 0 would read the top level's tail and
     # sum nothing, and a negative k would cut levels off the top.
     s = Schedule(omega=OMEGA, g_max=OMEGA)
-    chains = squeezed_chains(s.params(0.0), fp_mid, s.self_energy(0.0))
+    chains = squeezed_chains_r(s, 0.0, fp_mid)
     assert witten_index(chains, None, 5.0 / OMEGA).rounded == 1
     for k in (0, -3):
         with pytest.raises(ValidationError, match="k must be >= 1"):
@@ -251,7 +263,7 @@ def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
     beta = 5.0 / OMEGA
     for r in (0.0, 0.5, 1.0):
-        squeezed = witten_index(squeezed_chains(s.params(r), fp_mid, s.self_energy(r)), None, beta)
+        squeezed = witten_index(squeezed_chains_r(s, r, fp_mid), None, beta)
         bare = witten_index(parity_chains_r(s, r, fp_mid), None, beta)
         assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
         assert squeezed.truncation_tail == pytest.approx(bare.truncation_tail, rel=1e-9)
@@ -304,19 +316,19 @@ def kron_charges(variant, omega, fp):
     ops = make_operators(fp)
     root = math.sqrt(omega / 2.0)
     if variant == "free":
-        up, down = kron(ops.s_plus, ops.a), kron(ops.s_minus, ops.a_dag)
+        up, down = kron(S_PLUS, ops.a), kron(S_MINUS, ops.a_dag)
         q1, q2_over_i = root * (up + down), root * (down - up)
     else:
         root_n = np.diag(np.sqrt(np.diagonal(ops.n_op) + 0.5))
-        q1 = root * kron(ops.sx, root_n)
+        q1 = root * kron(SX, root_n)
         # sy = i (s- - s+), so Q2 = i * q2_over_i with q2_over_i real.
-        q2_over_i = root * kron(ops.s_minus - ops.s_plus, root_n)
+        q2_over_i = root * kron(S_MINUS - S_PLUS, root_n)
     return {
         "q1": q1,
         "q2": 1j * q2_over_i,
         "q_plus": (q1 - q2_over_i) / math.sqrt(2.0),
         "q_minus": (q1 + q2_over_i) / math.sqrt(2.0),
-        "grading": embed_qubit(-ops.sz, fp),
+        "grading": embed_qubit(-SZ, fp),
     }
 
 

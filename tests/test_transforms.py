@@ -6,13 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from susyrabi.errors import (
-    TransformMismatchError,
-    TruncationError,
-    ValidationError,
-)
+from susyrabi.errors import TruncationError, ValidationError
 from susyrabi import cli, fock, linalg, model, spectral, transforms
 from susyrabi.fock import (
+    S_MINUS,
+    S_PLUS,
     SZ,
     FockParams,
     basis_state,
@@ -198,16 +196,11 @@ def test_a2_removal_detects_wrong_target():
     fp = FockParams(n_fock=128, buffer=32)
     p = ModelParams(OMEGA, OMEGA, OMEGA, 0.2513)
     omega_g, g_tilde = renormalized_frequency(OMEGA, p.c, p.g)
-    u = embed_boson(u_a2_with_report(p, fp, check=False)[0], fp)
+    u = embed_boson(u_a2_with_report(p, fp)[0], fp)
     lhs = hamiltonian(p, fp)
     wrong = hamiltonian(ModelParams(OMEGA, 2.0 * omega_g, g_tilde, 0.0), fp)
     zeta = 0.5 * math.log(omega_g / OMEGA)
     assert dense_residual(u, lhs, wrong, interior_projector(fp, squeeze_cut(fp, zeta))) > 0.05
-
-
-def test_a2_removal_raises_on_mismatch(fp_mid):
-    with pytest.raises(TransformMismatchError):
-        u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp_mid, tol=1e-15)
 
 
 def test_polaron_unitary_is_unitary(fp_mid):
@@ -304,10 +297,9 @@ def dense_polaron_residual(omega_a, g, fp):
               fp.n_fock - math.ceil(transforms.POLARON_SPREAD * beta * math.sqrt(fp.n_fock)))
     d = transforms.displacement(beta, fp)
     d2 = d @ d
-    ops = make_operators(fp)
     lhs = hamiltonian(ModelParams(omega_a, OMEGA, g, 0.0), fp, shift=g**2 / OMEGA)
     rhs = hamiltonian(ModelParams(0.0, OMEGA), fp) - (omega_a / 2.0) * (
-        kron(ops.s_plus, d2) + kron(ops.s_minus, d2.T))
+        kron(S_PLUS, d2) + kron(S_MINUS, d2.T))
     return dense_residual(u_polaron(beta, fp), lhs, rhs, interior_projector(fp, cut))
 
 
@@ -338,16 +330,16 @@ def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch):
     except TruncationError:
         # C = 1.257 below N = 128: the squeeze leaves fewer than 8 levels.
         with pytest.raises(TruncationError):
-            u_a2_with_report(p, fp, check=False)
+            u_a2_with_report(p, fp)
         return
-    s, rep = u_a2_with_report(p, fp, check=False)
+    s, rep = u_a2_with_report(p, fp)
     np.testing.assert_array_equal(s, dense_s)
     assert_matches(rep.residual, want)
     # A target at 1.01 omega_g, in the rhs chains and in the dense rhs alike.
     wrong = ModelParams(OMEGA, 1.01 * omega_g, g_tilde, 0.0)
     monkeypatch.setattr(transforms, "squeezed_chains", lambda p, fp: parity_chains(wrong, fp))
     _, want = dense_a2_residual(p, fp, wrong)
-    assert_mismatch_matches(u_a2_with_report(p, fp, check=False)[1].residual, want)
+    assert_mismatch_matches(u_a2_with_report(p, fp)[1].residual, want)
 
 
 # At omega_a = omega/2 the off-diagonal blocks of the polaron rhs, and so its
@@ -417,7 +409,7 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
                      "make_operators"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(np, "block", refuse)
-    u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp, check=False)
+    u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
     field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
     for h, charges in algebra_inputs:
