@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: spectrum, sweep, verify, witten, converge, mass, goldstino.
-Exit status: 0 success/pass, 1 validation error, 2 numerical failure,
+Exit status: 0 success/pass, 1 validation error (a finite omega or g
+whose omega_g overflows float64 included), 2 numerical failure,
 3 verification failure.  All errors go to stderr with an "error:" prefix.
 """
 
@@ -98,9 +99,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    fp = cfg.fock()
     table = spectrum_table(
-        squeezed_chains_r(cfg.schedule(), args.r, fp), cfg.k_levels, fp, cfg.tol_degeneracy
+        squeezed_chains_r(cfg.schedule(), args.r, cfg.fock()), cfg.k_levels, cfg.tol_degeneracy
     )
     if cfg.out_csv:
         emit_spectrum_csv(table, cfg.out_csv)
@@ -173,7 +173,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     beta = args.beta if args.beta is not None else 5.0 / cfg.omega
     for r in (0.0, 1.0):
-        rep = witten_index(squeezed_chains_r(s, r, fp), None, beta)
+        rep = witten_index(squeezed_chains_r(s, r, fp), beta)
         print(
             f"r={r}: index {rep.index_value:.6f} (rounded {rep.rounded}, "
             f"beta {rep.beta:.4g}, tail {rep.truncation_tail:.2e})"

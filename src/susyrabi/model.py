@@ -41,13 +41,36 @@ def renormalized_frequency(omega: float, c: float, g: float) -> tuple[float, flo
     """(omega_g, g_tilde): the A^2-renormalized frequency and coupling.
 
     omega_g = sqrt(omega^2 + 4*c*omega*g^2), g_tilde = g*sqrt(omega/omega_g).
+    An omega_g that is not finite in float64 (a finite omega or g whose
+    square overflows) is a ValidationError.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
     if c < 0 or g < 0:
         raise ValidationError("c and g must be non-negative")
-    omega_g = math.sqrt(omega**2 + 4.0 * c * omega * g**2)
+    # Python floats raise OverflowError where numpy scalars would warn and give inf.
+    omega, c, g = float(omega), float(c), float(g)
+    try:
+        omega_g = math.sqrt(omega**2 + 4.0 * c * omega * g**2)
+    except OverflowError:
+        omega_g = math.inf
+    if not math.isfinite(omega_g):
+        raise ValidationError(
+            f"omega_g = sqrt(omega^2 + 4 c omega g^2) overflows float64 at "
+            f"omega={omega}, c={c}, g={g}"
+        )
     return omega_g, g * math.sqrt(omega / omega_g)
+
+
+def self_energy(omega: float, c: float, g: float) -> float:
+    """The scalar shift g^2 / (4*c*g^2 + omega) = g_tilde^2/omega_g; 0 at g = 0.
+
+    This one formula shifts both the r path (Schedule.self_energy) and
+    the coupling sweep; it saturates at 1/(4c) as g grows.  The inputs
+    are checked by renormalized_frequency first.
+    """
+    renormalized_frequency(omega, c, g)
+    return g**2 / (4.0 * c * g**2 + omega)
 
 
 def mass_increment(omega: float, c: float, g: float) -> float:
@@ -115,9 +138,8 @@ class Schedule:
         return renormalized_frequency(self.omega, self.c, self.g(r))[1]
 
     def self_energy(self, r: float) -> float:
-        """The scalar shift g(r)^2 / (4*c*g(r)^2 + omega) = g_tilde^2/omega_g."""
-        g = self.g(r)
-        return g**2 / (4.0 * self.c * g**2 + self.omega)
+        """The scalar shift self_energy(omega, c, g(r)) at point r."""
+        return self_energy(self.omega, self.c, self.g(r))
 
     def params(self, r: float) -> ModelParams:
         """The Hamiltonian parameters (omega_a(r), omega, g(r), c) at point r."""

@@ -2,12 +2,13 @@
 
 The flow CSV header and 12-significant-digit number format are a fixed
 external contract; emission is single-writer and byte-deterministic for
-a given FlowResult.
+a given FlowResult.  Both CSVs write one row per level from the same
+columns (_level_rows): the flow CSV prefixes each with the sweep kind
+and grid value, the spectrum CSV writes them under its own header.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -15,106 +16,45 @@ import numpy as np
 from .errors import ConfigError
 from .spectral import FlowResult, SpectrumTable
 
-FLOW_CSV_HEADER = "sweep_kind,grid_value,level_index,energy,group_id,group_size,n_fock,converged"
+LEVEL_CSV_HEADER = "level_index,energy,group_id,group_size,n_fock,converged"
+FLOW_CSV_HEADER = f"sweep_kind,grid_value,{LEVEL_CSV_HEADER}"
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _group_of(table: SpectrumTable, level: int) -> tuple[int, int]:
-    for gid, (start, size) in enumerate(table.groups):
-        if start <= level < start + size:
-            return gid, size
-    raise AssertionError(f"level {level} not covered by groups {table.groups}")
+def _level_rows(table: SpectrumTable) -> list[str]:
+    """The LEVEL_CSV_HEADER columns of each level, walking table.groups once."""
+    tail = f"{table.n_fock_used},{'true' if table.converged else 'false'}"
+    return [
+        f"{level},{_fmt(table.energies[level])},{gid},{size},{tail}"
+        for gid, (start, size) in enumerate(table.groups)
+        for level in range(start, start + size)
+    ]
+
+
+def _write_csv(path: str | Path, header: str, rows: list[str]) -> None:
+    path = Path(path)
+    try:
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join([header, *rows]) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
 
 
 def emit_flow_csv(flow: FlowResult, path: str | Path) -> None:
     """Write one row per (grid point, level), ordered by grid then level."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write(FLOW_CSV_HEADER + "\n")
-            for gval, table in zip(flow.grid, flow.tables):
-                for level, energy in enumerate(table.energies):
-                    gid, gsize = _group_of(table, level)
-                    fh.write(
-                        f"{flow.sweep_kind},{_fmt(gval)},{level},{_fmt(energy)},"
-                        f"{gid},{gsize},{table.n_fock_used},"
-                        f"{'true' if table.converged else 'false'}\n"
-                    )
-    except OSError as exc:
-        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
-
-
-def parse_flow_csv(path: str | Path) -> FlowResult:
-    """Read back an emitted flow CSV (round-trip helper)."""
-    path = Path(path)
-    rows = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != FLOW_CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        rows = list(reader)
-    if not rows:
-        raise ConfigError(f"CSV {path} has no data rows")
-    sweep_kind = rows[0][0]
-    grid: list[float] = []
-    tables: list[SpectrumTable] = []
-    energies: list[float] = []
-    groups: dict[int, tuple[int, int]] = {}
-    current = None
-    n_fock = 0
-    converged = False
-
-    def close_point():
-        ordered = tuple(groups[g] for g in sorted(groups))
-        tables.append(
-            SpectrumTable(
-                energies=np.array(energies),
-                groups=ordered,
-                n_fock_used=n_fock,
-                converged=converged,
-            )
-        )
-
-    for row in rows:
-        _, gval, level, energy, gid, gsize, nf, conv = row
-        gval = float(gval)
-        if current is None or gval != current:
-            if current is not None:
-                close_point()
-            current = gval
-            grid.append(gval)
-            energies = []
-            groups = {}
-        energies.append(float(energy))
-        gid = int(gid)
-        if gid not in groups:
-            groups[gid] = (int(level), int(gsize))
-        n_fock = int(nf)
-        converged = conv == "true"
-    close_point()
-    return FlowResult(
-        grid=np.array(grid), tables=tuple(tables), sweep_kind=sweep_kind
-    )
+    _write_csv(path, FLOW_CSV_HEADER, [
+        f"{flow.sweep_kind},{_fmt(gval)},{row}"
+        for gval, table in zip(flow.grid, flow.tables)
+        for row in _level_rows(table)
+    ])
 
 
 def emit_spectrum_csv(table: SpectrumTable, path: str | Path) -> None:
     """Single-spectrum CSV: one row per level."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write("level_index,energy,group_id,group_size,n_fock,converged\n")
-            for level, energy in enumerate(table.energies):
-                gid, gsize = _group_of(table, level)
-                fh.write(
-                    f"{level},{_fmt(energy)},{gid},{gsize},{table.n_fock_used},"
-                    f"{'true' if table.converged else 'false'}\n"
-                )
-    except OSError as exc:
-        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
+    _write_csv(path, LEVEL_CSV_HEADER, _level_rows(table))
 
 
 _PALETTE = [

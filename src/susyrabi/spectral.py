@@ -5,14 +5,19 @@ truncation convergence, the limit and no-go checks, and the CLI
 spectrum and converge commands) build the Hamiltonian in the squeezed
 frame without the A^2 term, as its two tridiagonal parity chains
 (model.squeezed_chains; model.squeezed_chains_r on the r path), and
-solve them with the banded core in lowest_k.  The Witten index takes
-these chains too: the squeeze leaves sz alone, so the grading -sz is
-diagonal in the chain basis and each level's expectation comes from
-its real chain eigenvector.  The
-parity chains of the truncated H (model.parity_chains, pentadiagonal
-with an A^2 term) and the dense 2N x 2N builders stay as the reference
-oracles, which hermitian_eigs solves with one dense eigh; no command
-calls that path.  Every charge flips the qubit within fixed 2 x 2
+solve them with the banded core in lowest_k.  Both sweeps shift H by
+the one self-energy formula, model.self_energy.  A point that needs a
+larger truncation solves at replace(fp, n_fock=n); only
+spectral_flow_g and truncation_convergence cap that n.  A
+SpectrumTable's n_fock is that of the chains it was solved on.  The
+Witten index takes these chains too, graded by -sz, the qubit, on
+every path: the squeeze leaves sz alone, so -sz is diagonal in the
+chain basis and each level's expectation comes from its real chain
+eigenvector.  The parity chains of the truncated H
+(model.parity_chains, pentadiagonal with an A^2 term) and the dense
+2N x 2N builders stay as the reference oracles, which hermitian_eigs
+solves with one dense eigh; no command calls that path.  Every charge
+flips the qubit within fixed 2 x 2
 spin-flip pairs (model.SuperchargeSet.pairs), and H and the grading act
 within the same pairs, so the algebra reports and the goldstino check
 take H and the charges as (N, 2, 2) stacks of those blocks
@@ -29,7 +34,7 @@ Sweep grid points are evaluated serially in grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +50,7 @@ from .model import (
     charge_pairs,
     hamiltonian,
     renormalized_frequency,
+    self_energy,
     squeezed_chains,
     squeezed_chains_r,
 )
@@ -115,15 +121,16 @@ def degeneracy_groups(
     return tuple(groups)
 
 
-def spectrum_table(
-    h: np.ndarray | ParityChains, k: int, fp: FockParams, tol_rel: float
-) -> SpectrumTable:
-    """The lowest k levels of h (lowest_k) and their degeneracy groups at tol_rel."""
+def spectrum_table(h: ParityChains, k: int, tol_rel: float) -> SpectrumTable:
+    """The lowest k levels of the chains h (lowest_k), grouped at tol_rel.
+
+    The table's n_fock_used is the truncation the chains carry, h.n_fock.
+    """
     vals = lowest_k(h, k)
     return SpectrumTable(
         energies=vals,
         groups=degeneracy_groups(vals, tol_rel),
-        n_fock_used=fp.n_fock,
+        n_fock_used=h.n_fock,
     )
 
 
@@ -142,7 +149,7 @@ def spectral_flow_r(
         raise ValidationError("r grid must lie within [0, 1]")
 
     tables = tuple(
-        spectrum_table(squeezed_chains_r(s, r, fp), k, fp, tol_degeneracy) for r in grid
+        spectrum_table(squeezed_chains_r(s, r, fp), k, tol_degeneracy) for r in grid
     )
     return FlowResult(grid=grid, tables=tables, sweep_kind="r_sweep")
 
@@ -162,24 +169,14 @@ def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
     return n
 
 
-def _self_energy_g(omega: float, c: float, g: float) -> float:
-    """The coupling sweep's scalar shift g_tilde^2/omega(g); 0 at g = 0."""
-    if g <= 0:
-        return 0.0
-    omega_g, g_tilde = renormalized_frequency(omega, c, g)
-    return g_tilde**2 / omega_g
-
-
 def sweep_hamiltonian_g(omega: float, c: float, g: float, fp: FockParams) -> np.ndarray:
-    """H_Rabi(g) + c g^2 (a+a_dag)^2 + g_tilde^2/omega(g) at omega_a=omega_b=omega."""
-    return hamiltonian(ModelParams(omega, omega, g, c), fp, shift=_self_energy_g(omega, c, g))
+    """H_Rabi(g) + c g^2 (a+a_dag)^2 + self_energy(omega, c, g) at omega_a=omega_b=omega."""
+    return hamiltonian(ModelParams(omega, omega, g, c), fp, shift=self_energy(omega, c, g))
 
 
 def _sweep_chains_g(omega: float, c: float, g: float, fp: FockParams) -> ParityChains:
     """sweep_hamiltonian_g as squeezed parity chains."""
-    return squeezed_chains(
-        ModelParams(omega, omega, g, c), fp, shift=_self_energy_g(omega, c, g)
-    )
+    return squeezed_chains(ModelParams(omega, omega, g, c), fp, shift=self_energy(omega, c, g))
 
 
 def spectral_flow_g(
@@ -191,7 +188,12 @@ def spectral_flow_g(
     tol_degeneracy: float = DEGENERACY_TOL,
     n_cap: int = CONVERGENCE_N_CAP,
 ) -> FlowResult:
-    """Eigenvalue flow of the coupling sweep, raising truncation with g."""
+    """Eigenvalue flow of the coupling sweep, raising truncation with g.
+
+    Each point solves at fp with n_fock raised to required_n_fock (never
+    below fp.n_fock); a point that needs more than n_cap is a
+    TruncationError.
+    """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.size == 0 or np.any(np.diff(g_grid) <= 0):
         raise ValidationError("g grid must be non-empty and strictly increasing")
@@ -205,8 +207,9 @@ def spectral_flow_g(
                 f"g={g} requires n_fock={n_req} (> cap {n_cap}); raise the cap "
                 f"or reduce the coupling range"
             )
-        fp_g = FockParams(n_fock=n_req, buffer=min(fp.buffer, n_req // 2))
-        return spectrum_table(_sweep_chains_g(omega, c, g, fp_g), k, fp_g, tol_degeneracy)
+        return spectrum_table(
+            _sweep_chains_g(omega, c, g, replace(fp, n_fock=n_req)), k, tol_degeneracy
+        )
 
     tables = tuple(point(g) for g in g_grid)
     return FlowResult(grid=g_grid, tables=tables, sweep_kind="g_sweep")
@@ -240,8 +243,7 @@ def no_go_asymptote_check(
     if g < 3.0 * omega:
         raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
     n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
-    fp_g = FockParams(n_fock=n_req, buffer=min(fp.buffer, n_req // 2))
-    vals = lowest_k(_sweep_chains_g(omega, c, g, fp_g), k)
+    vals = lowest_k(_sweep_chains_g(omega, c, g, replace(fp, n_fock=n_req)), k)
     omega_g = renormalized_frequency(omega, c, g)[0]
     if c == 0.0:
         target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]
@@ -254,7 +256,7 @@ def no_go_asymptote_check(
         g=g,
         c=c,
         max_deviation=float(np.max(np.abs(vals - target))),
-        self_energy=_self_energy_g(omega, c, g),
+        self_energy=self_energy(omega, c, g),
         self_energy_limit=limit,
     )
 
@@ -288,26 +290,25 @@ def truncation_convergence(
     Only the doublings of fp0.n_fock are tried, so n_star is the first of
     them whose spectrum agrees with its own double, never below
     fp0.n_fock, even where a smaller truncation would already agree (see
-    ConvergenceReport).  builder may return a dense matrix or ParityChains;
-    lowest_k solves either.
+    ConvergenceReport).  Each doubling builds fp0 with only n_fock
+    changed.  builder may return a dense matrix or ParityChains; lowest_k
+    solves either.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
     n = fp0.n_fock
-    fp = fp0
-    prev = lowest_k(builder(fp), k)
+    prev = lowest_k(builder(fp0), k)
     while True:
         n2 = 2 * n
         if n2 > n_cap:
             raise TruncationError(
                 f"no convergence to tol={tol} below the n_fock cap {n_cap}"
             )
-        fp2 = FockParams(n_fock=n2, buffer=min(fp0.buffer * n2 // fp0.n_fock, n2 // 2))
-        cur = lowest_k(builder(fp2), k)
+        cur = lowest_k(builder(replace(fp0, n_fock=n2)), k)
         drift = float(np.max(np.abs(cur - prev)))
         if drift <= tol:
             return ConvergenceReport(n_star=n, drift=drift, energies=prev, converged=True)
-        n, fp, prev = n2, fp2, cur
+        n, prev = n2, cur
 
 
 @dataclass(frozen=True)
@@ -320,15 +321,23 @@ class WittenReport:
     truncation_tail: float
 
 
-def _chain_graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
-    """All levels of both chains, ascending, with their -sz expectations.
+def _graded_levels(h: np.ndarray | ParityChains) -> tuple[np.ndarray, np.ndarray]:
+    """All levels of h, ascending, with their -sz expectations.
 
-    Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
-    (-1)^n on chain 1; with real eigenvectors v the expectation of a
-    level is sum_n g_n v_n^2.  Tridiagonal chains take banded_eigh; the
+    A dense h (the reference oracle) takes hermitian_eigs; in the
+    qubit-major basis the up-spin half of an eigenvector v is v[:N], so
+    its expectation is sum |v_down|^2 - sum |v_up|^2.  Chain 0 runs
+    |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and (-1)^n on chain
+    1; with real eigenvectors v the expectation of a level is
+    sum_n g_n v_n^2.  Tridiagonal chains take banded_eigh; the
     pentadiagonal chains of H with an A^2 term, which only the tests
     pass, take hermitian_eigs of each N x N chain, the oracle path.
     """
+    if not isinstance(h, ParityChains):
+        ed = hermitian_eigs(h)
+        weights = np.abs(ed.vectors) ** 2
+        half = h.shape[0] // 2
+        return ed.values, weights[half:].sum(axis=0) - weights[:half].sum(axis=0)
     sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
     tridiagonal = h.bands.shape[1] == 2
     chains = h.bands if tridiagonal else h.matrices()
@@ -341,36 +350,22 @@ def _chain_graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(values)[order], np.concatenate(expectations)[order]
 
 
-def witten_index(
-    h: np.ndarray | ParityChains,
-    grading: np.ndarray | None,
-    beta: float,
-    k: int = 60,
-) -> WittenReport:
-    """Sum of grading expectations weighted by Boltzmann factors.
+def witten_index(h: np.ndarray | ParityChains, beta: float, k: int = 60) -> WittenReport:
+    """Sum of the -sz expectations of the lowest k levels, Boltzmann-weighted.
 
-    k is extended to the next degeneracy-group boundary so that the sum
-    over each (near-)degenerate subspace is the basis-independent trace.
-    ParityChains take the chain path with the grading -sz, which is
-    diagonal in the chain basis, and grading must be None; tridiagonal
-    chains are solved by banded_eigh, pentadiagonal ones (the oracle
-    chains with an A^2 term) by hermitian_eigs per chain.  A dense h
-    with its dense grading goes through hermitian_eigs, one full dense
-    eigendecomposition; that path is the reference oracle.  A beta that
-    is not finite and > 0, or a k below 1, is a ValidationError.
+    The qubit grades the states: the grading is -sz on every path.  k is
+    extended to the next degeneracy-group boundary so that the sum over
+    each (near-)degenerate subspace is the basis-independent trace.
+    ParityChains, in which -sz is diagonal, take the chain path
+    (_graded_levels); a dense 2N x 2N h goes through hermitian_eigs, one
+    full dense eigendecomposition, and is the reference oracle.  A beta
+    that is not finite and > 0, or a k below 1, is a ValidationError.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be finite and > 0, got {beta}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    chains = isinstance(h, ParityChains)
-    if chains != (grading is None):
-        raise ValidationError("pass a dense grading with a dense h, and None with ParityChains")
-    if chains:
-        values, expectations = _chain_graded_levels(h)
-    else:
-        ed = hermitian_eigs(h)
-        values = ed.values
+    values, expectations = _graded_levels(h)
     dim = values.size
     k = min(k, dim)
     groups = degeneracy_groups(values, DEGENERACY_TOL)
@@ -383,12 +378,7 @@ def witten_index(
             f"Boltzmann tail {tail:.3e} at level {k - 1} exceeds {WITTEN_TAIL_MAX}; "
             f"increase beta or k"
         )
-    if chains:
-        expectations = expectations[:k]
-    else:
-        vecs = ed.vectors[:, :k]
-        expectations = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), grading, vecs))
-    value = float(np.sum(expectations * np.exp(-beta * values[:k])))
+    value = float(np.sum(expectations[:k] * np.exp(-beta * values[:k])))
     return WittenReport(
         beta=beta,
         index_value=value,

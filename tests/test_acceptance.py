@@ -110,10 +110,9 @@ def test_criterion_03_susy_algebra_suite():
 def test_criterion_04_witten_index_transition(c):
     fp = FockParams(n_fock=256, buffer=64)
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=c)
-    grading = free_supercharges(OMEGA, fp).grading
     beta = 5.0 / OMEGA
-    w0 = witten_index(h_total_r(s, 0.0, fp), grading, beta).index_value
-    w1 = witten_index(h_total_r(s, 1.0, fp), grading, beta).index_value
+    w0 = witten_index(h_total_r(s, 0.0, fp), beta).index_value
+    w1 = witten_index(h_total_r(s, 1.0, fp), beta).index_value
     ok = abs(w0 - 1.0) <= 1e-3 and abs(w1) <= 1e-3
     assert report(f"4 (C={c})", ok, f"index {w0:.6f} -> {w1:.6f}")
 

@@ -122,6 +122,28 @@ def test_mass_rejects_bad_coupling(flag, value, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["mass", "--g", "1e200"],
+    ["mass", "--omega", "1e200"],
+    ["mass", "--g", "1e154", "--c", "0.2513"],
+    ["witten", "--g-max", "1e200"],
+    ["spectrum", "--g-max", "1e154", "--c", "0.2513"],
+    ["sweep", "--sweep-kind", "g", "--sweep-stop", "1e200", "--sweep-points", "2",
+     "--out-csv", "x.csv"],
+])
+def test_overflowing_coupling_is_a_validation_error(argv, tmp_path, monkeypatch, capsys):
+    # A finite omega or g whose omega_g overflows float64 exits 1 with one line.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega_g = sqrt(omega^2 + 4 c omega g^2) overflows float64")
+    assert err.count("\n") == 1
+    assert not caught
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
 def test_witten_rejects_beta_not_finite_and_positive(beta, capsys):
     assert run_command(["witten", *FAST, "--beta", beta]) == 1

@@ -32,6 +32,7 @@ from susyrabi.model import (
     heavy_hamiltonian,
     mass_increment,
     renormalized_frequency,
+    self_energy,
     squeezed_chains,
     squeezed_chains_r,
 )
@@ -93,9 +94,26 @@ def test_self_energy_two_forms_agree():
     for c in (0.0377, 0.2513, 0.628, 1.257):
         for g in (0.5, OMEGA, 5 * OMEGA):
             omega_g, g_tilde = renormalized_frequency(OMEGA, c, g)
-            assert g**2 / (4 * c * g**2 + OMEGA) == pytest.approx(
-                g_tilde**2 / omega_g, rel=1e-13
-            )
+            assert self_energy(OMEGA, c, g) == pytest.approx(g_tilde**2 / omega_g, rel=1e-13)
+    # The r path's shift is the same formula, bit for bit, on either schedule.
+    for c in (0.0, 0.0377, 1.257):
+        for g_form in ("linear", "sine"):
+            s = Schedule(omega=OMEGA, g_max=5 * OMEGA, c=c, g_form=g_form)
+            for r in np.linspace(0.0, 1.0, 11):
+                assert s.self_energy(r) == self_energy(OMEGA, c, s.g(r))
+
+
+@pytest.mark.parametrize("omega, c, g", [
+    (1e200, 0.0, OMEGA),  # omega^2 overflows
+    (OMEGA, 0.0, 1e200),  # g^2 overflows, even at c = 0
+    (OMEGA, 0.2513, 1e154),  # g^2 is finite, 4 c omega g^2 is not
+    (OMEGA, 0.2513, np.float64(1e200)),  # a grid value: no RuntimeWarning, an error
+])
+def test_overflowing_omega_g_is_a_validation_error(omega, c, g, recwarn):
+    for f in (renormalized_frequency, self_energy):
+        with pytest.raises(ValidationError, match="overflows float64"):
+            f(omega, c, g)
+    assert not recwarn.list
 
 
 def test_mass_increment_pythagoras():

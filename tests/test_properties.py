@@ -529,14 +529,13 @@ def test_chain_witten_index_matches_dense(case):
     s = Schedule(omega=omega, g_max=g_ratio * omega, c=c)
     fp = FockParams(n_fock=n, buffer=n // 4)
     beta = beta_omega / omega
-    grading = free_supercharges(omega, fp).grading
     try:
-        dense = witten_index(h_total_r(s, r, fp), grading, beta)
+        dense = witten_index(h_total_r(s, r, fp), beta)
     except InvalidBetaError:
         with pytest.raises(InvalidBetaError):
-            witten_index(parity_chains_r(s, r, fp), None, beta)
+            witten_index(parity_chains_r(s, r, fp), beta)
         return
-    chains = witten_index(parity_chains_r(s, r, fp), None, beta)
+    chains = witten_index(parity_chains_r(s, r, fp), beta)
     assert abs(chains.index_value - dense.index_value) <= WITTEN_ATOL
     assert chains.rounded == dense.rounded
 
@@ -658,11 +657,11 @@ def test_squeezed_witten_index_stable_in_k(case):
     chains = squeezed_chains_r(s, r, fp)
     beta = beta_omega / omega
     try:
-        first = witten_index(chains, None, beta, k=60)
+        first = witten_index(chains, beta, k=60)
     except InvalidBetaError:
         assume(False)
     tol = 2 * n * WITTEN_TAIL_MAX
     for k in (90, 2 * n):
-        rep = witten_index(chains, None, beta, k=k)
+        rep = witten_index(chains, beta, k=k)
         assert abs(rep.index_value - first.index_value) <= tol
         assert rep.rounded == first.rounded

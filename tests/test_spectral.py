@@ -1,5 +1,6 @@
 """Spectral flows, degeneracy grouping, Witten index, algebra reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from susyrabi.model import (
     squeezed_chains,
     squeezed_chains_r,
 )
+from susyrabi.output import emit_flow_csv
 from susyrabi.spectral import (
     degeneracy_groups,
     goldstino_check,
@@ -125,6 +127,18 @@ def test_spectral_flow_g_auto_truncation():
     assert np.max(np.abs(vals - target)) < 1e-2 * OMEGA
 
 
+def test_spectral_flow_g_writes_required_n_fock(tmp_path):
+    # Each point's n_fock column holds the N it was solved at.
+    fp = FockParams(n_fock=64, buffer=16)
+    grid = [0.0, 2 * OMEGA, 4 * OMEGA, 5 * OMEGA]
+    path = tmp_path / "g.csv"
+    emit_flow_csv(spectral_flow_g(OMEGA, 0.0, grid, 3, fp), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    want = [required_n_fock(OMEGA, 0.0, g, n_min=64) for g in grid]
+    assert want == [64, 64, 128, 256]
+    assert [int(row[6]) for row in rows] == [n for n in want for _ in range(3)]
+
+
 def test_squeezed_chains_converge_where_bare_chains_do_not():
     # At c = 1.257, g = 5 omega the bare-frame chains at N = 256 are about
     # 9e-5 (relative) off their N = 4096 levels; the squeezed frame, which
@@ -187,6 +201,21 @@ def test_truncation_convergence_reports_fixed_point():
     assert rep.energies[0] == pytest.approx(s.omega_g(1.0) / 2.0, rel=1e-9)
 
 
+def test_truncation_convergence_changes_only_n_fock():
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
+    fp0 = FockParams(n_fock=32, buffer=12)
+    seen = []
+
+    def builder(fp):
+        seen.append(fp)
+        return squeezed_chains_r(s, 1.0, fp)
+
+    rep = truncation_convergence(builder, 5, 1e-6, fp0)
+    assert rep.converged
+    assert len(seen) >= 2
+    assert seen == [dataclasses.replace(fp0, n_fock=32 * 2**i) for i in range(len(seen))]
+
+
 def test_truncation_convergence_cap():
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
     with pytest.raises(TruncationError):
@@ -198,10 +227,9 @@ def test_truncation_convergence_cap():
 
 def test_witten_index_endpoints(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
-    grading = free_supercharges(OMEGA, fp_mid).grading
     beta = 5.0 / OMEGA
-    unbroken = witten_index(h_total_r(s, 0.0, fp_mid), grading, beta)
-    broken = witten_index(h_total_r(s, 1.0, fp_mid), grading, beta)
+    unbroken = witten_index(h_total_r(s, 0.0, fp_mid), beta)
+    broken = witten_index(h_total_r(s, 1.0, fp_mid), beta)
     assert unbroken.index_value == pytest.approx(1.0, abs=1e-6)
     assert unbroken.rounded == 1
     assert broken.index_value == pytest.approx(0.0, abs=1e-6)
@@ -213,20 +241,18 @@ def test_witten_index_free_oscillator_analytic(fp_mid):
     # For the free SUSY pair the index is exactly 1 at any valid beta:
     # every excited level cancels between the graded sectors.
     h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
-    grading = free_supercharges(OMEGA, fp_mid).grading
     for beta in (0.5, 1.0, 2.0):
-        rep = witten_index(h, grading, beta)
+        rep = witten_index(h, beta)
         assert rep.index_value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_witten_index_beta_guards(fp_mid):
     h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
-    grading = free_supercharges(OMEGA, fp_mid).grading
     for beta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="beta must be finite and > 0"):
-            witten_index(h, grading, beta)
+            witten_index(h, beta)
     with pytest.raises(InvalidBetaError):
-        witten_index(h, grading, 1e-3, k=10)
+        witten_index(h, 1e-3, k=10)
 
 
 def test_witten_index_rejects_k_below_one(fp_mid):
@@ -234,27 +260,22 @@ def test_witten_index_rejects_k_below_one(fp_mid):
     # sum nothing, and a negative k would cut levels off the top.
     s = Schedule(omega=OMEGA, g_max=OMEGA)
     chains = squeezed_chains_r(s, 0.0, fp_mid)
-    assert witten_index(chains, None, 5.0 / OMEGA).rounded == 1
+    assert witten_index(chains, 5.0 / OMEGA).rounded == 1
     for k in (0, -3):
         with pytest.raises(ValidationError, match="k must be >= 1"):
-            witten_index(chains, None, 5.0 / OMEGA, k=k)
+            witten_index(chains, 5.0 / OMEGA, k=k)
 
 
 def test_witten_index_chains_match_dense_endpoints(fp_mid):
+    # Both paths grade by -sz: the dense one from each eigenvector's spin halves.
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
-    grading = free_supercharges(OMEGA, fp_mid).grading
     beta = 5.0 / OMEGA
     for r in (0.0, 1.0):
-        dense = witten_index(h_total_r(s, r, fp_mid), grading, beta)
-        chains = witten_index(parity_chains_r(s, r, fp_mid), None, beta)
+        dense = witten_index(h_total_r(s, r, fp_mid), beta)
+        chains = witten_index(parity_chains_r(s, r, fp_mid), beta)
         assert chains.index_value == pytest.approx(dense.index_value, abs=1e-12)
         assert chains.rounded == dense.rounded
         assert chains.truncation_tail == pytest.approx(dense.truncation_tail, rel=1e-9)
-    # The chains carry their own grading; a dense h needs one.
-    with pytest.raises(ValidationError):
-        witten_index(parity_chains_r(s, 0.0, fp_mid), grading, beta)
-    with pytest.raises(ValidationError):
-        witten_index(h_total_r(s, 0.0, fp_mid), None, beta)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.2513, 1.257])
@@ -263,8 +284,8 @@ def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
     beta = 5.0 / OMEGA
     for r in (0.0, 0.5, 1.0):
-        squeezed = witten_index(squeezed_chains_r(s, r, fp_mid), None, beta)
-        bare = witten_index(parity_chains_r(s, r, fp_mid), None, beta)
+        squeezed = witten_index(squeezed_chains_r(s, r, fp_mid), beta)
+        bare = witten_index(parity_chains_r(s, r, fp_mid), beta)
         assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
         assert squeezed.truncation_tail == pytest.approx(bare.truncation_tail, rel=1e-9)
 
