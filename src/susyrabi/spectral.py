@@ -451,10 +451,15 @@ def _pair_norms(m: np.ndarray) -> np.ndarray:
     value of B is sqrt((p + q)/2 + hypot((p - q)/2, |r|)), a sum of
     non-negative terms.  The scaling keeps p, q and |r| at most 2, so no
     square overflows, and one underflows only where an entry is below
-    rounding relative to the largest.
+    rounding relative to the largest.  Real and imaginary parts are
+    divided by s apart: a complex division by a subnormal s forms 1/s,
+    which overflows.
     """
     s = np.abs(m).max(axis=(1, 2))
-    b = m / np.where(s > 0.0, s, 1.0)[:, None, None]
+    scale = np.where(s > 0.0, s, 1.0)[:, None, None]
+    b = m.real / scale
+    if np.iscomplexobj(m):
+        b = b + 1j * (m.imag / scale)
     sq = np.abs(b) ** 2
     p = sq[:, 0, 0] + sq[:, 1, 0]
     q = sq[:, 0, 1] + sq[:, 1, 1]
