@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, sweep, verify, witten, converge, mass, goldstino.
 Exit status: 0 success/pass, 1 validation error (a finite omega or g
-whose omega_g overflows float64 included), 2 numerical failure,
+whose omega_g overflows float64, or an omega so small that omega_g^2
+underflows, included), 2 numerical failure,
 3 verification failure.  All errors go to stderr with an "error:" prefix.
 """
 
@@ -24,7 +25,7 @@ from .model import (
     charge_pairs,
     mass_increment,
     renormalized_frequency,
-    squeezed_chains_r,
+    squeezed_chains,
 )
 from .output import emit_flow_csv, emit_flow_svg, emit_spectrum_csv
 from .spectral import (
@@ -99,9 +100,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    table = spectrum_table(
-        squeezed_chains_r(cfg.schedule(), args.r, cfg.fock()), cfg.k_levels, cfg.tol_degeneracy
-    )
+    chains = squeezed_chains(cfg.schedule().params(args.r), cfg.fock())
+    table = spectrum_table(chains, cfg.k_levels, cfg.tol_degeneracy)
     if cfg.out_csv:
         emit_spectrum_csv(table, cfg.out_csv)
         print(f"wrote {cfg.out_csv}")
@@ -134,7 +134,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     rows: list[tuple[str, float, float]] = []  # name, value, threshold
 
     free, broken = (
-        pair_algebra_report(*charge_pairs(variant, cfg.omega, fp), fp, cfg.tol_algebra)
+        pair_algebra_report(*charge_pairs(variant, cfg.omega, fp), fp)
         for variant in ("free", "broken")
     )
     for rep in (free, broken):
@@ -173,7 +173,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     beta = args.beta if args.beta is not None else 5.0 / cfg.omega
     for r in (0.0, 1.0):
-        rep = witten_index(squeezed_chains_r(s, r, fp), beta)
+        rep = witten_index(squeezed_chains(s.params(r), fp), beta)
         print(
             f"r={r}: index {rep.index_value:.6f} (rounded {rep.rounded}, "
             f"beta {rep.beta:.4g}, tail {rep.truncation_tail:.2e})"
@@ -184,7 +184,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
 def _cmd_converge(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     rep = truncation_convergence(
-        lambda fp: squeezed_chains_r(s, 1.0, fp),
+        lambda fp: squeezed_chains(s.params(1.0), fp),
         cfg.k_levels,
         cfg.tol_convergence,
         cfg.fock(),

@@ -23,12 +23,17 @@ from .fock import (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The tuple (omega_a, omega_b, g, c) selecting one Hamiltonian."""
+    """The tuple (omega_a, omega_b, g, c) selecting one Hamiltonian, plus its shift.
+
+    shift is a scalar added to H: self_energy(omega, c, g) on the r path
+    (Schedule.params) and the coupling sweep (spectral.sweep_params_g).
+    """
 
     omega_a: float
     omega_b: float
     g: float = 0.0
     c: float = 0.0
+    shift: float = 0.0
 
     def __post_init__(self):
         if self.omega_b <= 0:
@@ -42,7 +47,9 @@ def renormalized_frequency(omega: float, c: float, g: float) -> tuple[float, flo
 
     omega_g = sqrt(omega^2 + 4*c*omega*g^2), g_tilde = g*sqrt(omega/omega_g).
     An omega_g that is not finite in float64 (a finite omega or g whose
-    square overflows) is a ValidationError.
+    square overflows), or whose square is below the smallest normal
+    float64 (a tiny omega: omega_g would lose digits or be 0), is a
+    ValidationError.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
@@ -51,23 +58,25 @@ def renormalized_frequency(omega: float, c: float, g: float) -> tuple[float, flo
     # Python floats raise OverflowError where numpy scalars would warn and give inf.
     omega, c, g = float(omega), float(c), float(g)
     try:
-        omega_g = math.sqrt(omega**2 + 4.0 * c * omega * g**2)
+        omega_g2 = omega**2 + 4.0 * c * omega * g**2
     except OverflowError:
-        omega_g = math.inf
-    if not math.isfinite(omega_g):
+        omega_g2 = math.inf
+    if not np.finfo(np.float64).tiny <= omega_g2 < math.inf:
+        flow = "underflows" if omega_g2 < 1.0 else "overflows"
         raise ValidationError(
-            f"omega_g = sqrt(omega^2 + 4 c omega g^2) overflows float64 at "
+            f"omega_g = sqrt(omega^2 + 4 c omega g^2) {flow} float64 at "
             f"omega={omega}, c={c}, g={g}"
         )
+    omega_g = math.sqrt(omega_g2)
     return omega_g, g * math.sqrt(omega / omega_g)
 
 
 def self_energy(omega: float, c: float, g: float) -> float:
     """The scalar shift g^2 / (4*c*g^2 + omega) = g_tilde^2/omega_g; 0 at g = 0.
 
-    This one formula shifts both the r path (Schedule.self_energy) and
-    the coupling sweep; it saturates at 1/(4c) as g grows.  The inputs
-    are checked by renormalized_frequency first.
+    This one formula is the shift of the r path (Schedule.params) and of
+    the coupling sweep (spectral.sweep_params_g); it saturates at 1/(4c)
+    as g grows.  The inputs are checked by renormalized_frequency first.
     """
     renormalized_frequency(omega, c, g)
     return g**2 / (4.0 * c * g**2 + omega)
@@ -75,10 +84,7 @@ def self_energy(omega: float, c: float, g: float) -> float:
 
 def mass_increment(omega: float, c: float, g: float) -> float:
     """Mass increment 2*sqrt(c*omega)*g; satisfies omega_g^2 = omega^2 + dm^2."""
-    if omega <= 0:
-        raise ValidationError(f"omega must be > 0, got {omega}")
-    if c < 0 or g < 0:
-        raise ValidationError("c and g must be non-negative")
+    renormalized_frequency(omega, c, g)
     return 2.0 * math.sqrt(c * omega) * g
 
 
@@ -137,15 +143,11 @@ class Schedule:
     def g_tilde(self, r: float) -> float:
         return renormalized_frequency(self.omega, self.c, self.g(r))[1]
 
-    def self_energy(self, r: float) -> float:
-        """The scalar shift self_energy(omega, c, g(r)) at point r."""
-        return self_energy(self.omega, self.c, self.g(r))
-
     def params(self, r: float) -> ModelParams:
-        """The Hamiltonian parameters (omega_a(r), omega, g(r), c) at point r."""
-        return ModelParams(
-            omega_a=self.omega_a(r), omega_b=self.omega, g=self.g(r), c=self.c
-        )
+        """The point H(r): (omega_a(r), omega, g(r), c), shifted by self_energy(omega, c, g(r))."""
+        g = self.g(r)
+        shift = self_energy(self.omega, self.c, g)
+        return ModelParams(self.omega_a(r), self.omega, g, self.c, shift)
 
 
 def _check_r(r: float) -> None:
@@ -153,10 +155,10 @@ def _check_r(r: float) -> None:
         raise ValidationError(f"r must lie in [0, 1], got {r}")
 
 
-def hamiltonian(p: ModelParams, fp: FockParams, shift: float = 0.0) -> np.ndarray:
+def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:
     """H = (omega_a/2) sz + omega_b (n+1/2) + g sx (a+a_dag) + c g^2 (a+a_dag)^2 + shift.
 
-    The scalar shift (a self-energy) is added last, as shift times the
+    The scalar p.shift (a self-energy) is added last, as shift times the
     identity, and only when it is nonzero.
     """
     ops = make_operators(fp)
@@ -167,8 +169,8 @@ def hamiltonian(p: ModelParams, fp: FockParams, shift: float = 0.0) -> np.ndarra
         h = h + p.g * kron(SX, x2)
     if p.c != 0.0 and p.g != 0.0:
         h = h + p.c * p.g**2 * embed_boson(x2 @ x2, fp)
-    if shift != 0.0:
-        h = h + shift * np.eye(fp.total_dim)
+    if p.shift != 0.0:
+        h = h + p.shift * np.eye(fp.total_dim)
     return h
 
 
@@ -210,8 +212,8 @@ class ParityChains:
         return out
 
 
-def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
-    """hamiltonian(p, fp, shift) as its two parity chains.
+def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
+    """hamiltonian(p, fp) as its two parity chains.
 
     With x = a + a_dag, chain entries are
     diagonal      omega_b(n+1/2) +/- (omega_a/2)(-1)^n + c g^2 (x^2)_nn + shift,
@@ -226,7 +228,7 @@ def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityC
     a2 = p.c * p.g**2
     x2_diag = 2.0 * n + 1.0
     x2_diag[-1] = n[-1]
-    common = p.omega_b * (n + 0.5) + a2 * x2_diag + shift
+    common = p.omega_b * (n + 0.5) + a2 * x2_diag + p.shift
     spin = p.omega_a / 2.0 * (1.0 - 2.0 * (n % 2))
     bands = np.zeros((2, 3 if a2 else 2, fp.n_fock))
     bands[0, 0] = common + spin
@@ -238,20 +240,21 @@ def parity_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityC
     return ParityChains(bands)
 
 
-def squeezed_chains(p: ModelParams, fp: FockParams, shift: float = 0.0) -> ParityChains:
-    """hamiltonian(p, fp, shift) in the A^2-removing squeezed frame, as parity chains.
+def squeezed_chains(p: ModelParams, fp: FockParams) -> ParityChains:
+    """hamiltonian(p, fp) in the A^2-removing squeezed frame, as parity chains.
 
     The squeeze that verify checks (transforms.u_a2_with_report) maps H(omega_a,
     omega_b, g, c) onto the Rabi Hamiltonian H(omega_a, omega_g, g_tilde,
     0) with (omega_g, g_tilde) = renormalized_frequency(omega_b, c, g),
     and leaves sz alone, so these are the parity_chains of that
-    Hamiltonian, tridiagonal since it has no A^2 term.  Truncated at N,
+    Hamiltonian, tridiagonal since it has no A^2 term; the squeeze leaves
+    the scalar p.shift alone, so it carries over.  Truncated at N,
     they differ from the parity_chains of H only through the truncation,
     and converge at the N that required_n_fock sizes for
     beta = g_tilde/omega_g, where the unsqueezed chains may not.
     """
     omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
-    return parity_chains(ModelParams(p.omega_a, omega_g, g_tilde), fp, shift)
+    return parity_chains(ModelParams(p.omega_a, omega_g, g_tilde, shift=p.shift), fp)
 
 
 def h_susy_ss(omega: float, fp: FockParams) -> np.ndarray:
@@ -287,32 +290,19 @@ def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     if g != 0.0:
         h = h + g * math.sqrt(2.0 / s.omega) * kron(SX, w)
         h = h + (2.0 * s.c / s.omega) * g**2 * embed_boson(w @ w, fp)
-        h = h + s.self_energy(r) * np.eye(dim)
+        h = h + self_energy(s.omega, s.c, g) * np.eye(dim)
     h = h + (s.omega_a(r) - s.omega) / 2.0 * embed_qubit(SZ, fp)
     return h
 
 
 def h_total_r(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
-    """H(r) = H_Rabi(r) + c g(r)^2 (a+a_dag)^2 + g(r)^2/(4 c g(r)^2 + omega).
+    """H(r) = H_Rabi(r) + c g(r)^2 (a+a_dag)^2 + self_energy(omega, c, g(r)).
 
     Equal to h_susy_ss + h_interaction to rounding, not entrywise: the
     two build the same terms from differently rounded coefficients and
     sum them in a different order.
     """
-    _check_r(r)
-    return hamiltonian(s.params(r), fp, shift=s.self_energy(r))
-
-
-def parity_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:
-    """H(r) of h_total_r, self-energy shift included, as pentadiagonal parity chains."""
-    _check_r(r)
-    return parity_chains(s.params(r), fp, shift=s.self_energy(r))
-
-
-def squeezed_chains_r(s: Schedule, r: float, fp: FockParams) -> ParityChains:
-    """H(r) of h_total_r, self-energy shift included, as tridiagonal squeezed chains."""
-    _check_r(r)
-    return squeezed_chains(s.params(r), fp, shift=s.self_energy(r))
+    return hamiltonian(s.params(r), fp)
 
 
 def heavy_hamiltonian(s: Schedule, fp: FockParams) -> np.ndarray:

@@ -18,8 +18,8 @@ the blocks its algebra gives it, with no dense 2N x 2N operand:
   (model.parity_chains) into the squeezed chains (model.squeezed_chains)
   with N x N products.
 - Field rewriting: B_r^dag B_r is one pentadiagonal band on each chain,
-  compared with model.parity_chains_r in band storage; its residual and
-  scale are linalg.banded_norm, O(N).
+  compared with the model.parity_chains of Schedule.params(r) in band
+  storage; its residual and scale are linalg.banded_norm, O(N).
 - Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
   the residual lives on the two N x N spin-diagonal blocks, and the
   scale |rhs|_2 on two N x N blocks that the parity of D splits it into.
@@ -50,8 +50,8 @@ from .model import (
     Schedule,
     heavy_field_coefficients,
     parity_chains,
-    parity_chains_r,
     renormalized_frequency,
+    self_energy,
     squeezed_chains,
 )
 
@@ -207,10 +207,11 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     so B_r^dag B_r is M^T M on each chain: pentadiagonal, built in band
     storage with the truncated corner of the literal product.  The lhs on
     chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz = (-1)^n on
-    chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains_r.  The
-    interior is the leading N - buffer positions of each chain, so the
-    residual and |H(r)|_2 are linalg.banded_norm of the chains, O(N);
-    TruncationError below 8 levels, as for the other two checks.
+    chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains of
+    s.params(r), self-energy shift included.  The interior is the
+    leading N - buffer positions of each chain, so the residual and
+    |H(r)|_2 are linalg.banded_norm of the chains, O(N); TruncationError
+    below 8 levels, as for the other two checks.
     """
     cut = _checked_cut(fp, fp.n_fock, "the truncation")
     alpha, gamma, kappa = heavy_field_coefficients(s, r)
@@ -228,7 +229,7 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     diff = np.stack([s.omega_g(r) * mtm] * 2)  # the lhs chains, then lhs - rhs
     diff[0, 0] += spin
     diff[1, 0] -= spin
-    rhs = parity_chains_r(s, r, fp).bands
+    rhs = parity_chains(s.params(r), fp).bands
     diff[:, : rhs.shape[1]] -= rhs
     residual = max(banded_norm(band, cut) for band in diff)
     return TransformReport(residual / max(1.0, max(banded_norm(band) for band in rhs)))
@@ -243,9 +244,10 @@ def polaron_equivalence_report(
       = H(0, omega_b, 0, 0)
         - (omega_a/2) {s+ D(g/omega_b)^2 + s- D(-g/omega_b)^2},
 
-    on the levels below the stricter of N - buffer and
-    N - ceil(POLARON_SPREAD beta sqrt(N)), beta = g/omega_b, which keeps
-    the truncation error of D(beta) out; TruncationError below 8 levels.
+    with g^2/omega_b = model.self_energy(omega_b, 0, g), on the levels
+    below the stricter of N - buffer and N - ceil(POLARON_SPREAD beta
+    sqrt(N)), beta = g/omega_b, which keeps the truncation error of
+    D(beta) out; TruncationError below 8 levels.
 
     U = (R (x) 1) diag(D^T, D) with D = D(beta) and the spin rotation
     R = [[1, -1], [1, 1]]/sqrt(2), for which R^dag sz R = -sx and
@@ -274,7 +276,7 @@ def polaron_equivalence_report(
     free = np.diag(omega_b * (root**2 + 0.5))
     coupling = np.diag(g * root[1:], 1)
     coupling += coupling.T
-    shift = g**2 / omega_b * np.eye(fp.n_fock)
+    shift = self_energy(omega_b, 0.0, g) * np.eye(fp.n_fock)
     u = np.stack([d.T, d])
     lhs = np.stack([free + coupling + shift, free - coupling + shift])
     residual = _leading_norm(u.transpose(0, 2, 1) @ lhs @ u - free, cut)

@@ -144,6 +144,29 @@ def test_overflowing_coupling_is_a_validation_error(argv, tmp_path, monkeypatch,
     assert not caught
 
 
+@pytest.mark.parametrize("argv", [
+    ["witten", "--omega", "1e-300"],
+    ["mass", "--omega", "1e-300"],
+    ["spectrum", "--omega", "1e-300"],
+    ["mass", "--omega", "1e-160"],  # omega^2 is subnormal
+    ["sweep", "--sweep-kind", "g", "--sweep-stop", "1e20", "--sweep-points", "2", "--c", "1",
+     "--omega", "1e-300", "--out-csv", "x.csv"],
+])
+def test_underflowing_omega_g_is_a_validation_error(argv, tmp_path, monkeypatch, capsys):
+    # An omega so small that omega_g^2 underflows exits 1 with one line,
+    # where omega / omega_g would divide by zero.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega_g = sqrt(omega^2 + 4 c omega g^2) underflows float64")
+    assert err.count("\n") == 1
+    assert not caught
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
 def test_witten_rejects_beta_not_finite_and_positive(beta, capsys):
     assert run_command(["witten", *FAST, "--beta", beta]) == 1

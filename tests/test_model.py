@@ -1,5 +1,6 @@
 """Hamiltonian family, schedules, supercharges and field operators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,8 +35,8 @@ from susyrabi.model import (
     renormalized_frequency,
     self_energy,
     squeezed_chains,
-    squeezed_chains_r,
 )
+from susyrabi.spectral import sweep_params_g
 
 OMEGA = 6.2832
 
@@ -95,12 +96,16 @@ def test_self_energy_two_forms_agree():
         for g in (0.5, OMEGA, 5 * OMEGA):
             omega_g, g_tilde = renormalized_frequency(OMEGA, c, g)
             assert self_energy(OMEGA, c, g) == pytest.approx(g_tilde**2 / omega_g, rel=1e-13)
-    # The r path's shift is the same formula, bit for bit, on either schedule.
+    # The shift of an r-path point, on either schedule, and of a coupling
+    # sweep point is the same formula, bit for bit.
     for c in (0.0, 0.0377, 1.257):
         for g_form in ("linear", "sine"):
             s = Schedule(omega=OMEGA, g_max=5 * OMEGA, c=c, g_form=g_form)
             for r in np.linspace(0.0, 1.0, 11):
-                assert s.self_energy(r) == self_energy(OMEGA, c, s.g(r))
+                assert s.params(r).shift == self_energy(OMEGA, c, s.g(r))
+        for g in (0.0, 0.5, OMEGA, 5 * OMEGA):
+            p = sweep_params_g(OMEGA, c, g)
+            assert p == ModelParams(OMEGA, OMEGA, g, c, shift=self_energy(OMEGA, c, g))
 
 
 @pytest.mark.parametrize("omega, c, g", [
@@ -110,10 +115,28 @@ def test_self_energy_two_forms_agree():
     (OMEGA, 0.2513, np.float64(1e200)),  # a grid value: no RuntimeWarning, an error
 ])
 def test_overflowing_omega_g_is_a_validation_error(omega, c, g, recwarn):
-    for f in (renormalized_frequency, self_energy):
+    for f in (renormalized_frequency, self_energy, mass_increment):
         with pytest.raises(ValidationError, match="overflows float64"):
             f(omega, c, g)
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("omega, c, g", [
+    (1e-300, 0.0, 0.0),  # omega^2 underflows to 0: omega / omega_g would divide by 0
+    (1e-300, 1.0, 1e-5),  # 4 c omega g^2 = 4e-310 is subnormal
+    (1e-160, 0.0, OMEGA),  # omega^2 is subnormal: sqrt(omega^2) is off omega by 5.6e-6
+    (np.float64(1e-300), 0.2513, np.float64(0.0)),  # grid values: no RuntimeWarning
+])
+def test_underflowing_omega_g_is_a_validation_error(omega, c, g, recwarn):
+    for f in (renormalized_frequency, self_energy, mass_increment):
+        with pytest.raises(ValidationError, match="underflows float64"):
+            f(omega, c, g)
+    assert not recwarn.list
+    # A tiny omega passes where the coupling term lifts omega_g^2 above
+    # the normal range, and an omega whose square is normal keeps its digits.
+    assert renormalized_frequency(1e-300, 1.0, 1e100)[0] == pytest.approx(2e-50, rel=1e-15)
+    omega_min = math.sqrt(np.finfo(np.float64).tiny) * (1.0 + 1e-15)
+    assert renormalized_frequency(omega_min, 0.0, 0.0) == (omega_min, 0.0)
 
 
 def test_mass_increment_pythagoras():
@@ -307,14 +330,17 @@ def test_chiral_projectors_algebra(fp_small):
     assert np.linalg.norm(d_minus @ d_minus, 2) < 1e-13
 
 
-def test_squeezed_chains_r_carry_the_self_energy(fp_small):
-    # The squeezed chains at r are those at s.params(r), shifted by the
-    # self-energy at r.
+def test_squeezed_chains_carry_the_shift(fp_small):
+    # The squeeze leaves the scalar shift alone: the squeezed chains of a
+    # shifted point are those of the unshifted point plus the shift on the
+    # diagonal, and off the diagonal they are bitwise equal.
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     for r in (0.0, 0.5, 1.0):
-        np.testing.assert_array_equal(
-            squeezed_chains_r(s, r, fp_small).bands,
-            squeezed_chains(s.params(r), fp_small, s.self_energy(r)).bands,
-        )
+        p = s.params(r)
+        shifted = squeezed_chains(p, fp_small).bands
+        bare = squeezed_chains(dataclasses.replace(p, shift=0.0), fp_small).bands
+        np.testing.assert_array_equal(shifted[:, 1:], bare[:, 1:])
+        np.testing.assert_allclose(shifted[:, 0] - bare[:, 0], p.shift, rtol=0, atol=1e-12)
+        assert p.shift == self_energy(OMEGA, 0.2513, s.g(r))
     with pytest.raises(ValidationError):
-        squeezed_chains_r(s, 1.5, fp_small)
+        s.params(1.5)

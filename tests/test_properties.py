@@ -1,6 +1,7 @@
 """Property-based checks of the operator algebra and derived scalars."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from susyrabi.linalg import (
 )
 from susyrabi.model import (
     ModelParams,
+    ParityChains,
     Schedule,
     broken_supercharges,
     free_supercharges,
@@ -28,13 +30,13 @@ from susyrabi.model import (
     hamiltonian,
     mass_increment,
     parity_chains,
-    parity_chains_r,
     renormalized_frequency,
     squeezed_chains,
-    squeezed_chains_r,
 )
 from susyrabi.spectral import (
+    DEGENERACY_TOL,
     WITTEN_TAIL_MAX,
+    _group_end,
     _pair_norms,
     degeneracy_groups,
     lowest_k,
@@ -241,6 +243,74 @@ def test_degeneracy_groups_partition_and_pairing(values):
         assert size >= 2
 
 
+def oracle_groups(energies, tol):
+    """Every degeneracy group of ascending energies, one gap at a time."""
+    groups = []
+    start = 0
+    for i in range(1, energies.size):
+        if energies[i] - energies[i - 1] > tol * max(1.0, abs(energies[i])):
+            groups.append((start, i - start))
+            start = i
+    groups.append((start, energies.size - start))
+    return tuple(groups)
+
+
+def oracle_witten_k(values, k):
+    """k cut to the dimension, then moved to the end of the group it splits."""
+    k = min(k, values.size)
+    for start, size in oracle_groups(values, DEGENERACY_TOL):
+        if start < k < start + size:
+            k = min(start + size, values.size)
+    return k
+
+
+def planted_levels(e0, factors):
+    """Ascending levels from e0 with gaps factor * max(1, |E|) before each E."""
+    values = [e0]
+    for f in factors:
+        values.append(values[-1] + f * max(1.0, abs(values[-1])))
+    return np.array(values)
+
+
+# Gaps at zero, far below, at and far above the degeneracy tolerance.
+planted_cases = st.tuples(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.lists(st.sampled_from([0.0, 1e-9, 1e-6, 1e-4]), max_size=11),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_cases)
+def test_group_joins_match_the_all_groups_oracle(case):
+    e0, factors = case
+    for values in (planted_levels(e0, factors), planted_levels(e0 + 30.0, factors)):
+        groups = oracle_groups(values, DEGENERACY_TOL)
+        assert degeneracy_groups(values, DEGENERACY_TOL) == groups
+        # The ground group, as pair_algebra_report reads it.
+        assert _group_end(values, 1) == groups[0][1]
+        for k in range(1, values.size + 2):
+            assert _group_end(values, min(k, values.size)) == oracle_witten_k(values, k)
+
+    # witten_index end to end: the planted levels sit where -sz is +1 on
+    # diagonal chains (chain 0 odd, chain 1 even positions), every other
+    # position far above them, so the index is the Boltzmann sum of the
+    # lowest k levels and the tail is the weight of level k - 1.
+    planted = planted_levels(e0 + 30.0, factors)
+    m = planted.size
+    positions = [(1 - n % 2, n) for n in range(m)]  # (chain, position) with -sz = +1
+    diag = 1e6 + np.arange(2 * m, dtype=float).reshape(2, m)
+    for (chain, n), e in zip(positions, planted):
+        diag[chain, n] = e
+    bands = np.zeros((2, 2, m))
+    bands[:, 0] = diag
+    values = np.sort(diag.ravel())
+    for k in range(1, m + 1):
+        rep = witten_index(ParityChains(bands), 1.0, k=k)
+        k_want = oracle_witten_k(values, k)
+        assert rep.index_value == pytest.approx(np.sum(np.exp(-planted[:k_want])), rel=1e-12)
+        assert rep.truncation_tail == pytest.approx(math.exp(-planted[k_want - 1]), rel=1e-12)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.1, max_value=50.0),
        st.floats(min_value=0.0, max_value=5.0),
@@ -310,7 +380,7 @@ def assert_energies_close(got, want):
 @given(chain_cases)
 def test_parity_chains_full_spectrum_matches_dense(case):
     p, fp, shift, dense = dense_case(case)
-    got = lowest_k(parity_chains(p, fp, shift), fp.total_dim)
+    got = lowest_k(parity_chains(replace(p, shift=shift), fp), fp.total_dim)
     assert got.shape == dense.shape
     assert_energies_close(got, dense)
 
@@ -319,7 +389,7 @@ def test_parity_chains_full_spectrum_matches_dense(case):
 @given(chain_cases)
 def test_parity_chains_lowest_seven_match_dense(case):
     p, fp, shift, dense = dense_case(case)
-    assert_energies_close(lowest_k(parity_chains(p, fp, shift), 7), dense[:7])
+    assert_energies_close(lowest_k(parity_chains(replace(p, shift=shift), fp), 7), dense[:7])
 
 
 def chain_matrix(band):
@@ -353,7 +423,7 @@ def test_spectrum_is_union_of_the_two_chains(case):
     # Qubit-major index: s*N + n with s = 0 for up.
     idx = [levels + n * (levels % 2), levels + n * (1 - levels % 2)]
     h = hamiltonian(p, fp) + shift * np.eye(fp.total_dim)
-    chains = parity_chains(p, fp, shift)
+    chains = parity_chains(replace(p, shift=shift), fp)
     for i in (0, 1):
         block = h[np.ix_(idx[i], idx[i])]
         scale = max(1.0, float(np.max(np.abs(block))))
@@ -374,7 +444,7 @@ def test_squeezed_chains_are_parity_blocks_of_squeezed_rabi_h(case):
     omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
     h = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
     h = h + shift * np.eye(fp.total_dim)
-    chains = squeezed_chains(p, fp, shift)
+    chains = squeezed_chains(replace(p, shift=shift), fp)
     assert chains.bands.shape == (2, 2, fp.n_fock)
     for band, idx in zip(chains.bands, np.split(parity_order(fp), 2)):
         block = h[np.ix_(idx, idx)]
@@ -386,7 +456,7 @@ def test_squeezed_chains_are_parity_blocks_of_squeezed_rabi_h(case):
 @given(chain_cases)
 def test_chain_matrices_are_the_band_storage(case):
     p, fp, shift = case_params(case)
-    chains = parity_chains(p, fp, shift)
+    chains = parity_chains(replace(p, shift=shift), fp)
     for band, m in zip(chains.bands, chains.matrices()):
         np.testing.assert_array_equal(m, chain_matrix(band))
 
@@ -435,7 +505,7 @@ def test_parity_chains_reject_k_outside_dimension(case):
     p, fp, shift = case_params(case)
     for k in (fp.total_dim + 1, 0):
         with pytest.raises(ValidationError):
-            lowest_k(parity_chains(p, fp, shift), k)
+            lowest_k(parity_chains(replace(p, shift=shift), fp), k)
 
 
 # Fast paths of the identity checks against their dense oracles.  The
@@ -533,9 +603,9 @@ def test_chain_witten_index_matches_dense(case):
         dense = witten_index(h_total_r(s, r, fp), beta)
     except InvalidBetaError:
         with pytest.raises(InvalidBetaError):
-            witten_index(parity_chains_r(s, r, fp), beta)
+            witten_index(parity_chains(s.params(r), fp), beta)
         return
-    chains = witten_index(parity_chains_r(s, r, fp), beta)
+    chains = witten_index(parity_chains(s.params(r), fp), beta)
     assert abs(chains.index_value - dense.index_value) <= WITTEN_ATOL
     assert chains.rounded == dense.rounded
 
@@ -654,7 +724,7 @@ def test_squeezed_witten_index_stable_in_k(case):
     omega, g_ratio, c, r, n, beta_omega = case
     s = Schedule(omega=omega, g_max=g_ratio * omega, c=c)
     fp = FockParams(n_fock=n, buffer=n // 4)
-    chains = squeezed_chains_r(s, r, fp)
+    chains = squeezed_chains(s.params(r), fp)
     beta = beta_omega / omega
     try:
         first = witten_index(chains, beta, k=60)

@@ -27,9 +27,7 @@ from susyrabi.model import (
     h_total_r,
     hamiltonian,
     parity_chains,
-    parity_chains_r,
     squeezed_chains,
-    squeezed_chains_r,
 )
 from susyrabi.output import emit_flow_csv
 from susyrabi.spectral import (
@@ -208,7 +206,7 @@ def test_truncation_convergence_changes_only_n_fock():
 
     def builder(fp):
         seen.append(fp)
-        return squeezed_chains_r(s, 1.0, fp)
+        return squeezed_chains(s.params(1.0), fp)
 
     rep = truncation_convergence(builder, 5, 1e-6, fp0)
     assert rep.converged
@@ -259,7 +257,7 @@ def test_witten_index_rejects_k_below_one(fp_mid):
     # At r = 0 the index is 1; k = 0 would read the top level's tail and
     # sum nothing, and a negative k would cut levels off the top.
     s = Schedule(omega=OMEGA, g_max=OMEGA)
-    chains = squeezed_chains_r(s, 0.0, fp_mid)
+    chains = squeezed_chains(s.params(0.0), fp_mid)
     assert witten_index(chains, 5.0 / OMEGA).rounded == 1
     for k in (0, -3):
         with pytest.raises(ValidationError, match="k must be >= 1"):
@@ -272,7 +270,7 @@ def test_witten_index_chains_match_dense_endpoints(fp_mid):
     beta = 5.0 / OMEGA
     for r in (0.0, 1.0):
         dense = witten_index(h_total_r(s, r, fp_mid), beta)
-        chains = witten_index(parity_chains_r(s, r, fp_mid), beta)
+        chains = witten_index(parity_chains(s.params(r), fp_mid), beta)
         assert chains.index_value == pytest.approx(dense.index_value, abs=1e-12)
         assert chains.rounded == dense.rounded
         assert chains.truncation_tail == pytest.approx(dense.truncation_tail, rel=1e-9)
@@ -284,21 +282,27 @@ def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
     beta = 5.0 / OMEGA
     for r in (0.0, 0.5, 1.0):
-        squeezed = witten_index(squeezed_chains_r(s, r, fp_mid), beta)
-        bare = witten_index(parity_chains_r(s, r, fp_mid), beta)
+        squeezed = witten_index(squeezed_chains(s.params(r), fp_mid), beta)
+        bare = witten_index(parity_chains(s.params(r), fp_mid), beta)
         assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
         assert squeezed.truncation_tail == pytest.approx(bare.truncation_tail, rel=1e-9)
+
+
+def largest_residual(rep):
+    """The largest of an AlgebraReport's identity residuals."""
+    return max(
+        v
+        for d in (rep.anticommutator, rep.commutator_with_h,
+                  rep.anticommutator_with_grading, rep.nilpotency)
+        for v in d.values()
+    )
 
 
 def test_algebra_report_free(fp_mid):
     h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
     rep = susy_algebra_report(h, free_supercharges(OMEGA, fp_mid), fp_mid)
-    assert rep.passed
+    assert largest_residual(rep) <= 1e-10
     assert rep.variant == "free"
-    for d in (rep.anticommutator, rep.commutator_with_h,
-              rep.anticommutator_with_grading, rep.nilpotency):
-        for v in d.values():
-            assert v <= 1e-10
     # Unique SUSY vacuum, annihilated.
     assert rep.vacuum_annihilation == (pytest.approx(0.0, abs=1e-8),)
 
@@ -306,7 +310,7 @@ def test_algebra_report_free(fp_mid):
 def test_algebra_report_broken(fp_mid):
     h = hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp_mid)
     rep = susy_algebra_report(h, broken_supercharges(OMEGA, fp_mid), fp_mid)
-    assert rep.passed
+    assert largest_residual(rep) <= 1e-10
     # Two degenerate vacuums, neither annihilated; the combined charge
     # norm sqrt(|Q+ v|^2 + |Q- v|^2) is basis-independent in the pair.
     assert len(rep.vacuum_annihilation) == 2
@@ -318,7 +322,7 @@ def test_algebra_report_broken(fp_mid):
 def test_algebra_report_detects_wrong_pairing(fp_mid):
     h_wrong = hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp_mid)
     rep = susy_algebra_report(h_wrong, free_supercharges(OMEGA, fp_mid), fp_mid)
-    assert not rep.passed
+    assert largest_residual(rep) > 1e-10
     assert rep.anticommutator["11"] > 1e-3
 
 
@@ -362,7 +366,8 @@ def test_algebra_reports_reject_mismatched_inputs(fp_mid):
     with pytest.raises(ValidationError, match="shape mismatch"):
         susy_algebra_report(hamiltonian(ModelParams(OMEGA, OMEGA), fp_mid),
                             free_supercharges(OMEGA, FockParams(n_fock=64, buffer=16)), fp_mid)
-    assert pair_algebra_report(*charge_pairs("free", OMEGA, fp_mid), fp_mid).passed
+    rep = pair_algebra_report(*charge_pairs("free", OMEGA, fp_mid), fp_mid)
+    assert largest_residual(rep) <= 1e-10
     with pytest.raises(ValidationError, match="unknown charge set"):
         charge_pairs("unbroken", OMEGA, fp_mid)
 
@@ -473,6 +478,17 @@ def test_goldstino_zero_energy_excitations(fp_mid):
     assert rep.residual_plus <= 1e-10
     assert rep.residual_minus <= 1e-10
     assert rep.energy_increment <= 1e-10
+
+
+@pytest.mark.parametrize("omega", [1e200, 1e-300, 100.0])
+def test_goldstino_increment_is_zero_at_any_scale(fp_mid, omega, recwarn):
+    # Each excitation is normalized before its Rayleigh quotient, whose
+    # unnormalized form overflows to inf at omega = 1e200, underflows to
+    # 5e-301 at omega = 1e-300 and rounds to 7.1e-15 at omega = 100.
+    rep = goldstino_check(omega, fp_mid)
+    assert rep.energy_increment == 0.0
+    assert rep.residual_plus == rep.residual_minus == 0.0
+    assert not recwarn.list
 
 
 def test_limit_check_pairing_structure():
