@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, sweep, verify, witten, converge, mass, goldstino.
 Exit status: 0 success/pass, 1 validation error (a finite omega or g
-whose omega_g overflows float64, or an omega so small that omega_g^2
-underflows, included), 2 numerical failure,
+whose omega_g overflows float64, an omega so small that omega_g^2
+underflows, or, in goldstino, an omega whose omega/2 is zero or
+subnormal, included), 2 numerical failure,
 3 verification failure.  All errors go to stderr with an "error:" prefix.
 """
 

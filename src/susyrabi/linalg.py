@@ -1,12 +1,15 @@
 """Linear algebra substrate: banded eigensolvers and dense real or complex tools.
 
-banded_lowest is the spectral core: it returns the lowest eigenvalues of
-a real symmetric band matrix, which is what each parity chain of the
-Hamiltonian is (see model.ParityChains): tridiagonal in the squeezed
-frame that the spectrum paths use, pentadiagonal for the truncated H
-that the tests use as oracle.  banded_norm, the spectral norm of a
-leading block of such a chain, is two single-eigenvalue solves; the
-field-rewriting check takes its residual and scale from it.  banded_eigh
+banded_lowest is the spectral core: it returns the eigenvalues with
+indices start .. m - 1, ascending, of a real symmetric band matrix, which
+is what each parity chain of the Hamiltonian is (see model.ParityChains):
+tridiagonal in the squeezed frame that the spectrum paths use,
+pentadiagonal for the truncated H that the tests use as oracle.  It
+solves only the levels asked for, so spectral.lowest_k can solve a few
+levels of each chain and extend one chain later at the cost of the new
+levels alone.  banded_norm, the spectral norm of a leading block of
+such a chain, is two single-eigenvalue solves; the field-rewriting
+check takes its residual and scale from it.  banded_eigh
 gives all eigenpairs of a tridiagonal chain through LAPACK dstevd, the
 divide-and-conquer of Gu and Eisenstat; the Witten index uses it, and so
 does skew_tridiagonal_exp, the one matrix exponential here: exp(K) for a
@@ -146,19 +149,24 @@ def hermitian_norm(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(_drop_negligible(a))).max())
 
 
-def banded_lowest(band: np.ndarray, m: int) -> np.ndarray:
-    """The m smallest eigenvalues, ascending, of a real symmetric band matrix.
+def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
+    """Eigenvalues start .. m - 1, ascending, of a real symmetric band matrix.
 
-    band is in lower banded storage, band[d, j] = A[j + d, j], with any
-    number of rows: two for a tridiagonal matrix.  Only the requested
-    eigenvalues are computed (LAPACK ?sbevx through eig_banded).
+    Levels count from 0 at the smallest, so start = 0 gives the m
+    smallest.  band is in lower banded storage, band[d, j] = A[j + d, j],
+    with any number of rows: two for a tridiagonal matrix.  Only the
+    requested eigenvalues are computed (LAPACK ?sbevx through eig_banded),
+    so a caller can take more levels of a matrix later at the cost of the
+    new ones alone.  Unless 0 <= start < m <= N it is a DimensionError.
     """
     band = np.asarray(band, dtype=float)
-    if band.ndim != 2 or not 1 <= m <= band.shape[1]:
-        raise DimensionError(f"band of shape {band.shape} cannot give m={m} eigenvalues")
+    if band.ndim != 2 or not 0 <= start < m <= band.shape[1]:
+        raise DimensionError(
+            f"band of shape {band.shape} cannot give eigenvalues {start}..{m - 1}"
+        )
     try:
         return sla.eig_banded(
-            band, lower=True, eigvals_only=True, select="i", select_range=(0, m - 1)
+            band, lower=True, eigvals_only=True, select="i", select_range=(start, m - 1)
         )
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise SolverError(f"banded eigensolver failed: {exc}") from exc

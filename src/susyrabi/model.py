@@ -344,7 +344,7 @@ def _spin_flip_pairs(fp: FockParams, lag: int) -> np.ndarray:
 
 
 def charge_pairs(
-    variant: str, omega: float, fp: FockParams
+    variant: str, omega: float, fp: FockParams, n_pairs: int | None = None
 ) -> tuple[np.ndarray, SuperchargeSet]:
     """H and the "free" or "broken" charges as (N, 2, 2) stacks on their pairs.
 
@@ -360,15 +360,18 @@ def charge_pairs(
     the two ladder halves, q1 = sqrt(omega/2)(s+ x + s- x),
     q2 = i sqrt(omega/2)(s- x - s+ x) and q+/- = (q1 +/- i q2)/sqrt(2).
     The level n is sqrt(n)^2, the diagonal of the literal a_dag @ a, so
-    every entry is bitwise that of the dense operator.
+    every entry is bitwise that of the dense operator.  n_pairs, N by
+    default, keeps only the first n_pairs pairs: the goldstino check
+    reads pair 0 alone, and where omega (n + 1/2) overflows, H on the
+    higher pairs would be inf.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be > 0, got {omega}")
     if variant not in ("free", "broken"):
         raise ValidationError(f"unknown charge set {variant!r}; known: 'free', 'broken'")
     free = variant == "free"
-    pairs = _spin_flip_pairs(fp, lag=1 if free else 0)
-    n = np.arange(fp.n_fock, dtype=float)
+    pairs = _spin_flip_pairs(fp, lag=1 if free else 0)[:n_pairs]
+    n = np.arange(len(pairs), dtype=float)
     level = np.sqrt(n) ** 2
     # The boson factor on pair n: <n-1|a|n> = sqrt(n) (free), sqrt(n+1/2) (broken).
     x = (np.sqrt(n) if free else np.sqrt(level + 0.5))[:, None, None]
@@ -377,7 +380,7 @@ def charge_pairs(
     q1 = root * (up + down)
     q2_over_i = root * (down - up)
     h = (omega if free else 0.0) / 2.0 * SZ
-    h = h + (omega * (level[pairs % fp.n_fock] + 0.5))[:, :, None] * I2
+    h = h + (omega * (np.sqrt(pairs % fp.n_fock) ** 2 + 0.5))[:, :, None] * I2
     return h, SuperchargeSet(
         q1=q1,
         q2=1j * q2_over_i,

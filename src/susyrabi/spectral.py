@@ -5,9 +5,12 @@ truncation convergence, the limit and no-go checks, and the CLI
 spectrum and converge commands) build the Hamiltonian in the squeezed
 frame without the A^2 term, as its two tridiagonal parity chains
 (model.squeezed_chains), and solve them with the banded core in
-lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
-shift included: Schedule.params(r) on the r path, sweep_params_g on the
-coupling sweep, both shifted by model.self_energy.  A point that needs a
+lowest_k, which merges the two chains lazily: the lowest ceil(k/2)
+levels of each, then more of at most one chain, only where its last
+solved level lies below the k-th of the merge.  A Hamiltonian point is
+one model.ModelParams, self-energy shift included: Schedule.params(r)
+on the r path, sweep_params_g on the coupling sweep, both shifted by
+model.self_energy.  A point that needs a
 larger truncation solves at replace(fp, n_fock=n); only
 spectral_flow_g and truncation_convergence cap that n.  A
 SpectrumTable's n_fock is that of the chains it was solved on.  The
@@ -82,18 +85,30 @@ class FlowResult:
 def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
     """k smallest eigenvalues of H, ascending, multiplicity included.
 
-    ParityChains take the banded core: each chain yields its lowest
-    min(k, N) levels and the merged set is cut to k.  A dense matrix goes
-    through hermitian_eigs, one full dense eigendecomposition; that path
-    is the reference oracle.
+    ParityChains take the banded core and merge the two chains lazily.
+    Each chain first yields its lowest m = ceil(k/2) levels; x is the
+    k-th smallest of those 2m.  Every level not yet solved lies at or
+    above the last solved level of its chain, so a chain whose last
+    level is >= x can add nothing below x, and ties at x do not change
+    the sorted values.  A chain whose last level is < x is extended to
+    its lowest min(k, N) levels, which holds all of its levels below the
+    k-th of the merge.  At most one chain is ever extended, since the
+    larger of the two m-th levels is >= x.  A dense matrix goes through
+    hermitian_eigs, one full dense eigendecomposition; that path is the
+    reference oracle.
     """
     dim = h.dim if isinstance(h, ParityChains) else h.shape[0]
     if not 1 <= k <= dim:
         raise ValidationError(f"k={k} outside 1..{dim} (the matrix dimension)")
-    if isinstance(h, ParityChains):
-        m = min(k, h.n_fock)
-        return np.sort(np.concatenate([banded_lowest(band, m) for band in h.bands]))[:k]
-    return hermitian_eigs(h).values[:k]
+    if not isinstance(h, ParityChains):
+        return hermitian_eigs(h).values[:k]
+    m, m_full = (k + 1) // 2, min(k, h.n_fock)
+    levels = [banded_lowest(band, m) for band in h.bands]
+    x = np.sort(np.concatenate(levels))[k - 1]
+    for i, band in enumerate(h.bands):
+        if m < m_full and levels[i][-1] < x:
+            levels[i] = np.concatenate([levels[i], banded_lowest(band, m_full, start=m)])
+    return np.sort(np.concatenate(levels))[:k]
 
 
 def degeneracy_groups(
@@ -552,11 +567,18 @@ def goldstino_check(omega: float, fp: FockParams) -> GoldstinoReport:
     Q+|down,0> and Q-|up,0> both lie in pair 0 of the broken charges,
     (|up,0>, |down,0>), so H and the charges act on them as the real
     2 x 2 blocks of that pair (model.charge_pairs), and H is applied once
-    per excitation.  Each excitation is normalized first, so its residual
-    and Rayleigh quotient are of the order of omega and neither overflows
-    nor underflows.
+    per excitation; only that pair is built, so no higher level
+    omega (n + 1/2) can overflow.  Each excitation is normalized first, so
+    its residual and Rayleigh quotient are of the order of omega and
+    neither overflows nor underflows.  An omega whose vacuum energy
+    omega/2 is zero or subnormal in float64 is a ValidationError: the
+    excitations would be zero vectors, or the energies lose precision.
     """
-    h, charges = charge_pairs("broken", omega, fp)
+    if not omega / 2.0 >= np.finfo(np.float64).tiny:
+        raise ValidationError(
+            f"omega = {omega}: the vacuum energy omega/2 is zero or subnormal in float64"
+        )
+    h, charges = charge_pairs("broken", omega, fp, n_pairs=1)
     h = h[0]
     e0 = omega / 2.0
 

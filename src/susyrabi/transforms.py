@@ -171,15 +171,18 @@ def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, Transf
     the same spin, so U is S on each chain in the chain's position basis:
     the residual is S^T L S - R on the chains L of model.parity_chains and
     R of model.squeezed_chains, on their leading squeeze_cut levels, and
-    the scale is the largest linalg.banded_norm of the R chains.  The
-    returned unitary is the N x N S.
+    the scale is the largest linalg.banded_norm of the R chains.  Only
+    the leading cut columns of S enter the residual's leading block, so
+    it is formed from those alone.  The returned unitary is the full
+    N x N S.
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
     s = squeeze(zeta, fp)
     cut = squeeze_cut(fp, zeta)
     rhs = squeezed_chains(p, fp)
-    diff = s.T @ parity_chains(p, fp).matrices() @ s - rhs.matrices()
+    lead = s[:, :cut]
+    diff = lead.T @ parity_chains(p, fp).matrices() @ lead - rhs.matrices()[:, :cut, :cut]
     return s, TransformReport(
         _leading_norm(diff, cut) / max(1.0, max(banded_norm(b) for b in rhs.bands))
     )

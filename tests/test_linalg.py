@@ -7,6 +7,7 @@ from susyrabi import linalg
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     banded_eigh,
+    banded_lowest,
     hermitian_eigs,
     hermitian_norm,
     kron,
@@ -119,3 +120,23 @@ def test_banded_eigh_matches_dense():
     with pytest.raises(DimensionError):
         banded_eigh(np.ones(3))
 
+
+def test_banded_lowest_slices_the_full_solve():
+    # Levels start .. m - 1 of a pentadiagonal band are the matching slice
+    # of all its eigenvalues; start outside 0 .. m - 1 is refused.
+    rng = np.random.default_rng(7)
+    band = rng.normal(size=(3, 9))
+    full = np.diag(band[0])
+    for d in (1, 2):
+        full += np.diag(band[d, :-d], -d) + np.diag(band[d, :-d], d)
+    want = np.linalg.eigvalsh(full)
+    for m in range(1, 10):
+        for start in range(m):
+            np.testing.assert_allclose(banded_lowest(band, m, start), want[start:m],
+                                       rtol=0, atol=1e-13)
+        for start in (-1, m):
+            with pytest.raises(DimensionError):
+                banded_lowest(band, m, start)
+    np.testing.assert_array_equal(banded_lowest(band, 4), banded_lowest(band, 4, 0))
+    with pytest.raises(DimensionError):
+        banded_lowest(band, 10)

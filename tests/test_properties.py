@@ -508,6 +508,43 @@ def test_parity_chains_reject_k_outside_dimension(case):
             lowest_k(parity_chains(replace(p, shift=shift), fp), k)
 
 
+# lowest_k's lazy merge of two chains against the sorted union of both
+# chains' dense eigenvalues, for every k in 1..2N.  The tolerance is fixed
+# in advance: 1e-12 relative to max(1, the largest |E|).
+MERGE_RTOL = 1e-12
+
+
+@st.composite
+def synthetic_chains(draw):
+    """Two tri- or pentadiagonal chains of n in 1..16 levels: independent,
+    one shifted 100 above the other (which forces the merge to extend the
+    lower one), diagonal with repeated integer levels (as at r = 0), or
+    identical (as at r = 1)."""
+    rows = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=16))
+    bands = draw(arrays(np.float64, (2, rows, n), elements=reals))
+    shape = draw(st.sampled_from(["independent", "shifted", "repeated", "identical"]))
+    if shape == "shifted":
+        bands[draw(st.integers(min_value=0, max_value=1)), 0] += 100.0
+    elif shape == "repeated":
+        bands[:, 1:] = 0.0
+        bands[:, 0] = np.round(bands[:, 0])
+    elif shape == "identical":
+        bands[1] = bands[0]
+    return ParityChains(bands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(synthetic_chains())
+def test_lowest_k_equals_sorted_dense_union(chains):
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in chains.matrices()]))
+    scale = max(1.0, float(np.abs(union).max()))
+    for k in range(1, chains.dim + 1):
+        got = lowest_k(chains, k)
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - union[:k])) <= MERGE_RTOL * scale, k
+
+
 # Fast paths of the identity checks against their dense oracles.  The
 # tolerances are fixed in advance: 1e-12 relative to max(1, |A|) for the
 # norms, 1e-10 absolute for the Witten index.

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from susyrabi import spectral
 from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
 from susyrabi.fock import (
     S_MINUS,
@@ -20,6 +21,7 @@ from susyrabi.fock import (
 )
 from susyrabi.model import (
     ModelParams,
+    ParityChains,
     Schedule,
     broken_supercharges,
     charge_pairs,
@@ -55,6 +57,38 @@ def test_lowest_k_orders_and_bounds(fp_small):
     for k in (4, 0, -1):
         with pytest.raises(ValidationError):
             lowest_k(h, k)
+
+
+def test_lowest_k_extends_only_the_chain_below_the_cut(monkeypatch):
+    # Chain 1 lies 100 above chain 0, so the lowest k levels all come from
+    # chain 0: after ceil(k/2) levels of each chain, chain 0 alone is
+    # extended to min(k, N).  Identical chains (as at r = 1) need no
+    # extension.  Each banded_lowest call is recorded as (m, start).
+    calls = []
+    solve = spectral.banded_lowest
+
+    def recorder(band, m, start=0):
+        calls.append((m, start))
+        return solve(band, m, start)
+
+    monkeypatch.setattr(spectral, "banded_lowest", recorder)
+    n = 12
+    band = np.zeros((2, n))
+    band[0] = np.arange(n, dtype=float)
+    band[1, :-1] = 0.3
+    far = band + [[100.0], [0.0]]
+    shifted, identical = ParityChains(np.stack([band, far])), ParityChains(np.stack([band, band]))
+    want = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in shifted.matrices()]))
+    for k in (1, 2, 7, 12, 13, 24):
+        m = (k + 1) // 2
+        calls.clear()
+        np.testing.assert_allclose(lowest_k(shifted, k), want[:k], rtol=0, atol=1e-12)
+        extended = [(min(k, n), m)] if m < min(k, n) else []
+        assert calls == [(m, 0), (m, 0)] + extended, (k, calls)
+        calls.clear()
+        np.testing.assert_allclose(lowest_k(identical, k), np.repeat(want[:n], 2)[:k],
+                                   rtol=0, atol=1e-12)
+        assert calls == [(m, 0), (m, 0)], (k, calls)
 
 
 def test_degeneracy_groups_basic():
@@ -392,6 +426,12 @@ def test_sector_products_of_charges_equal_dense():
                  np.stack([n, n_fock + n], axis=1)),
             ):
                 h_pairs, stacks = charge_pairs(variant, omega, fp)
+                # The leading pairs alone are bitwise the leading rows.
+                for count in (1, 3):
+                    h_lead, lead = charge_pairs(variant, omega, fp, n_pairs=count)
+                    assert np.array_equal(h_lead, h_pairs[:count])
+                    for name in ("q1", "q2", "q_plus", "q_minus", "grading", "pairs"):
+                        assert np.array_equal(getattr(lead, name), getattr(stacks, name)[:count])
                 np.testing.assert_array_equal(dense.pairs, pairs)
                 np.testing.assert_array_equal(stacks.pairs, pairs)
                 assert dense.variant == stacks.variant == variant
@@ -480,14 +520,25 @@ def test_goldstino_zero_energy_excitations(fp_mid):
     assert rep.energy_increment <= 1e-10
 
 
-@pytest.mark.parametrize("omega", [1e200, 1e-300, 100.0])
+@pytest.mark.parametrize("omega", [1e200, 1e-300, 100.0, 1.7e308])
 def test_goldstino_increment_is_zero_at_any_scale(fp_mid, omega, recwarn):
     # Each excitation is normalized before its Rayleigh quotient, whose
     # unnormalized form overflows to inf at omega = 1e200, underflows to
-    # 5e-301 at omega = 1e-300 and rounds to 7.1e-15 at omega = 100.
+    # 5e-301 at omega = 1e-300 and rounds to 7.1e-15 at omega = 100.  At
+    # omega = 1.7e308, omega (n + 1/2) overflows for every pair n >= 1,
+    # which the check does not build.
     rep = goldstino_check(omega, fp_mid)
     assert rep.energy_increment == 0.0
     assert rep.residual_plus == rep.residual_minus == 0.0
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("omega", [5e-324, 1e-310, 4e-308])
+def test_goldstino_rejects_subnormal_vacuum_energy(fp_mid, omega, recwarn):
+    # omega/2 rounds to 0 at 5e-324 (the excitations would be zero
+    # vectors, 0/0 on normalizing) and is subnormal at the other two.
+    with pytest.raises(ValidationError, match="omega/2 is zero or subnormal"):
+        goldstino_check(omega, fp_mid)
     assert not recwarn.list
 
 
