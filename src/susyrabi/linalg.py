@@ -9,9 +9,12 @@ solves only the levels asked for, so spectral.lowest_k can solve a few
 levels of each chain and extend one chain later at the cost of the new
 levels alone.  banded_norm, the spectral norm of a leading block of
 such a chain, is two single-eigenvalue solves; the field-rewriting
-check takes its residual and scale from it.  banded_eigh
-gives all eigenpairs of a tridiagonal chain through LAPACK dstevd, the
-divide-and-conquer of Gu and Eisenstat; the Witten index uses it, and so
+check takes its residual and scale from it.  band_times multiplies such
+a band matrix, or a stack of them, by dense columns in O(N) per column;
+the A^2 and polaron checks form their residuals with it, on the leading
+columns of the unitary.  banded_eigh gives all eigenpairs of a
+tridiagonal chain through LAPACK dstevd, the divide-and-conquer of Gu
+and Eisenstat; the Witten index uses it, and so
 does skew_tridiagonal_exp, the one matrix exponential here: exp(K) for a
 real skew-symmetric tridiagonal K, which is what the displacement and
 squeeze generators are (the squeeze on its even and on its odd levels).
@@ -181,6 +184,27 @@ def banded_norm(band: np.ndarray, cut: int | None = None) -> float:
     """
     b = np.asarray(band, dtype=float)[:, :cut]
     return max(abs(float(banded_lowest(b, 1)[0])), abs(float(banded_lowest(-b, 1)[0])))
+
+
+def band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the real symmetric band matrix A, in O(rows N k) for k columns.
+
+    band is in lower banded storage, as for banded_lowest, with any
+    number of rows, or a stack (..., rows, N) of such bands; x is
+    (..., N, k), and the two broadcast over their leading axes.  Entries
+    band[d, N - d:] lie outside the matrix and are never read.
+    """
+    band = np.asarray(band, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = band.shape[-1]
+    if band.ndim < 2 or x.ndim < 2 or x.shape[-2] != n:
+        raise DimensionError(f"band of shape {band.shape} cannot multiply x of shape {x.shape}")
+    out = band[..., 0, :, None] * x
+    for d in range(1, min(band.shape[-2], n)):
+        sub = band[..., d, : n - d, None]
+        out[..., d:, :] += sub * x[..., : n - d, :]
+        out[..., : n - d, :] += sub * x[..., d:, :]
+    return out
 
 
 def banded_eigh(band: np.ndarray) -> EigenDecomposition:

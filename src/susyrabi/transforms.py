@@ -5,29 +5,32 @@ S(+zeta); its correctness is established numerically against the
 conjugation identity it must satisfy.  All residuals are measured away
 from the truncation boundary, on the leading cut x cut block of each
 N x N operand (boson levels 0..cut-1), and relative to the spectral norm
-of the Hermitian target.  The cut is N - buffer, or less where a squeeze
-or a displacement spreads Fock support: a rule in zeta or in
-beta sqrt(N), with TruncationError where fewer than 8 levels would
-remain.
+of the Hermitian target, or for the polaron frame a lower bound on it.
+The cut is N - buffer, or less where a squeeze or a displacement spreads
+Fock support: a rule in zeta or in beta sqrt(N), with TruncationError
+where fewer than 8 levels would remain.
 
-Each of the three checks holds its operands as plain (2, N, N) stacks of
-the blocks its algebra gives it, with no dense 2N x 2N operand:
+Each of the three checks holds its operands as the blocks its algebra
+gives it, with no dense 2N x 2N operand:
 
 - A^2 removal: S(zeta) couples only levels of equal parity, so 1 (x) S
   is S on each parity chain, and the check conjugates the chains of H
   (model.parity_chains) into the squeezed chains (model.squeezed_chains)
-  with N x N products.
+  on the leading columns of S, multiplying by the chains' bands
+  (linalg.band_times).
 - Field rewriting: B_r^dag B_r is one pentadiagonal band on each chain,
   compared with the model.parity_chains of Schedule.params(r) in band
   storage; its residual and scale are linalg.banded_norm, O(N).
 - Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
-  the residual lives on the two N x N spin-diagonal blocks, and the
-  scale |rhs|_2 on two N x N blocks that the parity of D splits it into.
+  the residual lives on the two N x N spin-diagonal blocks, formed on
+  the leading columns of D and D^T against two tridiagonal bands; the
+  scale is Weyl's lower bound on |rhs|_2, a closed form.
 
-The squeeze and polaron residuals are symmetric (k, N, N) stacks, so
-their norms are one batched eigvalsh (_leading_norm).  u_polaron,
-squeeze and displacement are the paper's formulas, and the tests
-compare each check with numpy on the dense operators built from them.
+The squeeze and polaron residuals are symmetric (2, cut, cut) stacks, so
+each norm is one batched eigvalsh (_leading_norm), the one full
+eigensolve of either check.  u_polaron, squeeze and displacement are the
+paper's formulas, and the tests compare each check with numpy on the
+dense operators built from them.
 Every unitary here is real: both generators, beta (a_dag - a) and
 (zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
 squeeze on its even and on its odd levels), so each exponential is one
@@ -44,9 +47,10 @@ import numpy as np
 
 from .errors import TruncationError, ValidationError
 from .fock import I2, S_MINUS, S_PLUS, FockParams, kron
-from .linalg import banded_norm, hermitian_norm, skew_tridiagonal_exp
+from .linalg import band_times, banded_norm, hermitian_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
+    ParityChains,
     Schedule,
     heavy_field_coefficients,
     parity_chains,
@@ -144,8 +148,8 @@ def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
     return cut
 
 
-def _leading_norm(stack: np.ndarray, cut: int) -> float:
-    """Largest spectral norm of the leading cut x cut blocks of a symmetric (k, N, N) stack.
+def _leading_norm(block: np.ndarray) -> float:
+    """Largest spectral norm of a (k, cut, cut) stack of leading residual blocks.
 
     Both residuals, S^T L S - R and U^T lhs U - F, are symmetric for any
     orthogonal S or U, since L, R, lhs and F are; only round-off breaks
@@ -153,7 +157,6 @@ def _leading_norm(stack: np.ndarray, cut: int) -> float:
     or U, and its norm is linalg.hermitian_norm, one batched eigvalsh in
     place of the singular values.
     """
-    block = stack[:, :cut, :cut]
     return hermitian_norm((block + block.transpose(0, 2, 1)) / 2.0)
 
 
@@ -172,9 +175,11 @@ def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, Transf
     the residual is S^T L S - R on the chains L of model.parity_chains and
     R of model.squeezed_chains, on their leading squeeze_cut levels, and
     the scale is the largest linalg.banded_norm of the R chains.  Only
-    the leading cut columns of S enter the residual's leading block, so
-    it is formed from those alone.  The returned unitary is the full
-    N x N S.
+    the leading cut columns S_c of S enter the residual's leading block,
+    so it is S_c^T (L S_c) - R_c, with L S_c from L's bands
+    (linalg.band_times) and R_c the leading cut x cut blocks of R, built
+    from R's bands; no N x N chain matrix is formed.  The returned
+    unitary is the full N x N S.
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
@@ -182,9 +187,10 @@ def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, Transf
     cut = squeeze_cut(fp, zeta)
     rhs = squeezed_chains(p, fp)
     lead = s[:, :cut]
-    diff = lead.T @ parity_chains(p, fp).matrices() @ lead - rhs.matrices()[:, :cut, :cut]
+    diff = lead.T @ band_times(parity_chains(p, fp).bands, lead)
+    diff -= ParityChains(rhs.bands[:, :, :cut]).matrices()
     return s, TransformReport(
-        _leading_norm(diff, cut) / max(1.0, max(banded_norm(b) for b in rhs.bands))
+        _leading_norm(diff) / max(1.0, max(banded_norm(b) for b in rhs.bands))
     )
 
 
@@ -258,13 +264,18 @@ def polaron_equivalence_report(
     D h+ D^T and D^T h- D, with h+/- = omega_b(n+1/2) +/- g x + g^2/omega_b,
     and its off-diagonal blocks are -(omega_a/2) D^2 and its transpose,
     those of the rhs.  The residual is the two diagonal blocks less
-    F = omega_b(n+1/2), a symmetric (2, N, N) stack whose norm is
-    _leading_norm; F and g x are built straight from the ladder
-    formulas as N x N arrays.  The off-diagonal block
-    O = -(omega_a/2) D^2 has O^T = P O P with P = diag((-1)^n), since
-    D(beta)^T = D(-beta) = P D(beta) P; so the rhs is unitarily the direct
-    sum of omega_b(n+1/2) +/- O P, and the scale |rhs|_2 is
-    linalg.hermitian_norm of the stack of those two N x N blocks.
+    F = omega_b(n+1/2); its leading cut x cut blocks are
+    U_c^T (h+/- U_c) - F_c with U_c the leading cut columns of D^T and of
+    D, h+/- held as tridiagonal bands (linalg.band_times), and F_c
+    subtracted on the diagonal.  Its norm is _leading_norm, the check's
+    one eigensolve.
+
+    The scale is omega_b (N - 1/2) - |omega_a|/2, Weyl's lower bound on
+    |rhs|_2: the rhs is F (+) F, whose norm is omega_b (N - 1/2), plus
+    off-diagonal blocks O = -(omega_a/2) D^2 and O^T, of norm |omega_a|/2
+    since D^2 is orthogonal.  Dividing by a lower bound can only make
+    the relative residual read higher, by at most a factor
+    1 + |omega_a| / (omega_b (N - 1/2) - |omega_a|/2).
     """
     beta = g / omega_b
     cut = _checked_cut(
@@ -273,17 +284,17 @@ def polaron_equivalence_report(
         f"displacement amplitude {beta}",
     )
     d = displacement(beta, fp)
-    # F and g x straight from the ladder formulas, with the level n as
-    # sqrt(n)^2, the diagonal of the literal a_dag @ a.
+    # h+ and h- in band storage, with the level n as sqrt(n)^2, the
+    # diagonal of the literal a_dag @ a.
     root = np.sqrt(np.arange(fp.n_fock, dtype=float))
-    free = np.diag(omega_b * (root**2 + 0.5))
-    coupling = np.diag(g * root[1:], 1)
-    coupling += coupling.T
-    shift = self_energy(omega_b, 0.0, g) * np.eye(fp.n_fock)
-    u = np.stack([d.T, d])
-    lhs = np.stack([free + coupling + shift, free - coupling + shift])
-    residual = _leading_norm(u.transpose(0, 2, 1) @ lhs @ u - free, cut)
-    # O P, with P = diag((-1)^n) scaling the columns.
-    off_p = -(omega_a / 2.0) * (d @ d) * (1.0 - 2.0 * (np.arange(fp.n_fock) % 2))
-    scale = hermitian_norm(np.stack([free + off_p, free - off_p]))
-    return TransformReport(residual / max(1.0, scale))
+    free = omega_b * (root**2 + 0.5)
+    h = np.zeros((2, 2, fp.n_fock))
+    h[:, 0] = free + self_energy(omega_b, 0.0, g)
+    h[0, 1, :-1] = g * root[1:]
+    h[1, 1, :-1] = -g * root[1:]
+    uc = np.stack([d.T[:, :cut], d[:, :cut]])
+    diff = uc.transpose(0, 2, 1) @ band_times(h, uc)
+    diff[:, np.arange(cut), np.arange(cut)] -= free[:cut]
+    # Weyl: |rhs|_2 >= omega_b (N - 1/2) - |O|_2, and |O|_2 = |omega_a|/2.
+    scale = omega_b * (fp.n_fock - 0.5) - abs(omega_a) / 2.0
+    return TransformReport(_leading_norm(diff) / max(1.0, scale))

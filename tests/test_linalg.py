@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: kron, eigensolver, Hermitian norm."""
+"""Linear-algebra substrate: kron, eigensolvers, Hermitian norm, banded products."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from susyrabi import linalg
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
+    band_times,
     banded_eigh,
     banded_lowest,
     hermitian_eigs,
@@ -140,3 +141,11 @@ def test_banded_lowest_slices_the_full_solve():
     np.testing.assert_array_equal(banded_lowest(band, 4), banded_lowest(band, 4, 0))
     with pytest.raises(DimensionError):
         banded_lowest(band, 10)
+
+
+def test_band_times_rejects_mismatched_columns():
+    # A tridiagonal band of N = 4 against columns of length 3.
+    with pytest.raises(DimensionError):
+        band_times(np.ones((2, 4)), np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        band_times(np.ones(4), np.ones((4, 2)))

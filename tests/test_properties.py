@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import (
+    band_times,
     banded_eigh,
     banded_norm,
     hermitian_eigs,
@@ -174,7 +175,7 @@ def test_stack_norms_equal_svd_norm(stack, data):
     assert_stack_norm(hermitian_norm(stack), stack)
     if np.isrealobj(stack):
         cut = data.draw(st.integers(min_value=1, max_value=stack.shape[1]))
-        assert_stack_norm(_leading_norm(stack, cut), stack[:, :cut, :cut])
+        assert_stack_norm(_leading_norm(stack[:, :cut, :cut]), stack[:, :cut, :cut])
     # One member off Hermitian breaks the contract for the whole stack.
     anti = np.zeros_like(stack)
     anti[-1, 0, -1] = 1.0 + np.abs(stack).max()
@@ -477,6 +478,28 @@ def test_banded_norm_equals_dense_leading_block_norm(rows, n, data):
         assert abs(banded_norm(band, cut) - want) <= BANDED_NORM_RTOL * max(1.0, want)
     want = np.linalg.norm(full, 2)
     assert abs(banded_norm(band) - want) <= BANDED_NORM_RTOL * max(1.0, want)
+
+
+# band_times against the dense product with the chains' full matrices.  The
+# tolerance is fixed in advance: 1e-14 relative to |A| |x| entrywise, about
+# 45 ulp of the largest term in a sum of at most five.
+BAND_TIMES_RTOL = 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=3), st.integers(min_value=1, max_value=16),
+       st.data())
+def test_band_times_equals_dense_product(rows, n, data):
+    bands = data.draw(arrays(np.float64, (2, rows, n), elements=reals))
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    x = data.draw(arrays(np.float64, (n, k), elements=reals))
+    full = ParityChains(bands).matrices()
+    bound = BAND_TIMES_RTOL * (np.abs(full) @ np.abs(x))
+    got = band_times(bands, x)
+    assert got.shape == (2, n, k)
+    assert np.all(np.abs(got - full @ x) <= bound)
+    # One band against a stack of column blocks broadcasts the same way.
+    assert np.all(np.abs(band_times(bands[0], np.stack([x, -x]))[1] + full[0] @ x) <= bound[0])
 
 
 # Squeezed chains at the truncation required_n_fock sizes against the

@@ -55,7 +55,11 @@ def interior_norm(a, idx):
 
 
 def dense_residual(u, lhs, rhs, idx):
-    """|P (U^dag lhs U - rhs) P|_2 / max(1, |rhs|_2), the check every transform report makes."""
+    """|P (U^dag lhs U - rhs) P|_2 / max(1, |rhs|_2), the A^2 check's residual.
+
+    The polaron check divides by a lower bound on |rhs|_2 instead
+    (dense_polaron_residual).
+    """
     return interior_norm(u.conj().T @ lhs @ u - rhs, idx) / max(1.0, np.linalg.norm(rhs, 2))
 
 
@@ -291,16 +295,29 @@ def dense_a2_residual(p, fp, target):
     return s, dense_residual(embed_boson(s, fp), hamiltonian(p, fp), hamiltonian(target, fp), idx)
 
 
+def dense_polaron_rhs(omega_a, beta, fp):
+    """H(0, omega, 0, 0) - (omega_a/2) {s+ D(beta)^2 + s- D(-beta)^2}, dense."""
+    d = transforms.displacement(beta, fp)
+    d2 = d @ d
+    return hamiltonian(ModelParams(0.0, OMEGA), fp) - (omega_a / 2.0) * (
+        kron(S_PLUS, d2) + kron(S_MINUS, d2.T))
+
+
+def polaron_scale(omega_a, fp):
+    """Weyl's lower bound omega (N - 1/2) - |omega_a|/2 on the polaron rhs norm."""
+    return OMEGA * (fp.n_fock - 0.5) - abs(omega_a) / 2.0
+
+
 def dense_polaron_residual(omega_a, g, fp):
+    """The dense interior residual, divided by max(1, polaron_scale) as the check divides it."""
     beta = g / OMEGA
     cut = min(fp.n_fock - fp.buffer,
               fp.n_fock - math.ceil(transforms.POLARON_SPREAD * beta * math.sqrt(fp.n_fock)))
-    d = transforms.displacement(beta, fp)
-    d2 = d @ d
+    u = u_polaron(beta, fp)
     lhs = hamiltonian(ModelParams(omega_a, OMEGA, g, 0.0, shift=g**2 / OMEGA), fp)
-    rhs = hamiltonian(ModelParams(0.0, OMEGA), fp) - (omega_a / 2.0) * (
-        kron(S_PLUS, d2) + kron(S_MINUS, d2.T))
-    return dense_residual(u_polaron(beta, fp), lhs, rhs, interior_projector(fp, cut))
+    residual = u.conj().T @ lhs @ u - dense_polaron_rhs(omega_a, beta, fp)
+    return interior_norm(residual, interior_projector(fp, cut)) / max(
+        1.0, polaron_scale(omega_a, fp))
 
 
 def dense_field_residual(s, r, fp, rhs):
@@ -368,6 +385,25 @@ def test_structured_polaron_frame_equals_dense_oracle(n, beta, omega_a, monkeypa
     assert_mismatch_matches(got, want)
 
 
+# The polaron check divides by Weyl's bound omega (N - 1/2) - |omega_a|/2 on
+# |rhs|_2 in place of the norm itself: the rhs is F (+) F, F = omega (n + 1/2),
+# plus off-diagonal blocks of norm |omega_a|/2, since D^2 is orthogonal.  The
+# dense norm must lie within |omega_a|/2 of omega (N - 1/2); omega_a = 0 makes
+# the bound exact and omega_a = 3 omega loosens it most.  The slack is fixed
+# in advance: 1e-12 relative to the bound.
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("beta, omega_a", POLARON_CASES + [
+    pytest.param(beta, omega_a, id=f"{beta}-omega_a={omega_a}")
+    for omega_a in (0.0, 3.0 * OMEGA) for beta in (0.25, 0.5, 1.0)
+])
+def test_polaron_scale_is_a_weyl_lower_bound_on_the_rhs_norm(n, beta, omega_a):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    norm = np.linalg.norm(dense_polaron_rhs(omega_a, beta, fp), 2)
+    low = polaron_scale(omega_a, fp)
+    high = OMEGA * (n - 0.5) + abs(omega_a) / 2.0
+    assert low * (1.0 - 1e-12) <= norm <= high * (1.0 + 1e-12), (low, norm, high)
+
+
 @pytest.mark.parametrize("n", STRUCTURED_N)
 @pytest.mark.parametrize("c", STRUCTURED_C)
 def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
@@ -424,3 +460,31 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 25 and all(row.endswith(",pass") for row in rows)
     assert cli.run_command(["goldstino", "--n-fock", "128", "--buffer", "32"]) == 0
+
+
+def test_transform_checks_make_no_n_by_n_eigensolve(monkeypatch):
+    # The polaron check's one full eigensolve is its residual norm, one
+    # eigvalsh of the (2, cut, cut) leading blocks; its scale is a bound.
+    # Neither it nor the A^2 check forms a full N x N chain matrix: both
+    # multiply by the bands, and the A^2 check forms only the rhs's
+    # leading cut x cut blocks.
+    fp = FockParams(n_fock=64, buffer=16)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    matrices = model.ParityChains.matrices
+
+    def leading_matrices(chains):
+        assert chains.n_fock < fp.n_fock, "ParityChains.matrices on a full-N chain"
+        return matrices(chains)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(model.ParityChains, "matrices", leading_matrices)
+    polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
+    cut = fp.n_fock - max(fp.buffer, math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock)))
+    assert shapes == [(2, cut, cut)]
+    u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
