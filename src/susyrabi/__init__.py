@@ -18,48 +18,34 @@ import os
 # (as by `python -m susyrabi.cli`).  A value already set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
-from .fock import FockParams, OperatorSet, make_operators
+from .fock import FockParams
 from .model import (
-    ModelParams,
-    Schedule,
-    SuperchargeSet,
-    broken_supercharges,
-    charge_pairs,
-    free_supercharges,
-    hamiltonian,
-    h_interaction,
-    h_susy_ss,
-    h_total_r,
-    heavy_hamiltonian,
-    mass_increment,
-    renormalized_frequency,
+    ModelParams, Schedule, SuperchargeSet, charge_pairs, mass_increment, renormalized_frequency,
 )
 from .spectral import (
-    AlgebraReport,
-    ConvergenceReport,
-    FlowResult,
-    SpectrumTable,
-    WittenReport,
-    degeneracy_groups,
-    goldstino_check,
-    limit_check,
-    lowest_k,
-    no_go_asymptote_check,
-    pair_algebra_report,
-    spectral_flow_g,
-    spectral_flow_r,
-    susy_algebra_report,
-    truncation_convergence,
+    AlgebraReport, ConvergenceReport, FlowResult, SpectrumTable, WittenReport,
+    degeneracy_groups, goldstino_check, limit_check, lowest_k, no_go_asymptote_check,
+    pair_algebra_report, spectral_flow_g, spectral_flow_r, truncation_convergence,
     witten_index,
 )
 from .transforms import (
-    TransformReport,
-    displacement,
-    field_identity_report,
-    polaron_equivalence_report,
-    squeeze,
-    u_a2_with_report,
-    u_polaron,
+    TransformReport, displacement, field_identity_report, polaron_equivalence_report,
+    squeeze, u_a2_with_report,
 )
 
 __version__ = "0.1.0"
+
+# The dense 2N x 2N oracle (susyrabi.dense) loads only when one of its
+# names is first read from here, so importing the CLI never loads it.
+_DENSE_EXPORTS = (
+    "OperatorSet", "make_operators", "hamiltonian", "h_total_r", "h_susy_ss",
+    "h_interaction", "heavy_hamiltonian", "free_supercharges",
+    "broken_supercharges", "susy_algebra_report", "u_polaron",
+)
+
+
+def __getattr__(name: str):
+    if name in _DENSE_EXPORTS:
+        from . import dense
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

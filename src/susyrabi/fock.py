@@ -1,15 +1,14 @@
-"""Truncated bosonic ladder operators, qubit operators and tensor embeddings.
+"""Qubit operators, the truncation parameters and the interior index set.
 
-Basis ordering is qubit-major and fixed globally:
-index = s*N + n with s=0 the up-spin |up> = (1,0)^T, s=1 the down-spin,
-and n the Fock level 0..N-1.  All golden data depends on this ordering.
-hbar = 1 everywhere; energies are in the paper-style frequency units.
-The interior on which operator identities are checked is an index set
-of this basis, not a projector matrix.  Every operator here is real
-(float64) except sigma_y, so products and solves built from them stay
-in real arithmetic until a complex factor enters.  The qubit operators
-are the module constants SX, SY, SZ, I2, S_PLUS and S_MINUS, read-only,
-so that no caller can change them for the others.
+A basis state of the qubit (x) N-level boson is labelled by the index
+s*N + n, with s=0 the up-spin |up> = (1,0)^T, s=1 the down-spin, and n
+the Fock level 0..N-1.  The spin-flip pairs of model.charge_pairs and
+the interior of interior_projector are sets of these labels; no command
+builds a matrix on the whole 2N space (those live in susyrabi.dense, the
+tests' oracle).  hbar = 1 everywhere; energies are in the paper-style
+frequency units.  The qubit operators are the module constants SX, SY,
+SZ, I2, S_PLUS and S_MINUS, read-only, so that no caller can change them
+for the others; all are real (float64) except sigma_y.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .linalg import kron
+from .errors import ValidationError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,52 +54,6 @@ class FockParams:
         return 2 * self.n_fock
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    """The boson ladder operators for one truncation size, each N x N.
-
-    n_op is diag(sqrt(n)^2), bitwise the literal product a_dag @ a, so it
-    is exactly consistent with the ladder matrices.
-    """
-
-    a: np.ndarray
-    a_dag: np.ndarray
-    n_op: np.ndarray
-
-
-def make_operators(fp: FockParams) -> OperatorSet:
-    """The truncated ladder operators for fp, built afresh on each call.
-
-    <n-1|a|n> = sqrt(n); the commutator [a, a_dag] equals the identity on
-    levels n < N-1 and carries the usual truncation defect at the corner.
-    """
-    n = fp.n_fock
-    a = np.zeros((n, n))
-    levels = np.arange(1, n)
-    a[levels - 1, levels] = np.sqrt(levels)
-    return OperatorSet(
-        a=a, a_dag=a.T.copy(), n_op=np.diag(np.sqrt(np.arange(n, dtype=float)) ** 2)
-    )
-
-
-def embed_boson(op: np.ndarray, fp: FockParams) -> np.ndarray:
-    """1 (x) op on the full 2N space, real when op is."""
-    op = np.asarray(op)
-    if op.shape != (fp.n_fock, fp.n_fock):
-        raise DimensionError(
-            f"boson operator must be {fp.n_fock}x{fp.n_fock}, got {op.shape}"
-        )
-    return kron(I2, op)
-
-
-def embed_qubit(op: np.ndarray, fp: FockParams) -> np.ndarray:
-    """op (x) 1 on the full 2N space, real when op is."""
-    op = np.asarray(op)
-    if op.shape != (2, 2):
-        raise DimensionError(f"qubit operator must be 2x2, got {op.shape}")
-    return kron(op, np.eye(fp.n_fock))
-
-
 def interior_projector(fp: FockParams, cut: int | None = None) -> np.ndarray:
     """Basis indices of both spin sectors of boson levels 0..cut-1.
 
@@ -112,14 +64,3 @@ def interior_projector(fp: FockParams, cut: int | None = None) -> np.ndarray:
     if not 0 <= cut <= fp.n_fock:
         raise ValidationError(f"interior cut {cut} outside 0..{fp.n_fock}")
     return np.r_[0:cut, fp.n_fock : fp.n_fock + cut]
-
-
-def basis_state(spin: str, n: int, fp: FockParams) -> np.ndarray:
-    """Unit vector |spin> (x) |n>, spin one of 'up'/'down'."""
-    if spin not in ("up", "down"):
-        raise ValidationError(f"spin must be 'up' or 'down', got {spin!r}")
-    if not 0 <= n < fp.n_fock:
-        raise ValidationError(f"Fock level {n} outside 0..{fp.n_fock - 1}")
-    v = np.zeros(fp.total_dim, dtype=complex)
-    v[(0 if spin == "up" else 1) * fp.n_fock + n] = 1.0
-    return v

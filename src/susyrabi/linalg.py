@@ -1,36 +1,22 @@
-"""Linear algebra substrate: banded eigensolvers and dense real or complex tools.
+"""Linear algebra substrate: banded eigensolvers and real Hermitian tools.
 
-banded_lowest is the spectral core: it returns the eigenvalues with
-indices start .. m - 1, ascending, of a real symmetric band matrix, which
-is what each parity chain of the Hamiltonian is (see model.ParityChains):
-tridiagonal in the squeezed frame that the spectrum paths use,
-pentadiagonal for the truncated H that the tests use as oracle.  It
-solves only the levels asked for, so spectral.lowest_k can solve a few
-levels of each chain and extend one chain later at the cost of the new
-levels alone.  banded_norm, the spectral norm of a leading block of
-such a chain, is two single-eigenvalue solves; the field-rewriting
-check takes its residual and scale from it.  band_times multiplies such
-a band matrix, or a stack of them, by dense columns in O(N) per column;
-the A^2 and polaron checks form their residuals with it, on the leading
-columns of the unitary.  banded_eigh gives all eigenpairs of a
-tridiagonal chain through LAPACK dstevd, the divide-and-conquer of Gu
-and Eisenstat; the Witten index uses it, and so
-does skew_tridiagonal_exp, the one matrix exponential here: exp(K) for a
-real skew-symmetric tridiagonal K, which is what the displacement and
-squeeze generators are (the squeeze on its even and on its odd levels).
-Everything else works on plain square numpy arrays in double precision,
-float64 or complex, and real input stays real: the model's Fock-basis
-operators, all real except sigma_y, take real LAPACK and BLAS calls.
-hermitian_eigs, one dense eigh, is the reference oracle that the tests
-check the chains against; no command calls it.  hermitian_norm is the
-spectral norm of a Hermitian matrix, or the largest over a stack of
-them, from their eigenvalues; the transform checks take their residual
-norms from it.  MAX_DIM bounds only kron.
+Each parity chain of the Hamiltonian (model.ParityChains) is a real
+symmetric band matrix: tridiagonal in the squeezed frame that the
+spectrum paths use, pentadiagonal for the truncated H in its own frame.
+banded_lowest gives only the levels asked for, so spectral.lowest_k can
+extend one chain later at the cost of the new levels alone; banded_norm
+is two single-eigenvalue solves; band_times multiplies a band matrix, or
+a stack of them, by dense columns in O(N) per column; banded_eigh gives
+all eigenpairs of a tridiagonal chain through LAPACK dstevd, for the
+Witten index and for skew_tridiagonal_exp, the one matrix exponential
+here (the displacement and squeeze generators are real skew-symmetric
+tridiagonal).  hermitian_norm is the spectral norm of a Hermitian matrix,
+or the largest over a stack, from one batched eigvalsh; the transform
+checks take their residual norms from it.  Real input stays real.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +24,6 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import ContractViolationError, DimensionError, SolverError
-
-# Hard cap on produced matrix dimension; protects kron from runaway sizes.
-MAX_DIM = 8192
 
 HERMITICITY_RTOL = 1e-12
 
@@ -66,36 +49,6 @@ def _check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> n
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor index-major.
-
-    Called as kron(spin, boson) this puts the qubit factor first, which is
-    the basis ordering used everywhere in this package.  A result above
-    MAX_DIM, read at each call, is a DimensionError.
-    """
-    a = _check_square(a, "kron factor A")
-    b = _check_square(b, "kron factor B")
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise DimensionError(
-            f"kron result dimension {dim} exceeds the configured maximum {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2, warning when A is not Hermitian to HERMITICITY_RTOL."""
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if scale > 0 and asym > HERMITICITY_RTOL * scale:
-        warnings.warn(
-            f"input not Hermitian (defect {asym:.3e}, scale {scale:.3e}); symmetrizing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return (a + a.conj().T) / 2
-
-
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
     """a with every entry below eps * max|a| / n set to exactly zero.
 
@@ -112,23 +65,6 @@ def _drop_negligible(a: np.ndarray) -> np.ndarray:
     mag = np.abs(a)
     small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[-1]
     return np.where(small, 0.0, a) if small.any() else a
-
-
-def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a (nearly) Hermitian matrix, the dense reference oracle.
-
-    The input is symmetrized as (A + A^dagger)/2 before solving; truncation
-    of ladder operators routinely introduces 1-ulp asymmetries, so asymmetry
-    is warned about rather than rejected.  Entries below rounding relative
-    to the largest are dropped (_drop_negligible) before one eigh.  Real
-    symmetric input gives real eigenvectors.
-    """
-    h = _drop_negligible(_hermitian_part(_check_square(a)))
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def hermitian_norm(a: np.ndarray) -> float:

@@ -1,10 +1,13 @@
-"""Hamiltonians, supercharges, the heavy field and derived scalars.
+"""Model points, their parity chains, the supercharge pairs and derived scalars.
 
 The family H(omega_a, omega_b, g, c) is the quantum Rabi model plus the
-quadratic (A^2-type) boson self-interaction c*g^2*(a+a_dag)^2.  The
-r-parameterized path interpolates from the free N=2 SUSY oscillator at
-r=0 to the spontaneously broken, frequency-renormalized oscillator at
-r=1.  hbar = 1 throughout.
+quadratic (A^2-type) boson self-interaction c*g^2*(a+a_dag)^2; the
+r-parameterized path runs from the free N=2 SUSY oscillator at r=0 to
+the broken, frequency-renormalized one at r=1 (hbar = 1).  H is held as
+its two parity chains (ParityChains), the charges as 2 x 2 blocks on
+their spin-flip pairs (charge_pairs).  The dense builders live in
+susyrabi.dense; hamiltonian, h_total_r and the two dense charge sets
+resolve there lazily.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .fock import (
-    I2, S_MINUS, S_PLUS, SX, SZ, FockParams, embed_boson, embed_qubit, kron, make_operators,
-)
+from .fock import I2, S_MINUS, S_PLUS, SZ, FockParams
 
 
 @dataclass(frozen=True)
@@ -155,25 +156,6 @@ def _check_r(r: float) -> None:
         raise ValidationError(f"r must lie in [0, 1], got {r}")
 
 
-def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:
-    """H = (omega_a/2) sz + omega_b (n+1/2) + g sx (a+a_dag) + c g^2 (a+a_dag)^2 + shift.
-
-    The scalar p.shift (a self-energy) is added last, as shift times the
-    identity, and only when it is nonzero.
-    """
-    ops = make_operators(fp)
-    x2 = ops.a + ops.a_dag
-    h = p.omega_a / 2.0 * embed_qubit(SZ, fp)
-    h = h + p.omega_b * embed_boson(ops.n_op + 0.5 * np.eye(fp.n_fock), fp)
-    if p.g != 0.0:
-        h = h + p.g * kron(SX, x2)
-    if p.c != 0.0 and p.g != 0.0:
-        h = h + p.c * p.g**2 * embed_boson(x2 @ x2, fp)
-    if p.shift != 0.0:
-        h = h + p.shift * np.eye(fp.total_dim)
-    return h
-
-
 @dataclass(frozen=True)
 class ParityChains:
     """A Hamiltonian split into its two parity blocks, in banded storage.
@@ -185,8 +167,8 @@ class ParityChains:
     chain_i[j + d, j] for d = 0 .. bands.shape[1] - 1 (the lower banded
     form of scipy.linalg.eig_banded).  parity_chains gives the chains
     of the truncated H, pentadiagonal with an A^2 term and tridiagonal
-    without, which have exactly the spectrum of the dense 2N x 2N
-    matrix; squeezed_chains gives the tridiagonal chains of the same H
+    without, which have exactly the spectrum of the truncated H;
+    squeezed_chains gives the tridiagonal chains of the same H
     in the squeezed frame without the A^2 term, which the spectrum paths
     solve.
     """
@@ -199,7 +181,7 @@ class ParityChains:
 
     @property
     def dim(self) -> int:
-        """Dimension of the dense matrix the chains stand for."""
+        """Dimension of the truncated space the chains stand for, 2N."""
         return 2 * self.n_fock
 
     def matrices(self) -> np.ndarray:
@@ -213,14 +195,14 @@ class ParityChains:
 
 
 def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
-    """hamiltonian(p, fp) as its two parity chains.
+    """The truncated H of the point p as its two parity chains.
 
     With x = a + a_dag, chain entries are
     diagonal      omega_b(n+1/2) +/- (omega_a/2)(-1)^n + c g^2 (x^2)_nn + shift,
     first band    g sqrt(n+1),
     second band   c g^2 sqrt((n+1)(n+2)).
-    (x^2)_nn is that of the literal truncated product x @ x used by the
-    dense builder: 2n+1, except N-1 (not 2N-1) in the corner n = N-1.
+    (x^2)_nn is that of the literal truncated product x @ x
+    (dense.hamiltonian): 2n+1, except N-1 (not 2N-1) in the corner n = N-1.
     Without an A^2 term (c g^2 = 0) the second band is zero and left
     out, so the chains are tridiagonal.
     """
@@ -241,7 +223,7 @@ def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
 
 
 def squeezed_chains(p: ModelParams, fp: FockParams) -> ParityChains:
-    """hamiltonian(p, fp) in the A^2-removing squeezed frame, as parity chains.
+    """The truncated H of p in the A^2-removing squeezed frame, as parity chains.
 
     The squeeze that verify checks (transforms.u_a2_with_report) maps H(omega_a,
     omega_b, g, c) onto the Rabi Hamiltonian H(omega_a, omega_g, g_tilde,
@@ -257,63 +239,6 @@ def squeezed_chains(p: ModelParams, fp: FockParams) -> ParityChains:
     return parity_chains(ModelParams(p.omega_a, omega_g, g_tilde, shift=p.shift), fp)
 
 
-def h_susy_ss(omega: float, fp: FockParams) -> np.ndarray:
-    """The free SUSY oscillator omega*(n+1/2) + (omega/2)*sz.
-
-    This is the superpotential-W(x)=omega*x Hamiltonian written in
-    number-operator form.  The literal half(p^2+W^2) matrix product differs
-    from it only at the truncation corner, so the normal-ordered form is
-    used to keep the algebraic identity with hamiltonian(omega,omega,0,0)
-    exact entrywise.
-    """
-    if omega <= 0:
-        raise ValidationError(f"omega must be > 0, got {omega}")
-    ops = make_operators(fp)
-    return omega * embed_boson(ops.n_op + 0.5 * np.eye(fp.n_fock), fp) + (
-        omega / 2.0
-    ) * embed_qubit(SZ, fp)
-
-
-def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
-    """The switch-on interaction built from the superpotential W = omega*x.
-
-    H_int(r) = g(r) sqrt(2/omega) sx W + (2c/omega) g(r)^2 W^2
-               + g(r)^2/(4 c g(r)^2 + omega) + (1/2) sz (omega_a(r) - omega).
-    """
-    _check_r(r)
-    ops = make_operators(fp)
-    g = s.g(r)
-    # W = omega * x with x = (a + a_dag) / sqrt(2*omega)
-    w = math.sqrt(s.omega / 2.0) * (ops.a + ops.a_dag)
-    dim = fp.total_dim
-    h = np.zeros((dim, dim))
-    if g != 0.0:
-        h = h + g * math.sqrt(2.0 / s.omega) * kron(SX, w)
-        h = h + (2.0 * s.c / s.omega) * g**2 * embed_boson(w @ w, fp)
-        h = h + self_energy(s.omega, s.c, g) * np.eye(dim)
-    h = h + (s.omega_a(r) - s.omega) / 2.0 * embed_qubit(SZ, fp)
-    return h
-
-
-def h_total_r(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
-    """H(r) = H_Rabi(r) + c g(r)^2 (a+a_dag)^2 + self_energy(omega, c, g(r)).
-
-    Equal to h_susy_ss + h_interaction to rounding, not entrywise: the
-    two build the same terms from differently rounded coefficients and
-    sum them in a different order.
-    """
-    return hamiltonian(s.params(r), fp)
-
-
-def heavy_hamiltonian(s: Schedule, fp: FockParams) -> np.ndarray:
-    """The r=1 limit: omega_g*(n+1/2) on the boson factor, qubit identity.
-
-    Spectrum omega_g*(n+1/2), each level doubly degenerate.
-    """
-    ops = make_operators(fp)
-    return s.omega_g(1.0) * embed_boson(ops.n_op + 0.5 * np.eye(fp.n_fock), fp)
-
-
 @dataclass(frozen=True)
 class SuperchargeSet:
     """Hermitian charges q1, q2, nilpotent q+/- = (q1 +/- i q2)/sqrt(2), grading -sz.
@@ -324,8 +249,9 @@ class SuperchargeSet:
     up-spin index of the 2N basis in exactly one row and each down-spin
     index too.  Every charge, the grading and the Hamiltonian the charges
     belong to have no entry outside these 2 x 2 blocks.  charge_pairs
-    gives the operators as (N, 2, 2) stacks of those blocks, and
-    free_supercharges and broken_supercharges as dense 2N x 2N arrays.
+    gives the operators as (N, 2, 2) stacks of those blocks (the dense
+    free_supercharges and broken_supercharges scatter them into 2N x 2N
+    arrays).
     """
 
     q1: np.ndarray
@@ -360,7 +286,7 @@ def charge_pairs(
     the two ladder halves, q1 = sqrt(omega/2)(s+ x + s- x),
     q2 = i sqrt(omega/2)(s- x - s+ x) and q+/- = (q1 +/- i q2)/sqrt(2).
     The level n is sqrt(n)^2, the diagonal of the literal a_dag @ a, so
-    every entry is bitwise that of the dense operator.  n_pairs, N by
+    every entry is bitwise that of the literal ladder product.  n_pairs, N by
     default, keeps only the first n_pairs pairs: the goldstino check
     reads pair 0 alone, and where omega (n + 1/2) overflows, H on the
     higher pairs would be inf.
@@ -392,27 +318,6 @@ def charge_pairs(
     )
 
 
-def _dense_charges(variant: str, omega: float, fp: FockParams) -> SuperchargeSet:
-    """The charge_pairs stacks scattered into 2N x 2N arrays on their pairs."""
-    c = charge_pairs(variant, omega, fp)[1]
-    idx = c.pairs[:, :, None], c.pairs[:, None, :]
-    dense = []
-    for stack in (c.q1, c.q2, c.q_plus, c.q_minus, c.grading):
-        dense.append(np.zeros((fp.total_dim, fp.total_dim), dtype=stack.dtype))
-        dense[-1][idx] = stack
-    return SuperchargeSet(*dense, pairs=c.pairs, variant=c.variant)
-
-
-def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
-    """The charges of the unbroken SUSY of H(omega, omega, 0, 0), dense (charge_pairs)."""
-    return _dense_charges("free", omega, fp)
-
-
-def broken_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
-    """The charges of the broken SUSY of H(0, omega, 0, 0), dense (charge_pairs)."""
-    return _dense_charges("broken", omega, fp)
-
-
 def heavy_field_coefficients(s: Schedule, r: float) -> tuple[float, float, float]:
     """(alpha, gamma, kappa) with B_r = alpha b + gamma b_dag + kappa sx at point r.
 
@@ -426,17 +331,9 @@ def heavy_field_coefficients(s: Schedule, r: float) -> tuple[float, float, float
     return c1 + c2, c1 - c2, s.g_tilde(r) / og
 
 
-def heavy_field(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
-    """The heavy-boson annihilator B_r at interpolation point r, real.
-
-    B_r = alpha b + gamma b_dag + kappa sx with the coefficients of
-    heavy_field_coefficients.  [sx, B_r] = 0 exactly (spin-chiral
-    symmetry).
-    """
-    alpha, gamma, kappa = heavy_field_coefficients(s, r)
-    ops = make_operators(fp)
-    return (
-        alpha * embed_boson(ops.a, fp)
-        + gamma * embed_boson(ops.a_dag, fp)
-        + kappa * embed_qubit(SX, fp)
-    )
+def __getattr__(name: str):
+    """The dense builders once defined here, from susyrabi.dense on first use."""
+    if name in ("hamiltonian", "h_total_r", "free_supercharges", "broken_supercharges"):
+        from . import dense
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

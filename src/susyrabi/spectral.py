@@ -1,38 +1,21 @@
 """Spectral flows, degeneracy grouping, Witten index and algebra reports.
 
-Callers that need only the lowest levels (sweeps over r and g,
-truncation convergence, the limit and no-go checks, and the CLI
-spectrum and converge commands) build the Hamiltonian in the squeezed
-frame without the A^2 term, as its two tridiagonal parity chains
-(model.squeezed_chains), and solve them with the banded core in
-lowest_k, which merges the two chains lazily: the lowest ceil(k/2)
-levels of each, then more of at most one chain, only where its last
-solved level lies below the k-th of the merge.  A Hamiltonian point is
-one model.ModelParams, self-energy shift included: Schedule.params(r)
-on the r path, sweep_params_g on the coupling sweep, both shifted by
-model.self_energy.  A point that needs a
-larger truncation solves at replace(fp, n_fock=n); only
-spectral_flow_g and truncation_convergence cap that n.  A
-SpectrumTable's n_fock is that of the chains it was solved on.  The
-Witten index takes these chains too, graded by -sz, the qubit, on
-every path: the squeeze leaves sz alone, so -sz is diagonal in the
-chain basis and each level's expectation comes from its real chain
-eigenvector.  The parity chains of the truncated H
-(model.parity_chains, pentadiagonal with an A^2 term) and the dense
-2N x 2N builders stay as the reference oracles, which hermitian_eigs
-solves with one dense eigh; no command calls that path.  Every charge
-flips the qubit within fixed 2 x 2
-spin-flip pairs (model.SuperchargeSet.pairs), and H and the grading act
-within the same pairs, so the algebra reports and the goldstino check
-take H and the charges as (N, 2, 2) stacks of those blocks
-(model.charge_pairs): every product is a batched 2 x 2 one and every
-block norm a closed-form one, O(N) in all; susy_algebra_report gathers
-dense operands onto the pairs first.
-Residuals are measured on the interior index set of
-fock.interior_projector, straight from the blocks, and one batched eigh
-of the 2 x 2 blocks of H gives its ground states and scale.
-
-Sweep grid points are evaluated serially in grid order.
+The spectrum paths (sweeps over r and g, truncation convergence, the
+limit and no-go checks, and the spectrum and converge commands) solve
+the Hamiltonian in the squeezed frame without the A^2 term, as its two
+tridiagonal parity chains (model.squeezed_chains), with the banded core
+in lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
+shift included (Schedule.params(r) on the r path, sweep_params_g on the
+coupling sweep); a point that needs a larger truncation solves at
+replace(fp, n_fock=n), capped only in spectral_flow_g and
+truncation_convergence.  The Witten index takes the same chains, graded
+by -sz, which the squeeze leaves alone.  lowest_k, truncation_convergence
+and witten_index also take a dense 2N x 2N matrix, the tests' reference
+oracle, which they hand to susyrabi.dense from within the call.  The
+algebra reports and the goldstino check take H and the charges as the
+(N, 2, 2) stacks of their spin-flip pairs (model.charge_pairs), so every
+product is a batched 2 x 2 one and every block norm a closed-form one,
+O(N) in all.  Sweep grid points are evaluated serially in grid order.
 """
 
 from __future__ import annotations
@@ -45,14 +28,13 @@ import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
 from .fock import FockParams, interior_projector
-from .linalg import banded_eigh, banded_lowest, hermitian_eigs
+from .linalg import banded_eigh, banded_lowest
 from .model import (
     ModelParams,
     ParityChains,
     Schedule,
     SuperchargeSet,
     charge_pairs,
-    hamiltonian,
     renormalized_frequency,
     self_energy,
     squeezed_chains,
@@ -93,15 +75,15 @@ def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
     the sorted values.  A chain whose last level is < x is extended to
     its lowest min(k, N) levels, which holds all of its levels below the
     k-th of the merge.  At most one chain is ever extended, since the
-    larger of the two m-th levels is >= x.  A dense matrix goes through
-    hermitian_eigs, one full dense eigendecomposition; that path is the
-    reference oracle.
+    larger of the two m-th levels is >= x.  A dense matrix, the tests'
+    reference oracle, goes to dense.lowest_levels.
     """
     dim = h.dim if isinstance(h, ParityChains) else h.shape[0]
     if not 1 <= k <= dim:
         raise ValidationError(f"k={k} outside 1..{dim} (the matrix dimension)")
     if not isinstance(h, ParityChains):
-        return hermitian_eigs(h).values[:k]
+        from . import dense
+        return dense.lowest_levels(h, k)
     m, m_full = (k + 1) // 2, min(k, h.n_fock)
     levels = [banded_lowest(band, m) for band in h.bands]
     x = np.sort(np.concatenate(levels))[k - 1]
@@ -198,11 +180,6 @@ def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
 def sweep_params_g(omega: float, c: float, g: float) -> ModelParams:
     """The coupling sweep's point (omega, omega, g, c), shifted by self_energy(omega, c, g)."""
     return ModelParams(omega, omega, g, c, shift=self_energy(omega, c, g))
-
-
-def sweep_hamiltonian_g(omega: float, c: float, g: float, fp: FockParams) -> np.ndarray:
-    """H_Rabi(g) + c g^2 (a+a_dag)^2 + self_energy(omega, c, g) at omega_a=omega_b=omega."""
-    return hamiltonian(sweep_params_g(omega, c, g), fp)
 
 
 def spectral_flow_g(
@@ -316,8 +293,8 @@ def truncation_convergence(
     them whose spectrum agrees with its own double, never below
     fp0.n_fock, even where a smaller truncation would already agree (see
     ConvergenceReport).  Each doubling builds fp0 with only n_fock
-    changed.  builder may return a dense matrix or ParityChains; lowest_k
-    solves either.
+    changed.  builder returns what lowest_k solves: ParityChains, or a
+    dense matrix of the tests' oracle.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -349,26 +326,20 @@ class WittenReport:
 def _graded_levels(h: np.ndarray | ParityChains) -> tuple[np.ndarray, np.ndarray]:
     """All levels of h, ascending, with their -sz expectations.
 
-    A dense h (the reference oracle) takes hermitian_eigs; in the
-    qubit-major basis the up-spin half of an eigenvector v is v[:N], so
-    its expectation is sum |v_down|^2 - sum |v_up|^2.  Chain 0 runs
-    |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and (-1)^n on chain
-    1; with real eigenvectors v the expectation of a level is
-    sum_n g_n v_n^2.  Tridiagonal chains take banded_eigh; the
-    pentadiagonal chains of H with an A^2 term, which only the tests
-    pass, take hermitian_eigs of each N x N chain, the oracle path.
+    Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
+    (-1)^n on chain 1; with real eigenvectors v the expectation of a
+    level is sum_n g_n v_n^2.  The chains must be tridiagonal, as
+    squeezed_chains are: banded_eigh, which solves each, raises
+    DimensionError on wider bands.  A dense h, the tests' reference
+    oracle, goes to dense.graded_levels.
     """
     if not isinstance(h, ParityChains):
-        ed = hermitian_eigs(h)
-        weights = np.abs(ed.vectors) ** 2
-        half = h.shape[0] // 2
-        return ed.values, weights[half:].sum(axis=0) - weights[:half].sum(axis=0)
+        from . import dense
+        return dense.graded_levels(h)
     sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
-    tridiagonal = h.bands.shape[1] == 2
-    chains = h.bands if tridiagonal else h.matrices()
     values, expectations = [], []
-    for grading, chain in zip((-sign, sign), chains):
-        ed = banded_eigh(chain) if tridiagonal else hermitian_eigs(chain)
+    for grading, band in zip((-sign, sign), h.bands):
+        ed = banded_eigh(band)
         values.append(ed.values)
         expectations.append(grading @ ed.vectors**2)
     order = np.argsort(np.concatenate(values), kind="stable")
@@ -381,11 +352,9 @@ def witten_index(h: np.ndarray | ParityChains, beta: float, k: int = 60) -> Witt
     The qubit grades the states: the grading is -sz on every path.  k is
     extended to the end of the degeneracy group it splits (_group_end), so
     the sum over each (near-)degenerate subspace is the basis-independent
-    trace.
-    ParityChains, in which -sz is diagonal, take the chain path
-    (_graded_levels); a dense 2N x 2N h goes through hermitian_eigs, one
-    full dense eigendecomposition, and is the reference oracle.  A beta
-    that is not finite and > 0, or a k below 1, is a ValidationError.
+    trace.  h is tridiagonal ParityChains or a dense oracle matrix
+    (_graded_levels).  A beta that is not finite and > 0, or a k below 1,
+    is a ValidationError.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be finite and > 0, got {beta}")
@@ -425,43 +394,6 @@ class AlgebraReport:
     vacuum_annihilation: tuple[float, ...]
 
 
-def susy_algebra_report(
-    h: np.ndarray,
-    charges: SuperchargeSet,
-    fp: FockParams,
-) -> AlgebraReport:
-    """pair_algebra_report of a dense h and dense charges.
-
-    h, the charges and the grading are gathered on charges.pairs into
-    (N, 2, 2) stacks.  An operand with a nonzero entry outside the pairs
-    is a ValidationError, since the gather would drop it.
-    """
-    if not h.shape == charges.q1.shape == (fp.total_dim, fp.total_dim):
-        raise ValidationError(
-            f"shape mismatch: H {h.shape}, charges {charges.q1.shape}, "
-            f"n_fock {fp.n_fock}"
-        )
-    idx = charges.pairs
-    ops = {
-        "H": h,
-        "q1": charges.q1,
-        "q2": charges.q2,
-        "q+": charges.q_plus,
-        "q-": charges.q_minus,
-        "grading": charges.grading,
-    }
-    stacks = []  # H, then the SuperchargeSet fields in order
-    for name, m in ops.items():
-        stack = m[idx[:, :, None], idx[:, None, :]]
-        if np.count_nonzero(stack) != np.count_nonzero(m):
-            raise ValidationError(
-                f"{name} has entries outside the {charges.variant} charges' spin-flip pairs"
-            )
-        stacks.append(stack)
-    stacked = SuperchargeSet(*stacks[1:], pairs=idx, variant=charges.variant)
-    return pair_algebra_report(stacks[0], stacked, fp)
-
-
 def _pair_norms(m: np.ndarray) -> np.ndarray:
     """The largest singular value of each block of an (N, 2, 2) stack, in closed form.
 
@@ -499,10 +431,18 @@ def pair_algebra_report(
     max(1, |H|_2) and the ground states, each on its own pair.  A
     residual is the largest singular value of its blocks with the rows
     and columns outside fock.interior_projector zeroed, each block's in
-    closed form (_pair_norms).
+    closed form (_pair_norms).  An interior that reaches boson level
+    N - 1 (buffer 0) is a TruncationError: there the truncated ladder
+    breaks the algebra itself, as the free set's |up, N-1> has
+    2 q1^2 = 0 but H = omega N.
     """
     if not h.shape == charges.q1.shape == (fp.n_fock, 2, 2):
         raise ValidationError(f"pair stacks {h.shape}, {charges.q1.shape}, n_fock {fp.n_fock}")
+    if fp.buffer == 0:
+        raise TruncationError(
+            f"buffer 0 puts boson level {fp.n_fock - 1}, the truncation corner, inside "
+            f"the interior of the algebra checks at n_fock={fp.n_fock}; use buffer >= 1"
+        )
     q1, q2, gr = charges.q1, charges.q2, charges.grading
     q_plus, q_minus = charges.q_plus, charges.q_minus
 
@@ -610,7 +550,7 @@ def limit_check(s: Schedule, fp: FockParams, k: int = 8) -> LimitReport:
     """Compare lowest_k(H(1)) against the analytic omega_g*(n+1/2) ladder.
 
     Each rung of the ladder is doubly degenerate (the spectrum of
-    model.heavy_hamiltonian), so the target is its lowest k entries.
+    dense.heavy_hamiltonian), so the target is its lowest k entries.
     Both endpoints are grouped at DEGENERACY_TOL.
     """
     vals_r1 = lowest_k(squeezed_chains(s.params(1.0), fp), k)
@@ -625,3 +565,11 @@ def limit_check(s: Schedule, fp: FockParams, k: int = 8) -> LimitReport:
         groups_r0=groups_r0,
         groups_r1=groups_r1,
     )
+
+
+def __getattr__(name: str):
+    """The dense builders once defined here, from susyrabi.dense on first use."""
+    if name in ("susy_algebra_report", "sweep_hamiltonian_g"):
+        from . import dense
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,14 +27,10 @@ gives it, with no dense 2N x 2N operand:
   scale is Weyl's lower bound on |rhs|_2, a closed form.
 
 The squeeze and polaron residuals are symmetric (2, cut, cut) stacks, so
-each norm is one batched eigvalsh (_leading_norm), the one full
-eigensolve of either check.  u_polaron, squeeze and displacement are the
-paper's formulas, and the tests compare each check with numpy on the
-dense operators built from them.
-Every unitary here is real: both generators, beta (a_dag - a) and
-(zeta/2)(a^2 - a_dag^2), are real skew-symmetric and tridiagonal (the
-squeeze on its even and on its odd levels), so each exponential is one
-linalg.skew_tridiagonal_exp, a real tridiagonal eigensolve.
+each norm is one batched eigvalsh (_leading_norm).  squeeze and
+displacement are the paper's formulas, each one real
+linalg.skew_tridiagonal_exp; the tests compare each check with numpy on
+the dense operators that susyrabi.dense builds from them.
 """
 
 from __future__ import annotations
@@ -45,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError, ValidationError
-from .fock import I2, S_MINUS, S_PLUS, FockParams, kron
+from .errors import TruncationError
+from .fock import FockParams
 from .linalg import band_times, banded_norm, hermitian_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
@@ -106,10 +102,12 @@ def squeeze(zeta: float, fp: FockParams) -> np.ndarray:
     The generator couples level n only to n + 2, with entry
     -(zeta/2) sqrt((n+1)(n+2)) below the diagonal, so on the even levels
     and on the odd levels it is a real skew-symmetric tridiagonal chain
-    and S is their two linalg.skew_tridiagonal_exp.
+    and S is their two linalg.skew_tridiagonal_exp.  An angle beyond
+    MAX_SQUEEZE is a TruncationError: a limit of the truncated squeeze,
+    not bad input.
     """
     if abs(zeta) > MAX_SQUEEZE:
-        raise ValidationError(
+        raise TruncationError(
             f"|zeta| must be <= {MAX_SQUEEZE} for truncation safety, got {zeta}"
         )
     n = np.arange(fp.n_fock - 2)
@@ -192,18 +190,6 @@ def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, Transf
     return s, TransformReport(
         _leading_norm(diff) / max(1.0, max(banded_norm(b) for b in rhs.bands))
     )
-
-
-def u_polaron(beta: float, fp: FockParams) -> np.ndarray:
-    """The spin-conditioned displacement diagonalizing the linear coupling.
-
-    U(beta) = {(s- - 1) s+ D(beta) + (s+ + 1) s- D(-beta)} / sqrt(2),
-    with D(-beta) = D(beta)^dag.
-    """
-    d = displacement(beta, fp)
-    spin_a = (S_MINUS - I2) @ S_PLUS
-    spin_b = (S_PLUS + I2) @ S_MINUS
-    return (kron(spin_a, d) + kron(spin_b, d.conj().T)) / math.sqrt(2.0)
 
 
 def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformReport:

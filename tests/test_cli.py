@@ -228,6 +228,29 @@ def test_verify_truncation_error_names_the_buffer(capsys):
     assert "squeeze angle" not in err
 
 
+@pytest.mark.parametrize("argv, cause", [
+    # Buffer 0 puts the truncation corner |up, N-1> of the free charges, where
+    # 2 q1^2 = 0 but H = omega N, inside the interior.
+    (["verify", "--n-fock", "64", "--buffer", "0"], "buffer 0 puts boson level 63"),
+    (["verify", "--buffer", "0"], "buffer 0 puts boson level 255"),
+    # A squeeze angle beyond MAX_SQUEEZE, at any truncation.
+    (["verify", "--c", "200", "--n-fock", "4096"], "|zeta| must be <= 2.0"),
+])
+def test_verify_truncation_limits_exit_2_without_rows(argv, cause, capsys):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cause}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_fock", ["64", "256"])
+def test_verify_passes_at_buffer_1(n_fock, capsys):
+    assert run_command(["verify", "--n-fock", n_fock, "--buffer", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 25 and all(row.endswith(",pass") for row in rows)
+
+
 # The CLI contract: every RunConfig field is a flag of this type.
 FLAG_TYPES = {
     "omega": float, "g_max": float, "c": float,
@@ -303,3 +326,31 @@ def test_cli_import_sets_openblas_timeout_without_heavy_scipy(preset, want):
     assert probe["timeout"] == want
     heavy = [m for m in probe["scipy"] if m.split(".")[1] in ("sparse", "special")]
     assert heavy == []
+
+
+# Every command, and an error path, in one process: none may load the dense
+# 2N x 2N oracle, which only the tests use.
+COMMANDS_PROBE = (
+    "import contextlib, io, json, sys, tempfile\n"
+    "from susyrabi.cli import run_command\n"
+    "fast = ['--n-fock', '64', '--buffer', '16']\n"
+    "with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \\\n"
+    "        contextlib.redirect_stderr(io.StringIO()):\n"
+    "    codes = [run_command(argv) for argv in [\n"
+    "        ['spectrum', *fast], ['verify', *fast], ['witten', *fast], ['converge', *fast],\n"
+    "        ['mass'], ['goldstino', *fast], ['verify', '--buffer', '0'],\n"
+    "        ['sweep', *fast, '--sweep-points', '3', '--out-csv', tmp + '/r.csv',\n"
+    "         '--out-svg', tmp + '/r.svg'],\n"
+    "        ['sweep', *fast, '--sweep-kind', 'g', '--sweep-points', '3',\n"
+    "         '--out-csv', tmp + '/g.csv']]]\n"
+    "print(json.dumps({'codes': codes, 'dense': 'susyrabi.dense' in sys.modules}))\n"
+)
+
+
+def test_commands_never_load_the_dense_oracle():
+    run = subprocess.run([sys.executable, "-c", COMMANDS_PROBE],
+                         capture_output=True, text=True, env=fresh_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    probe = json.loads(run.stdout)
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert probe["dense"] is False

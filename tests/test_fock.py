@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from susyrabi.dense import (
+    basis_state,
+    embed_boson,
+    embed_qubit,
+    make_operators,
+)
 from susyrabi.errors import DimensionError, ValidationError
 from susyrabi.fock import (
     I2,
@@ -12,11 +18,7 @@ from susyrabi.fock import (
     SY,
     SZ,
     FockParams,
-    basis_state,
-    embed_boson,
-    embed_qubit,
     interior_projector,
-    make_operators,
 )
 
 

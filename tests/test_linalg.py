@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from susyrabi import linalg
+from susyrabi import dense
+from susyrabi.dense import hermitian_eigs, kron
 from susyrabi.errors import ContractViolationError, DimensionError
 from susyrabi.linalg import (
     band_times,
     banded_eigh,
     banded_lowest,
-    hermitian_eigs,
     hermitian_norm,
-    kron,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,7 +38,7 @@ def test_kron_first_factor_is_index_major():
 
 
 def test_kron_rejects_oversized_result(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_DIM", 5)
+    monkeypatch.setattr(dense, "MAX_DIM", 5)
     with pytest.raises(DimensionError):
         kron(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
@@ -110,10 +109,10 @@ def test_hermitian_eigs_of_sparse_complex_matrix_match_eigvalsh():
 
 def test_banded_eigh_matches_dense():
     band = np.array([[2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2, 0.0]])
-    dense = np.diag(band[0]) + np.diag(band[1, :3], -1) + np.diag(band[1, :3], 1)
+    full = np.diag(band[0]) + np.diag(band[1, :3], -1) + np.diag(band[1, :3], 1)
     ed = banded_eigh(band)
-    np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(dense), atol=1e-13)
-    np.testing.assert_allclose(dense @ ed.vectors, ed.vectors * ed.values, atol=1e-13)
+    np.testing.assert_allclose(ed.values, np.linalg.eigvalsh(full), atol=1e-13)
+    np.testing.assert_allclose(full @ ed.vectors, ed.vectors * ed.values, atol=1e-13)
     np.testing.assert_allclose(ed.vectors.T @ ed.vectors, np.eye(4), atol=1e-13)
     # Tridiagonal only: a pentadiagonal band and a bare vector are refused.
     with pytest.raises(DimensionError):

@@ -6,6 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from susyrabi.dense import (
+    basis_state,
+    broken_supercharges,
+    embed_boson,
+    embed_qubit,
+    free_supercharges,
+    h_interaction,
+    h_susy_ss,
+    h_total_r,
+    hamiltonian,
+    heavy_field,
+    heavy_hamiltonian,
+    make_operators,
+)
 from susyrabi.errors import ValidationError
 from susyrabi.fock import (
     S_MINUS,
@@ -14,23 +28,11 @@ from susyrabi.fock import (
     SY,
     SZ,
     FockParams,
-    basis_state,
-    embed_boson,
-    embed_qubit,
     interior_projector,
-    make_operators,
 )
 from susyrabi.model import (
     ModelParams,
     Schedule,
-    broken_supercharges,
-    free_supercharges,
-    h_interaction,
-    h_susy_ss,
-    h_total_r,
-    hamiltonian,
-    heavy_field,
-    heavy_hamiltonian,
     mass_increment,
     renormalized_frequency,
     self_energy,

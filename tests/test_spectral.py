@@ -7,27 +7,31 @@ import numpy as np
 import pytest
 
 from susyrabi import spectral
-from susyrabi.errors import InvalidBetaError, TruncationError, ValidationError
+from susyrabi.dense import (
+    broken_supercharges,
+    embed_qubit,
+    free_supercharges,
+    h_total_r,
+    hamiltonian,
+    kron,
+    make_operators,
+    susy_algebra_report,
+    sweep_hamiltonian_g,
+)
+from susyrabi.errors import DimensionError, InvalidBetaError, TruncationError, ValidationError
 from susyrabi.fock import (
     S_MINUS,
     S_PLUS,
     SX,
     SZ,
     FockParams,
-    embed_qubit,
     interior_projector,
-    kron,
-    make_operators,
 )
 from susyrabi.model import (
     ModelParams,
     ParityChains,
     Schedule,
-    broken_supercharges,
     charge_pairs,
-    free_supercharges,
-    h_total_r,
-    hamiltonian,
     parity_chains,
     squeezed_chains,
 )
@@ -42,8 +46,6 @@ from susyrabi.spectral import (
     required_n_fock,
     spectral_flow_g,
     spectral_flow_r,
-    susy_algebra_report,
-    sweep_hamiltonian_g,
     truncation_convergence,
     witten_index,
 )
@@ -304,7 +306,7 @@ def test_witten_index_chains_match_dense_endpoints(fp_mid):
     beta = 5.0 / OMEGA
     for r in (0.0, 1.0):
         dense = witten_index(h_total_r(s, r, fp_mid), beta)
-        chains = witten_index(parity_chains(s.params(r), fp_mid), beta)
+        chains = witten_index(squeezed_chains(s.params(r), fp_mid), beta)
         assert chains.index_value == pytest.approx(dense.index_value, abs=1e-12)
         assert chains.rounded == dense.rounded
         assert chains.truncation_tail == pytest.approx(dense.truncation_tail, rel=1e-9)
@@ -317,9 +319,17 @@ def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
     beta = 5.0 / OMEGA
     for r in (0.0, 0.5, 1.0):
         squeezed = witten_index(squeezed_chains(s.params(r), fp_mid), beta)
-        bare = witten_index(parity_chains(s.params(r), fp_mid), beta)
+        bare = witten_index(h_total_r(s, r, fp_mid), beta)
         assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
         assert squeezed.truncation_tail == pytest.approx(bare.truncation_tail, rel=1e-9)
+
+
+def test_witten_index_rejects_pentadiagonal_chains(fp_mid):
+    # H's own chains with an A^2 term have no chain path; the squeezed chains
+    # and the dense oracle do.
+    p = ModelParams(OMEGA, OMEGA, OMEGA, 0.2513)
+    with pytest.raises(DimensionError):
+        witten_index(parity_chains(p, fp_mid), 5.0 / OMEGA)
 
 
 def largest_residual(rep):

@@ -6,26 +6,29 @@ import math
 import numpy as np
 import pytest
 
-from susyrabi.errors import TruncationError, ValidationError
-from susyrabi import cli, fock, linalg, model, spectral, transforms
+from susyrabi.dense import (
+    basis_state,
+    embed_boson,
+    embed_qubit,
+    h_total_r,
+    hamiltonian,
+    heavy_field,
+    kron,
+    make_operators,
+    u_polaron,
+)
+from susyrabi.errors import TruncationError
+from susyrabi import cli, dense, fock, linalg, model, spectral, transforms
 from susyrabi.fock import (
     S_MINUS,
     S_PLUS,
     SZ,
     FockParams,
-    basis_state,
-    embed_boson,
-    embed_qubit,
     interior_projector,
-    kron,
-    make_operators,
 )
 from susyrabi.model import (
     ModelParams,
     Schedule,
-    h_total_r,
-    hamiltonian,
-    heavy_field,
     parity_chains,
     renormalized_frequency,
 )
@@ -36,7 +39,6 @@ from susyrabi.transforms import (
     squeeze,
     squeeze_cut,
     u_a2_with_report,
-    u_polaron,
 )
 
 OMEGA = 6.2832
@@ -159,7 +161,8 @@ def test_squeeze_scales_position_quadrature():
 
 
 def test_squeeze_angle_guard(fp_small):
-    with pytest.raises(ValidationError):
+    # An angle the truncated squeeze cannot hold is a truncation limit (exit 2).
+    with pytest.raises(TruncationError):
         squeeze(2.5, fp_small)
 
 
@@ -440,7 +443,7 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2N x 2N builder called")
 
-    for module in (cli, fock, linalg, model, spectral, transforms):
+    for module in (cli, dense, fock, linalg, model, spectral, transforms):
         for name in ("kron", "hamiltonian", "embed_qubit", "embed_boson",
                      "free_supercharges", "broken_supercharges", "hermitian_eigs",
                      "make_operators"):
