@@ -4,6 +4,9 @@ mass enhancement.
 Importing the package before numpy sets OPENBLAS_THREAD_TIMEOUT to 22
 unless it is already set, so idle OpenBLAS workers stop spinning
 against the solver after about 2 ms (see README, "Threading").
+
+The tests' dense 2N x 2N oracle is susyrabi.dense, which no module here
+imports, so importing the package or the CLI never loads it.
 """
 
 import os
@@ -24,9 +27,9 @@ from .model import (
 )
 from .spectral import (
     AlgebraReport, ConvergenceReport, FlowResult, SpectrumTable, WittenReport,
-    degeneracy_groups, goldstino_check, limit_check, lowest_k, no_go_asymptote_check,
-    pair_algebra_report, spectral_flow_g, spectral_flow_r, truncation_convergence,
-    witten_index,
+    degeneracy_groups, goldstino_check, graded_levels, limit_check, lowest_k,
+    no_go_asymptote_check, pair_algebra_report, spectral_flow_g, spectral_flow_r,
+    truncation_convergence, witten_index,
 )
 from .transforms import (
     TransformReport, displacement, field_identity_report, polaron_equivalence_report,
@@ -34,18 +37,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-# The dense 2N x 2N oracle (susyrabi.dense) loads only when one of its
-# names is first read from here, so importing the CLI never loads it.
-_DENSE_EXPORTS = (
-    "OperatorSet", "make_operators", "hamiltonian", "h_total_r", "h_susy_ss",
-    "h_interaction", "heavy_hamiltonian", "free_supercharges",
-    "broken_supercharges", "susy_algebra_report", "u_polaron",
-)
-
-
-def __getattr__(name: str):
-    if name in _DENSE_EXPORTS:
-        from . import dense
-        return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,6 +31,8 @@ from .model import (
 from .output import emit_flow_csv, emit_flow_svg, emit_spectrum_csv
 from .spectral import (
     goldstino_check,
+    graded_levels,
+    lowest_k,
     pair_algebra_report,
     spectral_flow_g,
     spectral_flow_r,
@@ -174,7 +176,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     beta = args.beta if args.beta is not None else 5.0 / cfg.omega
     for r in (0.0, 1.0):
-        rep = witten_index(squeezed_chains(s.params(r), fp), beta)
+        rep = witten_index(graded_levels(squeezed_chains(s.params(r), fp)), beta)
         print(
             f"r={r}: index {rep.index_value:.6f} (rounded {rep.rounded}, "
             f"beta {rep.beta:.4g}, tail {rep.truncation_tail:.2e})"
@@ -185,8 +187,7 @@ def _cmd_witten(args, cfg: RunConfig) -> int:
 def _cmd_converge(args, cfg: RunConfig) -> int:
     s = cfg.schedule()
     rep = truncation_convergence(
-        lambda fp: squeezed_chains(s.params(1.0), fp),
-        cfg.k_levels,
+        lambda fp: lowest_k(squeezed_chains(s.params(1.0), fp), cfg.k_levels),
         cfg.tol_convergence,
         cfg.fock(),
     )

@@ -4,10 +4,10 @@ The one module that knows the dense layout of the qubit (x) boson space:
 index s*N + n (s = 0 the up-spin, n the Fock level), so an operator is
 kron(spin, boson).  Commands solve the model on its parity chains or its
 2 x 2 spin-flip pairs instead; the tests check those against the
-matrices and the one dense eigh here.  No other module imports this one
-at module level: spectral hands it a dense matrix from within a call,
-and model, spectral and the package root forward their former dense
-names here lazily (PEP 562).
+matrices and the one dense eigh here.  No other module imports this
+one.  lowest_levels and graded_levels mirror spectral.lowest_k and
+spectral.graded_levels, so spectral.truncation_convergence and
+spectral.witten_index, which take levels, run on either path.
 """
 
 from __future__ import annotations

@@ -170,16 +170,21 @@ def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
     off-diagonal e.  So exp(K) = Phi exp(-i T) Phi^dag, and with
     T = W diag(L) W^T (banded_eigh) entry (j, k) is C, S, -C or -S as
     (j - k) mod 4 is 0, 1, 2 or 3, where C = W cos(L) W^T and
-    S = W sin(L) W^T: one real tridiagonal eigensolve (dstevd) and two
-    real n x n products.  The result is real and orthogonal to solver
-    precision.
+    S = W sin(L) W^T.  C is zero between even and odd levels and S within
+    each set, since T joins only the two: with W's rows negated where
+    j mod 4 >= 2, three n/2 x n by n x n/2 products give the even-even,
+    odd-odd and odd-even blocks, and the even-odd one is minus the last
+    transposed.  The result is real and orthogonal to solver precision.
     """
     n = len(e) + 1
     band = np.zeros((2, n))
     band[1, :-1] = e
     ed = banded_eigh(band)
-    w = ed.vectors
-    lag = np.subtract.outer(np.arange(n), np.arange(n)) % 4
-    even = (w * np.cos(ed.values)) @ w.T
-    odd = (w * np.sin(ed.values)) @ w.T
-    return np.where(lag % 2 == 0, even, odd) * np.where(lag < 2, 1.0, -1.0)
+    w = ed.vectors * np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None]
+    even, odd = w[0::2], w[1::2]
+    out = np.empty((n, n))
+    out[0::2, 0::2] = (even * np.cos(ed.values)) @ even.T
+    out[1::2, 1::2] = (odd * np.cos(ed.values)) @ odd.T
+    out[1::2, 0::2] = (odd * np.sin(ed.values)) @ even.T
+    out[0::2, 1::2] = -out[1::2, 0::2].T
+    return out

@@ -5,9 +5,8 @@ quadratic (A^2-type) boson self-interaction c*g^2*(a+a_dag)^2; the
 r-parameterized path runs from the free N=2 SUSY oscillator at r=0 to
 the broken, frequency-renormalized one at r=1 (hbar = 1).  H is held as
 its two parity chains (ParityChains), the charges as 2 x 2 blocks on
-their spin-flip pairs (charge_pairs).  The dense builders live in
-susyrabi.dense; hamiltonian, h_total_r and the two dense charge sets
-resolve there lazily.
+their spin-flip pairs (charge_pairs).  The dense 2N x 2N builders, the
+tests' reference oracle, live in susyrabi.dense alone.
 """
 
 from __future__ import annotations
@@ -329,11 +328,3 @@ def heavy_field_coefficients(s: Schedule, r: float) -> tuple[float, float, float
     c1 = 0.5 * math.sqrt(og / s.omega)
     c2 = 0.5 * math.sqrt(s.omega / og)
     return c1 + c2, c1 - c2, s.g_tilde(r) / og
-
-
-def __getattr__(name: str):
-    """The dense builders once defined here, from susyrabi.dense on first use."""
-    if name in ("hamiltonian", "h_total_r", "free_supercharges", "broken_supercharges"):
-        from . import dense
-        return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,10 +8,10 @@ in lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
 shift included (Schedule.params(r) on the r path, sweep_params_g on the
 coupling sweep); a point that needs a larger truncation solves at
 replace(fp, n_fock=n), capped only in spectral_flow_g and
-truncation_convergence.  The Witten index takes the same chains, graded
-by -sz, which the squeeze leaves alone.  lowest_k, truncation_convergence
-and witten_index also take a dense 2N x 2N matrix, the tests' reference
-oracle, which they hand to susyrabi.dense from within the call.  The
+truncation_convergence.  The Witten index takes the levels of the same
+chains graded by -sz, which the squeeze leaves alone (graded_levels).
+witten_index and truncation_convergence take levels, not H, so the
+tests also feed them those of the dense oracle (susyrabi.dense).  The
 algebra reports and the goldstino check take H and the charges as the
 (N, 2, 2) stacks of their spin-flip pairs (model.charge_pairs), so every
 product is a batched 2 x 2 one and every block norm a closed-form one,
@@ -64,7 +64,7 @@ class FlowResult:
     sweep_kind: str  # "r_sweep" | "g_sweep"
 
 
-def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
+def lowest_k(h: ParityChains, k: int) -> np.ndarray:
     """k smallest eigenvalues of H, ascending, multiplicity included.
 
     ParityChains take the banded core and merge the two chains lazily.
@@ -75,15 +75,10 @@ def lowest_k(h: np.ndarray | ParityChains, k: int) -> np.ndarray:
     the sorted values.  A chain whose last level is < x is extended to
     its lowest min(k, N) levels, which holds all of its levels below the
     k-th of the merge.  At most one chain is ever extended, since the
-    larger of the two m-th levels is >= x.  A dense matrix, the tests'
-    reference oracle, goes to dense.lowest_levels.
+    larger of the two m-th levels is >= x.
     """
-    dim = h.dim if isinstance(h, ParityChains) else h.shape[0]
-    if not 1 <= k <= dim:
-        raise ValidationError(f"k={k} outside 1..{dim} (the matrix dimension)")
-    if not isinstance(h, ParityChains):
-        from . import dense
-        return dense.lowest_levels(h, k)
+    if not 1 <= k <= h.dim:
+        raise ValidationError(f"k={k} outside 1..{h.dim} (the matrix dimension)")
     m, m_full = (k + 1) // 2, min(k, h.n_fock)
     levels = [banded_lowest(band, m) for band in h.bands]
     x = np.sort(np.concatenate(levels))[k - 1]
@@ -281,32 +276,30 @@ class ConvergenceReport:
 
 
 def truncation_convergence(
-    builder: Callable[[FockParams], np.ndarray | ParityChains],
-    k: int,
+    levels: Callable[[FockParams], np.ndarray],
     tol: float,
     fp0: FockParams,
     n_cap: int = CONVERGENCE_N_CAP,
 ) -> ConvergenceReport:
-    """Double n_fock until the lowest k eigenvalues move by <= tol.
+    """Double n_fock until the lowest levels, levels(fp), move by <= tol.
 
     Only the doublings of fp0.n_fock are tried, so n_star is the first of
-    them whose spectrum agrees with its own double, never below
+    them whose levels agree with those of its own double, never below
     fp0.n_fock, even where a smaller truncation would already agree (see
-    ConvergenceReport).  Each doubling builds fp0 with only n_fock
-    changed.  builder returns what lowest_k solves: ParityChains, or a
-    dense matrix of the tests' oracle.
+    ConvergenceReport).  Each doubling calls levels at fp0 with only
+    n_fock changed; each call gives equally many levels, ascending.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
     n = fp0.n_fock
-    prev = lowest_k(builder(fp0), k)
+    prev = levels(fp0)
     while True:
         n2 = 2 * n
         if n2 > n_cap:
             raise TruncationError(
                 f"no convergence to tol={tol} below the n_fock cap {n_cap}"
             )
-        cur = lowest_k(builder(replace(fp0, n_fock=n2)), k)
+        cur = levels(replace(fp0, n_fock=n2))
         drift = float(np.max(np.abs(cur - prev)))
         if drift <= tol:
             return ConvergenceReport(n_star=n, drift=drift, energies=prev, converged=True)
@@ -323,19 +316,15 @@ class WittenReport:
     truncation_tail: float
 
 
-def _graded_levels(h: np.ndarray | ParityChains) -> tuple[np.ndarray, np.ndarray]:
+def graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
     """All levels of h, ascending, with their -sz expectations.
 
     Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
     (-1)^n on chain 1; with real eigenvectors v the expectation of a
     level is sum_n g_n v_n^2.  The chains must be tridiagonal, as
     squeezed_chains are: banded_eigh, which solves each, raises
-    DimensionError on wider bands.  A dense h, the tests' reference
-    oracle, goes to dense.graded_levels.
+    DimensionError on wider bands.
     """
-    if not isinstance(h, ParityChains):
-        from . import dense
-        return dense.graded_levels(h)
     sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
     values, expectations = [], []
     for grading, band in zip((-sign, sign), h.bands):
@@ -346,21 +335,20 @@ def _graded_levels(h: np.ndarray | ParityChains) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(values)[order], np.concatenate(expectations)[order]
 
 
-def witten_index(h: np.ndarray | ParityChains, beta: float, k: int = 60) -> WittenReport:
+def witten_index(levels: tuple[np.ndarray, np.ndarray], beta: float, k: int = 60) -> WittenReport:
     """Sum of the -sz expectations of the lowest k levels, Boltzmann-weighted.
 
-    The qubit grades the states: the grading is -sz on every path.  k is
-    extended to the end of the degeneracy group it splits (_group_end), so
-    the sum over each (near-)degenerate subspace is the basis-independent
-    trace.  h is tridiagonal ParityChains or a dense oracle matrix
-    (_graded_levels).  A beta that is not finite and > 0, or a k below 1,
-    is a ValidationError.
+    levels is (values, expectations), every level ascending with its -sz
+    expectation, as graded_levels gives them.  k is extended to the end
+    of the degeneracy group it splits (_group_end), so the sum over each
+    (near-)degenerate subspace is the basis-independent trace.  A beta
+    that is not finite and > 0, or a k below 1, is a ValidationError.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be finite and > 0, got {beta}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    values, expectations = _graded_levels(h)
+    values, expectations = levels
     k = _group_end(values, min(k, values.size))
     tail = float(math.exp(-beta * values[k - 1]))
     if tail > WITTEN_TAIL_MAX:
@@ -565,11 +553,3 @@ def limit_check(s: Schedule, fp: FockParams, k: int = 8) -> LimitReport:
         groups_r0=groups_r0,
         groups_r1=groups_r1,
     )
-
-
-def __getattr__(name: str):
-    """The dense builders once defined here, from susyrabi.dense on first use."""
-    if name in ("susy_algebra_report", "sweep_hamiltonian_g"):
-        from . import dense
-        return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

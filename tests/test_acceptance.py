@@ -18,25 +18,19 @@ import time
 import numpy as np
 import pytest
 
+from susyrabi import dense
 from susyrabi.fock import FockParams
 from susyrabi.model import (
     ModelParams,
     Schedule,
-    broken_supercharges,
-    free_supercharges,
-    h_total_r,
-    hamiltonian,
     mass_increment,
     renormalized_frequency,
 )
 from susyrabi.output import emit_flow_csv
 from susyrabi.spectral import (
-    lowest_k,
     required_n_fock,
     goldstino_check,
     spectral_flow_r,
-    susy_algebra_report,
-    sweep_hamiltonian_g,
     truncation_convergence,
     witten_index,
 )
@@ -62,7 +56,7 @@ def pair_ladder(spacing: float, k: int) -> np.ndarray:
 def test_criterion_01_free_susy_spectrum():
     t0 = time.monotonic()
     fp = FockParams(n_fock=128, buffer=32)
-    vals = lowest_k(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp), 7)
+    vals = dense.lowest_levels(dense.hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp), 7)
     elapsed = time.monotonic() - t0
     expected = np.array([0, 1, 1, 2, 2, 3, 3]) * OMEGA
     dev = float(np.max(np.abs(vals - expected)))
@@ -72,7 +66,7 @@ def test_criterion_01_free_susy_spectrum():
 
 def test_criterion_02_broken_spectrum():
     fp = FockParams(n_fock=128, buffer=32)
-    vals = lowest_k(hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp), 6)
+    vals = dense.lowest_levels(dense.hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp), 6)
     dev = float(np.max(np.abs(vals - pair_ladder(OMEGA, 6))))
     ok = dev <= 1e-8 and vals[0] > 0
     assert report("2", ok, f"max dev {dev:.2e}, ground {vals[0]:.4f} > 0")
@@ -81,10 +75,10 @@ def test_criterion_02_broken_spectrum():
 def test_criterion_03_susy_algebra_suite():
     t0 = time.monotonic()
     fp = FockParams(n_fock=256, buffer=64)
-    h_free = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp)
-    h_broken = hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp)
-    free = susy_algebra_report(h_free, free_supercharges(OMEGA, fp), fp)
-    broken = susy_algebra_report(h_broken, broken_supercharges(OMEGA, fp), fp)
+    h_free = dense.hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp)
+    h_broken = dense.hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp)
+    free = dense.susy_algebra_report(h_free, dense.free_supercharges(OMEGA, fp), fp)
+    broken = dense.susy_algebra_report(h_broken, dense.broken_supercharges(OMEGA, fp), fp)
     worst = max(
         v
         for rep in (free, broken)
@@ -111,8 +105,8 @@ def test_criterion_04_witten_index_transition(c):
     fp = FockParams(n_fock=256, buffer=64)
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=c)
     beta = 5.0 / OMEGA
-    w0 = witten_index(h_total_r(s, 0.0, fp), beta).index_value
-    w1 = witten_index(h_total_r(s, 1.0, fp), beta).index_value
+    w0 = witten_index(dense.graded_levels(dense.h_total_r(s, 0.0, fp)), beta).index_value
+    w1 = witten_index(dense.graded_levels(dense.h_total_r(s, 1.0, fp)), beta).index_value
     ok = abs(w0 - 1.0) <= 1e-3 and abs(w1) <= 1e-3
     assert report(f"4 (C={c})", ok, f"index {w0:.6f} -> {w1:.6f}")
 
@@ -144,13 +138,13 @@ def test_criterion_06_no_level_pairing_split():
     n = required_n_fock(OMEGA, c, g, n_min=256)
     fp = FockParams(n_fock=n, buffer=64)
     rep = truncation_convergence(
-        lambda fp: sweep_hamiltonian_g(OMEGA, c, g, fp), 2, 1e-9, fp
+        lambda fp: dense.lowest_levels(dense.sweep_hamiltonian_g(OMEGA, c, g, fp), 2), 1e-9, fp
     )
     split = float(rep.energies[1] - rep.energies[0])
     omega_g, g_tilde = renormalized_frequency(OMEGA, c, g)
     closed_form = OMEGA * math.exp(-2.0 * (g_tilde / omega_g) ** 2)
     rel = (split - closed_form) / closed_form
-    vals_c0 = lowest_k(sweep_hamiltonian_g(OMEGA, 0.0, g, fp), 2)
+    vals_c0 = dense.lowest_levels(dense.sweep_hamiltonian_g(OMEGA, 0.0, g, fp), 2)
     split_c0 = float(vals_c0[1] - vals_c0[0])
     # 1e-2 covers the O((omega/omega_g)^2) correction to the leading-order
     # polaron split, measured at -7.2e-3 here.
@@ -185,7 +179,9 @@ def test_criterion_06_self_energy_saturation():
 def test_criterion_07_mass_enhanced_ground_energy(c):
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=c)
     rep = truncation_convergence(
-        lambda fp: h_total_r(s, 1.0, fp), 7, 1e-6, FockParams(n_fock=64, buffer=16)
+        lambda fp: dense.lowest_levels(dense.h_total_r(s, 1.0, fp), 7),
+        1e-6,
+        FockParams(n_fock=64, buffer=16),
     )
     expected = s.omega_g(1.0) / 2.0
     rel = abs(rep.energies[0] - expected) / expected

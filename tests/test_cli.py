@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import ast
 import dataclasses
 import gc
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import susyrabi
 from susyrabi.cli import _build_parser, run_command
 from susyrabi.config import RunConfig
 
@@ -354,3 +356,35 @@ def test_commands_never_load_the_dense_oracle():
     probe = json.loads(run.stdout)
     assert probe["codes"] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
     assert probe["dense"] is False
+
+
+def dense_imports(tree: ast.Module) -> list[str]:
+    """Every import of susyrabi.dense in a module, relative or absolute, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "susyrabi.dense"]
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            names = [a.name for a in node.names]
+            if package in (".dense", "susyrabi.dense") or (
+                package in (".", "susyrabi") and "dense" in names
+            ):
+                found.append(package)
+    return found
+
+
+def test_no_module_but_dense_reaches_the_dense_oracle():
+    # The source side of the split above: outside dense.py no module
+    # imports susyrabi.dense, in a function or at the top, and none
+    # forwards names through a module-level __getattr__ (PEP 562).
+    package = Path(susyrabi.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "dense.py")
+    assert package / "cli.py" in modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert dense_imports(tree) == [], path.name
+        hooks = [node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == "__getattr__"]
+        assert hooks == [], path.name

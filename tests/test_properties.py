@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from susyrabi import dense
 from susyrabi.dense import (
     broken_supercharges,
     free_supercharges,
@@ -41,6 +42,7 @@ from susyrabi.spectral import (
     _group_end,
     _pair_norms,
     degeneracy_groups,
+    graded_levels,
     lowest_k,
     required_n_fock,
     witten_index,
@@ -306,8 +308,9 @@ def test_group_joins_match_the_all_groups_oracle(case):
     bands = np.zeros((2, 2, m))
     bands[:, 0] = diag
     values = np.sort(diag.ravel())
+    levels = graded_levels(ParityChains(bands))
     for k in range(1, m + 1):
-        rep = witten_index(ParityChains(bands), 1.0, k=k)
+        rep = witten_index(levels, 1.0, k=k)
         k_want = oracle_witten_k(values, k)
         assert rep.index_value == pytest.approx(np.sum(np.exp(-planted[:k_want])), rel=1e-12)
         assert rep.truncation_tail == pytest.approx(math.exp(-planted[k_want - 1]), rel=1e-12)
@@ -665,15 +668,16 @@ def test_chain_witten_index_matches_dense(case):
     frame = replace(p, omega_b=omega_g, g=g_tilde, c=0.0)
     fp = FockParams(n_fock=n, buffer=n // 4)
     beta = beta_omega / omega
+    levels = graded_levels(squeezed_chains(p, fp))
     try:
-        dense = witten_index(hamiltonian(frame, fp), beta)
+        oracle = witten_index(dense.graded_levels(hamiltonian(frame, fp)), beta)
     except InvalidBetaError:
         with pytest.raises(InvalidBetaError):
-            witten_index(squeezed_chains(p, fp), beta)
+            witten_index(levels, beta)
         return
-    chains = witten_index(squeezed_chains(p, fp), beta)
-    assert abs(chains.index_value - dense.index_value) <= WITTEN_ATOL
-    assert chains.rounded == dense.rounded
+    chains = witten_index(levels, beta)
+    assert abs(chains.index_value - oracle.index_value) <= WITTEN_ATOL
+    assert chains.rounded == oracle.rounded
 
 
 # Block eigensolves against scipy's dense solvers.  The tolerances are
@@ -790,14 +794,14 @@ def test_squeezed_witten_index_stable_in_k(case):
     omega, g_ratio, c, r, n, beta_omega = case
     s = Schedule(omega=omega, g_max=g_ratio * omega, c=c)
     fp = FockParams(n_fock=n, buffer=n // 4)
-    chains = squeezed_chains(s.params(r), fp)
+    levels = graded_levels(squeezed_chains(s.params(r), fp))
     beta = beta_omega / omega
     try:
-        first = witten_index(chains, beta, k=60)
+        first = witten_index(levels, beta, k=60)
     except InvalidBetaError:
         assume(False)
     tol = 2 * n * WITTEN_TAIL_MAX
     for k in (90, 2 * n):
-        rep = witten_index(chains, beta, k=k)
+        rep = witten_index(levels, beta, k=k)
         assert abs(rep.index_value - first.index_value) <= tol
         assert rep.rounded == first.rounded

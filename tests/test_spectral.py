@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from susyrabi import spectral
+from susyrabi import dense, spectral
 from susyrabi.dense import (
     broken_supercharges,
     embed_qubit,
@@ -39,6 +39,7 @@ from susyrabi.output import emit_flow_csv
 from susyrabi.spectral import (
     degeneracy_groups,
     goldstino_check,
+    graded_levels,
     limit_check,
     lowest_k,
     no_go_asymptote_check,
@@ -54,11 +55,15 @@ OMEGA = 6.2832
 
 
 def test_lowest_k_orders_and_bounds(fp_small):
-    h = np.diag([3.0, -1.0, 2.0]).astype(complex)
+    # Diagonal chains (3, 2) and (-1, 5): a 4-dimensional H.
+    h = ParityChains(np.array([[[3.0, 2.0], [0.0, 0.0]], [[-1.0, 5.0], [0.0, 0.0]]]))
     np.testing.assert_allclose(lowest_k(h, 2), [-1.0, 2.0])
-    for k in (4, 0, -1):
+    for k in (5, 0, -1):
         with pytest.raises(ValidationError):
             lowest_k(h, k)
+    # The dense oracle's mirror orders a complex matrix the same way.
+    h = np.diag([3.0, -1.0, 2.0]).astype(complex)
+    np.testing.assert_allclose(dense.lowest_levels(h, 2), [-1.0, 2.0])
 
 
 def test_lowest_k_extends_only_the_chain_below_the_cut(monkeypatch):
@@ -226,7 +231,9 @@ def test_no_go_explicit_breaking_pattern():
 def test_truncation_convergence_reports_fixed_point():
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
     rep = truncation_convergence(
-        lambda fp: h_total_r(s, 1.0, fp), 7, 1e-6, FockParams(n_fock=32, buffer=8)
+        lambda fp: dense.lowest_levels(h_total_r(s, 1.0, fp), 7),
+        1e-6,
+        FockParams(n_fock=32, buffer=8),
     )
     assert rep.converged
     assert rep.n_star <= 256
@@ -240,11 +247,11 @@ def test_truncation_convergence_changes_only_n_fock():
     fp0 = FockParams(n_fock=32, buffer=12)
     seen = []
 
-    def builder(fp):
+    def levels(fp):
         seen.append(fp)
-        return squeezed_chains(s.params(1.0), fp)
+        return lowest_k(squeezed_chains(s.params(1.0), fp), 5)
 
-    rep = truncation_convergence(builder, 5, 1e-6, fp0)
+    rep = truncation_convergence(levels, 1e-6, fp0)
     assert rep.converged
     assert len(seen) >= 2
     assert seen == [dataclasses.replace(fp0, n_fock=32 * 2**i) for i in range(len(seen))]
@@ -254,7 +261,7 @@ def test_truncation_convergence_cap():
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
     with pytest.raises(TruncationError):
         truncation_convergence(
-            lambda fp: h_total_r(s, 1.0, fp), 7, 1e-16,
+            lambda fp: dense.lowest_levels(h_total_r(s, 1.0, fp), 7), 1e-16,
             FockParams(n_fock=32, buffer=8), n_cap=64,
         )
 
@@ -262,8 +269,8 @@ def test_truncation_convergence_cap():
 def test_witten_index_endpoints(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     beta = 5.0 / OMEGA
-    unbroken = witten_index(h_total_r(s, 0.0, fp_mid), beta)
-    broken = witten_index(h_total_r(s, 1.0, fp_mid), beta)
+    unbroken = witten_index(dense.graded_levels(h_total_r(s, 0.0, fp_mid)), beta)
+    broken = witten_index(dense.graded_levels(h_total_r(s, 1.0, fp_mid)), beta)
     assert unbroken.index_value == pytest.approx(1.0, abs=1e-6)
     assert unbroken.rounded == 1
     assert broken.index_value == pytest.approx(0.0, abs=1e-6)
@@ -274,30 +281,42 @@ def test_witten_index_endpoints(fp_mid):
 def test_witten_index_free_oscillator_analytic(fp_mid):
     # For the free SUSY pair the index is exactly 1 at any valid beta:
     # every excited level cancels between the graded sectors.
-    h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
+    levels = dense.graded_levels(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid))
     for beta in (0.5, 1.0, 2.0):
-        rep = witten_index(h, beta)
+        rep = witten_index(levels, beta)
         assert rep.index_value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_witten_index_beta_guards(fp_mid):
-    h = hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid)
+    levels = dense.graded_levels(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid))
     for beta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="beta must be finite and > 0"):
-            witten_index(h, beta)
+            witten_index(levels, beta)
     with pytest.raises(InvalidBetaError):
-        witten_index(h, 1e-3, k=10)
+        witten_index(levels, 1e-3, k=10)
 
 
 def test_witten_index_rejects_k_below_one(fp_mid):
     # At r = 0 the index is 1; k = 0 would read the top level's tail and
     # sum nothing, and a negative k would cut levels off the top.
     s = Schedule(omega=OMEGA, g_max=OMEGA)
-    chains = squeezed_chains(s.params(0.0), fp_mid)
-    assert witten_index(chains, 5.0 / OMEGA).rounded == 1
+    levels = graded_levels(squeezed_chains(s.params(0.0), fp_mid))
+    assert witten_index(levels, 5.0 / OMEGA).rounded == 1
     for k in (0, -3):
         with pytest.raises(ValidationError, match="k must be >= 1"):
-            witten_index(chains, 5.0 / OMEGA, k=k)
+            witten_index(levels, 5.0 / OMEGA, k=k)
+
+
+# The Witten tail exp(-beta E) of the squeezed chains against that of the
+# dense H in the bare frame.  Where the frames coincide (r = 0, or C = 0)
+# the two are the same matrix and the tails agree to rounding: rel 1e-9.
+# Elsewhere they are two truncations of H, whose level E at the cut moves
+# between them, and the tail with it by beta times that move: rel 1e-4,
+# pinned in advance above the largest gap on these grids at N = 128,
+# 4.5e-5 at C = 1.257, r = 0.5.  abs = 0, since the tails are 1e-66 to
+# 1e-192 and pytest.approx's default abs = 1e-12 would pass any of them.
+def tail_rel(c, r):
+    return 1e-9 if c == 0.0 or r == 0.0 else 1e-4
 
 
 def test_witten_index_chains_match_dense_endpoints(fp_mid):
@@ -305,11 +324,13 @@ def test_witten_index_chains_match_dense_endpoints(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     beta = 5.0 / OMEGA
     for r in (0.0, 1.0):
-        dense = witten_index(h_total_r(s, r, fp_mid), beta)
-        chains = witten_index(squeezed_chains(s.params(r), fp_mid), beta)
-        assert chains.index_value == pytest.approx(dense.index_value, abs=1e-12)
-        assert chains.rounded == dense.rounded
-        assert chains.truncation_tail == pytest.approx(dense.truncation_tail, rel=1e-9)
+        oracle = witten_index(dense.graded_levels(h_total_r(s, r, fp_mid)), beta)
+        chains = witten_index(graded_levels(squeezed_chains(s.params(r), fp_mid)), beta)
+        assert chains.index_value == pytest.approx(oracle.index_value, abs=1e-12)
+        assert chains.rounded == oracle.rounded
+        assert chains.truncation_tail == pytest.approx(
+            oracle.truncation_tail, rel=tail_rel(s.c, r), abs=0
+        )
 
 
 @pytest.mark.parametrize("c", [0.0, 0.2513, 1.257])
@@ -318,18 +339,20 @@ def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
     beta = 5.0 / OMEGA
     for r in (0.0, 0.5, 1.0):
-        squeezed = witten_index(squeezed_chains(s.params(r), fp_mid), beta)
-        bare = witten_index(h_total_r(s, r, fp_mid), beta)
+        squeezed = witten_index(graded_levels(squeezed_chains(s.params(r), fp_mid)), beta)
+        bare = witten_index(dense.graded_levels(h_total_r(s, r, fp_mid)), beta)
         assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
-        assert squeezed.truncation_tail == pytest.approx(bare.truncation_tail, rel=1e-9)
+        assert squeezed.truncation_tail == pytest.approx(
+            bare.truncation_tail, rel=tail_rel(c, r), abs=0
+        )
 
 
 def test_witten_index_rejects_pentadiagonal_chains(fp_mid):
-    # H's own chains with an A^2 term have no chain path; the squeezed chains
-    # and the dense oracle do.
+    # H's own chains with an A^2 term have no chain path (graded_levels
+    # refuses them); the squeezed chains and the dense oracle do.
     p = ModelParams(OMEGA, OMEGA, OMEGA, 0.2513)
     with pytest.raises(DimensionError):
-        witten_index(parity_chains(p, fp_mid), 5.0 / OMEGA)
+        witten_index(graded_levels(parity_chains(p, fp_mid)), 5.0 / OMEGA)
 
 
 def largest_residual(rep):

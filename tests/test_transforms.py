@@ -431,13 +431,13 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     # No check builds a dense 2N x 2N operand: every kron, dense Hamiltonian,
     # embedding, dense charge set, dense eigensolve, np.block and the N x N
     # ladder-operator set is refused, in every module that could reach one,
-    # and verify and goldstino still run end to end.  The algebra reports
-    # also take dense inputs, built before the refusals, and gather them
-    # onto the charges' spin-flip pairs.
+    # and verify and goldstino still run end to end.  The dense algebra
+    # report takes inputs built before the refusals and gathers them onto
+    # the charges' spin-flip pairs.
     fp = FockParams(n_fock=64, buffer=16)
     algebra_inputs = [
-        (hamiltonian(ModelParams(OMEGA, OMEGA), fp), model.free_supercharges(OMEGA, fp)),
-        (hamiltonian(ModelParams(0.0, OMEGA), fp), model.broken_supercharges(OMEGA, fp)),
+        (hamiltonian(ModelParams(OMEGA, OMEGA), fp), dense.free_supercharges(OMEGA, fp)),
+        (hamiltonian(ModelParams(0.0, OMEGA), fp), dense.broken_supercharges(OMEGA, fp)),
     ]
 
     def refuse(*args, **kwargs):
@@ -453,7 +453,7 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
     field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
     for h, charges in algebra_inputs:
-        rep = spectral.susy_algebra_report(h, charges, fp)
+        rep = dense.susy_algebra_report(h, charges, fp)
         residuals = (rep.anticommutator, rep.commutator_with_h,
                      rep.anticommutator_with_grading, rep.nilpotency)
         assert max(v for d in residuals for v in d.values()) <= 1e-10
