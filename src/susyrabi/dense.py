@@ -4,8 +4,10 @@ The one module that knows the dense layout of the qubit (x) boson space:
 index s*N + n (s = 0 the up-spin, n the Fock level), so an operator is
 kron(spin, boson).  Commands solve the model on its parity chains or its
 2 x 2 spin-flip pairs instead; the tests check those against the
-matrices and the one dense eigh here.  No other module imports this
-one.  lowest_levels and graded_levels mirror spectral.lowest_k and
+matrices and the one dense eigh here (hermitian_eigs, which returns
+(values, vectors) as numpy's eigh does), with its own square-shape check
+and Hermiticity tolerance.  No other module imports this one.
+lowest_levels and graded_levels mirror spectral.lowest_k and
 spectral.graded_levels, so spectral.truncation_convergence and
 spectral.witten_index, which take levels, run on either path.
 """
@@ -21,7 +23,7 @@ import numpy as np
 from . import transforms
 from .errors import DimensionError, SolverError, ValidationError
 from .fock import I2, S_MINUS, S_PLUS, SX, SZ, FockParams
-from .linalg import HERMITICITY_RTOL, EigenDecomposition, _check_square, _drop_negligible
+from .linalg import _drop_negligible
 from .model import (
     ModelParams, Schedule, SuperchargeSet, charge_pairs, heavy_field_coefficients, self_energy,
 )
@@ -29,6 +31,15 @@ from .spectral import AlgebraReport, pair_algebra_report, sweep_params_g
 
 # Hard cap on produced matrix dimension; protects kron from runaway sizes.
 MAX_DIM = 8192
+HERMITICITY_RTOL = 1e-12
+
+
+def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """a as a square float64 or complex array; real input stays real."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    return a.astype(np.result_type(a.dtype, np.float64), copy=False)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,15 +116,15 @@ def basis_state(spin: str, n: int, fp: FockParams) -> np.ndarray:
     return v
 
 
-def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a (nearly) Hermitian matrix, the dense reference oracle.
+def hermitian_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (values, vectors) of a (nearly) Hermitian matrix, the dense oracle.
 
     The input is symmetrized as (A + A^dagger)/2 before solving; truncation
     of ladder operators routinely introduces 1-ulp asymmetries, so an
     asymmetry beyond HERMITICITY_RTOL is a RuntimeWarning, not an error.
     Entries below rounding relative to the largest are dropped
-    (linalg._drop_negligible) before one eigh.  Real symmetric input gives
-    real eigenvectors.
+    (linalg._drop_negligible) before one np.linalg.eigh, returned as it
+    gives it.  Real symmetric input gives real eigenvectors.
     """
     a = _check_square(a)
     scale = np.max(np.abs(a)) if a.size else 0.0
@@ -126,15 +137,14 @@ def hermitian_eigs(a: np.ndarray) -> EigenDecomposition:
         )
     h = _drop_negligible((a + a.conj().T) / 2)
     try:
-        values, vectors = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise SolverError(f"Hermitian eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def lowest_levels(h: np.ndarray, k: int) -> np.ndarray:
     """The k smallest eigenvalues of a dense h, from one hermitian_eigs."""
-    return hermitian_eigs(h).values[:k]
+    return hermitian_eigs(h)[0][:k]
 
 
 def graded_levels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +153,10 @@ def graded_levels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The up-spin half of an eigenvector v is v[:N], so the expectation is
     sum |v_down|^2 - sum |v_up|^2.
     """
-    ed = hermitian_eigs(h)
-    weights = np.abs(ed.vectors) ** 2
+    values, vectors = hermitian_eigs(h)
+    weights = np.abs(vectors) ** 2
     half = h.shape[0] // 2
-    return ed.values, weights[half:].sum(axis=0) - weights[:half].sum(axis=0)
+    return values, weights[half:].sum(axis=0) - weights[:half].sum(axis=0)
 
 
 def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: validation errors -> 1,
-numerical failures -> 2, verification failures -> 3.
+The CLI maps these onto exit codes: a ValidationError exits 1, a
+NumericalError 2; a verify row past its threshold exits 3, no exception.
 """
 
 
@@ -23,10 +23,6 @@ class ConfigError(ValidationError):
 
 class NumericalError(SusyRabiError):
     """A computation could not be completed reliably."""
-
-
-class ContractViolationError(NumericalError):
-    """An operator failed a structural precondition (Hermiticity, interior index set, ...)."""
 
 
 class SolverError(NumericalError):

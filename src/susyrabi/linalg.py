@@ -1,4 +1,4 @@
-"""Linear algebra substrate: banded eigensolvers and real Hermitian tools.
+"""Linear algebra substrate: banded eigensolvers and the real band tools.
 
 Each parity chain of the Hamiltonian (model.ParityChains) is a real
 symmetric band matrix: tridiagonal in the squeezed frame that the
@@ -7,46 +7,21 @@ banded_lowest gives only the levels asked for, so spectral.lowest_k can
 extend one chain later at the cost of the new levels alone; banded_norm
 is two single-eigenvalue solves; band_times multiplies a band matrix, or
 a stack of them, by dense columns in O(N) per column; banded_eigh gives
-all eigenpairs of a tridiagonal chain through LAPACK dstevd, for the
-Witten index and for skew_tridiagonal_exp, the one matrix exponential
-here (the displacement and squeeze generators are real skew-symmetric
-tridiagonal).  hermitian_norm is the spectral norm of a Hermitian matrix,
-or the largest over a stack, from one batched eigvalsh; the transform
-checks take their residual norms from it.  Real input stays real.
+all eigenpairs of a tridiagonal chain through LAPACK dstevd, as
+(values, vectors) like numpy's eigh, for the Witten index and for
+skew_tridiagonal_exp, the one matrix exponential here (the displacement
+and squeeze generators are real skew-symmetric tridiagonal).
+_drop_negligible guards the dense eigensolves of transforms._leading_norm
+and of the oracle in susyrabi.dense against entries far below the rest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .errors import ContractViolationError, DimensionError, SolverError
-
-HERMITICITY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full Hermitian eigendecomposition, eigenvalues ascending.
-
-    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _check_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """a as a square float64 or complex array, or a (k, n, n) stack of them
-    where stack is set; real input stays real."""
-    a = np.asarray(a)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
+from .errors import DimensionError, SolverError
 
 
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
@@ -65,27 +40,6 @@ def _drop_negligible(a: np.ndarray) -> np.ndarray:
     mag = np.abs(a)
     small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[-1]
     return np.where(small, 0.0, a) if small.any() else a
-
-
-def hermitian_norm(a: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, its largest |eigenvalue|.
-
-    a is one n x n matrix or a (k, n, n) stack of them, whose largest
-    norm is returned.  Cheaper than the singular values, but only the
-    same for Hermitian input, so a defect beyond
-    HERMITICITY_RTOL * max(1, max|A|) anywhere in the stack is a contract
-    violation.  Entries below rounding relative to the largest are
-    dropped (_drop_negligible) before one (batched) eigvalsh.
-    """
-    a = _check_square(a, stack=True)
-    if not a.size:
-        return 0.0
-    defect = float(np.abs(a - np.swapaxes(a, -1, -2).conj()).max())
-    if defect > HERMITICITY_RTOL * max(1.0, float(np.abs(a).max())):
-        raise ContractViolationError(
-            f"hermitian_norm requires Hermitian input (defect {defect:.3e})"
-        )
-    return float(np.abs(np.linalg.eigvalsh(_drop_negligible(a))).max())
 
 
 def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
@@ -143,14 +97,15 @@ def band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def banded_eigh(band: np.ndarray) -> EigenDecomposition:
+def banded_eigh(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a real symmetric tridiagonal matrix, eigenvalues ascending.
 
     band is in lower banded storage with two rows, band[0] the diagonal
     and band[1, :-1] the off-diagonal, as for banded_lowest; any other
     shape is a DimensionError.  One LAPACK dstevd, divide and conquer on
-    the tridiagonal matrix itself; the vectors are real and orthonormal,
-    in the basis of the band matrix.
+    the tridiagonal matrix itself.  Returns (values, vectors) as numpy's
+    eigh does: vectors[:, i] belongs to values[i], real and orthonormal in
+    the basis of the band matrix.
     """
     band = np.asarray(band, dtype=float)
     if band.ndim != 2 or band.shape[0] != 2 or band.shape[1] < 1:
@@ -159,7 +114,7 @@ def banded_eigh(band: np.ndarray) -> EigenDecomposition:
     values, vectors, info = lapack.dstevd(band[0], band[1, : max(band.shape[1] - 1, 1)])
     if info != 0:  # pragma: no cover - LAPACK rarely fails here
         raise SolverError(f"tridiagonal eigensolver failed (dstevd info {info})")
-    return EigenDecomposition(values=values, vectors=vectors)
+    return values, vectors
 
 
 def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
@@ -179,12 +134,12 @@ def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
     n = len(e) + 1
     band = np.zeros((2, n))
     band[1, :-1] = e
-    ed = banded_eigh(band)
-    w = ed.vectors * np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None]
+    values, vectors = banded_eigh(band)
+    w = vectors * np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None]
     even, odd = w[0::2], w[1::2]
     out = np.empty((n, n))
-    out[0::2, 0::2] = (even * np.cos(ed.values)) @ even.T
-    out[1::2, 1::2] = (odd * np.cos(ed.values)) @ odd.T
-    out[1::2, 0::2] = (odd * np.sin(ed.values)) @ even.T
+    out[0::2, 0::2] = (even * np.cos(values)) @ even.T
+    out[1::2, 1::2] = (odd * np.cos(values)) @ odd.T
+    out[1::2, 0::2] = (odd * np.sin(values)) @ even.T
     out[0::2, 1::2] = -out[1::2, 0::2].T
     return out

@@ -7,15 +7,15 @@ tridiagonal parity chains (model.squeezed_chains), with the banded core
 in lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
 shift included (Schedule.params(r) on the r path, sweep_params_g on the
 coupling sweep); a point that needs a larger truncation solves at
-replace(fp, n_fock=n), capped only in spectral_flow_g and
-truncation_convergence.  The Witten index takes the levels of the same
-chains graded by -sz, which the squeeze leaves alone (graded_levels).
-witten_index and truncation_convergence take levels, not H, so the
-tests also feed them those of the dense oracle (susyrabi.dense).  The
-algebra reports and the goldstino check take H and the charges as the
-(N, 2, 2) stacks of their spin-flip pairs (model.charge_pairs), so every
-product is a batched 2 x 2 one and every block norm a closed-form one,
-O(N) in all.  Sweep grid points are evaluated serially in grid order.
+replace(fp, n_fock=n), up to CONVERGENCE_N_CAP, read at each call.  The
+Witten index takes the levels of the same chains graded by -sz, which
+the squeeze leaves alone (graded_levels).  witten_index and
+truncation_convergence take levels, not H, so the tests also feed them
+those of the dense oracle (susyrabi.dense).  The algebra reports and
+the goldstino check take H and the charges as the (N, 2, 2) stacks of
+their spin-flip pairs (model.charge_pairs), so every product is a
+batched 2 x 2 one and every block norm a closed-form one, O(N) in all.
+Sweep grid points are evaluated serially in grid order.
 """
 
 from __future__ import annotations
@@ -177,6 +177,19 @@ def sweep_params_g(omega: float, c: float, g: float) -> ModelParams:
     return ModelParams(omega, omega, g, c, shift=self_energy(omega, c, g))
 
 
+def _sweep_point_chains(omega: float, c: float, g: float, fp: FockParams) -> ParityChains:
+    """The coupling sweep's squeezed chains at g, at fp with n_fock = required_n_fock.
+
+    An n_fock above CONVERGENCE_N_CAP is a TruncationError, before any array is built.
+    """
+    n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
+    if n_req > CONVERGENCE_N_CAP:
+        raise TruncationError(
+            f"g={g} requires n_fock={n_req} (> cap {CONVERGENCE_N_CAP}); reduce the coupling range"
+        )
+    return squeezed_chains(sweep_params_g(omega, c, g), replace(fp, n_fock=n_req))
+
+
 def spectral_flow_g(
     omega: float,
     c: float,
@@ -184,13 +197,11 @@ def spectral_flow_g(
     k: int,
     fp: FockParams,
     tol_degeneracy: float = DEGENERACY_TOL,
-    n_cap: int = CONVERGENCE_N_CAP,
 ) -> FlowResult:
     """Eigenvalue flow of the coupling sweep, raising truncation with g.
 
-    Each point solves at fp with n_fock raised to required_n_fock (never
-    below fp.n_fock); a point that needs more than n_cap is a
-    TruncationError.
+    Each point solves the chains of _sweep_point_chains, so a point that
+    needs more than CONVERGENCE_N_CAP levels is a TruncationError.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.size == 0 or np.any(np.diff(g_grid) <= 0):
@@ -198,17 +209,9 @@ def spectral_flow_g(
     if g_grid[0] < 0.0:
         raise ValidationError("g values must be non-negative")
 
-    def point(g: float) -> SpectrumTable:
-        n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
-        if n_req > n_cap:
-            raise TruncationError(
-                f"g={g} requires n_fock={n_req} (> cap {n_cap}); raise the cap "
-                f"or reduce the coupling range"
-            )
-        chains = squeezed_chains(sweep_params_g(omega, c, g), replace(fp, n_fock=n_req))
-        return spectrum_table(chains, k, tol_degeneracy)
-
-    tables = tuple(point(g) for g in g_grid)
+    tables = tuple(
+        spectrum_table(_sweep_point_chains(omega, c, g, fp), k, tol_degeneracy) for g in g_grid
+    )
     return FlowResult(grid=g_grid, tables=tables, sweep_kind="g_sweep")
 
 
@@ -235,12 +238,12 @@ def no_go_asymptote_check(
     lowest pair is split by omega*exp(-2*beta^2), beta = g_tilde/omega(g),
     not by omega, so max_deviation is a sizeable fraction of omega there
     (0.062*omega at g = 5*omega, c = 0.2513, k = 6); only a bound such as
-    0.5*omega holds.
+    0.5*omega holds.  The point is the coupling sweep's (_sweep_point_chains),
+    so one needing more than CONVERGENCE_N_CAP levels is a TruncationError.
     """
     if g < 3.0 * omega:
         raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
-    n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
-    vals = lowest_k(squeezed_chains(sweep_params_g(omega, c, g), replace(fp, n_fock=n_req)), k)
+    vals = lowest_k(_sweep_point_chains(omega, c, g, fp), k)
     omega_g = renormalized_frequency(omega, c, g)[0]
     if c == 0.0:
         target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]
@@ -276,10 +279,7 @@ class ConvergenceReport:
 
 
 def truncation_convergence(
-    levels: Callable[[FockParams], np.ndarray],
-    tol: float,
-    fp0: FockParams,
-    n_cap: int = CONVERGENCE_N_CAP,
+    levels: Callable[[FockParams], np.ndarray], tol: float, fp0: FockParams
 ) -> ConvergenceReport:
     """Double n_fock until the lowest levels, levels(fp), move by <= tol.
 
@@ -287,7 +287,8 @@ def truncation_convergence(
     them whose levels agree with those of its own double, never below
     fp0.n_fock, even where a smaller truncation would already agree (see
     ConvergenceReport).  Each doubling calls levels at fp0 with only
-    n_fock changed; each call gives equally many levels, ascending.
+    n_fock changed; each call gives equally many levels, ascending.  A
+    doubling past CONVERGENCE_N_CAP is a TruncationError.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -295,9 +296,9 @@ def truncation_convergence(
     prev = levels(fp0)
     while True:
         n2 = 2 * n
-        if n2 > n_cap:
+        if n2 > CONVERGENCE_N_CAP:
             raise TruncationError(
-                f"no convergence to tol={tol} below the n_fock cap {n_cap}"
+                f"no convergence to tol={tol} below the n_fock cap {CONVERGENCE_N_CAP}"
             )
         cur = levels(replace(fp0, n_fock=n2))
         drift = float(np.max(np.abs(cur - prev)))
@@ -328,9 +329,9 @@ def graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
     sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
     values, expectations = [], []
     for grading, band in zip((-sign, sign), h.bands):
-        ed = banded_eigh(band)
-        values.append(ed.values)
-        expectations.append(grading @ ed.vectors**2)
+        vals, vectors = banded_eigh(band)
+        values.append(vals)
+        expectations.append(grading @ vectors**2)
     order = np.argsort(np.concatenate(values), kind="stable")
     return np.concatenate(values)[order], np.concatenate(expectations)[order]
 

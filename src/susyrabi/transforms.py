@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import FockParams
-from .linalg import band_times, banded_norm, hermitian_norm, skew_tridiagonal_exp
+from .linalg import _drop_negligible, band_times, banded_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     ParityChains,
@@ -147,15 +147,16 @@ def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
 
 
 def _leading_norm(block: np.ndarray) -> float:
-    """Largest spectral norm of a (k, cut, cut) stack of leading residual blocks.
+    """Largest spectral norm of a real (k, cut, cut) stack of leading residual blocks.
 
     Both residuals, S^T L S - R and U^T lhs U - F, are symmetric for any
     orthogonal S or U, since L, R, lhs and F are; only round-off breaks
     that.  So the stack is symmetrized, which cannot hide an error of S
-    or U, and its norm is linalg.hermitian_norm, one batched eigvalsh in
-    place of the singular values.
+    or U, and its norm is its largest |eigenvalue|, from one batched
+    eigvalsh after linalg._drop_negligible, in place of the singular values.
     """
-    return hermitian_norm((block + block.transpose(0, 2, 1)) / 2.0)
+    sym = _drop_negligible((block + block.transpose(0, 2, 1)) / 2.0)
+    return float(np.abs(np.linalg.eigvalsh(sym)).max(initial=0.0))
 
 
 def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, TransformReport]:

@@ -43,9 +43,12 @@ CASES = {
     "verify_n128_c1.257_fails": ["verify", *N128, "--c", "1.257"],
     "verify_buffer0": ["verify", "--buffer", "0"],
     "verify_c200_n4096": ["verify", "--c", "200", "--n-fock", "4096"],
+    "verify_n64_c0_beta3": ["verify", "--n-fock", "64", "--buffer", "16", "--c", "0",
+                            "--g-max", "18.85"],
     "witten_n128_c0.2513": ["witten", *N128, "--c", "0.2513"],
     "witten_c0.2513": ["witten", "--c", "0.2513"],
     "goldstino_n128": ["goldstino", *N128],
+    "goldstino_omega1e200": ["goldstino", "--omega", "1e200"],
     "goldstino_omega1.7e308": ["goldstino", "--omega", "1.7e308"],
     "goldstino_omega5e-324": ["goldstino", "--omega", "5e-324"],
     "mass_c1.257": ["mass", "--g", "6.2832", "--c", "1.257"],
@@ -59,6 +62,11 @@ CASES = {
     "sweep_g_c0_svg": ["sweep", "--sweep-kind", "g", "--sweep-stop", "12.5664",
                        "--sweep-points", "5", "--c", "0", "--out-csv", "{tmp}/g.csv",
                        "--out-svg", "{tmp}/g.svg"],
+    # k = 2N: every level of both chains, the full-spectrum edge of lowest_k's merge.
+    "sweep_k_full_n8": ["sweep", "--n-fock", "8", "--buffer", "0", "--k-levels", "16",
+                        "--sweep-points", "5", "--out-csv", "{tmp}/k_full.csv"],
+    "sweep_g_past_cap": ["sweep", "--sweep-kind", "g", "--sweep-stop", "1000",
+                         "--sweep-points", "2", "--out-csv", "{tmp}/g.csv"],
     # The input-domain contract: each exits 1 with one "error:" line.
     "rejects_witten_beta_nan": ["witten", "--beta", "nan"],
     "rejects_witten_beta_inf": ["witten", "--beta", "inf"],

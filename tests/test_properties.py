@@ -18,15 +18,9 @@ from susyrabi.dense import (
     hermitian_eigs,
     kron,
 )
-from susyrabi.errors import ContractViolationError, InvalidBetaError, ValidationError
+from susyrabi.errors import InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
-from susyrabi.linalg import (
-    band_times,
-    banded_eigh,
-    banded_norm,
-    hermitian_norm,
-    skew_tridiagonal_exp,
-)
+from susyrabi.linalg import band_times, banded_eigh, banded_norm, skew_tridiagonal_exp
 from susyrabi.model import (
     ModelParams,
     ParityChains,
@@ -77,10 +71,10 @@ reals = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 def test_eigendecomposition_reconstructs(re, im):
     m = re + 1j * im
     h = (m + m.conj().T) / 2
-    ed = hermitian_eigs(h)
-    recon = (ed.vectors * ed.values) @ ed.vectors.conj().T
+    values, vectors = hermitian_eigs(h)
+    recon = (vectors * values) @ vectors.conj().T
     np.testing.assert_allclose(recon, h, atol=1e-10)
-    assert np.all(np.diff(ed.values) >= -1e-12)
+    assert np.all(np.diff(values) >= -1e-12)
 
 
 def dense_exp(k):
@@ -130,42 +124,42 @@ def tridiagonal_bands(draw):
 @example(band=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
 @example(band=np.array([[1.46434136e-161] * 4, [1.46434136e-161, 1.46434136e-161, 2.0, 0.0]]))
 def test_banded_eigh_equals_eig_banded_and_dense_eigh(band):
-    ed = banded_eigh(band)
-    values, vectors = sla.eig_banded(band, lower=True)
-    np.testing.assert_array_equal(ed.values, values)
-    np.testing.assert_array_equal(ed.vectors, vectors)
+    values, vectors = banded_eigh(band)
+    want_values, want_vectors = sla.eig_banded(band, lower=True)
+    np.testing.assert_array_equal(values, want_values)
+    np.testing.assert_array_equal(vectors, want_vectors)
     n = band.shape[1]
     t = np.diag(band[0]) + np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
     scale = max(1.0, np.linalg.norm(t, 2))
-    assert np.max(np.abs(ed.values - hermitian_eigs(t).values)) <= TRIDIAGONAL_RTOL * scale
-    assert np.linalg.norm(t @ ed.vectors - ed.vectors * ed.values, 2) <= TRIDIAGONAL_RTOL * scale
-    assert np.linalg.norm(ed.vectors.T @ ed.vectors - np.eye(n), 2) <= TRIDIAGONAL_RTOL
+    assert np.max(np.abs(values - hermitian_eigs(t)[0])) <= TRIDIAGONAL_RTOL * scale
+    assert np.linalg.norm(t @ vectors - vectors * values, 2) <= TRIDIAGONAL_RTOL * scale
+    assert np.linalg.norm(vectors.T @ vectors - np.eye(n), 2) <= TRIDIAGONAL_RTOL
 
 
-# Norms of symmetric (k, n, n) stacks: hermitian_norm, and _leading_norm on
+# Norms of real (k, n, n) stacks: _leading_norm, of the whole stack and of
 # a leading cut x cut block, against the largest singular value of the
-# stack.  The tolerance is fixed in advance: 1e-12 relative to the SVD
-# norm, and exactly 0 for a zero stack.
+# symmetrized stack (A + A^T)/2.  The tolerance is fixed in advance: 1e-12
+# relative to the SVD norm, and exactly 0 for a zero stack.
 STACK_RTOL = 1e-12
 
 
 @st.composite
-def symmetric_stacks(draw):
-    """A real symmetric or complex Hermitian (k, n, n) stack, k in 1..3, n in 1..12,
-    scaled by 10**e, e in -100..100, with a random share of exact zeros."""
+def real_stacks(draw):
+    """A real (k, n, n) stack, k in 1..3, n in 1..12, symmetric or not, scaled
+    by 10**e, e in -100..100, with a random share of exact zeros."""
     k = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=12))
     m = draw(arrays(np.float64, (k, n, n), elements=reals))
-    if draw(st.booleans()):
-        m = m + 1j * draw(arrays(np.float64, (k, n, n), elements=reals))
     keep = draw(arrays(np.bool_, (k, n, n)))
-    keep = keep & keep.transpose(0, 2, 1)
+    if draw(st.booleans()):
+        m, keep = m + m.transpose(0, 2, 1), keep & keep.transpose(0, 2, 1)
     scale = 10.0 ** draw(st.integers(min_value=-100, max_value=100))
-    return scale * (m + m.conj().transpose(0, 2, 1)) * keep
+    return scale * m * keep
 
 
 def assert_stack_norm(got, stack):
-    want = float(np.linalg.svd(stack, compute_uv=False).max()) if stack.size else 0.0
+    sym = (stack + stack.transpose(0, 2, 1)) / 2.0
+    want = float(np.linalg.svd(sym, compute_uv=False).max()) if sym.size else 0.0
     if want == 0.0:
         assert got == 0.0
     else:
@@ -173,18 +167,11 @@ def assert_stack_norm(got, stack):
 
 
 @settings(max_examples=80, deadline=None)
-@given(symmetric_stacks(), st.data())
+@given(real_stacks(), st.data())
 def test_stack_norms_equal_svd_norm(stack, data):
-    assert_stack_norm(hermitian_norm(stack), stack)
-    if np.isrealobj(stack):
-        cut = data.draw(st.integers(min_value=1, max_value=stack.shape[1]))
-        assert_stack_norm(_leading_norm(stack[:, :cut, :cut]), stack[:, :cut, :cut])
-    # One member off Hermitian breaks the contract for the whole stack.
-    anti = np.zeros_like(stack)
-    anti[-1, 0, -1] = 1.0 + np.abs(stack).max()
-    if stack.shape[1] > 1:
-        with pytest.raises(ContractViolationError):
-            hermitian_norm(stack + anti)
+    assert_stack_norm(_leading_norm(stack), stack)
+    cut = data.draw(st.integers(min_value=1, max_value=stack.shape[1]))
+    assert_stack_norm(_leading_norm(stack[:, :cut, :cut]), stack[:, :cut, :cut])
 
 
 # The closed-form largest singular value of 2 x 2 blocks against numpy's
@@ -335,8 +322,8 @@ def test_grading_expectations_are_bounded(omega):
     fp = FockParams(n_fock=16, buffer=4)
     h = hamiltonian(ModelParams(omega, omega, 0.3 * omega, 0.1), fp)
     grading = free_supercharges(omega, fp).grading
-    ed = hermitian_eigs(h)
-    exp = np.real(np.einsum("ij,ik,kj->j", ed.vectors.conj(), grading, ed.vectors))
+    _, vectors = hermitian_eigs(h)
+    exp = np.real(np.einsum("ij,ik,kj->j", vectors.conj(), grading, vectors))
     assert np.all(exp <= 1.0 + 1e-12)
     assert np.all(exp >= -1.0 - 1e-12)
 
@@ -579,23 +566,9 @@ NORM_RTOL = 1e-12
 WITTEN_ATOL = 1e-10
 
 
-@settings(max_examples=40, deadline=None)
-@given(arrays(np.float64, (7, 7), elements=reals),
-       arrays(np.float64, (7, 7), elements=reals))
-def test_hermitian_norm_equals_svd_norm(re, im):
-    m = re + 1j * im
-    h = m + m.conj().T
-    want = np.linalg.norm(h, 2)
-    assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
-    anti = m - m.conj().T
-    if np.max(np.abs(anti)) > 1e-6:
-        with pytest.raises(ContractViolationError):
-            hermitian_norm(h + 1e-3 * anti)
-
-
-# Hermitian norms of block-diagonal matrices against the dense SVD norm.
-# The tolerance is fixed in advance: 1e-12 relative to the dense norm, and
-# exactly 0 for a zero matrix.
+# The residual norm (_leading_norm) of real symmetric block-diagonal
+# matrices against the dense SVD norm.  The tolerance is fixed in advance:
+# 1e-12 relative to the dense norm, and exactly 0 for a zero matrix.
 BLOCK_RTOL = 1e-12
 
 
@@ -608,21 +581,20 @@ def assert_same_norm(got, want):
 
 @st.composite
 def permuted_block_diagonal(draw):
-    """A symmetrically permuted direct sum of complex blocks.
+    """A symmetrically permuted direct sum of real blocks.
 
-    Entries are (re + i im) * 10**e with re, im in [-1, 1] and e in
-    [-16, 2], and a random share of them is exactly zero.
+    Entries are x * 10**e with x in [-1, 1] and e in [-16, 2], and a
+    random share of them is exactly zero.
     """
     sizes = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6))
     n = sum(sizes)
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n))
     start = 0
     for m in sizes:
-        re = draw(arrays(np.float64, (m, m), elements=st.floats(-1.0, 1.0)))
-        im = draw(arrays(np.float64, (m, m), elements=st.floats(-1.0, 1.0)))
+        x = draw(arrays(np.float64, (m, m), elements=st.floats(-1.0, 1.0)))
         exp = draw(arrays(np.float64, (m, m), elements=st.floats(-16.0, 2.0)))
         keep = draw(arrays(np.bool_, (m, m)))
-        a[start:start + m, start:start + m] = (re + 1j * im) * 10.0**exp * keep
+        a[start:start + m, start:start + m] = x * 10.0**exp * keep
         start += m
     perm = np.array(draw(st.permutations(range(n))))
     return a[np.ix_(perm, perm)]
@@ -631,19 +603,19 @@ def permuted_block_diagonal(draw):
 @settings(max_examples=80, deadline=None)
 @given(permuted_block_diagonal())
 def test_block_norms_equal_dense_norm(a):
-    h = a + a.conj().T
-    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
+    h = a + a.T
+    assert_same_norm(_leading_norm(h[None]), np.linalg.norm(h, 2))
 
 
 @pytest.mark.parametrize("a", [
-    np.zeros((5, 5), dtype=complex),
-    np.diag([0.5, -3.0, 0.0, 2.0 + 1j]),
-    np.random.default_rng(5).normal(size=(9, 9)) + 1j,
-    np.array([[0.0, 0.3 - 2.0j], [0.0, 0.0]]),
+    np.zeros((5, 5)),
+    np.diag([0.5, -3.0, 0.0, 2.0]),
+    np.random.default_rng(5).normal(size=(9, 9)) + 1.0,
+    np.array([[0.0, 0.3], [0.0, 0.0]]),
 ])
 def test_block_norms_on_special_matrices(a):
-    h = a + a.conj().T
-    assert_same_norm(hermitian_norm(h), np.linalg.norm(h, 2))
+    h = a + a.T
+    assert_same_norm(_leading_norm(h[None]), np.linalg.norm(h, 2))
 
 
 witten_cases = st.tuples(
@@ -716,14 +688,14 @@ def permuted_block_hermitian(draw):
 def test_block_hermitian_eigs_match_dense(a):
     n = a.shape[0]
     scale = max(1.0, np.linalg.norm(a, 2))
-    ed = hermitian_eigs(a)
-    assert np.max(np.abs(ed.values - sla.eigh(a, eigvals_only=True))) <= EIG_TOL * scale
-    assert np.linalg.norm(a @ ed.vectors - ed.vectors * ed.values, 2) <= EIG_TOL * scale
-    assert np.linalg.norm(ed.vectors.conj().T @ ed.vectors - np.eye(n), 2) <= EIG_TOL
+    values, vectors = hermitian_eigs(a)
+    assert np.max(np.abs(values - sla.eigh(a, eigvals_only=True))) <= EIG_TOL * scale
+    assert np.linalg.norm(a @ vectors - vectors * values, 2) <= EIG_TOL * scale
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n), 2) <= EIG_TOL
 
 
 # Real input stays real.  The tolerance is fixed in advance: 1e-12
-# relative to max(1, the complex call's value) for norms and eigenvalues.
+# relative to max(1, the complex call's value) for the eigenvalues.
 REAL_RTOL = 1e-12
 
 
@@ -748,31 +720,27 @@ def tiny_entries_beside_unit_ones():
 @example(a=tiny_entries_beside_unit_ones())
 def test_real_input_matches_complex_call(a):
     h = a + a.T
-    want = hermitian_norm(h.astype(complex))
-    assert abs(hermitian_norm(h) - want) <= REAL_RTOL * max(1.0, want)
-    ed = hermitian_eigs(h)
-    want = hermitian_eigs(h.astype(complex)).values
-    assert ed.vectors.dtype == np.float64
-    assert np.max(np.abs(ed.values - want)) <= REAL_RTOL * max(1.0, np.max(np.abs(want)))
+    values, vectors = hermitian_eigs(h)
+    want = hermitian_eigs(h.astype(complex))[0]
+    assert vectors.dtype == np.float64
+    assert np.max(np.abs(values - want)) <= REAL_RTOL * max(1.0, np.max(np.abs(want)))
 
 
 @st.composite
-def hermitian_with_zeros(draw):
-    """A real or complex Hermitian n x n matrix with a random share of exact zeros."""
+def symmetric_with_zeros(draw):
+    """A real symmetric n x n matrix with a random share of exact zeros."""
     n = draw(st.integers(min_value=1, max_value=12))
     m = draw(arrays(np.float64, (n, n), elements=reals))
-    if draw(st.booleans()):
-        m = m + 1j * draw(arrays(np.float64, (n, n), elements=reals))
     keep = draw(arrays(np.bool_, (n, n)))
-    return (m + m.conj().T) * (keep & keep.T)
+    return (m + m.T) * (keep & keep.T)
 
 
 @settings(max_examples=80, deadline=None)
-@given(hermitian_with_zeros())
+@given(symmetric_with_zeros())
 @example(h=tiny_entries_beside_unit_ones() + tiny_entries_beside_unit_ones().T)
 def test_block_hermitian_norm_equals_dense_norm(h):
     want = np.linalg.norm(h, 2)
-    assert abs(hermitian_norm(h) - want) <= NORM_RTOL * max(1.0, want)
+    assert abs(_leading_norm(h[None]) - want) <= NORM_RTOL * max(1.0, want)
 
 
 # Adding levels k..K-1 to a sum that passed its tail check at level k-1

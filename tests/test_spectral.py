@@ -194,9 +194,10 @@ def test_squeezed_chains_converge_where_bare_chains_do_not():
 
 
 def test_spectral_flow_g_cap():
+    # g = 500 needs N of about 5e4, past CONVERGENCE_N_CAP.
     fp = FockParams(n_fock=64, buffer=16)
-    with pytest.raises(TruncationError):
-        spectral_flow_g(OMEGA, 0.0, [0.0, 500.0], 4, fp, n_cap=512)
+    with pytest.raises(TruncationError, match="reduce the coupling range$"):
+        spectral_flow_g(OMEGA, 0.0, [0.0, 500.0], 4, fp)
 
 
 def test_sweep_hamiltonian_g_includes_self_energy(fp_small):
@@ -226,6 +227,13 @@ def test_no_go_explicit_breaking_pattern():
     assert rep.max_deviation < 0.5 * OMEGA
     with pytest.raises(ValidationError):
         no_go_asymptote_check(OMEGA, 0.0, OMEGA, 6, fp)
+
+
+def test_no_go_caps_the_truncation():
+    # The truncation it would need is sized and refused before any array
+    # is built, as on the coupling sweep.
+    with pytest.raises(TruncationError, match="reduce the coupling range$"):
+        no_go_asymptote_check(OMEGA, 0.0, 1e100, 6, FockParams(n_fock=64, buffer=16))
 
 
 def test_truncation_convergence_reports_fixed_point():
@@ -258,12 +266,16 @@ def test_truncation_convergence_changes_only_n_fock():
 
 
 def test_truncation_convergence_cap():
-    s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
+    # Levels that never settle double n_fock up to CONVERGENCE_N_CAP.
+    seen = []
+
+    def levels(fp):
+        seen.append(fp.n_fock)
+        return np.array([float(fp.n_fock)])
+
     with pytest.raises(TruncationError):
-        truncation_convergence(
-            lambda fp: dense.lowest_levels(h_total_r(s, 1.0, fp), 7), 1e-16,
-            FockParams(n_fock=32, buffer=8), n_cap=64,
-        )
+        truncation_convergence(levels, 1e-16, FockParams(n_fock=32, buffer=8))
+    assert seen == [32 * 2**i for i in range(7)] and seen[-1] == spectral.CONVERGENCE_N_CAP
 
 
 def test_witten_index_endpoints(fp_mid):
