@@ -13,15 +13,57 @@ skew_tridiagonal_exp, the one matrix exponential here (the displacement
 and squeeze generators are real skew-symmetric tridiagonal).
 _drop_negligible guards the dense eigensolves of transforms._leading_norm
 and of the oracle in susyrabi.dense against entries far below the rest.
+
+The two LAPACK calls, dsbevx and dstevd, use the f2py wrappers of scipy's
+extension module scipy.linalg._flapack, loaded on its own (_load_flapack):
+importing scipy.linalg (0.3-0.4 s, most of it numpy.f2py, numpy.testing
+and numpy.ma through scipy's array-API layer) would more than double
+every command's start-up for code none of them runs.  banded_lowest
+passes dsbevx the arguments scipy.linalg.eig_banded does, so both give
+the same bits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
+import scipy
 
 from .errors import DimensionError, SolverError
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded by its file path in the scipy package.
+
+    `import scipy` (about 20 ms) comes first for its distributor set-up,
+    which on some platforms puts the bundled OpenBLAS on the library path.
+    """
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # An extension with single-phase init enters itself in
+            # sys.modules; taken out, a later `import scipy.linalg` binds
+            # its own copy as the package attribute, as in a plain import.
+            if sys.modules.get(spec.name) is module:
+                del sys.modules[spec.name]
+            return module
+    # No such file: the plain import gives the same module, only slower.
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
+_flapack = _load_flapack()
+# eig_banded's abstol for dsbevx, 2 * dlamch('s'): the safe minimum is tiny.
+_ABSTOL = 2.0 * np.finfo(np.float64).tiny
 
 
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
@@ -48,7 +90,7 @@ def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     Levels count from 0 at the smallest, so start = 0 gives the m
     smallest.  band is in lower banded storage, band[d, j] = A[j + d, j],
     with any number of rows: two for a tridiagonal matrix.  Only the
-    requested eigenvalues are computed (LAPACK ?sbevx through eig_banded),
+    requested eigenvalues are computed (LAPACK dsbevx, as eig_banded calls it),
     so a caller can take more levels of a matrix later at the cost of the
     new ones alone.  Unless 0 <= start < m <= N it is a DimensionError.
     """
@@ -57,12 +99,17 @@ def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
         raise DimensionError(
             f"band of shape {band.shape} cannot give eigenvalues {start}..{m - 1}"
         )
-    try:
-        return sla.eig_banded(
-            band, lower=True, eigvals_only=True, select="i", select_range=(start, m - 1)
-        )
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise SolverError(f"banded eigensolver failed: {exc}") from exc
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    # As eig_banded(band, lower=True, eigvals_only=True, select="i",
+    # select_range=(start, m - 1)) calls it, band left unchanged.
+    w, _, found, _, info = _flapack.dsbevx(
+        band, 0.0, 1.0, start + 1, m, compute_v=0, range=2, lower=1,
+        abstol=_ABSTOL, mmax=1, overwrite_ab=0,
+    )
+    if info != 0:  # pragma: no cover - LAPACK rarely fails here
+        raise SolverError(f"banded eigensolver failed (dsbevx info {info})")
+    return w[:found]
 
 
 def banded_norm(band: np.ndarray, cut: int | None = None) -> float:
@@ -111,7 +158,7 @@ def banded_eigh(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if band.ndim != 2 or band.shape[0] != 2 or band.shape[1] < 1:
         raise DimensionError(f"band of shape {band.shape} is not a tridiagonal band")
     # The wrapper wants an off-diagonal of length >= 1, also for n = 1.
-    values, vectors, info = lapack.dstevd(band[0], band[1, : max(band.shape[1] - 1, 1)])
+    values, vectors, info = _flapack.dstevd(band[0], band[1, : max(band.shape[1] - 1, 1)])
     if info != 0:  # pragma: no cover - LAPACK rarely fails here
         raise SolverError(f"tridiagonal eigensolver failed (dstevd info {info})")
     return values, vectors

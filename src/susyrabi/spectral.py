@@ -162,12 +162,13 @@ def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
 
     The polaron displacement is beta = g_tilde/omega_g; we keep
     beta^2 < N/8, doubling N from max(n_min, 8) until that holds, so
-    n_min = 100 gives 100, 200, 400, ...
+    n_min = 100 gives 100, 200, 400, ...  Doubling stops at the first N
+    past CONVERGENCE_N_CAP, which says only that the point needs more.
     """
     omega_g, g_tilde = renormalized_frequency(omega, c, g)
     beta = g_tilde / omega_g
     n = max(n_min, 8)
-    while n < 8.0 * beta**2:
+    while n < 8.0 * beta**2 and n <= CONVERGENCE_N_CAP:
         n *= 2
     return n
 
@@ -177,17 +178,17 @@ def sweep_params_g(omega: float, c: float, g: float) -> ModelParams:
     return ModelParams(omega, omega, g, c, shift=self_energy(omega, c, g))
 
 
-def _sweep_point_chains(omega: float, c: float, g: float, fp: FockParams) -> ParityChains:
-    """The coupling sweep's squeezed chains at g, at fp with n_fock = required_n_fock.
+def _sweep_point_fock(omega: float, c: float, g: float, fp: FockParams) -> FockParams:
+    """fp with n_fock = required_n_fock for the coupling sweep's point at g.
 
-    An n_fock above CONVERGENCE_N_CAP is a TruncationError, before any array is built.
+    An n_fock above CONVERGENCE_N_CAP is a TruncationError.
     """
     n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
     if n_req > CONVERGENCE_N_CAP:
         raise TruncationError(
-            f"g={g} requires n_fock={n_req} (> cap {CONVERGENCE_N_CAP}); reduce the coupling range"
+            f"g={g} requires n_fock above the cap {CONVERGENCE_N_CAP}; reduce the coupling range"
         )
-    return squeezed_chains(sweep_params_g(omega, c, g), replace(fp, n_fock=n_req))
+    return replace(fp, n_fock=n_req)
 
 
 def spectral_flow_g(
@@ -200,8 +201,9 @@ def spectral_flow_g(
 ) -> FlowResult:
     """Eigenvalue flow of the coupling sweep, raising truncation with g.
 
-    Each point solves the chains of _sweep_point_chains, so a point that
-    needs more than CONVERGENCE_N_CAP levels is a TruncationError.
+    Every point is sized by _sweep_point_fock before any chain is built,
+    so a grid with a point that needs more than CONVERGENCE_N_CAP levels
+    is a TruncationError, for its first such point, at once.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     if g_grid.size == 0 or np.any(np.diff(g_grid) <= 0):
@@ -209,8 +211,10 @@ def spectral_flow_g(
     if g_grid[0] < 0.0:
         raise ValidationError("g values must be non-negative")
 
+    sizes = [_sweep_point_fock(omega, c, g, fp) for g in g_grid]
     tables = tuple(
-        spectrum_table(_sweep_point_chains(omega, c, g, fp), k, tol_degeneracy) for g in g_grid
+        spectrum_table(squeezed_chains(sweep_params_g(omega, c, g), fp_g), k, tol_degeneracy)
+        for g, fp_g in zip(g_grid, sizes)
     )
     return FlowResult(grid=g_grid, tables=tables, sweep_kind="g_sweep")
 
@@ -238,12 +242,13 @@ def no_go_asymptote_check(
     lowest pair is split by omega*exp(-2*beta^2), beta = g_tilde/omega(g),
     not by omega, so max_deviation is a sizeable fraction of omega there
     (0.062*omega at g = 5*omega, c = 0.2513, k = 6); only a bound such as
-    0.5*omega holds.  The point is the coupling sweep's (_sweep_point_chains),
+    0.5*omega holds.  The point is the coupling sweep's (_sweep_point_fock),
     so one needing more than CONVERGENCE_N_CAP levels is a TruncationError.
     """
     if g < 3.0 * omega:
         raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
-    vals = lowest_k(_sweep_point_chains(omega, c, g, fp), k)
+    fp_g = _sweep_point_fock(omega, c, g, fp)
+    vals = lowest_k(squeezed_chains(sweep_params_g(omega, c, g), fp_g), k)
     omega_g = renormalized_frequency(omega, c, g)[0]
     if c == 0.0:
         target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]

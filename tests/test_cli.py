@@ -221,6 +221,20 @@ def test_exit_code_numerical_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_g_sweep_far_past_the_cap_is_one_short_line(tmp_path, capsys):
+    # At g = 1e150 the truncation rule asks for N near 1e300; the error
+    # names the cap, not that N.
+    code = run_command([
+        "sweep", "--sweep-kind", "g", "--sweep-stop", "1e150",
+        "--sweep-points", "2", "--out-csv", str(tmp_path / "x.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: g=1e+150 requires n_fock above the cap 2048")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_truncation_error_names_the_buffer(capsys):
     # At N = 8 the squeeze rule keeps int(0.7 N) = 5 levels, but N - buffer = 4
     # is the stricter cut, so the error must blame the buffer.
@@ -308,11 +322,15 @@ def test_module_entry_point_runs_commands():
     assert "error:" in bad.stderr
 
 
+# Modules no command needs, each tens to hundreds of ms to import:
+# scipy.linalg, and numpy.f2py and numpy.testing, which it pulls in.
+UNUSED = ("scipy.linalg", "numpy.f2py", "numpy.testing")
 IMPORT_PROBE = (
     "import json, os, sys\n"
     "import susyrabi.cli\n"
     "print(json.dumps({'timeout': os.environ.get('OPENBLAS_THREAD_TIMEOUT'),"
-    " 'scipy': sorted(m for m in sys.modules if m.startswith('scipy.'))}))\n"
+    " 'scipy': sorted(m for m in sys.modules if m.startswith('scipy.')),"
+    f" 'unused': [m for m in {UNUSED!r} if m in sys.modules]}}))\n"
 )
 
 
@@ -328,10 +346,11 @@ def test_cli_import_sets_openblas_timeout_without_heavy_scipy(preset, want):
     assert probe["timeout"] == want
     heavy = [m for m in probe["scipy"] if m.split(".")[1] in ("sparse", "special")]
     assert heavy == []
+    assert probe["unused"] == []
 
 
 # Every command, and an error path, in one process: none may load the dense
-# 2N x 2N oracle, which only the tests use.
+# 2N x 2N oracle, which only the tests use, or any module of UNUSED.
 COMMANDS_PROBE = (
     "import contextlib, io, json, sys, tempfile\n"
     "from susyrabi.cli import run_command\n"
@@ -345,7 +364,8 @@ COMMANDS_PROBE = (
     "         '--out-svg', tmp + '/r.svg'],\n"
     "        ['sweep', *fast, '--sweep-kind', 'g', '--sweep-points', '3',\n"
     "         '--out-csv', tmp + '/g.csv']]]\n"
-    "print(json.dumps({'codes': codes, 'dense': 'susyrabi.dense' in sys.modules}))\n"
+    "print(json.dumps({'codes': codes, 'dense': 'susyrabi.dense' in sys.modules,"
+    f" 'unused': [m for m in {UNUSED!r} if m in sys.modules]}}))\n"
 )
 
 
@@ -356,6 +376,37 @@ def test_commands_never_load_the_dense_oracle():
     probe = json.loads(run.stdout)
     assert probe["codes"] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
     assert probe["dense"] is False
+    assert probe["unused"] == []
+
+
+# susyrabi loads scipy's LAPACK extension by itself; a later plain import
+# of scipy.linalg in the same process must still work, bind its _flapack
+# as in any process, and agree with susyrabi's solvers.
+LATE_SCIPY_PROBE = (
+    "import contextlib, io, json\n"
+    "import numpy as np\n"
+    "from susyrabi.cli import run_command\n"
+    "from susyrabi.linalg import banded_eigh, banded_lowest\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = run_command(['witten', '--n-fock', '64', '--buffer', '16'])\n"
+    "import scipy.linalg\n"
+    "from scipy.linalg import lapack\n"
+    "band = np.array([[2.0, -1.0, 0.5, 3.0], [0.4, 0.3, -0.2, 0.0]])\n"
+    "levels = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,"
+    " select='i', select_range=(1, 2))\n"
+    "values, vectors, info = lapack.dstevd(band[0], band[1, :-1])\n"
+    "print(json.dumps({'code': code, 'info': info, 'bound': hasattr(scipy.linalg, '_flapack'),"
+    " 'lowest': bool(np.array_equal(levels, banded_lowest(band, 3, 1))),"
+    " 'eigh': all(np.array_equal(a, b) for a, b in zip((values, vectors), banded_eigh(band)))}))\n"
+)
+
+
+def test_scipy_linalg_imports_after_a_command():
+    run = subprocess.run([sys.executable, "-c", LATE_SCIPY_PROBE],
+                         capture_output=True, text=True, env=fresh_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"code": 0, "info": 0, "bound": True, "lowest": True,
+                                      "eigh": True}
 
 
 def dense_imports(tree: ast.Module) -> list[str]:

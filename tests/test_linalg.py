@@ -1,9 +1,15 @@
 """Linear-algebra substrate: kron, eigensolvers, the residual-stack norm, banded products."""
 
+import importlib.machinery
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from susyrabi import dense
+from susyrabi import dense, linalg
 from susyrabi.dense import hermitian_eigs, kron
 from susyrabi.errors import DimensionError
 from susyrabi.linalg import band_times, banded_eigh, banded_lowest
@@ -138,3 +144,48 @@ def test_band_times_rejects_mismatched_columns():
         band_times(np.ones((2, 4)), np.ones((3, 2)))
     with pytest.raises(DimensionError):
         band_times(np.ones(4), np.ones((4, 2)))
+
+
+# banded_lowest calls scipy's f2py dsbevx wrapper directly; it must return
+# exactly what scipy.linalg.eig_banded returns (banded_eigh's dstevd is
+# checked in test_properties.py).
+@st.composite
+def band_requests(draw):
+    """A tri- or pentadiagonal band in lower storage, and levels start .. m - 1 of it."""
+    rows = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=1, max_value=24))
+    band = draw(arrays(np.float64, (rows, n), elements=st.floats(-1e3, 1e3)))
+    m = draw(st.integers(min_value=1, max_value=n))
+    start = draw(st.integers(min_value=0, max_value=m - 1))
+    return band, m, start
+
+
+@settings(deadline=None)
+@given(band_requests())
+@example((np.array([[1.5], [0.0]]), 1, 0))
+@example((np.arange(18.0).reshape(3, 6) - 7.0, 6, 2))
+@example((np.arange(12.0).reshape(2, 6) - 5.0, 6, 0))
+def test_banded_lowest_equals_eig_banded(case):
+    band, m, start = case
+    want = sla.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                          select_range=(start, m - 1))
+    # In Fortran order the wrapper could work in place; the band must not change.
+    for arg in (band, np.asfortranarray(band)):
+        before = arg.copy()
+        assert np.array_equal(banded_lowest(arg, m, start), want)
+        np.testing.assert_array_equal(arg, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_banded_lowest_rejects_non_finite_band(bad):
+    band = np.ones((3, 5))
+    band[1, 2] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        banded_lowest(band, 2)
+
+
+def test_flapack_falls_back_to_the_plain_import(monkeypatch):
+    # With no extension file found by suffix, the loader imports the module
+    # through scipy.linalg instead.
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    assert linalg._load_flapack() is sla._flapack

@@ -96,10 +96,11 @@ def test_skew_tridiagonal_exp_matches_dense_exponential(e):
     np.testing.assert_allclose(u, dense_exp(k), rtol=0, atol=1e-13)
 
 
-# The tridiagonal eigensolver (LAPACK dstevd) against scipy's eig_banded
-# (dsbevd, which runs the same divide and conquer and then multiplies by an
-# identity Q): bitwise equal.  Against the dense eigh, tolerances fixed in
-# advance: 1e-12 relative to max(1, |T|_2) for the eigenvalues and for
+# The tridiagonal eigensolver (LAPACK dstevd) against scipy's
+# lapack.dstevd and eig_banded (dsbevd, which runs the same divide and
+# conquer and then multiplies by an identity Q): bitwise equal.  Against
+# the dense eigh, tolerances fixed in advance: 1e-12 relative to
+# max(1, |T|_2) for the eigenvalues and for
 # |TV - V Lambda|_2, and 1e-12 absolute for |V^T V - 1|_2.  The dense
 # eigenvalues are hermitian_eigs', which drops entries below rounding first:
 # a raw eigvalsh puts the +/-2 of the pinned example with 1.46e-161 entries
@@ -125,10 +126,15 @@ def tridiagonal_bands(draw):
 @example(band=np.array([[1.46434136e-161] * 4, [1.46434136e-161, 1.46434136e-161, 2.0, 0.0]]))
 def test_banded_eigh_equals_eig_banded_and_dense_eigh(band):
     values, vectors = banded_eigh(band)
-    want_values, want_vectors = sla.eig_banded(band, lower=True)
-    np.testing.assert_array_equal(values, want_values)
-    np.testing.assert_array_equal(vectors, want_vectors)
     n = band.shape[1]
+    # banded_eigh calls the dstevd wrapper directly; so does lapack.dstevd.
+    d_values, d_vectors, info = sla.lapack.dstevd(band[0], band[1, : max(n - 1, 1)])
+    assert info == 0
+    want_values, want_vectors = sla.eig_banded(band, lower=True)
+    for want in (want_values, d_values):
+        np.testing.assert_array_equal(values, want)
+    for want in (want_vectors, d_vectors):
+        np.testing.assert_array_equal(vectors, want)
     t = np.diag(band[0]) + np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
     scale = max(1.0, np.linalg.norm(t, 2))
     assert np.max(np.abs(values - hermitian_eigs(t)[0])) <= TRIDIAGONAL_RTOL * scale

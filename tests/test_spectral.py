@@ -33,6 +33,7 @@ from susyrabi.model import (
     Schedule,
     charge_pairs,
     parity_chains,
+    renormalized_frequency,
     squeezed_chains,
 )
 from susyrabi.output import emit_flow_csv
@@ -198,6 +199,48 @@ def test_spectral_flow_g_cap():
     fp = FockParams(n_fock=64, buffer=16)
     with pytest.raises(TruncationError, match="reduce the coupling range$"):
         spectral_flow_g(OMEGA, 0.0, [0.0, 500.0], 4, fp)
+
+
+def test_spectral_flow_g_sizes_every_point_before_building_chains(monkeypatch):
+    # g = 120 is the first point past the cap; no point below it is solved first.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return squeezed_chains(*args)
+
+    monkeypatch.setattr(spectral, "squeezed_chains", counting)
+    fp = FockParams(n_fock=64, buffer=16)
+    with pytest.raises(TruncationError, match=r"^g=120\.0 requires n_fock above the cap 2048"):
+        spectral_flow_g(OMEGA, 0.0, [0.0, 50.0, 100.0, 120.0, 1000.0], 4, fp)
+    assert built == []
+    spectral_flow_g(OMEGA, 0.0, [0.0, 50.0], 4, fp)
+    assert [args[1].n_fock for args in built] == [64, 512]
+
+
+def unbounded_n_fock(omega, c, g, n_min):
+    """required_n_fock's doubling with no cap."""
+    omega_g, g_tilde = renormalized_frequency(omega, c, g)
+    n = max(n_min, 8)
+    while n < 8.0 * (g_tilde / omega_g) ** 2:
+        n *= 2
+    return n
+
+
+@pytest.mark.parametrize("c", [0.0, 0.0377, 0.2513])
+def test_required_n_fock_stops_doubling_past_the_cap(c):
+    # Every N at or under the cap is the unbounded rule's; past it the rule
+    # stops at its first doubling above the cap, even where it would run to
+    # hundreds of digits.
+    cap = spectral.CONVERGENCE_N_CAP
+    for g in [0.0, *np.geomspace(1.0, 1e150, 61)]:
+        for n_min in (8, 64, 100, 256):
+            want = unbounded_n_fock(OMEGA, c, g, n_min)
+            got = required_n_fock(OMEGA, c, g, n_min=n_min)
+            if want <= cap:
+                assert got == want
+            else:
+                assert cap < got <= 2 * cap
 
 
 def test_sweep_hamiltonian_g_includes_self_energy(fp_small):
