@@ -4,11 +4,10 @@ A basis state of the qubit (x) N-level boson is labelled by the index
 s*N + n, with s=0 the up-spin |up> = (1,0)^T, s=1 the down-spin, and n
 the Fock level 0..N-1.  The spin-flip pairs of model.charge_pairs and
 the interior of interior_projector are sets of these labels; no command
-builds a matrix on the whole 2N space (those live in susyrabi.dense, the
-tests' oracle).  hbar = 1 everywhere; energies are in the paper-style
-frequency units.  The qubit operators are the module constants SX, SY,
-SZ, I2, S_PLUS and S_MINUS, read-only, so that no caller can change them
-for the others; all are real (float64) except sigma_y.
+builds a matrix on the whole 2N space.  hbar = 1 everywhere; energies
+are in the paper-style frequency units.  The qubit operators the package
+uses are the module constants SZ, I2, S_PLUS and S_MINUS, real (float64)
+and read-only, so that no caller can change them for the others.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 I2 = np.eye(2)
 S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 S_MINUS = S_PLUS.T.copy()
-for _spin in (SX, SY, SZ, I2, S_PLUS, S_MINUS):
+for _spin in (SZ, I2, S_PLUS, S_MINUS):
     _spin.flags.writeable = False
 del _spin
 

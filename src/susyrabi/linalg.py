@@ -6,13 +6,13 @@ spectrum paths use, pentadiagonal for the truncated H in its own frame.
 banded_lowest gives only the levels asked for, so spectral.lowest_k can
 extend one chain later at the cost of the new levels alone; banded_norm
 is two single-eigenvalue solves; band_times multiplies a band matrix, or
-a stack of them, by dense columns in O(N) per column; banded_eigh gives
+a stack of them, by full columns in O(N) per column; banded_eigh gives
 all eigenpairs of a tridiagonal chain through LAPACK dstevd, as
 (values, vectors) like numpy's eigh, for the Witten index and for
 skew_tridiagonal_exp, the one matrix exponential here (the displacement
 and squeeze generators are real skew-symmetric tridiagonal).
-_drop_negligible guards the dense eigensolves of transforms._leading_norm
-and of the oracle in susyrabi.dense against entries far below the rest.
+_drop_negligible guards the batched eigensolve of transforms._leading_norm
+(and the tests' reference eigensolver) against entries far below the rest.
 
 The two LAPACK calls, dsbevx and dstevd, use the f2py wrappers of scipy's
 extension module scipy.linalg._flapack, loaded on its own (_load_flapack):
@@ -62,8 +62,9 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+_TINY = np.finfo(np.float64).tiny
 # eig_banded's abstol for dsbevx, 2 * dlamch('s'): the safe minimum is tiny.
-_ABSTOL = 2.0 * np.finfo(np.float64).tiny
+_ABSTOL = 2.0 * _TINY
 
 
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
@@ -93,6 +94,8 @@ def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     requested eigenvalues are computed (LAPACK dsbevx, as eig_banded calls it),
     so a caller can take more levels of a matrix later at the cost of the
     new ones alone.  Unless 0 <= start < m <= N it is a DimensionError.
+    Subnormal entries, which can stop dsbevx converging (as in eig_banded),
+    are zeroed first; no eigenvalue moves by more than about N * tiny.
     """
     band = np.asarray(band, dtype=float)
     if band.ndim != 2 or not 0 <= start < m <= band.shape[1]:
@@ -101,6 +104,9 @@ def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
         )
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
+    subnormal = (np.abs(band) < _TINY) & (band != 0.0)
+    if subnormal.any():
+        band = np.where(subnormal, 0.0, band)
     # As eig_banded(band, lower=True, eigvals_only=True, select="i",
     # select_range=(start, m - 1)) calls it, band left unchanged.
     w, _, found, _, info = _flapack.dsbevx(

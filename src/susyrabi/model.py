@@ -5,8 +5,7 @@ quadratic (A^2-type) boson self-interaction c*g^2*(a+a_dag)^2; the
 r-parameterized path runs from the free N=2 SUSY oscillator at r=0 to
 the broken, frequency-renormalized one at r=1 (hbar = 1).  H is held as
 its two parity chains (ParityChains), the charges as 2 x 2 blocks on
-their spin-flip pairs (charge_pairs).  The dense 2N x 2N builders, the
-tests' reference oracle, live in susyrabi.dense alone.
+their spin-flip pairs (charge_pairs); no 2N x 2N matrix is built.
 """
 
 from __future__ import annotations
@@ -200,8 +199,8 @@ def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
     diagonal      omega_b(n+1/2) +/- (omega_a/2)(-1)^n + c g^2 (x^2)_nn + shift,
     first band    g sqrt(n+1),
     second band   c g^2 sqrt((n+1)(n+2)).
-    (x^2)_nn is that of the literal truncated product x @ x
-    (dense.hamiltonian): 2n+1, except N-1 (not 2N-1) in the corner n = N-1.
+    (x^2)_nn is that of the literal truncated product x @ x:
+    2n+1, except N-1 (not 2N-1) in the corner n = N-1.
     Without an A^2 term (c g^2 = 0) the second band is zero and left
     out, so the chains are tridiagonal.
     """
@@ -224,7 +223,7 @@ def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
 def squeezed_chains(p: ModelParams, fp: FockParams) -> ParityChains:
     """The truncated H of p in the A^2-removing squeezed frame, as parity chains.
 
-    The squeeze that verify checks (transforms.u_a2_with_report) maps H(omega_a,
+    The squeeze that verify checks (transforms.a2_removal_report) maps H(omega_a,
     omega_b, g, c) onto the Rabi Hamiltonian H(omega_a, omega_g, g_tilde,
     0) with (omega_g, g_tilde) = renormalized_frequency(omega_b, c, g),
     and leaves sz alone, so these are the parity_chains of that
@@ -248,9 +247,7 @@ class SuperchargeSet:
     up-spin index of the 2N basis in exactly one row and each down-spin
     index too.  Every charge, the grading and the Hamiltonian the charges
     belong to have no entry outside these 2 x 2 blocks.  charge_pairs
-    gives the operators as (N, 2, 2) stacks of those blocks (the dense
-    free_supercharges and broken_supercharges scatter them into 2N x 2N
-    arrays).
+    gives the operators as (N, 2, 2) stacks of those blocks.
     """
 
     q1: np.ndarray

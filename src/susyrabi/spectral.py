@@ -1,17 +1,16 @@
 """Spectral flows, degeneracy grouping, Witten index and algebra reports.
 
-The spectrum paths (sweeps over r and g, truncation convergence, the
-limit and no-go checks, and the spectrum and converge commands) solve
-the Hamiltonian in the squeezed frame without the A^2 term, as its two
-tridiagonal parity chains (model.squeezed_chains), with the banded core
-in lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
+The spectrum paths (sweeps over r and g, truncation convergence, and
+the spectrum and converge commands) solve the Hamiltonian in the
+squeezed frame without the A^2 term, as its two tridiagonal parity
+chains (model.squeezed_chains), with the banded core in lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
 shift included (Schedule.params(r) on the r path, sweep_params_g on the
 coupling sweep); a point that needs a larger truncation solves at
 replace(fp, n_fock=n), up to CONVERGENCE_N_CAP, read at each call.  The
 Witten index takes the levels of the same chains graded by -sz, which
 the squeeze leaves alone (graded_levels).  witten_index and
 truncation_convergence take levels, not H, so the tests also feed them
-those of the dense oracle (susyrabi.dense).  The algebra reports and
+those of their own 2N x 2N reference matrices.  The algebra reports and
 the goldstino check take H and the charges as the (N, 2, 2) stacks of
 their spin-flip pairs (model.charge_pairs), so every product is a
 batched 2 x 2 one and every block norm a closed-form one, O(N) in all.
@@ -217,53 +216,6 @@ def spectral_flow_g(
         for g, fp_g in zip(g_grid, sizes)
     )
     return FlowResult(grid=g_grid, tables=tables, sweep_kind="g_sweep")
-
-
-@dataclass(frozen=True)
-class NoGoReport:
-    """Strong-coupling comparison against the analytic limit pattern."""
-
-    g: float
-    c: float
-    max_deviation: float
-    self_energy: float
-    self_energy_limit: float | None  # 1/(4c); None when c = 0
-
-
-def no_go_asymptote_check(
-    omega: float, c: float, g: float, k: int, fp: FockParams
-) -> NoGoReport:
-    """Compare the sweep spectrum at strong coupling with its limit.
-
-    c = 0: target omega*(n+1/2) doubly degenerate (spontaneous breaking);
-    c > 0: target omega(g)*(n+1/2) +/- omega/2 (explicit breaking).
-
-    Both targets are g -> infinity limits.  At finite g with c > 0 the
-    lowest pair is split by omega*exp(-2*beta^2), beta = g_tilde/omega(g),
-    not by omega, so max_deviation is a sizeable fraction of omega there
-    (0.062*omega at g = 5*omega, c = 0.2513, k = 6); only a bound such as
-    0.5*omega holds.  The point is the coupling sweep's (_sweep_point_fock),
-    so one needing more than CONVERGENCE_N_CAP levels is a TruncationError.
-    """
-    if g < 3.0 * omega:
-        raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
-    fp_g = _sweep_point_fock(omega, c, g, fp)
-    vals = lowest_k(squeezed_chains(sweep_params_g(omega, c, g), fp_g), k)
-    omega_g = renormalized_frequency(omega, c, g)[0]
-    if c == 0.0:
-        target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]
-        limit = None
-    else:
-        ladder = omega_g * (np.arange(k) + 0.5)
-        target = np.sort(np.concatenate([ladder - omega / 2, ladder + omega / 2]))[:k]
-        limit = 1.0 / (4.0 * c)
-    return NoGoReport(
-        g=g,
-        c=c,
-        max_deviation=float(np.max(np.abs(vals - target))),
-        self_energy=self_energy(omega, c, g),
-        self_energy_limit=limit,
-    )
 
 
 @dataclass(frozen=True)
@@ -526,36 +478,4 @@ def goldstino_check(omega: float, fp: FockParams) -> GoldstinoReport:
     increment = max(abs(energy_p - e0), abs(energy_m - e0))
     return GoldstinoReport(
         residual_plus=res_p, residual_minus=res_m, energy_increment=increment
-    )
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Comparison of the r=1 spectrum with the heavy-boson ladder."""
-
-    max_deviation: float
-    ground_energy: float
-    omega_g: float
-    groups_r0: tuple[int, ...]
-    groups_r1: tuple[int, ...]
-
-
-def limit_check(s: Schedule, fp: FockParams, k: int = 8) -> LimitReport:
-    """Compare lowest_k(H(1)) against the analytic omega_g*(n+1/2) ladder.
-
-    Each rung of the ladder is doubly degenerate (the spectrum of
-    dense.heavy_hamiltonian), so the target is its lowest k entries.
-    Both endpoints are grouped at DEGENERACY_TOL.
-    """
-    vals_r1 = lowest_k(squeezed_chains(s.params(1.0), fp), k)
-    target = np.repeat(s.omega_g(1.0) * (np.arange(k) + 0.5), 2)[:k]
-    vals_r0 = lowest_k(squeezed_chains(s.params(0.0), fp), k)
-    groups_r0 = tuple(size for _, size in degeneracy_groups(vals_r0))
-    groups_r1 = tuple(size for _, size in degeneracy_groups(vals_r1))
-    return LimitReport(
-        max_deviation=float(np.max(np.abs(vals_r1 - target))),
-        ground_energy=float(vals_r1[0]),
-        omega_g=s.omega_g(1.0),
-        groups_r0=groups_r0,
-        groups_r1=groups_r1,
     )

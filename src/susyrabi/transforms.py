@@ -11,7 +11,7 @@ Fock support: a rule in zeta or in beta sqrt(N), with TruncationError
 where fewer than 8 levels would remain.
 
 Each of the three checks holds its operands as the blocks its algebra
-gives it, with no dense 2N x 2N operand:
+gives it, with no 2N x 2N operand:
 
 - A^2 removal: S(zeta) couples only levels of equal parity, so 1 (x) S
   is S on each parity chain, and the check conjugates the chains of H
@@ -30,13 +30,12 @@ The squeeze and polaron residuals are symmetric (2, cut, cut) stacks, so
 each norm is one batched eigvalsh (_leading_norm).  squeeze and
 displacement are the paper's formulas, each one real
 linalg.skew_tridiagonal_exp; the tests compare each check with numpy on
-the dense operators that susyrabi.dense builds from them.
+2N x 2N reference operators built from them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +78,11 @@ def displacement(beta: float, fp: FockParams) -> np.ndarray:
     """D(beta) = exp[beta (a_dag - a)] on the boson factor, real.
 
     The generator is real skew-symmetric tridiagonal with sub-diagonal
-    beta sqrt(n+1), so D is one linalg.skew_tridiagonal_exp.
+    beta sqrt(n+1), so D is one linalg.skew_tridiagonal_exp.  It has no
+    amplitude guard of its own: its one caller, the polaron check, keeps
+    at least 8 levels below N - ceil(POLARON_SPREAD beta sqrt(N)), which
+    holds beta^2 below N/9.
     """
-    if beta**2 > fp.n_fock / 2:
-        raise TruncationError(
-            f"displacement amplitude {beta} too large for n_fock={fp.n_fock} "
-            f"(need beta^2 < N/2)"
-        )
-    if beta**2 > fp.n_fock / 4:
-        warnings.warn(
-            f"displacement amplitude {beta} close to the truncation boundary "
-            f"(beta^2 > N/4 at N={fp.n_fock})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return skew_tridiagonal_exp(beta * np.sqrt(np.arange(1.0, fp.n_fock)))
 
 
@@ -159,8 +149,8 @@ def _leading_norm(block: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).max(initial=0.0))
 
 
-def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, TransformReport]:
-    """Squeeze S removing the A^2 term, plus its verification report.
+def a2_removal_report(p: ModelParams, fp: FockParams) -> TransformReport:
+    """Check that the squeeze S(zeta) removes the A^2 term.
 
     Conjugation by U = 1 (x) S(zeta), zeta = log(omega_g/omega_b)/2, maps
     H(omega_a, omega_b, g, c) to the plain Rabi Hamiltonian at the
@@ -177,8 +167,7 @@ def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, Transf
     the leading cut columns S_c of S enter the residual's leading block,
     so it is S_c^T (L S_c) - R_c, with L S_c from L's bands
     (linalg.band_times) and R_c the leading cut x cut blocks of R, built
-    from R's bands; no N x N chain matrix is formed.  The returned
-    unitary is the full N x N S.
+    from R's bands; no N x N chain matrix is formed.
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
@@ -188,7 +177,7 @@ def u_a2_with_report(p: ModelParams, fp: FockParams) -> tuple[np.ndarray, Transf
     lead = s[:, :cut]
     diff = lead.T @ band_times(parity_chains(p, fp).bands, lead)
     diff -= ParityChains(rhs.bands[:, :, :cut]).matrices()
-    return s, TransformReport(
+    return TransformReport(
         _leading_norm(diff) / max(1.0, max(banded_norm(b) for b in rhs.bands))
     )
 

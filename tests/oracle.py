@@ -1,4 +1,4 @@
-"""The dense 2N x 2N reference oracle: builders and solvers of the full matrix.
+"""The tests' reference oracles: the dense 2N x 2N matrices and the Juddian levels.
 
 The one module that knows the dense layout of the qubit (x) boson space:
 index s*N + n (s = 0 the up-spin, n the Fock level), so an operator is
@@ -6,10 +6,11 @@ kron(spin, boson).  Commands solve the model on its parity chains or its
 2 x 2 spin-flip pairs instead; the tests check those against the
 matrices and the one dense eigh here (hermitian_eigs, which returns
 (values, vectors) as numpy's eigh does), with its own square-shape check
-and Hermiticity tolerance.  No other module imports this one.
-lowest_levels and graded_levels mirror spectral.lowest_k and
-spectral.graded_levels, so spectral.truncation_convergence and
-spectral.witten_index, which take levels, run on either path.
+and Hermiticity tolerance, and against the exact levels of
+juddian_points.  lowest_levels and graded_levels mirror spectral.lowest_k
+and spectral.graded_levels, so spectral.truncation_convergence and
+spectral.witten_index, which take levels, run on either path.  No
+package module imports this one; pytest puts tests/ on sys.path.
 """
 
 from __future__ import annotations
@@ -19,15 +20,22 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from . import transforms
-from .errors import DimensionError, SolverError, ValidationError
-from .fock import I2, S_MINUS, S_PLUS, SX, SZ, FockParams
-from .linalg import _drop_negligible
-from .model import (
-    ModelParams, Schedule, SuperchargeSet, charge_pairs, heavy_field_coefficients, self_energy,
+from susyrabi import transforms
+from susyrabi.errors import DimensionError, SolverError, ValidationError
+from susyrabi.fock import I2, S_MINUS, S_PLUS, SZ, FockParams
+from susyrabi.linalg import _drop_negligible
+from susyrabi.model import (
+    ModelParams, Schedule, SuperchargeSet, charge_pairs, heavy_field_coefficients,
+    renormalized_frequency, self_energy,
 )
-from .spectral import AlgebraReport, pair_algebra_report, sweep_params_g
+from susyrabi.spectral import AlgebraReport, pair_algebra_report, sweep_params_g
+
+# sigma_x and sigma_y, read-only like the qubit constants of susyrabi.fock.
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SX.flags.writeable = SY.flags.writeable = False
 
 # Hard cap on produced matrix dimension; protects kron from runaway sizes.
 MAX_DIM = 8192
@@ -310,3 +318,56 @@ def u_polaron(beta: float, fp: FockParams) -> np.ndarray:
     spin_a = (S_MINUS - I2) @ S_PLUS
     spin_b = (S_PLUS + I2) @ S_MINUS
     return (kron(spin_a, d) + kron(spin_b, d.conj().T)) / math.sqrt(2.0)
+
+
+def juddian_polynomial(n: int, g: float, delta: float) -> float:
+    """Kus's P_n(g; delta), in units of the boson frequency, delta = omega_a/2.
+
+    P_0 = 1, P_1 = 4g^2 + delta^2 - 1 and, for k = 2 .. n,
+    P_k = (4kg^2 + delta^2 - k^2) P_{k-1} - 4k(k-1)(n-k+1) g^2 P_{k-2}.
+    Where P_n(g) = 0 (n >= 1), E = n - g^2 + 1/2 is an exact level of
+    the untruncated H(2 delta, 1, g, 0), the +1/2 being this package's
+    omega_b (n + 1/2): level n of each parity chain, so an exact crossing
+    with 2n levels below it.  Kus, J. Math. Phys. 26, 2792 (1985);
+    Braak, PRL 107, 100401 (2011).
+    """
+    prev, cur = 0.0, 1.0
+    for k in range(1, n + 1):
+        prev, cur = cur, (
+            (4 * k * g**2 + delta**2 - k**2) * cur - 4 * k * (k - 1) * (n - k + 1) * g**2 * prev
+        )
+    return cur
+
+
+def juddian_points(
+    omega_a: float, omega_b: float, c: float, n: int, g_max: float
+) -> list[tuple[float, float]]:
+    """Couplings g in (0, g_max] where H(omega_a, omega_b, g, c) has a Juddian level n.
+
+    The squeeze that removes the A^2 term maps H onto the Rabi model
+    H(omega_a, omega_g, g_tilde, 0), (omega_g, g_tilde) =
+    renormalized_frequency(omega_b, c, g), exactly in the untruncated
+    space.  In units omega_g = 1 that model has coupling g_tilde/omega_g
+    and delta = omega_a/(2 omega_g), so each g is a root of
+    juddian_polynomial there, bracketed by a sign change over 400 equal
+    steps of (0, g_max] and refined by brentq to rounding; two roots
+    within one step are missed.  Returns (g, E) pairs, E =
+    omega_g (n - (g_tilde/omega_g)^2 + 1/2).
+    """
+
+    def frame(g):
+        omega_g, g_tilde = renormalized_frequency(omega_b, c, g)
+        return omega_g, g_tilde / omega_g, omega_a / (2.0 * omega_g)
+
+    def p_n(g):
+        return juddian_polynomial(n, *frame(g)[1:])
+
+    grid = np.linspace(0.0, g_max, 401)[1:]
+    values = [p_n(g) for g in grid]
+    points = []
+    for lo, hi, p_lo, p_hi in zip(grid, grid[1:], values, values[1:]):
+        if p_lo * p_hi < 0.0:
+            g = brentq(p_n, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
+            omega_g, x, _ = frame(g)
+            points.append((g, omega_g * (n - x**2 + 0.5)))
+    return points

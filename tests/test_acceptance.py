@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from susyrabi import dense
 from susyrabi.fock import FockParams
 from susyrabi.model import (
     ModelParams,
@@ -35,10 +34,12 @@ from susyrabi.spectral import (
     witten_index,
 )
 from susyrabi.transforms import (
+    a2_removal_report,
     field_identity_report,
     polaron_equivalence_report,
-    u_a2_with_report,
 )
+
+import oracle
 
 OMEGA = 6.2832
 G_MAX = 6.2832
@@ -56,7 +57,7 @@ def pair_ladder(spacing: float, k: int) -> np.ndarray:
 def test_criterion_01_free_susy_spectrum():
     t0 = time.monotonic()
     fp = FockParams(n_fock=128, buffer=32)
-    vals = dense.lowest_levels(dense.hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp), 7)
+    vals = oracle.lowest_levels(oracle.hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp), 7)
     elapsed = time.monotonic() - t0
     expected = np.array([0, 1, 1, 2, 2, 3, 3]) * OMEGA
     dev = float(np.max(np.abs(vals - expected)))
@@ -66,7 +67,7 @@ def test_criterion_01_free_susy_spectrum():
 
 def test_criterion_02_broken_spectrum():
     fp = FockParams(n_fock=128, buffer=32)
-    vals = dense.lowest_levels(dense.hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp), 6)
+    vals = oracle.lowest_levels(oracle.hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp), 6)
     dev = float(np.max(np.abs(vals - pair_ladder(OMEGA, 6))))
     ok = dev <= 1e-8 and vals[0] > 0
     assert report("2", ok, f"max dev {dev:.2e}, ground {vals[0]:.4f} > 0")
@@ -75,10 +76,10 @@ def test_criterion_02_broken_spectrum():
 def test_criterion_03_susy_algebra_suite():
     t0 = time.monotonic()
     fp = FockParams(n_fock=256, buffer=64)
-    h_free = dense.hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp)
-    h_broken = dense.hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp)
-    free = dense.susy_algebra_report(h_free, dense.free_supercharges(OMEGA, fp), fp)
-    broken = dense.susy_algebra_report(h_broken, dense.broken_supercharges(OMEGA, fp), fp)
+    h_free = oracle.hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp)
+    h_broken = oracle.hamiltonian(ModelParams(0.0, OMEGA, 0.0, 0.0), fp)
+    free = oracle.susy_algebra_report(h_free, oracle.free_supercharges(OMEGA, fp), fp)
+    broken = oracle.susy_algebra_report(h_broken, oracle.broken_supercharges(OMEGA, fp), fp)
     worst = max(
         v
         for rep in (free, broken)
@@ -105,8 +106,8 @@ def test_criterion_04_witten_index_transition(c):
     fp = FockParams(n_fock=256, buffer=64)
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=c)
     beta = 5.0 / OMEGA
-    w0 = witten_index(dense.graded_levels(dense.h_total_r(s, 0.0, fp)), beta).index_value
-    w1 = witten_index(dense.graded_levels(dense.h_total_r(s, 1.0, fp)), beta).index_value
+    w0 = witten_index(oracle.graded_levels(oracle.h_total_r(s, 0.0, fp)), beta).index_value
+    w1 = witten_index(oracle.graded_levels(oracle.h_total_r(s, 1.0, fp)), beta).index_value
     ok = abs(w0 - 1.0) <= 1e-3 and abs(w1) <= 1e-3
     assert report(f"4 (C={c})", ok, f"index {w0:.6f} -> {w1:.6f}")
 
@@ -138,13 +139,13 @@ def test_criterion_06_no_level_pairing_split():
     n = required_n_fock(OMEGA, c, g, n_min=256)
     fp = FockParams(n_fock=n, buffer=64)
     rep = truncation_convergence(
-        lambda fp: dense.lowest_levels(dense.sweep_hamiltonian_g(OMEGA, c, g, fp), 2), 1e-9, fp
+        lambda fp: oracle.lowest_levels(oracle.sweep_hamiltonian_g(OMEGA, c, g, fp), 2), 1e-9, fp
     )
     split = float(rep.energies[1] - rep.energies[0])
     omega_g, g_tilde = renormalized_frequency(OMEGA, c, g)
     closed_form = OMEGA * math.exp(-2.0 * (g_tilde / omega_g) ** 2)
     rel = (split - closed_form) / closed_form
-    vals_c0 = dense.lowest_levels(dense.sweep_hamiltonian_g(OMEGA, 0.0, g, fp), 2)
+    vals_c0 = oracle.lowest_levels(oracle.sweep_hamiltonian_g(OMEGA, 0.0, g, fp), 2)
     split_c0 = float(vals_c0[1] - vals_c0[0])
     # 1e-2 covers the O((omega/omega_g)^2) correction to the leading-order
     # polaron split, measured at -7.2e-3 here.
@@ -179,7 +180,7 @@ def test_criterion_06_self_energy_saturation():
 def test_criterion_07_mass_enhanced_ground_energy(c):
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=c)
     rep = truncation_convergence(
-        lambda fp: dense.lowest_levels(dense.h_total_r(s, 1.0, fp), 7),
+        lambda fp: oracle.lowest_levels(oracle.h_total_r(s, 1.0, fp), 7),
         1e-6,
         FockParams(n_fock=64, buffer=16),
     )
@@ -197,7 +198,7 @@ def test_criterion_08_transform_identities():
     fp_squeeze = FockParams(n_fock=384, buffer=96)
     fp = FockParams(n_fock=256, buffer=64)
     worst_a2 = max(
-        u_a2_with_report(ModelParams(OMEGA, OMEGA, G_MAX, c), fp_squeeze)[1].residual
+        a2_removal_report(ModelParams(OMEGA, OMEGA, G_MAX, c), fp_squeeze).residual
         for c in (0.2513, 0.628, 1.257)
     )
     polaron = polaron_equivalence_report(OMEGA, OMEGA, G_MAX, fp).residual

@@ -349,8 +349,9 @@ def test_cli_import_sets_openblas_timeout_without_heavy_scipy(preset, want):
     assert probe["unused"] == []
 
 
-# Every command, and an error path, in one process: none may load the dense
-# 2N x 2N oracle, which only the tests use, or any module of UNUSED.
+# Every command, and an error path, in one fresh process, where tests/ is
+# not on sys.path as it is under pytest: each exits as expected, so none
+# needs a module of the tests, and none loads a module of UNUSED.
 COMMANDS_PROBE = (
     "import contextlib, io, json, sys, tempfile\n"
     "from susyrabi.cli import run_command\n"
@@ -364,18 +365,18 @@ COMMANDS_PROBE = (
     "         '--out-svg', tmp + '/r.svg'],\n"
     "        ['sweep', *fast, '--sweep-kind', 'g', '--sweep-points', '3',\n"
     "         '--out-csv', tmp + '/g.csv']]]\n"
-    "print(json.dumps({'codes': codes, 'dense': 'susyrabi.dense' in sys.modules,"
+    "print(json.dumps({'codes': codes,"
     f" 'unused': [m for m in {UNUSED!r} if m in sys.modules]}}))\n"
 )
 
 
-def test_commands_never_load_the_dense_oracle():
-    run = subprocess.run([sys.executable, "-c", COMMANDS_PROBE],
+def test_commands_exit_as_expected_in_a_fresh_interpreter(tmp_path):
+    # Run from tmp_path: `python -c` puts its working directory on sys.path.
+    run = subprocess.run([sys.executable, "-c", COMMANDS_PROBE], cwd=tmp_path,
                          capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     probe = json.loads(run.stdout)
     assert probe["codes"] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
-    assert probe["dense"] is False
     assert probe["unused"] == []
 
 
@@ -409,33 +410,23 @@ def test_scipy_linalg_imports_after_a_command():
                                       "eigh": True}
 
 
-def dense_imports(tree: ast.Module) -> list[str]:
-    """Every import of susyrabi.dense in a module, relative or absolute, at any depth."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name == "susyrabi.dense"]
-        elif isinstance(node, ast.ImportFrom):
-            package = "." * node.level + (node.module or "")
-            names = [a.name for a in node.names]
-            if package in (".dense", "susyrabi.dense") or (
-                package in (".", "susyrabi") and "dense" in names
-            ):
-                found.append(package)
-    return found
-
-
-def test_no_module_but_dense_reaches_the_dense_oracle():
-    # The source side of the split above: outside dense.py no module
-    # imports susyrabi.dense, in a function or at the top, and none
-    # forwards names through a module-level __getattr__ (PEP 562).
+def test_no_src_module_imports_the_tests():
+    # The source side of COMMANDS_PROBE: no package module imports the
+    # tests' oracle, or any other module of tests/, in a function or at
+    # the top.
+    tests = Path(__file__).resolve().parent
+    local = {path.stem for path in tests.glob("*.py")} | {"tests"}
+    assert "oracle" in local
     package = Path(susyrabi.__file__).parent
-    modules = sorted(p for p in package.glob("*.py") if p.name != "dense.py")
+    modules = sorted(package.glob("*.py"))
     assert package / "cli.py" in modules
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        assert dense_imports(tree) == [], path.name
-        hooks = [node for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and node.name == "__getattr__"]
-        assert hooks == [], path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & local, (path.name, names)

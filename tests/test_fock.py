@@ -3,22 +3,23 @@
 import numpy as np
 import pytest
 
-from susyrabi.dense import (
-    basis_state,
-    embed_boson,
-    embed_qubit,
-    make_operators,
-)
 from susyrabi.errors import DimensionError, ValidationError
 from susyrabi.fock import (
     I2,
     S_MINUS,
     S_PLUS,
-    SX,
-    SY,
     SZ,
     FockParams,
     interior_projector,
+)
+
+from oracle import (
+    SX,
+    SY,
+    basis_state,
+    embed_boson,
+    embed_qubit,
+    make_operators,
 )
 
 

@@ -6,26 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from susyrabi.dense import (
-    basis_state,
-    broken_supercharges,
-    embed_boson,
-    embed_qubit,
-    free_supercharges,
-    h_interaction,
-    h_susy_ss,
-    h_total_r,
-    hamiltonian,
-    heavy_field,
-    heavy_hamiltonian,
-    make_operators,
-)
 from susyrabi.errors import ValidationError
 from susyrabi.fock import (
     S_MINUS,
     S_PLUS,
-    SX,
-    SY,
     SZ,
     FockParams,
     interior_projector,
@@ -39,6 +23,23 @@ from susyrabi.model import (
     squeezed_chains,
 )
 from susyrabi.spectral import sweep_params_g
+
+from oracle import (
+    SX,
+    SY,
+    basis_state,
+    broken_supercharges,
+    embed_boson,
+    embed_qubit,
+    free_supercharges,
+    h_interaction,
+    h_susy_ss,
+    h_total_r,
+    hamiltonian,
+    heavy_field,
+    heavy_hamiltonian,
+    make_operators,
+)
 
 OMEGA = 6.2832
 

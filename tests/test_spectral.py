@@ -6,23 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from susyrabi import dense, spectral
-from susyrabi.dense import (
-    broken_supercharges,
-    embed_qubit,
-    free_supercharges,
-    h_total_r,
-    hamiltonian,
-    kron,
-    make_operators,
-    susy_algebra_report,
-    sweep_hamiltonian_g,
-)
+from susyrabi import spectral
 from susyrabi.errors import DimensionError, InvalidBetaError, TruncationError, ValidationError
 from susyrabi.fock import (
     S_MINUS,
     S_PLUS,
-    SX,
     SZ,
     FockParams,
     interior_projector,
@@ -34,6 +22,7 @@ from susyrabi.model import (
     charge_pairs,
     parity_chains,
     renormalized_frequency,
+    self_energy,
     squeezed_chains,
 )
 from susyrabi.output import emit_flow_csv
@@ -41,15 +30,28 @@ from susyrabi.spectral import (
     degeneracy_groups,
     goldstino_check,
     graded_levels,
-    limit_check,
     lowest_k,
-    no_go_asymptote_check,
     pair_algebra_report,
     required_n_fock,
     spectral_flow_g,
     spectral_flow_r,
+    sweep_params_g,
     truncation_convergence,
     witten_index,
+)
+
+import oracle
+from oracle import (
+    SX,
+    broken_supercharges,
+    embed_qubit,
+    free_supercharges,
+    h_total_r,
+    hamiltonian,
+    kron,
+    make_operators,
+    susy_algebra_report,
+    sweep_hamiltonian_g,
 )
 
 OMEGA = 6.2832
@@ -64,7 +66,7 @@ def test_lowest_k_orders_and_bounds(fp_small):
             lowest_k(h, k)
     # The dense oracle's mirror orders a complex matrix the same way.
     h = np.diag([3.0, -1.0, 2.0]).astype(complex)
-    np.testing.assert_allclose(dense.lowest_levels(h, 2), [-1.0, 2.0])
+    np.testing.assert_allclose(oracle.lowest_levels(h, 2), [-1.0, 2.0])
 
 
 def test_lowest_k_extends_only_the_chain_below_the_cut(monkeypatch):
@@ -251,6 +253,50 @@ def test_sweep_hamiltonian_g_includes_self_energy(fp_small):
     assert shift == pytest.approx(g**2 / OMEGA, rel=1e-12)
 
 
+@dataclasses.dataclass(frozen=True)
+class NoGoReport:
+    """Strong-coupling comparison against the analytic limit pattern."""
+
+    max_deviation: float
+    self_energy: float
+    self_energy_limit: float | None  # 1/(4c); None when c = 0
+
+
+def no_go_asymptote_check(
+    omega: float, c: float, g: float, k: int, fp: FockParams
+) -> NoGoReport:
+    """Compare the sweep spectrum at strong coupling with its limit.
+
+    c = 0: target omega*(n+1/2) doubly degenerate (spontaneous breaking);
+    c > 0: target omega(g)*(n+1/2) +/- omega/2 (explicit breaking).
+
+    Both targets are g -> infinity limits.  At finite g with c > 0 the
+    lowest pair is split by omega*exp(-2*beta^2), beta = g_tilde/omega(g),
+    not by omega, so max_deviation is a sizeable fraction of omega there
+    (0.062*omega at g = 5*omega, c = 0.2513, k = 6); only a bound such as
+    0.5*omega holds.  The point is the coupling sweep's
+    (spectral._sweep_point_fock), so one needing more than
+    CONVERGENCE_N_CAP levels is a TruncationError.
+    """
+    if g < 3.0 * omega:
+        raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
+    fp_g = spectral._sweep_point_fock(omega, c, g, fp)
+    vals = lowest_k(squeezed_chains(sweep_params_g(omega, c, g), fp_g), k)
+    omega_g = renormalized_frequency(omega, c, g)[0]
+    if c == 0.0:
+        target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]
+        limit = None
+    else:
+        ladder = omega_g * (np.arange(k) + 0.5)
+        target = np.sort(np.concatenate([ladder - omega / 2, ladder + omega / 2]))[:k]
+        limit = 1.0 / (4.0 * c)
+    return NoGoReport(
+        max_deviation=float(np.max(np.abs(vals - target))),
+        self_energy=self_energy(omega, c, g),
+        self_energy_limit=limit,
+    )
+
+
 def test_no_go_deviation_shrinks_with_coupling():
     fp = FockParams(n_fock=64, buffer=16)
     devs = [
@@ -282,7 +328,7 @@ def test_no_go_caps_the_truncation():
 def test_truncation_convergence_reports_fixed_point():
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.628)
     rep = truncation_convergence(
-        lambda fp: dense.lowest_levels(h_total_r(s, 1.0, fp), 7),
+        lambda fp: oracle.lowest_levels(h_total_r(s, 1.0, fp), 7),
         1e-6,
         FockParams(n_fock=32, buffer=8),
     )
@@ -324,8 +370,8 @@ def test_truncation_convergence_cap():
 def test_witten_index_endpoints(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     beta = 5.0 / OMEGA
-    unbroken = witten_index(dense.graded_levels(h_total_r(s, 0.0, fp_mid)), beta)
-    broken = witten_index(dense.graded_levels(h_total_r(s, 1.0, fp_mid)), beta)
+    unbroken = witten_index(oracle.graded_levels(h_total_r(s, 0.0, fp_mid)), beta)
+    broken = witten_index(oracle.graded_levels(h_total_r(s, 1.0, fp_mid)), beta)
     assert unbroken.index_value == pytest.approx(1.0, abs=1e-6)
     assert unbroken.rounded == 1
     assert broken.index_value == pytest.approx(0.0, abs=1e-6)
@@ -336,14 +382,14 @@ def test_witten_index_endpoints(fp_mid):
 def test_witten_index_free_oscillator_analytic(fp_mid):
     # For the free SUSY pair the index is exactly 1 at any valid beta:
     # every excited level cancels between the graded sectors.
-    levels = dense.graded_levels(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid))
+    levels = oracle.graded_levels(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid))
     for beta in (0.5, 1.0, 2.0):
         rep = witten_index(levels, beta)
         assert rep.index_value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_witten_index_beta_guards(fp_mid):
-    levels = dense.graded_levels(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid))
+    levels = oracle.graded_levels(hamiltonian(ModelParams(OMEGA, OMEGA, 0.0, 0.0), fp_mid))
     for beta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="beta must be finite and > 0"):
             witten_index(levels, beta)
@@ -379,12 +425,12 @@ def test_witten_index_chains_match_dense_endpoints(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     beta = 5.0 / OMEGA
     for r in (0.0, 1.0):
-        oracle = witten_index(dense.graded_levels(h_total_r(s, r, fp_mid)), beta)
+        ref = witten_index(oracle.graded_levels(h_total_r(s, r, fp_mid)), beta)
         chains = witten_index(graded_levels(squeezed_chains(s.params(r), fp_mid)), beta)
-        assert chains.index_value == pytest.approx(oracle.index_value, abs=1e-12)
-        assert chains.rounded == oracle.rounded
+        assert chains.index_value == pytest.approx(ref.index_value, abs=1e-12)
+        assert chains.rounded == ref.rounded
         assert chains.truncation_tail == pytest.approx(
-            oracle.truncation_tail, rel=tail_rel(s.c, r), abs=0
+            ref.truncation_tail, rel=tail_rel(s.c, r), abs=0
         )
 
 
@@ -395,7 +441,7 @@ def test_witten_index_on_squeezed_chains_matches_bare_chains(fp_mid, c):
     beta = 5.0 / OMEGA
     for r in (0.0, 0.5, 1.0):
         squeezed = witten_index(graded_levels(squeezed_chains(s.params(r), fp_mid)), beta)
-        bare = witten_index(dense.graded_levels(h_total_r(s, r, fp_mid)), beta)
+        bare = witten_index(oracle.graded_levels(h_total_r(s, r, fp_mid)), beta)
         assert squeezed.index_value == pytest.approx(bare.index_value, abs=1e-10)
         assert squeezed.truncation_tail == pytest.approx(
             bare.truncation_tail, rel=tail_rel(c, r), abs=0
@@ -628,6 +674,38 @@ def test_goldstino_rejects_subnormal_vacuum_energy(fp_mid, omega, recwarn):
     with pytest.raises(ValidationError, match="omega/2 is zero or subnormal"):
         goldstino_check(omega, fp_mid)
     assert not recwarn.list
+
+
+@dataclasses.dataclass(frozen=True)
+class LimitReport:
+    """Comparison of the r=1 spectrum with the heavy-boson ladder."""
+
+    max_deviation: float
+    ground_energy: float
+    omega_g: float
+    groups_r0: tuple[int, ...]
+    groups_r1: tuple[int, ...]
+
+
+def limit_check(s: Schedule, fp: FockParams, k: int = 8) -> LimitReport:
+    """Compare lowest_k(H(1)) against the analytic omega_g*(n+1/2) ladder.
+
+    Each rung of the ladder is doubly degenerate (the spectrum of
+    oracle.heavy_hamiltonian), so the target is its lowest k entries.
+    Both endpoints are grouped at DEGENERACY_TOL.
+    """
+    vals_r1 = lowest_k(squeezed_chains(s.params(1.0), fp), k)
+    target = np.repeat(s.omega_g(1.0) * (np.arange(k) + 0.5), 2)[:k]
+    vals_r0 = lowest_k(squeezed_chains(s.params(0.0), fp), k)
+    groups_r0 = tuple(size for _, size in degeneracy_groups(vals_r0))
+    groups_r1 = tuple(size for _, size in degeneracy_groups(vals_r1))
+    return LimitReport(
+        max_deviation=float(np.max(np.abs(vals_r1 - target))),
+        ground_energy=float(vals_r1[0]),
+        omega_g=s.omega_g(1.0),
+        groups_r0=groups_r0,
+        groups_r1=groups_r1,
+    )
 
 
 def test_limit_check_pairing_structure():

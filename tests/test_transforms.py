@@ -6,19 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from susyrabi.dense import (
-    basis_state,
-    embed_boson,
-    embed_qubit,
-    h_total_r,
-    hamiltonian,
-    heavy_field,
-    kron,
-    make_operators,
-    u_polaron,
-)
+from susyrabi import cli, fock, linalg, model, spectral, transforms
 from susyrabi.errors import TruncationError
-from susyrabi import cli, dense, fock, linalg, model, spectral, transforms
 from susyrabi.fock import (
     S_MINUS,
     S_PLUS,
@@ -33,12 +22,25 @@ from susyrabi.model import (
     renormalized_frequency,
 )
 from susyrabi.transforms import (
+    a2_removal_report,
     displacement,
     field_identity_report,
     polaron_equivalence_report,
     squeeze,
     squeeze_cut,
-    u_a2_with_report,
+)
+
+import oracle
+from oracle import (
+    basis_state,
+    embed_boson,
+    embed_qubit,
+    h_total_r,
+    hamiltonian,
+    heavy_field,
+    kron,
+    make_operators,
+    u_polaron,
 )
 
 OMEGA = 6.2832
@@ -63,6 +65,12 @@ def dense_residual(u, lhs, rhs, idx):
     (dense_polaron_residual).
     """
     return interior_norm(u.conj().T @ lhs @ u - rhs, idx) / max(1.0, np.linalg.norm(rhs, 2))
+
+
+def a2_angle(p):
+    """The angle zeta = log(omega_g/omega_b)/2 of the squeeze that removes the A^2 term."""
+    omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
+    return 0.5 * math.log(omega_g / p.omega_b)
 
 
 def test_displacement_zero_is_identity(fp_small):
@@ -131,14 +139,6 @@ def test_squeeze_is_real_orthogonal_and_matches_oracle(n, zeta):
     np.testing.assert_allclose(s.T @ s, np.eye(n), rtol=0, atol=1e-13)
 
 
-def test_displacement_amplitude_guard():
-    fp = FockParams(n_fock=16, buffer=4)
-    with pytest.raises(TruncationError):
-        displacement(4.0, fp)
-    with pytest.warns(RuntimeWarning):
-        displacement(2.1, fp)
-
-
 def test_squeeze_zero_is_identity(fp_small):
     np.testing.assert_allclose(squeeze(0.0, fp_small), np.eye(fp_small.n_fock), atol=1e-14)
 
@@ -180,8 +180,8 @@ def test_squeeze_interior_projector_shrinks_with_angle():
 def test_a2_removal_identity(c):
     fp = FockParams(n_fock=384, buffer=96)
     p = ModelParams(OMEGA, OMEGA, OMEGA, c)
-    s, rep = u_a2_with_report(p, fp)
-    assert rep.residual < 1e-6
+    assert a2_removal_report(p, fp).residual < 1e-6
+    s = squeeze(a2_angle(p), fp)
     assert np.linalg.norm(s.T @ s - np.eye(fp.n_fock), 2) < 1e-10
     # The squeeze maps the full model onto the plain Rabi model at the
     # renormalized parameters; their low spectra must agree too.
@@ -194,7 +194,7 @@ def test_a2_removal_identity(c):
 
 
 def test_a2_removal_trivial_without_a2_term(fp_mid):
-    s = u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.0), fp_mid)[0]
+    s = squeeze(a2_angle(ModelParams(OMEGA, OMEGA, OMEGA, 0.0)), fp_mid)
     np.testing.assert_allclose(s, np.eye(fp_mid.n_fock), atol=1e-13)
 
 
@@ -203,10 +203,10 @@ def test_a2_removal_detects_wrong_target():
     fp = FockParams(n_fock=128, buffer=32)
     p = ModelParams(OMEGA, OMEGA, OMEGA, 0.2513)
     omega_g, g_tilde = renormalized_frequency(OMEGA, p.c, p.g)
-    u = embed_boson(u_a2_with_report(p, fp)[0], fp)
+    zeta = a2_angle(p)
+    u = embed_boson(squeeze(zeta, fp), fp)
     lhs = hamiltonian(p, fp)
     wrong = hamiltonian(ModelParams(OMEGA, 2.0 * omega_g, g_tilde, 0.0), fp)
-    zeta = 0.5 * math.log(omega_g / OMEGA)
     assert dense_residual(u, lhs, wrong, interior_projector(fp, squeeze_cut(fp, zeta))) > 0.05
 
 
@@ -291,8 +291,7 @@ MISMATCH_RTOL = 1e-12
 
 def dense_a2_residual(p, fp, target):
     """S(zeta) and the dense A^2-removal residual against the target parameters."""
-    omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
-    zeta = 0.5 * math.log(omega_g / p.omega_b)
+    zeta = a2_angle(p)
     idx = interior_projector(fp, squeeze_cut(fp, zeta))
     s = squeeze(zeta, fp)
     return s, dense_residual(embed_boson(s, fp), hamiltonian(p, fp), hamiltonian(target, fp), idx)
@@ -350,16 +349,24 @@ def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch):
     except TruncationError:
         # C = 1.257 below N = 128: the squeeze leaves fewer than 8 levels.
         with pytest.raises(TruncationError):
-            u_a2_with_report(p, fp)
+            a2_removal_report(p, fp)
         return
-    s, rep = u_a2_with_report(p, fp)
-    np.testing.assert_array_equal(s, dense_s)
+    # The squeeze the check conjugates by is bitwise the oracle's S.
+    used = []
+
+    def recording_squeeze(zeta, fp):
+        used.append(squeeze(zeta, fp))
+        return used[-1]
+
+    monkeypatch.setattr(transforms, "squeeze", recording_squeeze)
+    rep = a2_removal_report(p, fp)
+    np.testing.assert_array_equal(used[0], dense_s)
     assert_matches(rep.residual, want)
     # A target at 1.01 omega_g, in the rhs chains and in the dense rhs alike.
     wrong = ModelParams(OMEGA, 1.01 * omega_g, g_tilde, 0.0)
     monkeypatch.setattr(transforms, "squeezed_chains", lambda p, fp: parity_chains(wrong, fp))
     _, want = dense_a2_residual(p, fp, wrong)
-    assert_mismatch_matches(u_a2_with_report(p, fp)[1].residual, want)
+    assert_mismatch_matches(a2_removal_report(p, fp).residual, want)
 
 
 # At omega_a = omega/2 the off-diagonal blocks of the polaron rhs, and so its
@@ -436,24 +443,24 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     # the charges' spin-flip pairs.
     fp = FockParams(n_fock=64, buffer=16)
     algebra_inputs = [
-        (hamiltonian(ModelParams(OMEGA, OMEGA), fp), dense.free_supercharges(OMEGA, fp)),
-        (hamiltonian(ModelParams(0.0, OMEGA), fp), dense.broken_supercharges(OMEGA, fp)),
+        (hamiltonian(ModelParams(OMEGA, OMEGA), fp), oracle.free_supercharges(OMEGA, fp)),
+        (hamiltonian(ModelParams(0.0, OMEGA), fp), oracle.broken_supercharges(OMEGA, fp)),
     ]
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2N x 2N builder called")
 
-    for module in (cli, dense, fock, linalg, model, spectral, transforms):
+    for module in (cli, oracle, fock, linalg, model, spectral, transforms):
         for name in ("kron", "hamiltonian", "embed_qubit", "embed_boson",
                      "free_supercharges", "broken_supercharges", "hermitian_eigs",
                      "make_operators"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     monkeypatch.setattr(np, "block", refuse)
-    u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
+    a2_removal_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
     field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
     for h, charges in algebra_inputs:
-        rep = dense.susy_algebra_report(h, charges, fp)
+        rep = oracle.susy_algebra_report(h, charges, fp)
         residuals = (rep.anticommutator, rep.commutator_with_h,
                      rep.anticommutator_with_grading, rep.nilpotency)
         assert max(v for d in residuals for v in d.values()) <= 1e-10
@@ -490,4 +497,4 @@ def test_transform_checks_make_no_n_by_n_eigensolve(monkeypatch):
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
     cut = fp.n_fock - max(fp.buffer, math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock)))
     assert shapes == [(2, cut, cut)]
-    u_a2_with_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
+    a2_removal_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
