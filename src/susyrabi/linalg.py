@@ -20,7 +20,7 @@ importing scipy.linalg (0.3-0.4 s, most of it numpy.f2py, numpy.testing
 and numpy.ma through scipy's array-API layer) would more than double
 every command's start-up for code none of them runs.  banded_lowest
 passes dsbevx the arguments scipy.linalg.eig_banded does, so both give
-the same bits.
+the same bits on any band without subnormal entries (which it zeroes).
 """
 
 from __future__ import annotations
