@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError, ValidationError
 from .fock import FockParams
 from .model import Schedule
+from .spectral import DEGENERACY_TOL
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class RunConfig:
     sweep_stop: float = 1.0
     sweep_points: int = 51
     k_levels: int = 7
-    tol_degeneracy: float = 1e-6
+    tol_degeneracy: float = DEGENERACY_TOL
     tol_algebra: float = 1e-10
     tol_convergence: float = 1e-6
     out_csv: str | None = None

@@ -1,13 +1,13 @@
-"""Qubit operators, the truncation parameters and the interior index set.
+"""Qubit operators and the truncation parameters.
 
 A basis state of the qubit (x) N-level boson is labelled by the index
 s*N + n, with s=0 the up-spin |up> = (1,0)^T, s=1 the down-spin, and n
-the Fock level 0..N-1.  The spin-flip pairs of model.charge_pairs and
-the interior of interior_projector are sets of these labels; no command
-builds a matrix on the whole 2N space.  hbar = 1 everywhere; energies
-are in the paper-style frequency units.  The qubit operators the package
-uses are the module constants SZ, I2, S_PLUS and S_MINUS, real (float64)
-and read-only, so that no caller can change them for the others.
+the Fock level 0..N-1.  The spin-flip pairs of model.charge_pairs are
+pairs of these labels; no command builds a matrix on the whole 2N
+space.  hbar = 1 everywhere; energies are in the paper-style frequency
+units.  The qubit operators the package uses are the module constants
+SZ, I2, S_PLUS and S_MINUS, real (float64) and read-only, so that no
+caller can change them for the others.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ del _spin
 
 @dataclass(frozen=True)
 class FockParams:
-    """Truncation dimension N and the interior-projector buffer B.
+    """Truncation dimension N and the interior buffer B.
 
     The buffer excludes the top B boson levels from operator-identity
     checks, where truncation artifacts live.
@@ -45,19 +45,3 @@ class FockParams:
             raise ValidationError(
                 f"buffer must satisfy 0 <= buffer <= n_fock/2, got {self.buffer}"
             )
-
-    @property
-    def total_dim(self) -> int:
-        return 2 * self.n_fock
-
-
-def interior_projector(fp: FockParams, cut: int | None = None) -> np.ndarray:
-    """Basis indices of both spin sectors of boson levels 0..cut-1.
-
-    cut defaults to N - B.  The indices, np.r_[0:cut, N:N+cut], are the
-    support of the 0/1 diagonal interior projector.
-    """
-    cut = fp.n_fock - fp.buffer if cut is None else cut
-    if not 0 <= cut <= fp.n_fock:
-        raise ValidationError(f"interior cut {cut} outside 0..{fp.n_fock}")
-    return np.r_[0:cut, fp.n_fock : fp.n_fock + cut]

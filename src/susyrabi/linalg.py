@@ -1,16 +1,17 @@
 """Linear algebra substrate: banded eigensolvers and the real band tools.
 
-Each parity chain of the Hamiltonian (model.ParityChains) is a real
+Each parity chain of the Hamiltonian (model.parity_chains) is a real
 symmetric band matrix: tridiagonal in the squeezed frame that the
 spectrum paths use, pentadiagonal for the truncated H in its own frame.
 banded_lowest gives only the levels asked for, so spectral.lowest_k can
 extend one chain later at the cost of the new levels alone; banded_norm
 is two single-eigenvalue solves; band_times multiplies a band matrix, or
-a stack of them, by full columns in O(N) per column; banded_eigh gives
-all eigenpairs of a tridiagonal chain through LAPACK dstevd, as
-(values, vectors) like numpy's eigh, for the Witten index and for
-skew_tridiagonal_exp, the one matrix exponential here (the displacement
-and squeeze generators are real skew-symmetric tridiagonal).
+a stack of them, by full columns in O(N) per column, and band_matrix
+writes one out in full; banded_eigh gives all eigenpairs of a
+tridiagonal chain through LAPACK dstevd, as (values, vectors) like
+numpy's eigh, for the Witten index and for skew_tridiagonal_exp, the
+one matrix exponential here (the displacement and squeeze generators
+are real skew-symmetric tridiagonal).
 _drop_negligible guards the batched eigensolve of transforms._leading_norm
 (and the tests' reference eigensolver) against entries far below the rest.
 
@@ -147,6 +148,20 @@ def band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         sub = band[..., d, : n - d, None]
         out[..., d:, :] += sub * x[..., : n - d, :]
         out[..., : n - d, :] += sub * x[..., d:, :]
+    return out
+
+
+def band_matrix(band: np.ndarray) -> np.ndarray:
+    """The full symmetric N x N matrix of a band in lower banded storage.
+
+    band is (rows, N), as for banded_lowest, or a stack (..., rows, N) of
+    such bands, which gives the (..., N, N) stack of their matrices.
+    """
+    n = band.shape[-1]
+    out = np.zeros(band.shape[:-2] + (n, n))
+    j = np.arange(n)
+    for d in range(min(band.shape[-2], n)):
+        out[..., j[d:], j[: n - d]] = out[..., j[: n - d], j[d:]] = band[..., d, : n - d]
     return out
 
 

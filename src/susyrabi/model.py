@@ -4,7 +4,7 @@ The family H(omega_a, omega_b, g, c) is the quantum Rabi model plus the
 quadratic (A^2-type) boson self-interaction c*g^2*(a+a_dag)^2; the
 r-parameterized path runs from the free N=2 SUSY oscillator at r=0 to
 the broken, frequency-renormalized one at r=1 (hbar = 1).  H is held as
-its two parity chains (ParityChains), the charges as 2 x 2 blocks on
+its two parity chains (parity_chains), the charges as 2 x 2 blocks on
 their spin-flip pairs (charge_pairs); no 2N x 2N matrix is built.
 """
 
@@ -154,46 +154,17 @@ def _check_r(r: float) -> None:
         raise ValidationError(f"r must lie in [0, 1], got {r}")
 
 
-@dataclass(frozen=True)
-class ParityChains:
-    """A Hamiltonian split into its two parity blocks, in banded storage.
+def parity_chains(p: ModelParams, fp: FockParams) -> np.ndarray:
+    """The truncated H of the point p as its two parity blocks, in banded storage.
 
     The parity -sz*exp(i*pi*a_dag a) commutes with every H(omega_a,
     omega_b, g, c), since (a+a_dag)^2 is even.  Chain 0 is the basis
     |up,0>, |down,1>, |up,2>, ...; chain 1 starts at |down,0>.  Each is
-    a real symmetric N x N band matrix, and bands[i, d, j] =
-    chain_i[j + d, j] for d = 0 .. bands.shape[1] - 1 (the lower banded
-    form of scipy.linalg.eig_banded).  parity_chains gives the chains
-    of the truncated H, pentadiagonal with an A^2 term and tridiagonal
-    without, which have exactly the spectrum of the truncated H;
-    squeezed_chains gives the tridiagonal chains of the same H
-    in the squeezed frame without the A^2 term, which the spectrum paths
-    solve.
-    """
-
-    bands: np.ndarray  # shape (2, 2 or 3, n_fock), read-only
-
-    @property
-    def n_fock(self) -> int:
-        return self.bands.shape[2]
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the truncated space the chains stand for, 2N."""
-        return 2 * self.n_fock
-
-    def matrices(self) -> np.ndarray:
-        """The two chains as full symmetric N x N matrices, a (2, N, N) stack."""
-        n = self.n_fock
-        out = np.zeros((2, n, n))
-        j = np.arange(n)
-        for d in range(self.bands.shape[1]):
-            out[:, j[d:], j[: n - d]] = out[:, j[: n - d], j[d:]] = self.bands[:, d, : n - d]
-        return out
-
-
-def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
-    """The truncated H of the point p as its two parity chains.
+    a real symmetric N x N band matrix.  The result h is a read-only
+    (2, rows, N) array with h[i, d, j] = chain_i[j + d, j] for
+    d = 0 .. rows - 1, the lower banded form of scipy.linalg.eig_banded;
+    so N = h.shape[-1], and H has dimension 2N.  The chains have exactly
+    the spectrum of the truncated H.
 
     With x = a + a_dag, chain entries are
     diagonal      omega_b(n+1/2) +/- (omega_a/2)(-1)^n + c g^2 (x^2)_nn + shift,
@@ -202,7 +173,8 @@ def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
     (x^2)_nn is that of the literal truncated product x @ x:
     2n+1, except N-1 (not 2N-1) in the corner n = N-1.
     Without an A^2 term (c g^2 = 0) the second band is zero and left
-    out, so the chains are tridiagonal.
+    out, so the chains are tridiagonal (rows = 2), else pentadiagonal
+    (rows = 3).
     """
     n = np.arange(fp.n_fock, dtype=float)
     a2 = p.c * p.g**2
@@ -217,10 +189,10 @@ def parity_chains(p: ModelParams, fp: FockParams) -> ParityChains:
     if a2:
         bands[:, 2, :-2] = a2 * np.sqrt(n[1:-1] * n[2:])
     bands.flags.writeable = False
-    return ParityChains(bands)
+    return bands
 
 
-def squeezed_chains(p: ModelParams, fp: FockParams) -> ParityChains:
+def squeezed_chains(p: ModelParams, fp: FockParams) -> np.ndarray:
     """The truncated H of p in the A^2-removing squeezed frame, as parity chains.
 
     The squeeze that verify checks (transforms.a2_removal_report) maps H(omega_a,
@@ -256,7 +228,6 @@ class SuperchargeSet:
     q_minus: np.ndarray
     grading: np.ndarray
     pairs: np.ndarray
-    variant: str  # "free" | "broken"
 
 
 def _spin_flip_pairs(fp: FockParams, lag: int) -> np.ndarray:
@@ -310,7 +281,6 @@ def charge_pairs(
         q_minus=(q1 + q2_over_i) / math.sqrt(2.0),
         grading=np.broadcast_to(-SZ, q1.shape),
         pairs=pairs,
-        variant=variant,
     )
 
 

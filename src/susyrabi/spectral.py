@@ -3,9 +3,10 @@
 The spectrum paths (sweeps over r and g, truncation convergence, and
 the spectrum and converge commands) solve the Hamiltonian in the
 squeezed frame without the A^2 term, as its two tridiagonal parity
-chains (model.squeezed_chains), with the banded core in lowest_k.  A Hamiltonian point is one model.ModelParams, self-energy
-shift included (Schedule.params(r) on the r path, sweep_params_g on the
-coupling sweep); a point that needs a larger truncation solves at
+chains (model.squeezed_chains), with the banded core in lowest_k.  A
+Hamiltonian point is one model.ModelParams, self-energy shift included
+(Schedule.params(r) on the r path, sweep_params_g on the coupling
+sweep); a point that needs a larger truncation solves at
 replace(fp, n_fock=n), up to CONVERGENCE_N_CAP, read at each call.  The
 Witten index takes the levels of the same chains graded by -sz, which
 the squeeze leaves alone (graded_levels).  witten_index and
@@ -26,11 +27,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidBetaError, TruncationError, ValidationError
-from .fock import FockParams, interior_projector
+from .fock import FockParams
 from .linalg import banded_eigh, banded_lowest
 from .model import (
     ModelParams,
-    ParityChains,
     Schedule,
     SuperchargeSet,
     charge_pairs,
@@ -63,12 +63,13 @@ class FlowResult:
     sweep_kind: str  # "r_sweep" | "g_sweep"
 
 
-def lowest_k(h: ParityChains, k: int) -> np.ndarray:
+def lowest_k(h: np.ndarray, k: int) -> np.ndarray:
     """k smallest eigenvalues of H, ascending, multiplicity included.
 
-    ParityChains take the banded core and merge the two chains lazily.
-    Each chain first yields its lowest m = ceil(k/2) levels; x is the
-    k-th smallest of those 2m.  Every level not yet solved lies at or
+    h is H's two parity chains, a (2, rows, N) band array as
+    model.parity_chains gives it, and H has dimension 2N.  The chains are
+    merged lazily.  Each first yields its lowest m = ceil(k/2) levels; x
+    is the k-th smallest of those 2m.  Every level not yet solved lies at or
     above the last solved level of its chain, so a chain whose last
     level is >= x can add nothing below x, and ties at x do not change
     the sorted values.  A chain whose last level is < x is extended to
@@ -76,12 +77,13 @@ def lowest_k(h: ParityChains, k: int) -> np.ndarray:
     k-th of the merge.  At most one chain is ever extended, since the
     larger of the two m-th levels is >= x.
     """
-    if not 1 <= k <= h.dim:
-        raise ValidationError(f"k={k} outside 1..{h.dim} (the matrix dimension)")
-    m, m_full = (k + 1) // 2, min(k, h.n_fock)
-    levels = [banded_lowest(band, m) for band in h.bands]
+    n = h.shape[-1]
+    if not 1 <= k <= 2 * n:
+        raise ValidationError(f"k={k} outside 1..{2 * n} (the matrix dimension)")
+    m, m_full = (k + 1) // 2, min(k, n)
+    levels = [banded_lowest(band, m) for band in h]
     x = np.sort(np.concatenate(levels))[k - 1]
-    for i, band in enumerate(h.bands):
+    for i, band in enumerate(h):
         if m < m_full and levels[i][-1] < x:
             levels[i] = np.concatenate([levels[i], banded_lowest(band, m_full, start=m)])
     return np.sort(np.concatenate(levels))[:k]
@@ -123,16 +125,16 @@ def _group_end(values: Sequence[float], i: int, tol: float = DEGENERACY_TOL) -> 
     return len(values)
 
 
-def spectrum_table(h: ParityChains, k: int, tol_rel: float) -> SpectrumTable:
+def spectrum_table(h: np.ndarray, k: int, tol_rel: float) -> SpectrumTable:
     """The lowest k levels of the chains h (lowest_k), grouped at tol_rel.
 
-    The table's n_fock_used is the truncation the chains carry, h.n_fock.
+    The table's n_fock_used is the truncation the chains carry, h.shape[-1].
     """
     vals = lowest_k(h, k)
     return SpectrumTable(
         energies=vals,
         groups=degeneracy_groups(vals, tol_rel),
-        n_fock_used=h.n_fock,
+        n_fock_used=h.shape[-1],
     )
 
 
@@ -226,13 +228,14 @@ class ConvergenceReport:
     whose lowest levels agree with those of its own double: a floor set
     by the configured truncation, not the smallest truncation that has
     converged, which may lie below fp0.n_fock.  energies are the levels
-    at n_star and drift their largest move on doubling it.
+    at n_star and drift their largest move on doubling it.  It is only
+    made once the levels have converged: every other outcome of
+    truncation_convergence is a TruncationError.
     """
 
     n_star: int
     drift: float
     energies: np.ndarray
-    converged: bool
 
 
 def truncation_convergence(
@@ -260,7 +263,7 @@ def truncation_convergence(
         cur = levels(replace(fp0, n_fock=n2))
         drift = float(np.max(np.abs(cur - prev)))
         if drift <= tol:
-            return ConvergenceReport(n_star=n, drift=drift, energies=prev, converged=True)
+            return ConvergenceReport(n_star=n, drift=drift, energies=prev)
         n, prev = n2, cur
 
 
@@ -274,7 +277,7 @@ class WittenReport:
     truncation_tail: float
 
 
-def graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
+def graded_levels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All levels of h, ascending, with their -sz expectations.
 
     Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
@@ -283,9 +286,9 @@ def graded_levels(h: ParityChains) -> tuple[np.ndarray, np.ndarray]:
     squeezed_chains are: banded_eigh, which solves each, raises
     DimensionError on wider bands.
     """
-    sign = 1.0 - 2.0 * (np.arange(h.n_fock) % 2)
+    sign = 1.0 - 2.0 * (np.arange(h.shape[-1]) % 2)
     values, expectations = [], []
-    for grading, band in zip((-sign, sign), h.bands):
+    for grading, band in zip((-sign, sign), h):
         vals, vectors = banded_eigh(band)
         values.append(vals)
         expectations.append(grading @ vectors**2)
@@ -323,23 +326,6 @@ def witten_index(levels: tuple[np.ndarray, np.ndarray], beta: float, k: int = 60
     )
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    """Residuals of the SUSY algebra identities on the interior.
-
-    Residuals are relative to max(1, |H|_2).  vacuum_annihilation holds
-    sqrt(|q+ v|^2 + |q- v|^2) per numerically found ground state, which is
-    basis-independent within a degenerate ground pair.
-    """
-
-    variant: str
-    anticommutator: dict[str, float]  # "11", "12", "22"
-    commutator_with_h: dict[str, float]  # "1", "2"
-    anticommutator_with_grading: dict[str, float]  # "1", "2"
-    nilpotency: dict[str, float]  # "plus", "minus"
-    vacuum_annihilation: tuple[float, ...]
-
-
 def _pair_norms(m: np.ndarray) -> np.ndarray:
     """The largest singular value of each block of an (N, 2, 2) stack, in closed form.
 
@@ -368,19 +354,26 @@ def pair_algebra_report(
     h: np.ndarray,
     charges: SuperchargeSet,
     fp: FockParams,
-) -> AlgebraReport:
+) -> tuple[dict[str, float], tuple[float, ...]]:
     """Measure every defining identity of the N=2 algebra against h, on the pairs.
 
     h and the charges are (N, 2, 2) stacks on charges.pairs, as
     model.charge_pairs gives them, so every product is a batched 2 x 2
     one, O(N) in all.  One batched eigh of the h stack gives the scale
     max(1, |H|_2) and the ground states, each on its own pair.  A
-    residual is the largest singular value of its blocks with the rows
-    and columns outside fock.interior_projector zeroed, each block's in
-    closed form (_pair_norms).  An interior that reaches boson level
-    N - 1 (buffer 0) is a TruncationError: there the truncated ladder
-    breaks the algebra itself, as the free set's |up, N-1> has
-    2 q1^2 = 0 but H = omega N.
+    residual is the largest singular value of its blocks, relative to
+    that scale, with the rows and columns outside the interior zeroed:
+    the interior is boson levels 0 .. N - buffer - 1 of both spins, and
+    each block's norm is in closed form (_pair_norms).  An interior that
+    reaches boson level N - 1 (buffer 0) is a TruncationError: there the
+    truncated ladder breaks the algebra itself, as the free set's
+    |up, N-1> has 2 q1^2 = 0 but H = omega N.
+
+    Returns (residuals, vacuum).  residuals maps verify's row suffix of
+    each identity ({q_i, q_j} = 2 H delta_ij, [q_i, H] = 0,
+    {q_i, -sz} = 0, q+/-^2 = 0), in row order, to its residual.  vacuum
+    holds sqrt(|q+ v|^2 + |q- v|^2) per numerically found ground state v,
+    which is basis-independent within a degenerate ground pair.
     """
     if not h.shape == charges.q1.shape == (fp.n_fock, 2, 2):
         raise ValidationError(f"pair stacks {h.shape}, {charges.q1.shape}, n_fock {fp.n_fock}")
@@ -397,7 +390,7 @@ def pair_algebra_report(
     order = np.argsort(values, kind="stable")
     scale = max(1.0, float(np.max(np.abs(values))))
     ground = order[: _group_end(values[order], 1)]
-    vac_norms = tuple(
+    vacuum = tuple(
         float(
             math.sqrt(
                 np.linalg.norm(q_plus[j] @ vectors[j, :, i]) ** 2
@@ -407,34 +400,24 @@ def pair_algebra_report(
         for j, i in zip(*np.divmod(ground, 2))
     )
 
-    inside = np.zeros(fp.total_dim, dtype=bool)
-    inside[interior_projector(fp)] = True
-    keep = inside[charges.pairs]
+    keep = charges.pairs % fp.n_fock < fp.n_fock - fp.buffer
     mask = keep[:, :, None] & keep[:, None, :]
 
     def rel(m: np.ndarray) -> float:
         return float(_pair_norms(m * mask).max()) / scale
 
-    q = {"1": q1, "2": q2}
-    anti = {
-        "11": rel(2.0 * (q1 @ q1) - h),
-        "22": rel(2.0 * (q2 @ q2) - h),
-        "12": rel(q1 @ q2 + q2 @ q1),
+    residuals = {
+        "anticommutator.11": rel(2.0 * (q1 @ q1) - h),
+        "anticommutator.22": rel(2.0 * (q2 @ q2) - h),
+        "anticommutator.12": rel(q1 @ q2 + q2 @ q1),
+        "commutator_with_h.1": rel(q1 @ h - h @ q1),
+        "commutator_with_h.2": rel(q2 @ h - h @ q2),
+        "grading.1": rel(q1 @ gr + gr @ q1),
+        "grading.2": rel(q2 @ gr + gr @ q2),
+        "nilpotency.plus": rel(2.0 * (q_plus @ q_plus)),
+        "nilpotency.minus": rel(2.0 * (q_minus @ q_minus)),
     }
-    comm = {name: rel(qi @ h - h @ qi) for name, qi in q.items()}
-    grading = {name: rel(qi @ gr + gr @ qi) for name, qi in q.items()}
-    nil = {
-        "plus": rel(2.0 * (q_plus @ q_plus)),
-        "minus": rel(2.0 * (q_minus @ q_minus)),
-    }
-    return AlgebraReport(
-        variant=charges.variant,
-        anticommutator=anti,
-        commutator_with_h=comm,
-        anticommutator_with_grading=grading,
-        nilpotency=nil,
-        vacuum_annihilation=vac_norms,
-    )
+    return residuals, vacuum
 
 
 @dataclass(frozen=True)

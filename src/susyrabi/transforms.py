@@ -36,16 +36,14 @@ linalg.skew_tridiagonal_exp; the tests compare each check with numpy on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationError
 from .fock import FockParams
-from .linalg import _drop_negligible, band_times, banded_norm, skew_tridiagonal_exp
+from .linalg import _drop_negligible, band_matrix, band_times, banded_norm, skew_tridiagonal_exp
 from .model import (
     ModelParams,
-    ParityChains,
     Schedule,
     heavy_field_coefficients,
     parity_chains,
@@ -61,17 +59,6 @@ MAX_SQUEEZE = 2.0
 # to 2048, and at beta = 2 for N = 256 to 1024); the polaron check cuts
 # ceil(POLARON_SPREAD beta sqrt(N)) levels.
 POLARON_SPREAD = 3.0
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    """Outcome of one unitary-equivalence check: its relative interior residual.
-
-    One field, but a type of its own: each of the three checks returns
-    one, and verify and the tests read .residual from each alike.
-    """
-
-    residual: float
 
 
 def displacement(beta: float, fp: FockParams) -> np.ndarray:
@@ -149,15 +136,15 @@ def _leading_norm(block: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).max(initial=0.0))
 
 
-def a2_removal_report(p: ModelParams, fp: FockParams) -> TransformReport:
+def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
     """Check that the squeeze S(zeta) removes the A^2 term.
 
     Conjugation by U = 1 (x) S(zeta), zeta = log(omega_g/omega_b)/2, maps
     H(omega_a, omega_b, g, c) to the plain Rabi Hamiltonian at the
     renormalized frequency and coupling.  The sign is fixed: a wrong
-    convention shows as a large residual in the report.  Like the other
-    two checks, this one only measures; the caller compares the residual
-    with its threshold.
+    convention shows as a large residual.  Like the other two checks,
+    this one only measures: it returns the relative interior residual,
+    and the caller compares it with its threshold.
 
     S couples only levels of equal parity, which on one parity chain carry
     the same spin, so U is S on each chain in the chain's position basis:
@@ -166,8 +153,9 @@ def a2_removal_report(p: ModelParams, fp: FockParams) -> TransformReport:
     the scale is the largest linalg.banded_norm of the R chains.  Only
     the leading cut columns S_c of S enter the residual's leading block,
     so it is S_c^T (L S_c) - R_c, with L S_c from L's bands
-    (linalg.band_times) and R_c the leading cut x cut blocks of R, built
-    from R's bands; no N x N chain matrix is formed.
+    (linalg.band_times) and R_c the leading cut x cut blocks of R, from
+    the leading cut columns of R's bands (linalg.band_matrix); no N x N
+    chain matrix is formed.
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
@@ -175,14 +163,12 @@ def a2_removal_report(p: ModelParams, fp: FockParams) -> TransformReport:
     cut = squeeze_cut(fp, zeta)
     rhs = squeezed_chains(p, fp)
     lead = s[:, :cut]
-    diff = lead.T @ band_times(parity_chains(p, fp).bands, lead)
-    diff -= ParityChains(rhs.bands[:, :, :cut]).matrices()
-    return TransformReport(
-        _leading_norm(diff) / max(1.0, max(banded_norm(b) for b in rhs.bands))
-    )
+    diff = lead.T @ band_times(parity_chains(p, fp), lead)
+    diff -= band_matrix(rhs[:, :, :cut])
+    return _leading_norm(diff) / max(1.0, max(banded_norm(b) for b in rhs))
 
 
-def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformReport:
+def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     """Check the heavy-field rewriting of H(r) on its two parity chains.
 
     omega_g(r) (B_r^dag B_r + 1/2) - (omega_a(r)/2)(D- + D+) = H(r),
@@ -214,15 +200,15 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> TransformRep
     diff = np.stack([s.omega_g(r) * mtm] * 2)  # the lhs chains, then lhs - rhs
     diff[0, 0] += spin
     diff[1, 0] -= spin
-    rhs = parity_chains(s.params(r), fp).bands
+    rhs = parity_chains(s.params(r), fp)
     diff[:, : rhs.shape[1]] -= rhs
     residual = max(banded_norm(band, cut) for band in diff)
-    return TransformReport(residual / max(1.0, max(banded_norm(band) for band in rhs)))
+    return residual / max(1.0, max(banded_norm(band) for band in rhs))
 
 
 def polaron_equivalence_report(
     omega_a: float, omega_b: float, g: float, fp: FockParams
-) -> TransformReport:
+) -> float:
     """Check the polaron-frame identity for the c=0 Hamiltonian.
 
     U^dag {H(omega_a, omega_b, g, 0) + g^2/omega_b} U
@@ -273,4 +259,4 @@ def polaron_equivalence_report(
     diff[:, np.arange(cut), np.arange(cut)] -= free[:cut]
     # Weyl: |rhs|_2 >= omega_b (N - 1/2) - |O|_2, and |O|_2 = |omega_a|/2.
     scale = omega_b * (fp.n_fock - 0.5) - abs(omega_a) / 2.0
-    return TransformReport(_leading_norm(diff) / max(1.0, scale))
+    return _leading_norm(diff) / max(1.0, scale)

@@ -7,10 +7,12 @@ kron(spin, boson).  Commands solve the model on its parity chains or its
 matrices and the one dense eigh here (hermitian_eigs, which returns
 (values, vectors) as numpy's eigh does), with its own square-shape check
 and Hermiticity tolerance, and against the exact levels of
-juddian_points.  lowest_levels and graded_levels mirror spectral.lowest_k
-and spectral.graded_levels, so spectral.truncation_convergence and
-spectral.witten_index, which take levels, run on either path.  No
-package module imports this one; pytest puts tests/ on sys.path.
+juddian_points.  interior_projector gives the index set on which the
+dense residuals are measured.  lowest_levels and graded_levels mirror
+spectral.lowest_k and spectral.graded_levels, so
+spectral.truncation_convergence and spectral.witten_index, which take
+levels, run on either path.  No package module imports this one; pytest
+puts tests/ on sys.path.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from susyrabi.model import (
     ModelParams, Schedule, SuperchargeSet, charge_pairs, heavy_field_coefficients,
     renormalized_frequency, self_energy,
 )
-from susyrabi.spectral import AlgebraReport, pair_algebra_report, sweep_params_g
+from susyrabi.spectral import pair_algebra_report, sweep_params_g
 
 # sigma_x and sigma_y, read-only like the qubit constants of susyrabi.fock.
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -119,9 +121,21 @@ def basis_state(spin: str, n: int, fp: FockParams) -> np.ndarray:
         raise ValidationError(f"spin must be 'up' or 'down', got {spin!r}")
     if not 0 <= n < fp.n_fock:
         raise ValidationError(f"Fock level {n} outside 0..{fp.n_fock - 1}")
-    v = np.zeros(fp.total_dim, dtype=complex)
+    v = np.zeros(2 * fp.n_fock, dtype=complex)
     v[(0 if spin == "up" else 1) * fp.n_fock + n] = 1.0
     return v
+
+
+def interior_projector(fp: FockParams, cut: int | None = None) -> np.ndarray:
+    """Basis indices of both spin sectors of boson levels 0..cut-1.
+
+    cut defaults to N - B.  The indices, np.r_[0:cut, N:N+cut], are the
+    support of the 0/1 diagonal interior projector.
+    """
+    cut = fp.n_fock - fp.buffer if cut is None else cut
+    if not 0 <= cut <= fp.n_fock:
+        raise ValidationError(f"interior cut {cut} outside 0..{fp.n_fock}")
+    return np.r_[0:cut, fp.n_fock : fp.n_fock + cut]
 
 
 def hermitian_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +197,7 @@ def hamiltonian(p: ModelParams, fp: FockParams) -> np.ndarray:
     if p.c != 0.0 and p.g != 0.0:
         h = h + p.c * p.g**2 * embed_boson(x2 @ x2, fp)
     if p.shift != 0.0:
-        h = h + p.shift * np.eye(fp.total_dim)
+        h = h + p.shift * np.eye(2 * fp.n_fock)
     return h
 
 
@@ -227,7 +241,7 @@ def h_interaction(s: Schedule, r: float, fp: FockParams) -> np.ndarray:
     ops = make_operators(fp)
     # W = omega * x with x = (a + a_dag) / sqrt(2*omega)
     w = math.sqrt(s.omega / 2.0) * (ops.a + ops.a_dag)
-    dim = fp.total_dim
+    dim = 2 * fp.n_fock
     h = np.zeros((dim, dim))
     if g != 0.0:
         h = h + g * math.sqrt(2.0 / s.omega) * kron(SX, w)
@@ -265,9 +279,9 @@ def _dense_charges(variant: str, omega: float, fp: FockParams) -> SuperchargeSet
     idx = c.pairs[:, :, None], c.pairs[:, None, :]
     dense = []
     for stack in (c.q1, c.q2, c.q_plus, c.q_minus, c.grading):
-        dense.append(np.zeros((fp.total_dim, fp.total_dim), dtype=stack.dtype))
+        dense.append(np.zeros((2 * fp.n_fock, 2 * fp.n_fock), dtype=stack.dtype))
         dense[-1][idx] = stack
-    return SuperchargeSet(*dense, pairs=c.pairs, variant=c.variant)
+    return SuperchargeSet(*dense, pairs=c.pairs)
 
 
 def free_supercharges(omega: float, fp: FockParams) -> SuperchargeSet:
@@ -284,14 +298,14 @@ def susy_algebra_report(
     h: np.ndarray,
     charges: SuperchargeSet,
     fp: FockParams,
-) -> AlgebraReport:
-    """spectral.pair_algebra_report of a dense h and dense charges.
+) -> tuple[dict[str, float], tuple[float, ...]]:
+    """spectral.pair_algebra_report of a dense h and dense charges: (residuals, vacuum).
 
     h, the charges and the grading are gathered on charges.pairs into
     (N, 2, 2) stacks.  An operand with a nonzero entry outside the pairs
     is a ValidationError, since the gather would drop it.
     """
-    if not h.shape == charges.q1.shape == (fp.total_dim, fp.total_dim):
+    if not h.shape == charges.q1.shape == (2 * fp.n_fock, 2 * fp.n_fock):
         raise ValidationError(
             f"shape mismatch: H {h.shape}, charges {charges.q1.shape}, n_fock {fp.n_fock}"
         )
@@ -301,9 +315,9 @@ def susy_algebra_report(
     for name, m, stack in zip(("H", "q1", "q2", "q+", "q-", "grading"), ops, stacks):
         if np.count_nonzero(stack) != np.count_nonzero(m):
             raise ValidationError(
-                f"{name} has entries outside the {charges.variant} charges' spin-flip pairs"
+                f"{name} has entries outside the charges' spin-flip pairs"
             )
-    stacked = SuperchargeSet(*stacks[1:], pairs=charges.pairs, variant=charges.variant)
+    stacked = SuperchargeSet(*stacks[1:], pairs=charges.pairs)
     return pair_algebra_report(stacks[0], stacked, fp)
 
 

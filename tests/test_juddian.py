@@ -46,7 +46,7 @@ def test_chains_hold_the_juddian_levels(delta, n, g_max, c):
         spread = math.ceil(renormalized_frequency(1.0, c, g)[0])
         for chains in (squeezed_chains(p, FockParams(n_fock, 0)),
                        parity_chains(p, FockParams(n_fock * spread, 0))):
-            for band in chains.bands:
+            for band in chains:
                 assert abs(banded_lowest(band, n + 1)[n] - energy) <= tol, (g, energy)
             # The merge puts the crossing at levels 2n and 2n + 1, one group.
             levels = lowest_k(chains, 2 * n + 2)

@@ -12,7 +12,6 @@ from susyrabi.fock import (
     S_PLUS,
     SZ,
     FockParams,
-    interior_projector,
 )
 from susyrabi.model import (
     ModelParams,
@@ -38,6 +37,7 @@ from oracle import (
     hamiltonian,
     heavy_field,
     heavy_hamiltonian,
+    interior_projector,
     make_operators,
 )
 
@@ -67,8 +67,9 @@ def test_real_operators_are_float64(fp_small):
     assert free_supercharges(OMEGA, fp_small).q1.dtype == np.float64
     assert free_supercharges(OMEGA, fp_small).q2.dtype == np.complex128
     assert broken_supercharges(OMEGA, fp_small).q1.dtype == np.float64
-    for ch in (free_supercharges(OMEGA, fp_small), broken_supercharges(OMEGA, fp_small)):
-        assert ch.q_plus.dtype == ch.q_minus.dtype == np.float64, ch.variant
+    for name, ch in (("free", free_supercharges(OMEGA, fp_small)),
+                     ("broken", broken_supercharges(OMEGA, fp_small))):
+        assert ch.q_plus.dtype == ch.q_minus.dtype == np.float64, name
 
 
 def test_model_params_validation():
@@ -315,19 +316,19 @@ def test_field_commutator_interior(fp_mid):
     b_r = heavy_field(s, 1.0, fp_mid)
     p = interior_projector(fp_mid)
     comm = b_r @ b_r.T - b_r.T @ b_r
-    assert interior_norm(comm - np.eye(fp_mid.total_dim), p) < 1e-10
+    assert interior_norm(comm - np.eye(2 * fp_mid.n_fock), p) < 1e-10
     # Canonical pair for the heavy fields Phi_r and Pi_r, interior-projected.
     og = s.omega_g(1.0)
     phi_r = math.sqrt(1.0 / (2.0 * og)) * (b_r + b_r.T)
     pi_r = -1j * math.sqrt(og / 2.0) * (b_r - b_r.T)
     ccr = phi_r @ pi_r - pi_r @ phi_r
-    assert interior_norm(ccr - 1j * np.eye(fp_mid.total_dim), p) < 1e-10
+    assert interior_norm(ccr - 1j * np.eye(2 * fp_mid.n_fock), p) < 1e-10
 
 
 def test_chiral_projectors_algebra(fp_small):
     d_plus = embed_qubit(-(SZ - 1j * SY) / 2.0, fp_small)
     d_minus = embed_qubit(-(SZ + 1j * SY) / 2.0, fp_small)
-    eye = np.eye(fp_small.total_dim)
+    eye = np.eye(2 * fp_small.n_fock)
     np.testing.assert_allclose(d_plus @ d_minus + d_minus @ d_plus, eye, atol=1e-13)
     assert np.linalg.norm(d_plus @ d_plus, 2) < 1e-13
     assert np.linalg.norm(d_minus @ d_minus, 2) < 1e-13
@@ -340,8 +341,8 @@ def test_squeezed_chains_carry_the_shift(fp_small):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     for r in (0.0, 0.5, 1.0):
         p = s.params(r)
-        shifted = squeezed_chains(p, fp_small).bands
-        bare = squeezed_chains(dataclasses.replace(p, shift=0.0), fp_small).bands
+        shifted = squeezed_chains(p, fp_small)
+        bare = squeezed_chains(dataclasses.replace(p, shift=0.0), fp_small)
         np.testing.assert_array_equal(shifted[:, 1:], bare[:, 1:])
         np.testing.assert_allclose(shifted[:, 0] - bare[:, 0], p.shift, rtol=0, atol=1e-12)
         assert p.shift == self_energy(OMEGA, 0.2513, s.g(r))

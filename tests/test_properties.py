@@ -12,10 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from susyrabi.errors import InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
-from susyrabi.linalg import band_times, banded_eigh, banded_norm, skew_tridiagonal_exp
+from susyrabi.linalg import band_matrix, band_times, banded_eigh, banded_norm, skew_tridiagonal_exp
 from susyrabi.model import (
     ModelParams,
-    ParityChains,
     Schedule,
     mass_increment,
     parity_chains,
@@ -302,7 +301,7 @@ def test_group_joins_match_the_all_groups_oracle(case):
     bands = np.zeros((2, 2, m))
     bands[:, 0] = diag
     values = np.sort(diag.ravel())
-    levels = graded_levels(ParityChains(bands))
+    levels = graded_levels(bands)
     for k in range(1, m + 1):
         rep = witten_index(levels, 1.0, k=k)
         k_want = oracle_witten_k(values, k)
@@ -379,7 +378,7 @@ def assert_energies_close(got, want):
 @given(chain_cases)
 def test_parity_chains_full_spectrum_matches_dense(case):
     p, fp, shift, dense = dense_case(case)
-    got = lowest_k(parity_chains(replace(p, shift=shift), fp), fp.total_dim)
+    got = lowest_k(parity_chains(replace(p, shift=shift), fp), 2 * fp.n_fock)
     assert got.shape == dense.shape
     assert_energies_close(got, dense)
 
@@ -405,7 +404,7 @@ def parity_order(fp):
 
     Chain position n holds Fock level n: on chain 0 with spin up for even
     n and down for odd n, on chain 1 the other way round (see
-    model.ParityChains).
+    model.parity_chains).
     """
     n = np.arange(fp.n_fock)
     flip = n % 2
@@ -421,17 +420,17 @@ def test_spectrum_is_union_of_the_two_chains(case):
     # Chain 0 is |up,0>, |down,1>, |up,2>, ...; chain 1 starts at |down,0>.
     # Qubit-major index: s*N + n with s = 0 for up.
     idx = [levels + n * (levels % 2), levels + n * (1 - levels % 2)]
-    h = hamiltonian(p, fp) + shift * np.eye(fp.total_dim)
+    h = hamiltonian(p, fp) + shift * np.eye(2 * fp.n_fock)
     chains = parity_chains(replace(p, shift=shift), fp)
     for i in (0, 1):
         block = h[np.ix_(idx[i], idx[i])]
         scale = max(1.0, float(np.max(np.abs(block))))
-        np.testing.assert_allclose(chain_matrix(chains.bands[i]), block.real,
+        np.testing.assert_allclose(chain_matrix(chains[i]), block.real,
                                    rtol=0, atol=1e-12 * scale)
         assert np.max(np.abs(block.imag)) == 0.0
     assert np.max(np.abs(h[np.ix_(idx[0], idx[1])])) == 0.0
     union = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(chain_matrix(band)) for band in chains.bands]))
+        [np.linalg.eigvalsh(chain_matrix(band)) for band in chains]))
     assert_energies_close(union, dense)
 
 
@@ -442,10 +441,10 @@ def test_squeezed_chains_are_parity_blocks_of_squeezed_rabi_h(case):
     p, fp, shift = case_params(case)
     omega_g, g_tilde = renormalized_frequency(p.omega_b, p.c, p.g)
     h = hamiltonian(ModelParams(p.omega_a, omega_g, g_tilde, 0.0), fp)
-    h = h + shift * np.eye(fp.total_dim)
+    h = h + shift * np.eye(2 * fp.n_fock)
     chains = squeezed_chains(replace(p, shift=shift), fp)
-    assert chains.bands.shape == (2, 2, fp.n_fock)
-    for band, idx in zip(chains.bands, np.split(parity_order(fp), 2)):
+    assert chains.shape == (2, 2, fp.n_fock)
+    for band, idx in zip(chains, np.split(parity_order(fp), 2)):
         block = h[np.ix_(idx, idx)]
         scale = max(1.0, float(np.max(np.abs(block))))
         np.testing.assert_allclose(chain_matrix(band), block, rtol=0, atol=1e-12 * scale)
@@ -454,10 +453,14 @@ def test_squeezed_chains_are_parity_blocks_of_squeezed_rabi_h(case):
 @settings(max_examples=30, deadline=None)
 @given(chain_cases)
 def test_chain_matrices_are_the_band_storage(case):
+    # band_matrix of one band, and of the stacked (2, rows, N) chains.
     p, fp, shift = case_params(case)
     chains = parity_chains(replace(p, shift=shift), fp)
-    for band, m in zip(chains.bands, chains.matrices()):
+    stacked = band_matrix(chains)
+    assert stacked.shape == (2, fp.n_fock, fp.n_fock)
+    for band, m in zip(chains, stacked):
         np.testing.assert_array_equal(m, chain_matrix(band))
+        np.testing.assert_array_equal(band_matrix(band), chain_matrix(band))
 
 
 # banded_norm against numpy's dense norm of the leading block.  The
@@ -491,7 +494,7 @@ def test_band_times_equals_dense_product(rows, n, data):
     bands = data.draw(arrays(np.float64, (2, rows, n), elements=reals))
     k = data.draw(st.integers(min_value=1, max_value=n))
     x = data.draw(arrays(np.float64, (n, k), elements=reals))
-    full = ParityChains(bands).matrices()
+    full = band_matrix(bands)
     bound = BAND_TIMES_RTOL * (np.abs(full) @ np.abs(x))
     got = band_times(bands, x)
     assert got.shape == (2, n, k)
@@ -524,7 +527,7 @@ def test_squeezed_chains_match_converged_pentadiagonal_chains(wa_ratio, g_ratio,
 @given(chain_cases)
 def test_parity_chains_reject_k_outside_dimension(case):
     p, fp, shift = case_params(case)
-    for k in (fp.total_dim + 1, 0):
+    for k in (2 * fp.n_fock + 1, 0):
         with pytest.raises(ValidationError):
             lowest_k(parity_chains(replace(p, shift=shift), fp), k)
 
@@ -552,7 +555,7 @@ def synthetic_chains(draw):
         bands[:, 0] = np.round(bands[:, 0])
     elif shape == "identical":
         bands[1] = bands[0]
-    return ParityChains(bands)
+    return bands
 
 
 def subnormal_chains():
@@ -560,16 +563,16 @@ def subnormal_chains():
     them (info 2) at k = 4, 7 and 8."""
     bands = np.full((2, 3, 5), 2.0**-1023)
     bands[0, 2, 1] = 1.0
-    return ParityChains(bands)
+    return bands
 
 
 @settings(max_examples=150, deadline=None)
 @given(synthetic_chains())
 @example(subnormal_chains())
 def test_lowest_k_equals_sorted_dense_union(chains):
-    union = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in chains.matrices()]))
+    union = np.sort(np.linalg.eigvalsh(band_matrix(chains)).ravel())
     scale = max(1.0, float(np.abs(union).max()))
-    for k in range(1, chains.dim + 1):
+    for k in range(1, 2 * chains.shape[-1] + 1):
         got = lowest_k(chains, k)
         assert got.shape == (k,)
         assert np.max(np.abs(got - union[:k])) <= MERGE_RTOL * scale, k
