@@ -13,15 +13,21 @@ numpy's eigh, for the Witten index and for skew_tridiagonal_exp, the
 one matrix exponential here (the displacement and squeeze generators
 are real skew-symmetric tridiagonal).
 _drop_negligible guards the batched eigensolve of transforms._leading_norm
-(and the tests' reference eigensolver) against entries far below the rest.
+(and the tests' reference eigensolver) against entries far below the rest,
+zeroing them in place.
 
-The two LAPACK calls, dsbevx and dstevd, use the f2py wrappers of scipy's
-extension module scipy.linalg._flapack, loaded on its own (_load_flapack):
+The two LAPACK calls, dsbevx and dstevd, use the f2py wrappers of
+scipy's extension module scipy.linalg._flapack, loaded on its own by its
+file path (_load_flapack), without importing the scipy package:
 importing scipy.linalg (0.3-0.4 s, most of it numpy.f2py, numpy.testing
 and numpy.ma through scipy's array-API layer) would more than double
-every command's start-up for code none of them runs.  banded_lowest
-passes dsbevx the arguments scipy.linalg.eig_banded does, so both give
-the same bits on any band without subnormal entries (which it zeroes).
+every command's start-up for code none of them runs, and scipy's own
+__init__ (about 10 ms: subprocess, sysconfig, locale, signal) sets up
+nothing the extension needs where it finds its OpenBLAS by itself, as in
+the Linux wheels; where it cannot, loading it raises ImportError and the
+plain import runs instead.  banded_lowest passes dsbevx the arguments
+scipy.linalg.eig_banded does, so both give the same bits on any band
+without subnormal entries (which it zeroes).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import DimensionError, SolverError
 
@@ -40,23 +45,31 @@ from .errors import DimensionError, SolverError
 def _load_flapack():
     """scipy.linalg._flapack, loaded by its file path in the scipy package.
 
-    `import scipy` (about 20 ms) comes first for its distributor set-up,
-    which on some platforms puts the bundled OpenBLAS on the library path.
+    importlib.util.find_spec finds the package's folder without running
+    scipy/__init__.  Where the spec or the file is missing, or loading
+    the file raises ImportError (as where scipy's __init__ must first put
+    its bundled OpenBLAS on the DLL search path), the plain import
+    `from scipy.linalg import _flapack` gives the same module, only slower.
     """
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    scipy = importlib.util.find_spec("scipy")
+    paths = []
+    if scipy is not None and scipy.origin is not None:
+        folder = os.path.join(os.path.dirname(scipy.origin), "linalg")
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        paths = [os.path.join(folder, "_flapack" + suffix) for suffix in suffixes]
+    for path in filter(os.path.isfile, paths):
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        try:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            # An extension with single-phase init enters itself in
-            # sys.modules; taken out, a later `import scipy.linalg` binds
-            # its own copy as the package attribute, as in a plain import.
-            if sys.modules.get(spec.name) is module:
-                del sys.modules[spec.name]
-            return module
-    # No such file: the plain import gives the same module, only slower.
+        except ImportError:
+            break
+        # An extension with single-phase init enters itself in
+        # sys.modules; taken out, a later `import scipy.linalg` binds
+        # its own copy as the package attribute, as in a plain import.
+        if sys.modules.get(spec.name) is module:
+            del sys.modules[spec.name]
+        return module
     from scipy.linalg import _flapack
 
     return _flapack
@@ -69,21 +82,23 @@ _ABSTOL = 2.0 * _TINY
 
 
 def _drop_negligible(a: np.ndarray) -> np.ndarray:
-    """a with every entry below eps * max|a| / n set to exactly zero.
+    """Set every entry of a below eps * max|a| / n to exactly zero, in place; return a.
 
     a is an n x n matrix, or a stack of them with max|a| taken over the
-    stack.  The dropped part E of each matrix has |E|_2 <= |E|_F <
-    eps * max|a|, and max|a| is at most the largest |a|_2, so by Weyl's
-    inequality no eigenvalue moves by more than rounding relative to it.
-    LAPACK's Hermitian eigensolvers lose accuracy on entries far below
-    the rest (near 1e-175 beside O(1) entries, real and complex calls
-    alike).
+    stack, and is modified: callers pass an array of their own.  The
+    dropped part E of each matrix has |E|_2 <= |E|_F < eps * max|a|, and
+    max|a| is at most the largest |a|_2, so by Weyl's inequality no
+    eigenvalue moves by more than rounding relative to it.  LAPACK's
+    Hermitian eigensolvers lose accuracy on entries far below the rest
+    (near 1e-175 beside O(1) entries, real and complex calls alike).
     """
     if not a.size:
         return a
     mag = np.abs(a)
     small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[-1]
-    return np.where(small, 0.0, a) if small.any() else a
+    del mag
+    a[small] = 0.0
+    return a
 
 
 def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
@@ -202,8 +217,8 @@ def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
     n = len(e) + 1
     band = np.zeros((2, n))
     band[1, :-1] = e
-    values, vectors = banded_eigh(band)
-    w = vectors * np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None]
+    values, w = banded_eigh(band)
+    w *= np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None]
     even, odd = w[0::2], w[1::2]
     out = np.empty((n, n))
     out[0::2, 0::2] = (even * np.cos(values)) @ even.T

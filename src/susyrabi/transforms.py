@@ -132,8 +132,9 @@ def _leading_norm(block: np.ndarray) -> float:
     or U, and its norm is its largest |eigenvalue|, from one batched
     eigvalsh after linalg._drop_negligible, in place of the singular values.
     """
-    sym = _drop_negligible((block + block.transpose(0, 2, 1)) / 2.0)
-    return float(np.abs(np.linalg.eigvalsh(sym)).max(initial=0.0))
+    sym = block + block.transpose(0, 2, 1)
+    sym /= 2.0
+    return float(np.abs(np.linalg.eigvalsh(_drop_negligible(sym))).max(initial=0.0))
 
 
 def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
@@ -255,7 +256,11 @@ def polaron_equivalence_report(
     h[0, 1, :-1] = g * root[1:]
     h[1, 1, :-1] = -g * root[1:]
     uc = np.stack([d.T[:, :cut], d[:, :cut]])
+    # D and then uc go once used, so no dead N x N or (2, N, cut) array
+    # adds to the check's memory peak.
+    del d
     diff = uc.transpose(0, 2, 1) @ band_times(h, uc)
+    del uc
     diff[:, np.arange(cut), np.arange(cut)] -= free[:cut]
     # Weyl: |rhs|_2 >= omega_b (N - 1/2) - |O|_2, and |O|_2 = |omega_a|/2.
     scale = omega_b * (fp.n_fock - 0.5) - abs(omega_a) / 2.0

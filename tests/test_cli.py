@@ -323,8 +323,9 @@ def test_module_entry_point_runs_commands():
 
 
 # Modules no command needs, each tens to hundreds of ms to import:
-# scipy.linalg, and numpy.f2py and numpy.testing, which it pulls in.
-UNUSED = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+# scipy.linalg, and numpy.f2py and numpy.testing, which it pulls in; and
+# the scipy package itself, whose __init__ susyrabi.linalg does not run.
+UNUSED = ("scipy", "scipy.linalg", "numpy.f2py", "numpy.testing")
 IMPORT_PROBE = (
     "import json, os, sys\n"
     "import susyrabi.cli\n"

@@ -1,6 +1,7 @@
 """Linear-algebra substrate: kron, eigensolvers, the residual-stack norm, banded products."""
 
 import importlib.machinery
+import importlib.util
 
 import numpy as np
 import pytest
@@ -194,7 +195,25 @@ def test_banded_lowest_rejects_non_finite_band(bad):
 
 
 def test_flapack_falls_back_to_the_plain_import(monkeypatch):
-    # With no extension file found by suffix, the loader imports the module
-    # through scipy.linalg instead.
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    # With no scipy spec, with no extension file found by suffix, or where
+    # loading the file raises ImportError (as where scipy's __init__ must
+    # first put its bundled OpenBLAS on the DLL path), the loader imports
+    # the module through scipy.linalg instead.
+    find_spec = importlib.util.find_spec
+    with monkeypatch.context() as m:
+        m.setattr(importlib.util, "find_spec",
+                  lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+        assert linalg._load_flapack() is sla._flapack
+    with monkeypatch.context() as m:
+        m.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        assert linalg._load_flapack() is sla._flapack
+
+    refused = []
+
+    def refuse(self, module):
+        refused.append(module.__name__)
+        raise ImportError("DLL load failed")
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", refuse)
     assert linalg._load_flapack() is sla._flapack
+    assert refused == ["scipy.linalg._flapack"]

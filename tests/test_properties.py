@@ -12,7 +12,14 @@ from hypothesis.extra.numpy import arrays
 
 from susyrabi.errors import InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
-from susyrabi.linalg import band_matrix, band_times, banded_eigh, banded_norm, skew_tridiagonal_exp
+from susyrabi.linalg import (
+    _drop_negligible,
+    band_matrix,
+    band_times,
+    banded_eigh,
+    banded_norm,
+    skew_tridiagonal_exp,
+)
 from susyrabi.model import (
     ModelParams,
     Schedule,
@@ -760,6 +767,24 @@ def symmetric_with_zeros(draw):
 def test_block_hermitian_norm_equals_dense_norm(h):
     want = np.linalg.norm(h, 2)
     assert abs(_leading_norm(h[None]) - want) <= NORM_RTOL * max(1.0, want)
+
+
+# _leading_norm halves block + block^T in place, and _drop_negligible zeroes
+# the small entries of its argument in place: both give the bits of the
+# out-of-place forms they replace, np.where(small, 0.0, (B + B^T) / 2).
+@settings(max_examples=80, deadline=None)
+@given(real_stacks())
+@example(stack=tiny_entries_beside_unit_ones()[None])
+def test_in_place_norm_steps_keep_every_bit(stack):
+    sym = (stack + stack.transpose(0, 2, 1)) / 2
+    small = np.zeros(sym.shape, dtype=bool)
+    if sym.size:
+        small = np.abs(sym) < np.finfo(np.float64).eps * np.abs(sym).max() / sym.shape[-1]
+    want = np.where(small, 0.0, sym)
+    assert _leading_norm(stack) == np.abs(np.linalg.eigvalsh(want)).max(initial=0.0)
+    got = sym.copy()
+    assert _drop_negligible(got) is got
+    assert got.tobytes() == want.tobytes()
 
 
 # Adding levels k..K-1 to a sum that passed its tail check at level k-1

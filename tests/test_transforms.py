@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,3 +499,26 @@ def test_transform_checks_make_no_n_by_n_eigensolve(monkeypatch):
     assert shapes == [(2, cut, cut)]
     a2_removal_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
     assert len(widths) == 1
+
+
+def test_polaron_check_holds_at_most_four_residual_stacks():
+    # numpy reports its buffers to tracemalloc.  At N = 512, buffer 32 and
+    # beta = 1 (cut 444) the check's traced peak stays at or below four
+    # float64 (2, cut, cut) stacks: D, the leading columns, their band
+    # product, the residual and its symmetrized copy are not all alive at
+    # once.  The bound is fixed in advance.
+    fp = FockParams(n_fock=512, buffer=32)
+    cut = fp.n_fock - math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock))
+    assert cut == 444
+    bound = 4 * 2 * cut * cut * 8
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= bound, f"{peak / (bound / 4):.2f} stacks"
