@@ -4,17 +4,15 @@ Each parity chain of the Hamiltonian (model.parity_chains) is a real
 symmetric band matrix: tridiagonal in the squeezed frame that the
 spectrum paths use, pentadiagonal for the truncated H in its own frame.
 banded_lowest gives only the levels asked for, so spectral.lowest_k can
-extend one chain later at the cost of the new levels alone; banded_norm
-is two single-eigenvalue solves; band_times multiplies a band matrix, or
-a stack of them, by full columns in O(N) per column, and band_matrix
-writes one out in full; banded_eigh gives all eigenpairs of a
-tridiagonal chain through LAPACK dstevd, as (values, vectors) like
-numpy's eigh, for the Witten index and for skew_tridiagonal_exp, the
-one matrix exponential here (the displacement and squeeze generators
-are real skew-symmetric tridiagonal).
-_drop_negligible guards the batched eigensolve of transforms._leading_norm
-(and the tests' reference eigensolver) against entries far below the rest,
-zeroing them in place.
+extend one chain later at the cost of the new levels alone;
+band_times multiplies a band matrix, or a stack of them, by full
+columns in O(N) per column, and band_matrix writes one out in full;
+banded_eigh gives all eigenpairs of a tridiagonal chain through LAPACK
+dstevd, as (values, vectors) like numpy's eigh, for the Witten index
+and for skew_tridiagonal_exp, the one matrix exponential here (the
+displacement and squeeze generators are real skew-symmetric
+tridiagonal).  No residual norm solves an eigenproblem: the transform
+checks' norms are closed forms (transforms._leading_norm).
 
 The two LAPACK calls, dsbevx and dstevd, use the f2py wrappers of
 scipy's extension module scipy.linalg._flapack, loaded on its own by its
@@ -81,26 +79,6 @@ _TINY = np.finfo(np.float64).tiny
 _ABSTOL = 2.0 * _TINY
 
 
-def _drop_negligible(a: np.ndarray) -> np.ndarray:
-    """Set every entry of a below eps * max|a| / n to exactly zero, in place; return a.
-
-    a is an n x n matrix, or a stack of them with max|a| taken over the
-    stack, and is modified: callers pass an array of their own.  The
-    dropped part E of each matrix has |E|_2 <= |E|_F < eps * max|a|, and
-    max|a| is at most the largest |a|_2, so by Weyl's inequality no
-    eigenvalue moves by more than rounding relative to it.  LAPACK's
-    Hermitian eigensolvers lose accuracy on entries far below the rest
-    (near 1e-175 beside O(1) entries, real and complex calls alike).
-    """
-    if not a.size:
-        return a
-    mag = np.abs(a)
-    small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[-1]
-    del mag
-    a[small] = 0.0
-    return a
-
-
 def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     """Eigenvalues start .. m - 1, ascending, of a real symmetric band matrix.
 
@@ -132,17 +110,6 @@ def banded_lowest(band: np.ndarray, m: int, start: int = 0) -> np.ndarray:
     if info != 0:  # pragma: no cover - LAPACK rarely fails here
         raise SolverError(f"banded eigensolver failed (dsbevx info {info})")
     return w[:found]
-
-
-def banded_norm(band: np.ndarray, cut: int | None = None) -> float:
-    """Spectral norm of the leading cut x cut block of a real symmetric band matrix.
-
-    band is in lower banded storage, as for banded_lowest; cut defaults
-    to the whole matrix.  The norm is max(|lambda_min|, |lambda_max|), two
-    single-eigenvalue banded solves.
-    """
-    b = np.asarray(band, dtype=float)[:, :cut]
-    return max(abs(float(banded_lowest(b, 1)[0])), abs(float(banded_lowest(-b, 1)[0])))
 
 
 def band_times(band: np.ndarray, x: np.ndarray) -> np.ndarray:

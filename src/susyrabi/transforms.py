@@ -4,8 +4,11 @@ The frequency-renormalizing unitary is realized as a one-mode squeeze
 S(+zeta); its correctness is established numerically against the
 conjugation identity it must satisfy.  All residuals are measured away
 from the truncation boundary, on the leading cut x cut block of each
-N x N operand (boson levels 0..cut-1), and relative to the spectral norm
-of the Hermitian target, or for the polaron frame a lower bound on it.
+N x N operand (boson levels 0..cut-1), in the Frobenius norm, which
+bounds the spectral norm from above, and relative to a lower bound on
+the spectral norm of the Hermitian target: its largest |diagonal entry|,
+or for the polaron frame Weyl's bound.  So each value reads at least
+the relative spectral residual, and every norm is a closed form.
 The cut is N - buffer, or less where a squeeze or a displacement spreads
 Fock support: a rule in zeta or in beta sqrt(N), with TruncationError
 where fewer than 8 levels would remain.
@@ -20,15 +23,15 @@ gives it, with no 2N x 2N operand:
   (linalg.band_times).
 - Field rewriting: B_r^dag B_r is one pentadiagonal band on each chain,
   compared with the model.parity_chains of Schedule.params(r) in band
-  storage; its residual and scale are linalg.banded_norm, O(N).
+  storage; its residual and scale are read off the bands, O(N).
 - Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
   the residual lives on the two N x N spin-diagonal blocks, formed on
   the leading columns of D and D^T against two tridiagonal bands; the
   scale is Weyl's lower bound on |rhs|_2, a closed form.
 
-The squeeze and polaron residuals are symmetric (2, cut, cut) stacks, so
-each norm is one batched eigvalsh (_leading_norm).  squeeze and
-displacement are the paper's formulas, each one real
+The squeeze and polaron residuals are (2, cut, cut) stacks, whose norm
+is _leading_norm, and the field rewriting's are bands (_band_norm).
+squeeze and displacement are the paper's formulas, each one real
 linalg.skew_tridiagonal_exp; the tests compare each check with numpy on
 2N x 2N reference operators built from them.
 """
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import FockParams
-from .linalg import _drop_negligible, band_matrix, band_times, banded_norm, skew_tridiagonal_exp
+from .linalg import band_matrix, band_times, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     Schedule,
@@ -124,17 +127,45 @@ def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
 
 
 def _leading_norm(block: np.ndarray) -> float:
-    """Largest spectral norm of a real (k, cut, cut) stack of leading residual blocks.
+    """Frobenius norm of a real array, all its entries together; overwrites it.
 
-    Both residuals, S^T L S - R and U^T lhs U - F, are symmetric for any
-    orthogonal S or U, since L, R, lhs and F are; only round-off breaks
-    that.  So the stack is symmetrized, which cannot hide an error of S
-    or U, and its norm is its largest |eigenvalue|, from one batched
-    eigvalsh after linalg._drop_negligible, in place of the singular values.
+    block is the (2, cut, cut) stack of a residual's leading blocks, the
+    diagonal blocks of the dense check's P R P, so its norm is
+    |P R P|_F >= |P R P|_2: a residual reads at least its spectral norm,
+    and no check passes that would fail under that.  block is divided
+    by its largest |entry| before it is squared, so no square overflows,
+    and squared in place: callers pass an array of their own.
     """
-    sym = block + block.transpose(0, 2, 1)
-    sym /= 2.0
-    return float(np.abs(np.linalg.eigvalsh(_drop_negligible(sym))).max(initial=0.0))
+    big = max(block.max(initial=0.0), -block.min(initial=0.0))
+    if big == 0.0:
+        return 0.0
+    block /= big
+    block *= block
+    return float(big * math.sqrt(block.sum()))
+
+
+def _band_norm(band: np.ndarray, cut: int) -> float:
+    """Frobenius norm of the leading cut x cut blocks of a stack of real symmetric bands, together.
+
+    band is (..., rows, N) in lower banded storage (linalg.band_times).
+    An entry below the diagonal stands for two of the matrix, so the
+    square of the norm is that of the band's leading entries plus that of
+    its off-diagonal ones; O(rows N).
+    """
+    lead = band[..., :cut].copy()
+    for d in range(1, lead.shape[-2]):
+        lead[..., d, max(lead.shape[-1] - d, 0):] = 0.0
+    return math.hypot(_leading_norm(lead[..., 1:, :].copy()), _leading_norm(lead))
+
+
+def _diagonal_scale(chains: np.ndarray) -> float:
+    """max(1, the largest |diagonal entry| of a stack of bands).
+
+    |A_jj| <= |A|_2, so this is a lower bound on max(1, |rhs|_2) for the
+    block-diagonal rhs the chains make up: dividing by it can only make a
+    relative residual read higher.
+    """
+    return max(1.0, float(np.abs(chains[..., 0, :]).max()))
 
 
 def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
@@ -151,7 +182,7 @@ def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
     the same spin, so U is S on each chain in the chain's position basis:
     the residual is S^T L S - R on the chains L of model.parity_chains and
     R of model.squeezed_chains, on their leading squeeze_cut levels, and
-    the scale is the largest linalg.banded_norm of the R chains.  Only
+    the scale is _diagonal_scale of the R chains.  Only
     the leading cut columns S_c of S enter the residual's leading block,
     so it is S_c^T (L S_c) - R_c, with L S_c from L's bands
     (linalg.band_times) and R_c the leading cut x cut blocks of R, from
@@ -166,14 +197,15 @@ def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
     lead = s[:, :cut]
     diff = lead.T @ band_times(parity_chains(p, fp), lead)
     diff -= band_matrix(rhs[:, :, :cut])
-    return _leading_norm(diff) / max(1.0, max(banded_norm(b) for b in rhs))
+    return _leading_norm(diff) / _diagonal_scale(rhs)
 
 
 def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     """Check the heavy-field rewriting of H(r) on its two parity chains.
 
     omega_g(r) (B_r^dag B_r + 1/2) - (omega_a(r)/2)(D- + D+) = H(r),
-    measured on the interior and relative to |H(r)|_2.  D- + D+ = -sz
+    measured on the interior and relative to a lower bound on |H(r)|_2
+    (_diagonal_scale).  D- + D+ = -sz
     exactly.  B_r maps chain i to chain 1-i through the same real
     tridiagonal M = alpha a + gamma a_dag + kappa (model.heavy_field_coefficients),
     so B_r^dag B_r is M^T M on each chain: pentadiagonal, built in band
@@ -181,9 +213,9 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz = (-1)^n on
     chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains of
     s.params(r), self-energy shift included.  The interior is the
-    leading N - buffer positions of each chain, so the residual and
-    |H(r)|_2 are linalg.banded_norm of the chains, O(N); TruncationError
-    below 8 levels, as for the other two checks.
+    leading N - buffer positions of each chain, so the residual is
+    _band_norm of the two difference chains, O(N); TruncationError below
+    8 levels, as for the other two checks.
     """
     cut = _checked_cut(fp, fp.n_fock, "the truncation")
     alpha, gamma, kappa = heavy_field_coefficients(s, r)
@@ -203,8 +235,7 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     diff[1, 0] -= spin
     rhs = parity_chains(s.params(r), fp)
     diff[:, : rhs.shape[1]] -= rhs
-    residual = max(banded_norm(band, cut) for band in diff)
-    return residual / max(1.0, max(banded_norm(band) for band in rhs))
+    return _band_norm(diff, cut) / _diagonal_scale(rhs)
 
 
 def polaron_equivalence_report(
@@ -230,8 +261,7 @@ def polaron_equivalence_report(
     F = omega_b(n+1/2); its leading cut x cut blocks are
     U_c^T (h+/- U_c) - F_c with U_c the leading cut columns of D^T and of
     D, h+/- held as tridiagonal bands (linalg.band_times), and F_c
-    subtracted on the diagonal.  Its norm is _leading_norm, the check's
-    one eigensolve.
+    subtracted on the diagonal.  Its norm is _leading_norm.
 
     The scale is omega_b (N - 1/2) - |omega_a|/2, Weyl's lower bound on
     |rhs|_2: the rhs is F (+) F, whose norm is omega_b (N - 1/2), plus

@@ -27,7 +27,6 @@ from scipy.optimize import brentq
 from susyrabi import transforms
 from susyrabi.errors import DimensionError, SolverError, ValidationError
 from susyrabi.fock import I2, S_MINUS, S_PLUS, SZ, FockParams
-from susyrabi.linalg import _drop_negligible
 from susyrabi.model import (
     ModelParams, Schedule, SuperchargeSet, charge_pairs, heavy_field_coefficients,
     renormalized_frequency, self_energy,
@@ -138,6 +137,26 @@ def interior_projector(fp: FockParams, cut: int | None = None) -> np.ndarray:
     return np.r_[0:cut, fp.n_fock : fp.n_fock + cut]
 
 
+def _drop_negligible(a: np.ndarray) -> np.ndarray:
+    """Set every entry of a below eps * max|a| / n to exactly zero, in place; return a.
+
+    a is an n x n matrix, or a stack of them with max|a| taken over the
+    stack, and is modified: callers pass an array of their own.  The
+    dropped part E of each matrix has |E|_2 <= |E|_F < eps * max|a|, and
+    max|a| is at most the largest |a|_2, so by Weyl's inequality no
+    eigenvalue moves by more than rounding relative to it.  LAPACK's
+    Hermitian eigensolvers lose accuracy on entries far below the rest
+    (near 1e-175 beside O(1) entries, real and complex calls alike).
+    """
+    if not a.size:
+        return a
+    mag = np.abs(a)
+    small = mag < np.finfo(np.float64).eps * mag.max() / a.shape[-1]
+    del mag
+    a[small] = 0.0
+    return a
+
+
 def hermitian_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (values, vectors) of a (nearly) Hermitian matrix, the dense oracle.
 
@@ -145,7 +164,7 @@ def hermitian_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ladder operators routinely introduces 1-ulp asymmetries, so an
     asymmetry beyond HERMITICITY_RTOL is a RuntimeWarning, not an error.
     Entries below rounding relative to the largest are dropped
-    (linalg._drop_negligible) before one np.linalg.eigh, returned as it
+    (_drop_negligible) before one np.linalg.eigh, returned as it
     gives it.  Real symmetric input gives real eigenvectors.
     """
     a = _check_square(a)

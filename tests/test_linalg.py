@@ -91,9 +91,18 @@ def test_eigs_warns_and_symmetrizes_on_asymmetry():
     np.testing.assert_allclose(values, np.linalg.eigvalsh(sym))
 
 
-def test_spectral_norm_diag():
-    assert _leading_norm(np.diag([1.0, -5.0, 2.0])[None]) == pytest.approx(5.0)
+def test_frobenius_norm_diag():
+    assert _leading_norm(np.diag([1.0, -5.0, 2.0])[None]) == pytest.approx(30.0**0.5)
     assert _leading_norm(np.zeros((2, 0, 0))) == 0.0
+
+
+def test_frobenius_norm_of_huge_entries_is_finite():
+    # Squared unscaled, entries near 1e300 would overflow to inf.
+    stack = np.full((2, 3, 3), 1e300)
+    stack[1, 0, 2] = -2e300
+    got = _leading_norm(stack)
+    assert np.isfinite(got)
+    assert got == pytest.approx(1e300 * 21.0**0.5, rel=1e-15)
 
 
 def test_hermitian_eigs_of_sparse_complex_matrix_match_eigvalsh():

@@ -13,11 +13,9 @@ from hypothesis.extra.numpy import arrays
 from susyrabi.errors import InvalidBetaError, ValidationError
 from susyrabi.fock import FockParams
 from susyrabi.linalg import (
-    _drop_negligible,
     band_matrix,
     band_times,
     banded_eigh,
-    banded_norm,
     skew_tridiagonal_exp,
 )
 from susyrabi.model import (
@@ -39,10 +37,11 @@ from susyrabi.spectral import (
     required_n_fock,
     witten_index,
 )
-from susyrabi.transforms import _leading_norm
+from susyrabi.transforms import _band_norm, _leading_norm
 
 import oracle
 from oracle import (
+    _drop_negligible,
     broken_supercharges,
     free_supercharges,
     hamiltonian,
@@ -150,9 +149,11 @@ def test_banded_eigh_equals_eig_banded_and_dense_eigh(band):
 
 
 # Norms of real (k, n, n) stacks: _leading_norm, of the whole stack and of
-# a leading cut x cut block, against the largest singular value of the
-# symmetrized stack (A + A^T)/2.  The tolerance is fixed in advance: 1e-12
-# relative to the SVD norm, and exactly 0 for a zero stack.
+# a leading cut x cut block, against the Frobenius norm of the stack from
+# math.hypot, which neither overflows nor underflows (numpy's squares
+# underflow at the stacks' 1e-100 scale).  The tolerance is fixed in
+# advance: 1e-12 relative to math.hypot's norm, and exactly 0 for a zero
+# stack.
 STACK_RTOL = 1e-12
 
 
@@ -170,9 +171,14 @@ def real_stacks(draw):
     return scale * m * keep
 
 
-def assert_stack_norm(got, stack):
-    sym = (stack + stack.transpose(0, 2, 1)) / 2.0
-    want = float(np.linalg.svd(sym, compute_uv=False).max()) if sym.size else 0.0
+def frobenius(a):
+    """The Frobenius norm of a, from math.hypot."""
+    return math.hypot(*np.ravel(a))
+
+
+def assert_stack_norm(stack):
+    want = frobenius(stack)
+    got = _leading_norm(stack.copy())
     if want == 0.0:
         assert got == 0.0
     else:
@@ -181,10 +187,10 @@ def assert_stack_norm(got, stack):
 
 @settings(max_examples=80, deadline=None)
 @given(real_stacks(), st.data())
-def test_stack_norms_equal_svd_norm(stack, data):
-    assert_stack_norm(_leading_norm(stack), stack)
+def test_stack_norms_equal_frobenius_norm(stack, data):
+    assert_stack_norm(stack)
     cut = data.draw(st.integers(min_value=1, max_value=stack.shape[1]))
-    assert_stack_norm(_leading_norm(stack[:, :cut, :cut]), stack[:, :cut, :cut])
+    assert_stack_norm(stack[:, :cut, :cut])
 
 
 # The closed-form largest singular value of 2 x 2 blocks against numpy's
@@ -470,22 +476,24 @@ def test_chain_matrices_are_the_band_storage(case):
         np.testing.assert_array_equal(band_matrix(band), chain_matrix(band))
 
 
-# banded_norm against numpy's dense norm of the leading block.  The
-# tolerance is fixed in advance: 1e-12 relative to max(1, the dense norm).
+# _band_norm against numpy's Frobenius norm of the leading block, of one
+# band and of a stack of two together; the entries band[d, N - d:], outside
+# the matrix, are drawn too.  The tolerance is fixed in advance: 1e-12
+# relative to max(1, the dense norm).
 BANDED_NORM_RTOL = 1e-12
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=2, max_value=3), st.integers(min_value=2, max_value=16),
        st.data())
-def test_banded_norm_equals_dense_leading_block_norm(rows, n, data):
-    band = data.draw(arrays(np.float64, (rows, n), elements=reals))
-    full = chain_matrix(band)
+def test_band_norm_equals_dense_leading_block_norm(rows, n, data):
+    bands = data.draw(arrays(np.float64, (2, rows, n), elements=reals))
+    full = band_matrix(bands)
     for cut in range(1, n + 1):
-        want = np.linalg.norm(full[:cut, :cut], 2)
-        assert abs(banded_norm(band, cut) - want) <= BANDED_NORM_RTOL * max(1.0, want)
-    want = np.linalg.norm(full, 2)
-    assert abs(banded_norm(band) - want) <= BANDED_NORM_RTOL * max(1.0, want)
+        want = np.linalg.norm(full[0, :cut, :cut])
+        assert abs(_band_norm(bands[0], cut) - want) <= BANDED_NORM_RTOL * max(1.0, want)
+        want = np.linalg.norm(full[:, :cut, :cut])
+        assert abs(_band_norm(bands, cut) - want) <= BANDED_NORM_RTOL * max(1.0, want)
 
 
 # band_times against the dense product with the chains' full matrices.  The
@@ -593,8 +601,10 @@ WITTEN_ATOL = 1e-10
 
 
 # The residual norm (_leading_norm) of real symmetric block-diagonal
-# matrices against the dense SVD norm.  The tolerance is fixed in advance:
-# 1e-12 relative to the dense norm, and exactly 0 for a zero matrix.
+# matrices against their Frobenius norm from math.hypot (numpy's squares
+# underflow on the entries near 1e-287 that the matrices can hold).  The
+# tolerance is fixed in advance: 1e-12 relative to the dense norm, and
+# exactly 0 for a zero matrix.
 BLOCK_RTOL = 1e-12
 
 
@@ -630,7 +640,7 @@ def permuted_block_diagonal(draw):
 @given(permuted_block_diagonal())
 def test_block_norms_equal_dense_norm(a):
     h = a + a.T
-    assert_same_norm(_leading_norm(h[None]), np.linalg.norm(h, 2))
+    assert_same_norm(_leading_norm(h[None].copy()), frobenius(h))
 
 
 @pytest.mark.parametrize("a", [
@@ -641,7 +651,7 @@ def test_block_norms_equal_dense_norm(a):
 ])
 def test_block_norms_on_special_matrices(a):
     h = a + a.T
-    assert_same_norm(_leading_norm(h[None]), np.linalg.norm(h, 2))
+    assert_same_norm(_leading_norm(h[None].copy()), frobenius(h))
 
 
 witten_cases = st.tuples(
@@ -765,24 +775,32 @@ def symmetric_with_zeros(draw):
 @given(symmetric_with_zeros())
 @example(h=tiny_entries_beside_unit_ones() + tiny_entries_beside_unit_ones().T)
 def test_block_hermitian_norm_equals_dense_norm(h):
-    want = np.linalg.norm(h, 2)
-    assert abs(_leading_norm(h[None]) - want) <= NORM_RTOL * max(1.0, want)
+    want = frobenius(h)
+    assert abs(_leading_norm(h[None].copy()) - want) <= NORM_RTOL * max(1.0, want)
 
 
-# _leading_norm halves block + block^T in place, and _drop_negligible zeroes
-# the small entries of its argument in place: both give the bits of the
-# out-of-place forms they replace, np.where(small, 0.0, (B + B^T) / 2).
+# _leading_norm divides and squares its argument in place: it gives the
+# bits of the out-of-place form big sqrt(sum((B / big)^2)), big = max|B|.
 @settings(max_examples=80, deadline=None)
 @given(real_stacks())
 @example(stack=tiny_entries_beside_unit_ones()[None])
 def test_in_place_norm_steps_keep_every_bit(stack):
-    sym = (stack + stack.transpose(0, 2, 1)) / 2
-    small = np.zeros(sym.shape, dtype=bool)
-    if sym.size:
-        small = np.abs(sym) < np.finfo(np.float64).eps * np.abs(sym).max() / sym.shape[-1]
-    want = np.where(small, 0.0, sym)
-    assert _leading_norm(stack) == np.abs(np.linalg.eigvalsh(want)).max(initial=0.0)
-    got = sym.copy()
+    big = np.abs(stack).max(initial=0.0)
+    want = float(big * np.sqrt(np.sum((stack / big) ** 2))) if big else 0.0
+    assert _leading_norm(stack.copy()) == want
+
+
+# The oracle's _drop_negligible zeroes the small entries of its argument in
+# place: it gives the bits of the out-of-place form np.where(small, 0.0, A).
+@settings(max_examples=80, deadline=None)
+@given(real_stacks())
+@example(stack=tiny_entries_beside_unit_ones()[None])
+def test_drop_negligible_zeroes_in_place_bit_for_bit(stack):
+    small = np.zeros(stack.shape, dtype=bool)
+    if stack.size:
+        small = np.abs(stack) < np.finfo(np.float64).eps * np.abs(stack).max() / stack.shape[-1]
+    want = np.where(small, 0.0, stack)
+    got = stack.copy()
     assert _drop_negligible(got) is got
     assert got.tobytes() == want.tobytes()
 

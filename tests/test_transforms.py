@@ -54,18 +54,29 @@ def dense_exp(k):
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
-def interior_norm(a, idx):
-    """|P a P|_2 for the projector P onto the index set idx."""
-    return np.linalg.norm(a[np.ix_(idx, idx)], 2)
+def interior_norm(a, idx, ord=2):
+    """|P a P| for the projector P onto the index set idx, spectral unless ord says."""
+    return np.linalg.norm(a[np.ix_(idx, idx)], ord)
 
 
-def dense_residual(u, lhs, rhs, idx):
-    """|P (U^dag lhs U - rhs) P|_2 / max(1, |rhs|_2), the A^2 check's residual.
+def diagonal_scale(rhs):
+    """max(1, max |rhs_jj|), the lower bound on max(1, |rhs|_2) the A^2 and field checks use."""
+    return max(1.0, float(np.abs(np.diagonal(rhs)).max()))
 
-    The polaron check divides by a lower bound on |rhs|_2 instead
-    (dense_polaron_residual).
-    """
-    return interior_norm(u.conj().T @ lhs @ u - rhs, idx) / max(1.0, np.linalg.norm(rhs, 2))
+
+def spectral_value(diff, rhs, idx):
+    """|P diff P|_2 / max(1, |rhs|_2), the relative spectral residual."""
+    return interior_norm(diff, idx) / max(1.0, np.linalg.norm(rhs, 2))
+
+
+def frobenius_value(diff, rhs, idx):
+    """|P diff P|_F / diagonal_scale(rhs), what the A^2 and field checks report."""
+    return interior_norm(diff, idx, "fro") / diagonal_scale(rhs)
+
+
+def dense_residual(u, lhs, rhs, idx, value=spectral_value):
+    """The value of the residual U^dag lhs U - rhs on the index set idx."""
+    return value(u.conj().T @ lhs @ u - rhs, rhs, idx)
 
 
 def a2_angle(p):
@@ -279,22 +290,23 @@ def test_field_identity_raises_when_the_buffer_leaves_too_few_levels():
         field_identity_report(s, 0.5, FockParams(n_fock=8, buffer=4))
 
 
-# The structured checks against their dense oracles: dense_residual on the
-# 2N x 2N operands for the squeeze and the polaron frame, numpy's norms for
-# the field rewriting.  Tolerances fixed in advance: 1e-14 * max(1, want)
-# absolute where the identity holds and 1e-12 relative where it is made to
-# fail.
+# The structured checks against their dense oracles: numpy's Frobenius norm
+# of the interior residual on the 2N x 2N operands, over diagonal_scale, or
+# for the polaron frame over Weyl's bound (polaron_scale).  Tolerances fixed
+# in advance: 1e-14 * max(1, want) absolute where the identity holds and
+# 1e-12 relative where it is made to fail.
 STRUCTURED_N = (32, 64, 128)
 STRUCTURED_C = (0.0, 0.2513, 1.257)
 MISMATCH_RTOL = 1e-12
 
 
-def dense_a2_residual(p, fp, target):
+def dense_a2_residual(p, fp, target, value=frobenius_value):
     """S(zeta) and the dense A^2-removal residual against the target parameters."""
     zeta = a2_angle(p)
     idx = interior_projector(fp, squeeze_cut(fp, zeta))
     s = squeeze(zeta, fp)
-    return s, dense_residual(embed_boson(s, fp), hamiltonian(p, fp), hamiltonian(target, fp), idx)
+    return s, dense_residual(
+        embed_boson(s, fp), hamiltonian(p, fp), hamiltonian(target, fp), idx, value)
 
 
 def dense_polaron_rhs(omega_a, beta, fp):
@@ -310,23 +322,23 @@ def polaron_scale(omega_a, fp):
     return OMEGA * (fp.n_fock - 0.5) - abs(omega_a) / 2.0
 
 
-def dense_polaron_residual(omega_a, g, fp):
-    """The dense interior residual, divided by max(1, polaron_scale) as the check divides it."""
+def dense_polaron_residual(omega_a, g, fp, ord="fro"):
+    """The dense interior residual's norm, Frobenius unless ord says, over max(1, polaron_scale)."""
     beta = g / OMEGA
     cut = min(fp.n_fock - fp.buffer,
               fp.n_fock - math.ceil(transforms.POLARON_SPREAD * beta * math.sqrt(fp.n_fock)))
     u = u_polaron(beta, fp)
     lhs = hamiltonian(ModelParams(omega_a, OMEGA, g, 0.0, shift=g**2 / OMEGA), fp)
     residual = u.conj().T @ lhs @ u - dense_polaron_rhs(omega_a, beta, fp)
-    return interior_norm(residual, interior_projector(fp, cut)) / max(
+    return interior_norm(residual, interior_projector(fp, cut), ord) / max(
         1.0, polaron_scale(omega_a, fp))
 
 
-def dense_field_residual(s, r, fp, rhs):
+def dense_field_residual(s, r, fp, rhs, value=frobenius_value):
     b_r = heavy_field(s, r, fp)
     lhs = s.omega_g(r) * (b_r.T @ b_r + 0.5 * np.eye(2 * fp.n_fock)) - (
         s.omega_a(r) / 2.0) * embed_qubit(-SZ, fp)
-    return interior_norm(lhs - rhs, interior_projector(fp)) / max(1.0, np.linalg.norm(rhs, 2))
+    return value(lhs - rhs, rhs, interior_projector(fp))
 
 
 def assert_matches(got, want):
@@ -434,6 +446,65 @@ def test_structured_field_identity_equals_dense_oracle(n, c, monkeypatch):
         assert_mismatch_matches(field_identity_report(s, r, fp), want)
 
 
+# Each check reads at least its old value, the dense spectral residual
+# |P R P|_2 / max(1, |rhs|_2), over Weyl's bound for the polaron frame:
+# |P R P|_F >= |P R P|_2 and each scale is at most max(1, |rhs|_2).  The
+# slack, fixed in advance, is 1e-12 relative: where R has rank one the two
+# norms agree up to round-off.
+LOWER_BOUND_RTOL = 1e-12
+
+
+def assert_at_least(got, old):
+    assert got >= old * (1.0 - LOWER_BOUND_RTOL), (got, old)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("c", STRUCTURED_C)
+def test_a2_and_field_checks_read_at_least_the_spectral_residual(n, c):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
+    for r in (0.0, 0.5, 1.0):
+        old = dense_field_residual(s, r, fp, h_total_r(s, r, fp), spectral_value)
+        assert_at_least(field_identity_report(s, r, fp), old)
+    p = ModelParams(OMEGA, OMEGA, OMEGA, c)
+    omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
+    target = ModelParams(OMEGA, omega_g, g_tilde, 0.0)
+    try:
+        _, old = dense_a2_residual(p, fp, target, spectral_value)
+    except TruncationError:
+        return  # C = 1.257 below N = 128: the squeeze leaves fewer than 8 levels.
+    assert_at_least(a2_removal_report(p, fp), old)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("beta, omega_a", POLARON_CASES)
+def test_polaron_frame_reads_at_least_the_spectral_residual(n, beta, omega_a):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    g = beta * OMEGA
+    old = dense_polaron_residual(omega_a, g, fp, ord=2)
+    assert_at_least(polaron_equivalence_report(omega_a, OMEGA, g, fp), old)
+
+
+# The A^2 and field checks divide by the largest |diagonal entry| of their
+# rhs chains, a lower bound on |rhs|_2 (|A_jj| <= |A|_2): it must equal
+# diagonal_scale of the dense rhs and lie at or below max(1, |rhs|_2).  The
+# slack, fixed in advance, is 1e-12 relative.
+@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("c", STRUCTURED_C)
+def test_diagonal_scale_is_a_lower_bound_on_the_rhs_norm(n, c):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
+    target = ModelParams(OMEGA, omega_g, g_tilde, 0.0)
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
+    cases = [(model.squeezed_chains(ModelParams(OMEGA, OMEGA, OMEGA, c), fp),
+              hamiltonian(target, fp))]
+    cases += [(parity_chains(s.params(r), fp), h_total_r(s, r, fp)) for r in (0.0, 0.5, 1.0)]
+    for chains, rhs in cases:
+        scale = transforms._diagonal_scale(chains)
+        assert abs(scale - diagonal_scale(rhs)) <= 1e-12 * scale
+        assert scale <= max(1.0, np.linalg.norm(rhs, 2)) * (1.0 + 1e-12)
+
+
 def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
     # No check builds a dense 2N x 2N operand: every kron, dense Hamiltonian,
     # embedding, dense charge set, dense eigensolve, np.block and the N x N
@@ -471,18 +542,15 @@ def test_transform_checks_build_no_dense_operand(monkeypatch, capsys):
 
 
 def test_transform_checks_make_no_n_by_n_eigensolve(monkeypatch):
-    # The polaron check's one full eigensolve is its residual norm, one
-    # eigvalsh of the (2, cut, cut) leading blocks; its scale is a bound.
-    # Neither it nor the A^2 check forms a full N x N chain matrix: both
-    # multiply by the bands, and the A^2 check forms only the rhs's
-    # leading cut x cut blocks.
+    # Every norm of the three checks is a closed form: no eigvalsh of a
+    # residual and no banded solve (dsbevx) of a residual or a scale.  Neither
+    # the polaron nor the A^2 check forms a full N x N chain matrix: both
+    # multiply by the bands, and the A^2 check forms only the rhs's leading
+    # cut x cut blocks.
     fp = FockParams(n_fock=64, buffer=16)
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def recording_eigvalsh(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve in a transform check")
 
     band_matrix = transforms.band_matrix
     widths = []
@@ -492,21 +560,21 @@ def test_transform_checks_make_no_n_by_n_eigensolve(monkeypatch):
         widths.append(band.shape[-1])
         return band_matrix(band)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linalg._flapack, "dsbevx", refuse)
     monkeypatch.setattr(transforms, "band_matrix", leading_matrices)
     polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
-    cut = fp.n_fock - max(fp.buffer, math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock)))
-    assert shapes == [(2, cut, cut)]
     a2_removal_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp)
     assert len(widths) == 1
+    field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
 
 
 def test_polaron_check_holds_at_most_four_residual_stacks():
     # numpy reports its buffers to tracemalloc.  At N = 512, buffer 32 and
     # beta = 1 (cut 444) the check's traced peak stays at or below four
     # float64 (2, cut, cut) stacks: D, the leading columns, their band
-    # product, the residual and its symmetrized copy are not all alive at
-    # once.  The bound is fixed in advance.
+    # product and the residual are not all alive at once.  The bound is
+    # fixed in advance.
     fp = FockParams(n_fock=512, buffer=32)
     cut = fp.n_fock - math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock))
     assert cut == 444
