@@ -140,7 +140,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     for variant in ("free", "broken"):
         residuals, vacua[variant] = pair_algebra_report(*charge_pairs(variant, cfg.omega, fp), fp)
         for name, val in residuals.items():
-            rows.append((f"{variant}.{name}", val, cfg.tol_algebra))
+            rows.append((f"{variant}.{name}", val, 1e-10))
     for i, val in enumerate(vacua["free"]):
         rows.append((f"free.vacuum_annihilation.{i}", val, 1e-8))
     target = math.sqrt(cfg.omega / 2.0)

@@ -17,8 +17,6 @@ class RunConfig:
     omega: float = 6.2832
     g_max: float = 6.2832
     c: float = 0.0
-    omega_a_schedule: str = "linear"
-    g_schedule: str = "linear"
     n_fock: int = 256
     buffer: int = 64
     sweep_kind: str = "r"
@@ -27,7 +25,6 @@ class RunConfig:
     sweep_points: int = 51
     k_levels: int = 7
     tol_degeneracy: float = DEGENERACY_TOL
-    tol_algebra: float = 1e-10
     tol_convergence: float = 1e-6
     out_csv: str | None = None
     out_svg: str | None = None
@@ -36,17 +33,13 @@ class RunConfig:
         return FockParams(n_fock=self.n_fock, buffer=self.buffer)
 
     def schedule(self) -> Schedule:
-        return Schedule(
-            omega=self.omega,
-            g_max=self.g_max,
-            c=self.c,
-            omega_a_form=self.omega_a_schedule,
-            g_form=self.g_schedule,
-        )
+        return Schedule(omega=self.omega, g_max=self.g_max, c=self.c)
 
 
 # The type of each RunConfig field, which is also the type of its JSON key
-# and of its CLI flag; a None default (the output paths) is a str.
+# and of its CLI flag; a None default (the output paths) is a str.  Every
+# subcommand takes every field as a flag.  The r path and verify's
+# thresholds are fixed in code, so neither has a field.
 FIELD_TYPES = {
     f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)
 }
@@ -85,11 +78,11 @@ def _coerce(name: str, value, kind):
 def validate(cfg: RunConfig) -> RunConfig:
     """Enforce the RunConfig invariants, raising ConfigError with the cause.
 
-    The rules on omega, g_max, c, the schedule names, n_fock and buffer
-    are those of FockParams and Schedule, checked by building both.
+    The rules on omega, g_max, c, n_fock and buffer are those of
+    FockParams and Schedule, checked by building both.
     """
     for name in ("omega", "g_max", "c", "sweep_start", "sweep_stop",
-                 "tol_degeneracy", "tol_algebra", "tol_convergence"):
+                 "tol_degeneracy", "tol_convergence"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"key {name!r} must be finite")
     try:
@@ -109,7 +102,7 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("g-sweep range must be non-negative")
     if cfg.k_levels < 1:
         raise ConfigError("k_levels must be >= 1")
-    for name in ("tol_degeneracy", "tol_algebra", "tol_convergence"):
+    for name in ("tol_degeneracy", "tol_convergence"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be > 0")
     for name in ("out_csv", "out_svg"):

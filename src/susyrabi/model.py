@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -87,54 +86,31 @@ def mass_increment(omega: float, c: float, g: float) -> float:
     return 2.0 * math.sqrt(c * omega) * g
 
 
-# Named schedules for the interpolation path.  Each maps (endpoint, r) to
-# the value at r; omega_a schedules run endpoint -> 0, g schedules 0 -> endpoint.
-OMEGA_A_SCHEDULES: dict[str, Callable[[float, float], float]] = {
-    "linear": lambda omega, r: (1.0 - r) * omega,
-    "cosine": lambda omega, r: omega * math.cos(math.pi * r / 2.0) ** 2,
-}
-G_SCHEDULES: dict[str, Callable[[float, float], float]] = {
-    "linear": lambda g_max, r: r * g_max,
-    "sine": lambda g_max, r: g_max * math.sin(math.pi * r / 2.0) ** 2,
-}
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """The r-parameterized path (omega_a(r), g(r)) with fixed omega and c.
+    """The paper's r path with fixed omega and c: a straight line in (omega_a, g).
 
-    Defaults are the straight-line schedules used for the figure
-    reproductions: omega_a(r) = (1-r)*omega and g(r) = r*g_max.
+    omega_a(r) = (1-r)*omega runs from omega to 0 and g(r) = r*g_max
+    from 0 to g_max; no other path is offered.
     """
 
     omega: float
     g_max: float
     c: float = 0.0
-    omega_a_form: str = "linear"
-    g_form: str = "linear"
 
     def __post_init__(self):
         if self.omega <= 0:
             raise ValidationError(f"omega must be > 0, got {self.omega}")
         if self.g_max < 0 or self.c < 0:
             raise ValidationError("g_max and c must be non-negative")
-        if self.omega_a_form not in OMEGA_A_SCHEDULES:
-            raise ValidationError(
-                f"unknown omega_a schedule {self.omega_a_form!r}; "
-                f"known: {sorted(OMEGA_A_SCHEDULES)}"
-            )
-        if self.g_form not in G_SCHEDULES:
-            raise ValidationError(
-                f"unknown g schedule {self.g_form!r}; known: {sorted(G_SCHEDULES)}"
-            )
 
     def omega_a(self, r: float) -> float:
         _check_r(r)
-        return OMEGA_A_SCHEDULES[self.omega_a_form](self.omega, r)
+        return (1.0 - r) * self.omega
 
     def g(self, r: float) -> float:
         _check_r(r)
-        return G_SCHEDULES[self.g_form](self.g_max, r)
+        return r * self.g_max
 
     def omega_g(self, r: float) -> float:
         return renormalized_frequency(self.omega, self.c, self.g(r))[0]
@@ -152,6 +128,16 @@ class Schedule:
 def _check_r(r: float) -> None:
     if not 0.0 <= r <= 1.0:
         raise ValidationError(f"r must lie in [0, 1], got {r}")
+
+
+def chain_sz(n_fock: int) -> np.ndarray:
+    """The (2, N) diagonal of sz on each parity chain, exactly +/-1.0.
+
+    Chain 0 runs |up,0>, |down,1>, |up,2>, ..., so sz is (-1)^n on it;
+    chain 1 starts at |down,0>, so sz is -(-1)^n there.
+    """
+    sign = 1.0 - 2.0 * (np.arange(n_fock) % 2)
+    return np.stack([sign, -sign])
 
 
 def parity_chains(p: ModelParams, fp: FockParams) -> np.ndarray:
@@ -181,10 +167,8 @@ def parity_chains(p: ModelParams, fp: FockParams) -> np.ndarray:
     x2_diag = 2.0 * n + 1.0
     x2_diag[-1] = n[-1]
     common = p.omega_b * (n + 0.5) + a2 * x2_diag + p.shift
-    spin = p.omega_a / 2.0 * (1.0 - 2.0 * (n % 2))
     bands = np.zeros((2, 3 if a2 else 2, fp.n_fock))
-    bands[0, 0] = common + spin
-    bands[1, 0] = common - spin
+    bands[:, 0] = common + p.omega_a / 2.0 * chain_sz(fp.n_fock)
     bands[:, 1, :-1] = p.g * np.sqrt(n[1:])
     if a2:
         bands[:, 2, :-2] = a2 * np.sqrt(n[1:-1] * n[2:])

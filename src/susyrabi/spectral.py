@@ -33,6 +33,7 @@ from .model import (
     ModelParams,
     Schedule,
     SuperchargeSet,
+    chain_sz,
     charge_pairs,
     renormalized_frequency,
     self_energy,
@@ -280,15 +281,13 @@ class WittenReport:
 def graded_levels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All levels of h, ascending, with their -sz expectations.
 
-    Chain 0 runs |up,0>, |down,1>, ..., so -sz is -(-1)^n on it and
-    (-1)^n on chain 1; with real eigenvectors v the expectation of a
-    level is sum_n g_n v_n^2.  The chains must be tridiagonal, as
-    squeezed_chains are: banded_eigh, which solves each, raises
-    DimensionError on wider bands.
+    The grading -sz is diagonal on each chain (model.chain_sz); with
+    real eigenvectors v the expectation of a level is sum_n g_n v_n^2.
+    The chains must be tridiagonal, as squeezed_chains are: banded_eigh,
+    which solves each, raises DimensionError on wider bands.
     """
-    sign = 1.0 - 2.0 * (np.arange(h.shape[-1]) % 2)
     values, expectations = [], []
-    for grading, band in zip((-sign, sign), h):
+    for grading, band in zip(-chain_sz(h.shape[-1]), h):
         vals, vectors = banded_eigh(band)
         values.append(vals)
         expectations.append(grading @ vectors**2)

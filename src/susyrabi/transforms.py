@@ -48,6 +48,7 @@ from .linalg import band_matrix, band_times, skew_tridiagonal_exp
 from .model import (
     ModelParams,
     Schedule,
+    chain_sz,
     heavy_field_coefficients,
     parity_chains,
     renormalized_frequency,
@@ -210,8 +211,8 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     tridiagonal M = alpha a + gamma a_dag + kappa (model.heavy_field_coefficients),
     so B_r^dag B_r is M^T M on each chain: pentadiagonal, built in band
     storage with the truncated corner of the literal product.  The lhs on
-    chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz = (-1)^n on
-    chain 0 and -(-1)^n on chain 1; the rhs is model.parity_chains of
+    chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz the
+    model.chain_sz diagonal; the rhs is model.parity_chains of
     s.params(r), self-energy shift included.  The interior is the
     leading N - buffer positions of each chain, so the residual is
     _band_norm of the two difference chains, O(N); TruncationError below
@@ -229,10 +230,8 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     mtm[0, :-1] += low**2
     mtm[1, :-1] = kappa * (up + low)
     mtm[2, :-2] = up[1:] * low[:-1]
-    spin = s.omega_a(r) / 2.0 * (1.0 - 2.0 * (np.arange(n) % 2))
     diff = np.stack([s.omega_g(r) * mtm] * 2)  # the lhs chains, then lhs - rhs
-    diff[0, 0] += spin
-    diff[1, 0] -= spin
+    diff[:, 0] += s.omega_a(r) / 2.0 * chain_sz(n)
     rhs = parity_chains(s.params(r), fp)
     diff[:, : rhs.shape[1]] -= rhs
     return _band_norm(diff, cut) / _diagonal_scale(rhs)

@@ -270,11 +270,10 @@ def test_verify_passes_at_buffer_1(n_fock, capsys):
 # The CLI contract: every RunConfig field is a flag of this type.
 FLAG_TYPES = {
     "omega": float, "g_max": float, "c": float,
-    "omega_a_schedule": str, "g_schedule": str,
     "n_fock": int, "buffer": int,
     "sweep_kind": str, "sweep_start": float, "sweep_stop": float,
     "sweep_points": int, "k_levels": int,
-    "tol_degeneracy": float, "tol_algebra": float, "tol_convergence": float,
+    "tol_degeneracy": float, "tol_convergence": float,
     "out_csv": str, "out_svg": str,
 }
 
@@ -293,6 +292,26 @@ def test_every_config_field_has_exactly_one_flag():
             assert actions[0].dest == name
             assert actions[0].type is FLAG_TYPES[name], (command, flag)
             assert actions[0].default is None
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", *FAST],
+    ["sweep", *FAST, "--sweep-points", "2", "--out-csv", "{tmp}/flow.csv"],
+])
+@pytest.mark.parametrize("key, value", [
+    ("omega_a_schedule", "linear"), ("g_schedule", "linear"), ("tol_algebra", 1e-3),
+])
+def test_removed_path_and_tolerance_knobs_exit_1(command, key, value, tmp_path, capsys):
+    # The r path is the paper's straight line and verify's algebra threshold
+    # is fixed, so neither a flag nor a config key sets them.
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    assert run_command([*argv, "--" + key.replace("_", "-"), str(value)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_command([*argv, "--config", str(cfg)]) == 1
+    assert f"error: unknown configuration key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "flow.csv").exists()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

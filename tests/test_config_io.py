@@ -78,9 +78,9 @@ def test_every_config_field_has_exactly_one_json_key():
     # A config with every field off its default, written as a JSON document
     # with the sweep_* fields in the nested "sweep" object.
     changed = RunConfig(
-        omega=3.0, g_max=2.0, c=0.1, omega_a_schedule="cosine", g_schedule="sine",
+        omega=3.0, g_max=2.0, c=0.1,
         n_fock=128, buffer=32, sweep_kind="g", sweep_start=0.5, sweep_stop=0.9,
-        sweep_points=11, k_levels=5, tol_degeneracy=1e-5, tol_algebra=1e-9,
+        sweep_points=11, k_levels=5, tol_degeneracy=1e-5,
         tol_convergence=1e-5, out_csv="flow.csv", out_svg="flow.svg",
     )
     keys = {}
@@ -117,7 +117,9 @@ def test_every_config_field_has_exactly_one_json_key():
     {"sweep": {"kind": "g", "start": -1.0, "stop": 2.0}},
     {"k_levels": 0},
     {"tol_degeneracy": 0.0},
-    {"omega_a_schedule": "quartic"},
+    {"omega_a_schedule": "linear"},  # the r path is fixed: no longer a key
+    {"g_schedule": "linear"},
+    {"tol_algebra": 1e-10},
     {"out_csv": ""},
 ])
 def test_validate_rejects(doc):

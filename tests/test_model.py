@@ -1,4 +1,4 @@
-"""Hamiltonian family, schedules, supercharges and field operators."""
+"""Hamiltonian family, the r path, supercharges and field operators."""
 
 import dataclasses
 import math
@@ -100,13 +100,16 @@ def test_self_energy_two_forms_agree():
         for g in (0.5, OMEGA, 5 * OMEGA):
             omega_g, g_tilde = renormalized_frequency(OMEGA, c, g)
             assert self_energy(OMEGA, c, g) == pytest.approx(g_tilde**2 / omega_g, rel=1e-13)
-    # The shift of an r-path point, on either schedule, and of a coupling
-    # sweep point is the same formula, bit for bit.
+    # An r-path point is the straight line (1-r)*omega, r*g_max, shifted
+    # by the same formula as a coupling sweep point, bit for bit.
+    g_max = 5 * OMEGA
     for c in (0.0, 0.0377, 1.257):
-        for g_form in ("linear", "sine"):
-            s = Schedule(omega=OMEGA, g_max=5 * OMEGA, c=c, g_form=g_form)
-            for r in np.linspace(0.0, 1.0, 11):
-                assert s.params(r).shift == self_energy(OMEGA, c, s.g(r))
+        s = Schedule(omega=OMEGA, g_max=g_max, c=c)
+        for r in np.linspace(0.0, 1.0, 11):
+            g = r * g_max
+            assert s.params(r) == ModelParams(
+                (1.0 - r) * OMEGA, OMEGA, g, c, self_energy(OMEGA, c, g)
+            )
         for g in (0.0, 0.5, OMEGA, 5 * OMEGA):
             p = sweep_params_g(OMEGA, c, g)
             assert p == ModelParams(OMEGA, OMEGA, g, c, shift=self_energy(OMEGA, c, g))
@@ -158,12 +161,6 @@ def test_schedule_endpoints_and_forms():
     assert s.g(0.0) == 0.0 and s.g(1.0) == OMEGA
     assert s.omega_a(0.25) == pytest.approx(0.75 * OMEGA)
     assert s.g(0.25) == pytest.approx(0.25 * OMEGA)
-    alt = Schedule(omega=OMEGA, g_max=OMEGA, omega_a_form="cosine", g_form="sine")
-    assert alt.omega_a(0.0) == pytest.approx(OMEGA)
-    assert alt.omega_a(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert alt.g(1.0) == pytest.approx(OMEGA)
-    with pytest.raises(ValidationError):
-        Schedule(omega=OMEGA, g_max=OMEGA, omega_a_form="step")
     with pytest.raises(ValidationError):
         s.g(1.5)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from susyrabi.errors import InvalidBetaError, ValidationError
-from susyrabi.fock import FockParams
+from susyrabi.fock import SZ, FockParams
 from susyrabi.linalg import (
     band_matrix,
     band_times,
@@ -21,6 +21,7 @@ from susyrabi.linalg import (
 from susyrabi.model import (
     ModelParams,
     Schedule,
+    chain_sz,
     mass_increment,
     parity_chains,
     renormalized_frequency,
@@ -422,6 +423,13 @@ def parity_order(fp):
     n = np.arange(fp.n_fock)
     flip = n % 2
     return np.concatenate([flip * fp.n_fock + n, (1 - flip) * fp.n_fock + n])
+
+
+@pytest.mark.parametrize("n_fock", [8, 9])
+def test_chain_sz_is_the_sz_diagonal_in_chain_order(n_fock):
+    fp = FockParams(n_fock=n_fock, buffer=0)
+    sz = np.diag(oracle.embed_qubit(SZ, fp))[parity_order(fp)]
+    np.testing.assert_array_equal(chain_sz(n_fock).ravel(), sz)
 
 
 @settings(max_examples=30, deadline=None)
