@@ -167,29 +167,38 @@ def banded_eigh(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def skew_tridiagonal_exp(e: np.ndarray) -> np.ndarray:
-    """exp(K) for the real skew-symmetric tridiagonal K with K[j+1, j] = e[j] = -K[j, j+1].
+def skew_tridiagonal_exp(e: np.ndarray, m: int | None = None) -> np.ndarray:
+    """The leading m columns of exp(K), all n of them by default, for the
+    real skew-symmetric tridiagonal K with K[j+1, j] = e[j] = -K[j, j+1].
 
-    K has n = len(e) + 1 rows.  With Phi = diag(i^j), Phi^dag K Phi = -i T
-    for the real symmetric tridiagonal T with zero diagonal and
-    off-diagonal e.  So exp(K) = Phi exp(-i T) Phi^dag, and with
-    T = W diag(L) W^T (banded_eigh) entry (j, k) is C, S, -C or -S as
-    (j - k) mod 4 is 0, 1, 2 or 3, where C = W cos(L) W^T and
-    S = W sin(L) W^T.  C is zero between even and odd levels and S within
-    each set, since T joins only the two: with W's rows negated where
-    j mod 4 >= 2, three n/2 x n by n x n/2 products give the even-even,
-    odd-odd and odd-even blocks, and the even-odd one is minus the last
-    transposed.  The result is real and orthogonal to solver precision.
+    K has n = len(e) + 1 rows, and the result is n x m.  With
+    Phi = diag(i^j), Phi^dag K Phi = -i T for the real symmetric
+    tridiagonal T with zero diagonal and off-diagonal e.  So
+    exp(K) = Phi exp(-i T) Phi^dag, and with T = W diag(L) W^T
+    (banded_eigh) entry (j, k) is C, S, -C or -S as (j - k) mod 4 is 0, 1,
+    2 or 3, where C = W cos(L) W^T and S = W sin(L) W^T.  C is zero
+    between even and odd levels and S within each set, since T joins only
+    the two: with W's rows negated where j mod 4 >= 2, three products of
+    its even rows E and odd rows O give the blocks, E cos(L) E^T and
+    O cos(L) O^T on the leading columns alone, and O sin(L) E^T, whose
+    transpose, negated, is the even-odd block.  E and O are contiguous
+    copies, which BLAS multiplies faster than strided rows.  exp(K) is
+    real and orthogonal to solver precision.
     """
     n = len(e) + 1
+    m = n if m is None else m
     band = np.zeros((2, n))
     band[1, :-1] = e
     values, w = banded_eigh(band)
     w *= np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None]
-    even, odd = w[0::2], w[1::2]
-    out = np.empty((n, n))
-    out[0::2, 0::2] = (even * np.cos(values)) @ even.T
-    out[1::2, 1::2] = (odd * np.cos(values)) @ odd.T
-    out[1::2, 0::2] = (odd * np.sin(values)) @ even.T
-    out[0::2, 1::2] = -out[1::2, 0::2].T
+    even, odd = w[0::2].copy(), w[1::2].copy()
+    del w
+    cos, sin = np.cos(values), np.sin(values)
+    me, mo = (m + 1) // 2, m // 2  # even and odd columns among the leading m
+    out = np.empty((n, m))
+    out[0::2, 0::2] = (even * cos) @ even[:me].T
+    out[1::2, 1::2] = (odd * cos) @ odd[:mo].T
+    odd_even = (odd * sin) @ even.T
+    out[1::2, 0::2] = odd_even[:, :me]
+    out[0::2, 1::2] = -odd_even[:mo].T
     return out

@@ -76,13 +76,16 @@ def lowest_k(h: np.ndarray, k: int) -> np.ndarray:
     the sorted values.  A chain whose last level is < x is extended to
     its lowest min(k, N) levels, which holds all of its levels below the
     k-th of the merge.  At most one chain is ever extended, since the
-    larger of the two m-th levels is >= x.
+    larger of the two m-th levels is >= x.  Equal chains (as where
+    omega_a = 0, at r = 1) are solved once: each then holds the m-th
+    level x itself, so neither is extended.
     """
     n = h.shape[-1]
     if not 1 <= k <= 2 * n:
         raise ValidationError(f"k={k} outside 1..{2 * n} (the matrix dimension)")
     m, m_full = (k + 1) // 2, min(k, n)
-    levels = [banded_lowest(band, m) for band in h]
+    levels = [banded_lowest(h[0], m)]
+    levels.append(levels[0] if np.array_equal(h[0], h[1]) else banded_lowest(h[1], m))
     x = np.sort(np.concatenate(levels))[k - 1]
     for i, band in enumerate(h):
         if m < m_full and levels[i][-1] < x:
@@ -284,11 +287,13 @@ def graded_levels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The grading -sz is diagonal on each chain (model.chain_sz); with
     real eigenvectors v the expectation of a level is sum_n g_n v_n^2.
     The chains must be tridiagonal, as squeezed_chains are: banded_eigh,
-    which solves each, raises DimensionError on wider bands.
+    which solves each, raises DimensionError on wider bands.  Equal
+    chains (as at r = 1) are solved once, each graded by its own -sz.
     """
+    pairs = [banded_eigh(h[0])]
+    pairs.append(pairs[0] if np.array_equal(h[0], h[1]) else banded_eigh(h[1]))
     values, expectations = [], []
-    for grading, band in zip(-chain_sz(h.shape[-1]), h):
-        vals, vectors = banded_eigh(band)
+    for grading, (vals, vectors) in zip(-chain_sz(h.shape[-1]), pairs):
         values.append(vals)
         expectations.append(grading @ vectors**2)
     order = np.argsort(np.concatenate(values), kind="stable")

@@ -19,21 +19,24 @@ gives it, with no 2N x 2N operand:
 - A^2 removal: S(zeta) couples only levels of equal parity, so 1 (x) S
   is S on each parity chain, and the check conjugates the chains of H
   (model.parity_chains) into the squeezed chains (model.squeezed_chains)
-  on the leading columns of S, multiplying by the chains' bands
-  (linalg.band_times).
+  on the leading columns of S, the only ones it forms, multiplying them
+  by the chains' bands (linalg.band_times).
 - Field rewriting: B_r^dag B_r is one pentadiagonal band on each chain,
   compared with the model.parity_chains of Schedule.params(r) in band
   storage; its residual and scale are read off the bands, O(N).
 - Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
-  the residual lives on the two N x N spin-diagonal blocks, formed on
-  the leading columns of D and D^T against two tridiagonal bands; the
-  scale is Weyl's lower bound on |rhs|_2, a closed form.
+  the residual lives on the two N x N spin-diagonal blocks.  The parity
+  P = diag((-1)^n) maps one onto the other (D^T = P D P), so the check
+  forms only the second block, from D's leading columns alone and one
+  tridiagonal band, and the residual's norm is sqrt(2) times that
+  block's; the scale is Weyl's lower bound on |rhs|_2, a closed form.
 
-The squeeze and polaron residuals are (2, cut, cut) stacks, whose norm
-is _leading_norm, and the field rewriting's are bands (_band_norm).
-squeeze and displacement are the paper's formulas, each one real
-linalg.skew_tridiagonal_exp; the tests compare each check with numpy on
-2N x 2N reference operators built from them.
+The squeeze residual is a (2, cut, cut) stack and the polaron residual
+one cut x cut block, whose norms are _leading_norm, and the field
+rewriting's are bands (_band_norm).  squeeze and displacement are the
+paper's formulas, each one real linalg.skew_tridiagonal_exp, on the
+leading columns a check asks for or on all; the tests compare each check
+with numpy on 2N x 2N reference operators built from them.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ MAX_SQUEEZE = 2.0
 POLARON_SPREAD = 3.0
 
 
-def displacement(beta: float, fp: FockParams) -> np.ndarray:
-    """D(beta) = exp[beta (a_dag - a)] on the boson factor, real.
+def displacement(beta: float, fp: FockParams, m: int | None = None) -> np.ndarray:
+    """The leading m columns of D(beta) = exp[beta (a_dag - a)] on the
+    boson factor, all N by default; real.
 
     The generator is real skew-symmetric tridiagonal with sub-diagonal
     beta sqrt(n+1), so D is one linalg.skew_tridiagonal_exp.  It has no
@@ -74,29 +78,37 @@ def displacement(beta: float, fp: FockParams) -> np.ndarray:
     at least 8 levels below N - ceil(POLARON_SPREAD beta sqrt(N)), which
     holds beta^2 below N/9.
     """
-    return skew_tridiagonal_exp(beta * np.sqrt(np.arange(1.0, fp.n_fock)))
+    return skew_tridiagonal_exp(beta * np.sqrt(np.arange(1.0, fp.n_fock)), m)
 
 
-def squeeze(zeta: float, fp: FockParams) -> np.ndarray:
-    """S(zeta) = exp[(zeta/2)(a^2 - a_dag^2)] on the boson factor, real.
+def squeeze(zeta: float, fp: FockParams, m: int | None = None) -> np.ndarray:
+    """The leading m columns of S(zeta) = exp[(zeta/2)(a^2 - a_dag^2)] on
+    the boson factor, all N by default; real.
 
     The generator couples level n only to n + 2, with entry
     -(zeta/2) sqrt((n+1)(n+2)) below the diagonal, so on the even levels
     and on the odd levels it is a real skew-symmetric tridiagonal chain
-    and S is their two linalg.skew_tridiagonal_exp.  An angle beyond
-    MAX_SQUEEZE is a TruncationError: a limit of the truncated squeeze,
-    not bad input.
+    and S is their two linalg.skew_tridiagonal_exp, each on its own
+    columns among the leading m.  An angle beyond MAX_SQUEEZE is a
+    TruncationError (_check_squeeze_angle).
     """
+    _check_squeeze_angle(zeta)
+    m = fp.n_fock if m is None else m
+    n = np.arange(fp.n_fock - 2)
+    e = -zeta / 2.0 * np.sqrt((n + 1.0) * (n + 2.0))
+    out = np.zeros((fp.n_fock, m))
+    for s in (0, 1):
+        out[s::2, s::2] = skew_tridiagonal_exp(e[s::2], len(range(s, m, 2)))
+    return out
+
+
+def _check_squeeze_angle(zeta: float) -> None:
+    """TruncationError for an angle beyond MAX_SQUEEZE: a limit of the
+    truncated squeeze, not bad input."""
     if abs(zeta) > MAX_SQUEEZE:
         raise TruncationError(
             f"|zeta| must be <= {MAX_SQUEEZE} for truncation safety, got {zeta}"
         )
-    n = np.arange(fp.n_fock - 2)
-    e = -zeta / 2.0 * np.sqrt((n + 1.0) * (n + 2.0))
-    out = np.zeros((fp.n_fock, fp.n_fock))
-    for s in (0, 1):
-        out[s::2, s::2] = skew_tridiagonal_exp(e[s::2])
-    return out
 
 
 def squeeze_cut(fp: FockParams, zeta: float) -> int:
@@ -105,8 +117,10 @@ def squeeze_cut(fp: FockParams, zeta: float) -> int:
     A squeeze spreads Fock level n up to about n*exp(2|zeta|), so identity
     checks are only meaningful on levels whose squeezed image stays inside
     the truncation.  The cut is the stricter of N - buffer and
-    0.7 * N * exp(-2|zeta|).
+    0.7 * N * exp(-2|zeta|); an angle beyond MAX_SQUEEZE is a
+    TruncationError, whatever the cut.
     """
+    _check_squeeze_angle(zeta)
     cut = int(0.7 * fp.n_fock * math.exp(-2.0 * abs(zeta)))
     return _checked_cut(fp, cut, f"squeeze angle {zeta}")
 
@@ -130,8 +144,9 @@ def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
 def _leading_norm(block: np.ndarray) -> float:
     """Frobenius norm of a real array, all its entries together; overwrites it.
 
-    block is the (2, cut, cut) stack of a residual's leading blocks, the
-    diagonal blocks of the dense check's P R P, so its norm is
+    block is a residual's leading blocks, the diagonal blocks of the dense
+    check's P R P (both, or for the polaron frame one of two of equal
+    norm, counted twice by its caller), so the norm is
     |P R P|_F >= |P R P|_2: a residual reads at least its spectral norm,
     and no check passes that would fail under that.  block is divided
     by its largest |entry| before it is squared, so no square overflows,
@@ -185,17 +200,16 @@ def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
     R of model.squeezed_chains, on their leading squeeze_cut levels, and
     the scale is _diagonal_scale of the R chains.  Only
     the leading cut columns S_c of S enter the residual's leading block,
-    so it is S_c^T (L S_c) - R_c, with L S_c from L's bands
-    (linalg.band_times) and R_c the leading cut x cut blocks of R, from
-    the leading cut columns of R's bands (linalg.band_matrix); no N x N
-    chain matrix is formed.
+    so only they are formed (squeeze(zeta, fp, cut)), and the residual is
+    S_c^T (L S_c) - R_c, with L S_c from L's bands (linalg.band_times)
+    and R_c the leading cut x cut blocks of R, from the leading cut
+    columns of R's bands (linalg.band_matrix); no N x N matrix is formed.
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
-    s = squeeze(zeta, fp)
     cut = squeeze_cut(fp, zeta)
+    lead = squeeze(zeta, fp, cut)
     rhs = squeezed_chains(p, fp)
-    lead = s[:, :cut]
     diff = lead.T @ band_times(parity_chains(p, fp), lead)
     diff -= band_matrix(rhs[:, :, :cut])
     return _leading_norm(diff) / _diagonal_scale(rhs)
@@ -257,10 +271,14 @@ def polaron_equivalence_report(
     D h+ D^T and D^T h- D, with h+/- = omega_b(n+1/2) +/- g x + g^2/omega_b,
     and its off-diagonal blocks are -(omega_a/2) D^2 and its transpose,
     those of the rhs.  The residual is the two diagonal blocks less
-    F = omega_b(n+1/2); its leading cut x cut blocks are
-    U_c^T (h+/- U_c) - F_c with U_c the leading cut columns of D^T and of
-    D, h+/- held as tridiagonal bands (linalg.band_times), and F_c
-    subtracted on the diagonal.  Its norm is _leading_norm.
+    F = omega_b(n+1/2).  With P = diag((-1)^n), P K P = -K for D's
+    tridiagonal generator K, so D^T = P D P, and P h+ P = h-, P F P = F:
+    the first block is P (second block) P, with the same Frobenius norm.
+    So only the second is formed, and the residual's norm is sqrt(2)
+    times its _leading_norm.  Its leading cut x cut block is
+    D_c^T (h- D_c) - F_c, with D_c the leading cut columns of D
+    (displacement(beta, fp, cut)), h- held as a tridiagonal band
+    (linalg.band_times), and F_c subtracted on the diagonal.
 
     The scale is omega_b (N - 1/2) - |omega_a|/2, Weyl's lower bound on
     |rhs|_2: the rhs is F (+) F, whose norm is omega_b (N - 1/2), plus
@@ -275,22 +293,16 @@ def polaron_equivalence_report(
         fp.n_fock - math.ceil(POLARON_SPREAD * beta * math.sqrt(fp.n_fock)),
         f"displacement amplitude {beta}",
     )
-    d = displacement(beta, fp)
-    # h+ and h- in band storage, with the level n as sqrt(n)^2, the
-    # diagonal of the literal a_dag @ a.
+    lead = displacement(beta, fp, cut)
+    # h- in band storage, with the level n as sqrt(n)^2, the diagonal of
+    # the literal a_dag @ a.
     root = np.sqrt(np.arange(fp.n_fock, dtype=float))
     free = omega_b * (root**2 + 0.5)
-    h = np.zeros((2, 2, fp.n_fock))
-    h[:, 0] = free + self_energy(omega_b, 0.0, g)
-    h[0, 1, :-1] = g * root[1:]
-    h[1, 1, :-1] = -g * root[1:]
-    uc = np.stack([d.T[:, :cut], d[:, :cut]])
-    # D and then uc go once used, so no dead N x N or (2, N, cut) array
-    # adds to the check's memory peak.
-    del d
-    diff = uc.transpose(0, 2, 1) @ band_times(h, uc)
-    del uc
-    diff[:, np.arange(cut), np.arange(cut)] -= free[:cut]
+    h = np.zeros((2, fp.n_fock))
+    h[0] = free + self_energy(omega_b, 0.0, g)
+    h[1, :-1] = -g * root[1:]
+    diff = lead.T @ band_times(h, lead)
+    diff[np.arange(cut), np.arange(cut)] -= free[:cut]
     # Weyl: |rhs|_2 >= omega_b (N - 1/2) - |O|_2, and |O|_2 = |omega_a|/2.
     scale = omega_b * (fp.n_fock - 0.5) - abs(omega_a) / 2.0
-    return _leading_norm(diff) / max(1.0, scale)
+    return math.sqrt(2.0) * _leading_norm(diff) / max(1.0, scale)

@@ -354,7 +354,7 @@ IMPORT_PROBE = (
 )
 
 
-@pytest.mark.parametrize("preset, want", [(None, "22"), ("28", "28")])
+@pytest.mark.parametrize("preset, want", [(None, "18"), ("28", "28")])
 def test_cli_import_sets_openblas_timeout_without_heavy_scipy(preset, want):
     env = fresh_env()
     if preset is not None:

@@ -103,6 +103,20 @@ def test_skew_tridiagonal_exp_matches_dense_exponential(e):
     np.testing.assert_allclose(u, dense_exp(k), rtol=0, atol=1e-13)
 
 
+# The leading m columns, formed alone, against the full exponential's, for
+# every m from 0 to n.  The tolerance is fixed in advance: 1e-14 absolute,
+# entrywise (the products differ in shape, so BLAS may sum in another order).
+@settings(max_examples=40, deadline=None)
+@given(st.lists(reals, min_size=1, max_size=40))
+@example(e=[0.0])
+def test_skew_tridiagonal_exp_leading_columns_equal_the_full_ones(e):
+    full = skew_tridiagonal_exp(np.array(e))
+    for m in range(len(e) + 2):
+        lead = skew_tridiagonal_exp(np.array(e), m)
+        assert lead.shape == (len(e) + 1, m)
+        np.testing.assert_allclose(lead, full[:, :m], rtol=0, atol=1e-14)
+
+
 # The tridiagonal eigensolver (LAPACK dstevd) against scipy's
 # lapack.dstevd and eig_banded (dsbevd, which runs the same divide and
 # conquer and then multiplies by an identity Q): bitwise equal.  Against

@@ -18,6 +18,7 @@ from susyrabi.linalg import band_matrix
 from susyrabi.model import (
     ModelParams,
     Schedule,
+    chain_sz,
     charge_pairs,
     parity_chains,
     renormalized_frequency,
@@ -72,8 +73,9 @@ def test_lowest_k_orders_and_bounds(fp_small):
 def test_lowest_k_extends_only_the_chain_below_the_cut(monkeypatch):
     # Chain 1 lies 100 above chain 0, so the lowest k levels all come from
     # chain 0: after ceil(k/2) levels of each chain, chain 0 alone is
-    # extended to min(k, N).  Identical chains (as at r = 1) need no
-    # extension.  Each banded_lowest call is recorded as (m, start).
+    # extended to min(k, N).  Identical chains (as at r = 1) are solved
+    # once and need no extension.  Each banded_lowest call is recorded as
+    # (m, start).
     calls = []
     solve = spectral.banded_lowest
 
@@ -98,7 +100,50 @@ def test_lowest_k_extends_only_the_chain_below_the_cut(monkeypatch):
         calls.clear()
         np.testing.assert_allclose(lowest_k(identical, k), np.repeat(want[:n], 2)[:k],
                                    rtol=0, atol=1e-12)
-        assert calls == [(m, 0), (m, 0)], (k, calls)
+        assert calls == [(m, 0)], (k, calls)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.2513, 1.257])
+def test_equal_chains_are_solved_once_with_the_bits_of_two_solves(c, monkeypatch):
+    # At r = 1, omega_a = 0 and the two squeezed chains are equal: lowest_k
+    # and graded_levels each make one solver call there, two at r = 0, and
+    # return bitwise what two independent solves of the chains give, merged
+    # as their docstrings say.
+    fp = FockParams(n_fock=64, buffer=16)
+    s = Schedule(omega=OMEGA, g_max=OMEGA, c=c)
+    calls = []
+
+    def counted(solve):
+        def recorder(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return recorder
+
+    lowest, eigh = spectral.banded_lowest, spectral.banded_eigh
+    monkeypatch.setattr(spectral, "banded_lowest", counted(lowest))
+    monkeypatch.setattr(spectral, "banded_eigh", counted(eigh))
+    for r, solves in ((1.0, 1), (0.0, 2)):
+        h = squeezed_chains(s.params(r), fp)
+        assert np.array_equal(h[0], h[1]) == (r == 1.0)
+        for k in (1, 6, 7):
+            calls.clear()
+            got = lowest_k(h, k)
+            # Unequal chains make two solves and maybe one extension.
+            assert calls[:2] == ["banded_lowest"] * solves, (r, k, calls)
+            if r == 1.0:
+                assert len(calls) == 1, (k, calls)
+                two = np.concatenate([lowest(band, (k + 1) // 2) for band in h])
+                assert np.array_equal(got, np.sort(two)[:k])
+        calls.clear()
+        values, expectations = graded_levels(h)
+        assert calls == ["banded_eigh"] * solves, (r, calls)
+        pairs = [eigh(band) for band in h]
+        want_values = np.concatenate([vals for vals, _ in pairs])
+        order = np.argsort(want_values, kind="stable")
+        want_expectations = np.concatenate(
+            [grading @ vectors**2 for grading, (_, vectors) in zip(-chain_sz(64), pairs)])
+        assert np.array_equal(values, want_values[order])
+        assert np.array_equal(expectations, want_expectations[order])
 
 
 def test_degeneracy_groups_basic():

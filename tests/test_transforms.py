@@ -151,6 +151,21 @@ def test_squeeze_is_real_orthogonal_and_matches_oracle(n, zeta):
     np.testing.assert_allclose(s.T @ s, np.eye(n), rtol=0, atol=1e-13)
 
 
+# squeeze and displacement on their leading m columns, for every m, against
+# the full operators' columns at an odd and an even-chain-split truncation.
+# The tolerance is fixed in advance: 1e-14 absolute, entrywise.
+@pytest.mark.parametrize("n", [17, 255])
+@pytest.mark.parametrize("make, x", [(squeeze, 0.3), (squeeze, -1.0), (squeeze, 2.0),
+                                     (displacement, 1.0)])
+def test_leading_columns_equal_the_full_operators(n, make, x):
+    fp = FockParams(n_fock=n, buffer=n // 4)
+    full = make(x, fp)
+    for m in range(n + 1):
+        lead = make(x, fp, m)
+        assert lead.shape == (n, m)
+        np.testing.assert_allclose(lead, full[:, :m], rtol=0, atol=1e-14)
+
+
 def test_squeeze_zero_is_identity(fp_small):
     np.testing.assert_allclose(squeeze(0.0, fp_small), np.eye(fp_small.n_fock), atol=1e-14)
 
@@ -363,16 +378,18 @@ def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch):
         with pytest.raises(TruncationError):
             a2_removal_report(p, fp)
         return
-    # The squeeze the check conjugates by is bitwise the oracle's S.
+    # The check conjugates by the leading cut columns of the oracle's S.
     used = []
 
-    def recording_squeeze(zeta, fp):
-        used.append(squeeze(zeta, fp))
+    def recording_squeeze(zeta, fp, m):
+        used.append(squeeze(zeta, fp, m))
         return used[-1]
 
     monkeypatch.setattr(transforms, "squeeze", recording_squeeze)
     residual = a2_removal_report(p, fp)
-    np.testing.assert_array_equal(used[0], dense_s)
+    cut = squeeze_cut(fp, a2_angle(p))
+    assert used[0].shape == (n, cut)
+    np.testing.assert_allclose(used[0], dense_s[:, :cut], rtol=0, atol=1e-14)
     assert_matches(residual, want)
     # A target at 1.01 omega_g, in the rhs chains and in the dense rhs alike.
     wrong = ModelParams(OMEGA, 1.01 * omega_g, g_tilde, 0.0)
@@ -401,7 +418,7 @@ def test_structured_polaron_frame_equals_dense_oracle(n, beta, omega_a, monkeypa
     assert_matches(residual, dense_polaron_residual(omega_a, g, fp))
     # D(1.01 beta) in place of D(beta), in the structured and the dense frame alike.
     exact = transforms.displacement
-    monkeypatch.setattr(transforms, "displacement", lambda b, fp: exact(1.01 * b, fp))
+    monkeypatch.setattr(transforms, "displacement", lambda b, fp, m=None: exact(1.01 * b, fp, m))
     want = dense_polaron_residual(omega_a, g, fp)
     got = polaron_equivalence_report(omega_a, OMEGA, g, fp)
     assert_mismatch_matches(got, want)
@@ -569,24 +586,38 @@ def test_transform_checks_make_no_n_by_n_eigensolve(monkeypatch):
     field_identity_report(Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513), 0.5, fp)
 
 
-def test_polaron_check_holds_at_most_four_residual_stacks():
-    # numpy reports its buffers to tracemalloc.  At N = 512, buffer 32 and
-    # beta = 1 (cut 444) the check's traced peak stays at or below four
-    # float64 (2, cut, cut) stacks: D, the leading columns, their band
-    # product and the residual are not all alive at once.  The bound is
-    # fixed in advance.
-    fp = FockParams(n_fock=512, buffer=32)
-    cut = fp.n_fock - math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock))
-    assert cut == 444
-    bound = 4 * 2 * cut * cut * 8
+def traced_peak(check):
+    """The tracemalloc peak of check(), in bytes above what was traced before it."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        check()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= bound, f"{peak / (bound / 4):.2f} stacks"
+
+
+def test_polaron_check_holds_at_most_three_residual_stacks():
+    # numpy reports its buffers to tracemalloc.  At N = 512, buffer 32 and
+    # beta = 1 (cut 444) the check's traced peak stays at or below three
+    # float64 (2, cut, cut) stacks: it forms only D's leading cut columns
+    # and one spin-diagonal block.  The bound is fixed in advance.
+    fp = FockParams(n_fock=512, buffer=32)
+    cut = fp.n_fock - math.ceil(transforms.POLARON_SPREAD * math.sqrt(fp.n_fock))
+    assert cut == 444
+    bound = 3 * 2 * cut * cut * 8
+    peak = traced_peak(lambda: polaron_equivalence_report(OMEGA, OMEGA, OMEGA, fp))
+    assert peak <= bound, f"{peak / (bound / 3):.2f} stacks"
+
+
+def test_a2_check_peak_stays_below_one_point_six_n_squared():
+    # At N = 512, buffer 32 and C = 0.2513 the A^2 check's traced peak
+    # stays at or below 1.6 N^2 float64: it forms only the leading cut
+    # columns of S, not S itself.  The bound is fixed in advance.
+    fp = FockParams(n_fock=512, buffer=32)
+    bound = 1.6 * fp.n_fock**2 * 8
+    peak = traced_peak(lambda: a2_removal_report(ModelParams(OMEGA, OMEGA, OMEGA, 0.2513), fp))
+    assert peak <= bound, f"{peak / (bound / 1.6):.2f} N^2"
