@@ -2,9 +2,9 @@
 
 Subcommands: spectrum, sweep, verify, witten, converge, mass, goldstino.
 Exit status: 0 success/pass, 1 validation error (a finite omega or g
-whose omega_g overflows float64, an omega so small that omega_g^2
-underflows, or, in goldstino, an omega whose omega/2 is zero or
-subnormal, included), 2 numerical failure,
+whose omega_g or self-energy overflows float64, an omega so small that
+omega_g^2 underflows, or, in goldstino, an omega whose omega/2 is zero
+or subnormal, included), 2 numerical failure,
 3 verification failure.  All errors go to stderr with an "error:" prefix.
 """
 
@@ -26,6 +26,7 @@ from .model import (
     charge_pairs,
     mass_increment,
     renormalized_frequency,
+    self_energy,
     squeezed_chains,
 )
 from .output import emit_flow_csv, emit_flow_svg, emit_spectrum_csv
@@ -133,6 +134,9 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    # Every check's inputs (the polaron frame's at c = 0) before any check runs.
+    for c in (cfg.c, 0.0):
+        self_energy(cfg.omega, c, cfg.g_max)
     fp = cfg.fock()
     rows: list[tuple[str, float, float]] = []  # name, value, threshold
 

@@ -74,10 +74,18 @@ def self_energy(omega: float, c: float, g: float) -> float:
 
     This one formula is the shift of the r path (Schedule.params) and of
     the coupling sweep (spectral.sweep_params_g); it saturates at 1/(4c)
-    as g grows.  The inputs are checked by renormalized_frequency first.
+    as g grows.  The inputs are checked by renormalized_frequency first,
+    and a shift that overflows float64 (at c = 0, g^2/omega) is a
+    ValidationError too.
     """
     renormalized_frequency(omega, c, g)
-    return g**2 / (4.0 * c * g**2 + omega)
+    # Python floats give inf where numpy scalars would warn.
+    omega, c, g = float(omega), float(c), float(g)
+    shift = g**2 / (4.0 * c * g**2 + omega)
+    if not math.isfinite(shift):
+        raise ValidationError(f"self-energy g^2 / (4 c g^2 + omega) overflows float64 at "
+                              f"omega={omega}, c={c}, g={g}")
+    return shift
 
 
 def mass_increment(omega: float, c: float, g: float) -> float:

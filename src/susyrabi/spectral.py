@@ -173,7 +173,7 @@ def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
     omega_g, g_tilde = renormalized_frequency(omega, c, g)
     beta = g_tilde / omega_g
     n = max(n_min, 8)
-    while n < 8.0 * beta**2 and n <= CONVERGENCE_N_CAP:
+    while n < 8.0 * beta * beta and n <= CONVERGENCE_N_CAP:
         n *= 2
     return n
 
@@ -289,13 +289,16 @@ def graded_levels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The chains must be tridiagonal, as squeezed_chains are: banded_eigh,
     which solves each, raises DimensionError on wider bands.  Equal
     chains (as at r = 1) are solved once, each graded by its own -sz.
+    Each chain's eigenvectors are squared in place and dropped before the next solve.
     """
-    pairs = [banded_eigh(h[0])]
-    pairs.append(pairs[0] if np.array_equal(h[0], h[1]) else banded_eigh(h[1]))
     values, expectations = [], []
-    for grading, (vals, vectors) in zip(-chain_sz(h.shape[-1]), pairs):
+    for grading, band in zip(-chain_sz(h.shape[-1]), h):
+        if not values or not np.array_equal(band, h[0]):
+            squares = None  # the first chain's, freed before the second solve
+            vals, squares = banded_eigh(band)
+            squares **= 2
         values.append(vals)
-        expectations.append(grading @ vectors**2)
+        expectations.append(grading @ squares)
     order = np.argsort(np.concatenate(values), kind="stable")
     return np.concatenate(values)[order], np.concatenate(expectations)[order]
 
@@ -315,13 +318,16 @@ def witten_index(levels: tuple[np.ndarray, np.ndarray], beta: float, k: int = 60
         raise ValidationError(f"k must be >= 1, got {k}")
     values, expectations = levels
     k = _group_end(values, min(k, values.size))
-    tail = float(math.exp(-beta * values[k - 1]))
+    # Where beta E overflows, exp(-inf) = 0 is the right weight.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * values[:k])
+    tail = float(weights[-1])
     if tail > WITTEN_TAIL_MAX:
         raise InvalidBetaError(
             f"Boltzmann tail {tail:.3e} at level {k - 1} exceeds {WITTEN_TAIL_MAX}; "
             f"increase beta or k"
         )
-    value = float(np.sum(expectations[:k] * np.exp(-beta * values[:k])))
+    value = float(np.sum(expectations[:k] * weights))
     return WittenReport(
         beta=beta,
         index_value=value,

@@ -9,34 +9,27 @@ bounds the spectral norm from above, and relative to a lower bound on
 the spectral norm of the Hermitian target: its largest |diagonal entry|,
 or for the polaron frame Weyl's bound.  So each value reads at least
 the relative spectral residual, and every norm is a closed form.
-The cut is N - buffer, or less where a squeeze or a displacement spreads
-Fock support: a rule in zeta or in beta sqrt(N), with TruncationError
-where fewer than 8 levels would remain.
+The cut is N - buffer, or for the squeeze and polaron checks the
+leading columns of the formed S or D that stay clear of the truncation
+edge, if fewer (truncation_cut); TruncationError below 8 levels.
 
 Each of the three checks holds its operands as the blocks its algebra
 gives it, with no 2N x 2N operand:
 
 - A^2 removal: S(zeta) couples only levels of equal parity, so 1 (x) S
-  is S on each parity chain, and the check conjugates the chains of H
-  (model.parity_chains) into the squeezed chains (model.squeezed_chains)
-  on the leading columns of S, the only ones it forms, multiplying them
-  by the chains' bands (linalg.band_times).
+  is S on each parity chain (model.parity_chains, model.squeezed_chains).
 - Field rewriting: B_r^dag B_r is one pentadiagonal band on each chain,
   compared with the model.parity_chains of Schedule.params(r) in band
   storage; its residual and scale are read off the bands, O(N).
-- Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D), so
-  the residual lives on the two N x N spin-diagonal blocks.  The parity
-  P = diag((-1)^n) maps one onto the other (D^T = P D P), so the check
-  forms only the second block, from D's leading columns alone and one
-  tridiagonal band, and the residual's norm is sqrt(2) times that
-  block's; the scale is Weyl's lower bound on |rhs|_2, a closed form.
+- Polaron frame: U(beta) is a fixed spin rotation times diag(D^T, D),
+  and the parity P = diag((-1)^n) maps one spin-diagonal block of the
+  residual onto the other, so the check forms only the second.
 
-The squeeze residual is a (2, cut, cut) stack and the polaron residual
-one cut x cut block, whose norms are _leading_norm, and the field
-rewriting's are bands (_band_norm).  squeeze and displacement are the
-paper's formulas, each one real linalg.skew_tridiagonal_exp, on the
-leading columns a check asks for or on all; the tests compare each check
-with numpy on 2N x 2N reference operators built from them.
+The squeeze and polaron residuals share one path, _frame_residual, from
+the leading columns of S or D and the chains' bands; the field
+rewriting's is read off its bands (_band_norm).  squeeze and
+displacement are each one real linalg.skew_tridiagonal_exp; the tests
+compare each check with numpy on 2N x 2N operators built from them.
 """
 
 from __future__ import annotations
@@ -61,22 +54,13 @@ from .model import (
 
 MAX_SQUEEZE = 2.0
 
-# The error of the truncated D(beta) spreads in from the top Fock level
-# over about 2.3-2.5 beta sqrt(N) levels (measured at beta = 1 for N = 256
-# to 2048, and at beta = 2 for N = 256 to 1024); the polaron check cuts
-# ceil(POLARON_SPREAD beta sqrt(N)) levels.
-POLARON_SPREAD = 3.0
-
 
 def displacement(beta: float, fp: FockParams, m: int | None = None) -> np.ndarray:
     """The leading m columns of D(beta) = exp[beta (a_dag - a)] on the
     boson factor, all N by default; real.
 
     The generator is real skew-symmetric tridiagonal with sub-diagonal
-    beta sqrt(n+1), so D is one linalg.skew_tridiagonal_exp.  It has no
-    amplitude guard of its own: its one caller, the polaron check, keeps
-    at least 8 levels below N - ceil(POLARON_SPREAD beta sqrt(N)), which
-    holds beta^2 below N/9.
+    beta sqrt(n+1), so D is one linalg.skew_tridiagonal_exp.
     """
     return skew_tridiagonal_exp(beta * np.sqrt(np.arange(1.0, fp.n_fock)), m)
 
@@ -111,27 +95,22 @@ def _check_squeeze_angle(zeta: float) -> None:
         )
 
 
-def squeeze_cut(fp: FockParams, zeta: float) -> int:
-    """Number of leading levels checkable under a squeeze of angle zeta.
+def truncation_cut(fp: FockParams, columns: np.ndarray | None = None, cause: str = "") -> int:
+    """The number of leading levels a check reads: N - buffer, or fewer
+    where it conjugates by the leading columns of S or D.
 
-    A squeeze spreads Fock level n up to about n*exp(2|zeta|), so identity
-    checks are only meaningful on levels whose squeezed image stays inside
-    the truncation.  The cut is the stricter of N - buffer and
-    0.7 * N * exp(-2|zeta|); an angle beyond MAX_SQUEEZE is a
-    TruncationError, whatever the cut.
+    A column of the formed S or D whose last 4 rows reach 1e-10 in
+    magnitude has spread to the truncation edge, where the truncated
+    operator departs from the true one; the cut keeps the columns before
+    the first such one.  It reads the operator, never a residual, so a
+    wrong identity still reads as a FAIL.  Below 8 levels it is a
+    TruncationError naming the cause, or the buffer where it is the stricter.
     """
-    _check_squeeze_angle(zeta)
-    cut = int(0.7 * fp.n_fock * math.exp(-2.0 * abs(zeta)))
-    return _checked_cut(fp, cut, f"squeeze angle {zeta}")
-
-
-def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
-    """The stricter of cut and N - buffer.
-
-    Raises TruncationError below 8 levels, naming the cause, or the
-    buffer where N - buffer is the stricter.
-    """
-    if fp.n_fock - fp.buffer < cut:
+    cut = fp.n_fock
+    if columns is not None:
+        leaks = np.abs(columns[-4:]).max(axis=0) >= 1e-10
+        cut = int(leaks.argmax()) if leaks.any() else columns.shape[1]
+    if fp.n_fock - fp.buffer <= cut:
         cut, cause = fp.n_fock - fp.buffer, f"buffer {fp.buffer}"
     if cut < 8:
         raise TruncationError(
@@ -139,6 +118,23 @@ def _checked_cut(fp: FockParams, cut: int, cause: str) -> int:
             f"n_fock={fp.n_fock}; increase the truncation"
         )
     return cut
+
+
+def _frame_residual(fp: FockParams, columns: np.ndarray, cause: str,
+                    bands: np.ndarray, targets: np.ndarray) -> float:
+    """Frobenius norm of U_c^T (B U_c) - T_c over the chains B of bands and T of targets.
+
+    U_c is columns, the formed leading columns of U, cut to truncation_cut;
+    B and T are bands (linalg.band_times, band_matrix), one chain at a time.
+    """
+    cut = truncation_cut(fp, columns, cause)
+    lead = columns[:, :cut]
+    norms = []
+    for band, target in zip(bands, targets):
+        diff = lead.T @ band_times(band, lead)
+        diff -= band_matrix(target[:, :cut])
+        norms.append(_leading_norm(diff))
+    return math.hypot(*norms)
 
 
 def _leading_norm(block: np.ndarray) -> float:
@@ -197,22 +193,18 @@ def a2_removal_report(p: ModelParams, fp: FockParams) -> float:
     S couples only levels of equal parity, which on one parity chain carry
     the same spin, so U is S on each chain in the chain's position basis:
     the residual is S^T L S - R on the chains L of model.parity_chains and
-    R of model.squeezed_chains, on their leading squeeze_cut levels, and
-    the scale is _diagonal_scale of the R chains.  Only
-    the leading cut columns S_c of S enter the residual's leading block,
-    so only they are formed (squeeze(zeta, fp, cut)), and the residual is
-    S_c^T (L S_c) - R_c, with L S_c from L's bands (linalg.band_times)
-    and R_c the leading cut x cut blocks of R, from the leading cut
-    columns of R's bands (linalg.band_matrix); no N x N matrix is formed.
+    R of model.squeezed_chains, on their leading truncation_cut levels
+    (_frame_residual), and the scale is _diagonal_scale of the R chains.
+    Only the leading columns of S enter, so only they are formed: at most
+    N exp(-2|zeta|), the most any measured cut kept, since S spreads level
+    n up to about n exp(2|zeta|).
     """
     omega_g, _ = renormalized_frequency(p.omega_b, p.c, p.g)
     zeta = 0.5 * math.log(omega_g / p.omega_b)
-    cut = squeeze_cut(fp, zeta)
-    lead = squeeze(zeta, fp, cut)
-    rhs = squeezed_chains(p, fp)
-    diff = lead.T @ band_times(parity_chains(p, fp), lead)
-    diff -= band_matrix(rhs[:, :, :cut])
-    return _leading_norm(diff) / _diagonal_scale(rhs)
+    m = min(fp.n_fock - fp.buffer, int(fp.n_fock * math.exp(-2.0 * abs(zeta))))
+    rhs, lead = squeezed_chains(p, fp), squeeze(zeta, fp, m)
+    norm = _frame_residual(fp, lead, f"squeeze angle {zeta}", parity_chains(p, fp), rhs)
+    return norm / _diagonal_scale(rhs)
 
 
 def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
@@ -220,19 +212,18 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
 
     omega_g(r) (B_r^dag B_r + 1/2) - (omega_a(r)/2)(D- + D+) = H(r),
     measured on the interior and relative to a lower bound on |H(r)|_2
-    (_diagonal_scale).  D- + D+ = -sz
-    exactly.  B_r maps chain i to chain 1-i through the same real
-    tridiagonal M = alpha a + gamma a_dag + kappa (model.heavy_field_coefficients),
+    (_diagonal_scale).  D- + D+ = -sz exactly.  B_r maps chain i to
+    chain 1-i through the same real tridiagonal
+    M = alpha a + gamma a_dag + kappa (model.heavy_field_coefficients),
     so B_r^dag B_r is M^T M on each chain: pentadiagonal, built in band
     storage with the truncated corner of the literal product.  The lhs on
     chain i is omega_g (M^T M + 1/2) + (omega_a/2) sz, with sz the
     model.chain_sz diagonal; the rhs is model.parity_chains of
     s.params(r), self-energy shift included.  The interior is the
-    leading N - buffer positions of each chain, so the residual is
-    _band_norm of the two difference chains, O(N); TruncationError below
-    8 levels, as for the other two checks.
+    leading N - buffer positions of each chain (truncation_cut), so the
+    residual is _band_norm of the two difference chains, O(N).
     """
-    cut = _checked_cut(fp, fp.n_fock, "the truncation")
+    cut = truncation_cut(fp)
     alpha, gamma, kappa = heavy_field_coefficients(s, r)
     n = fp.n_fock
     # M[j, j+1] = up[j], M[j+1, j] = low[j], M[j, j] = kappa.
@@ -251,19 +242,16 @@ def field_identity_report(s: Schedule, r: float, fp: FockParams) -> float:
     return _band_norm(diff, cut) / _diagonal_scale(rhs)
 
 
-def polaron_equivalence_report(
-    omega_a: float, omega_b: float, g: float, fp: FockParams
-) -> float:
+def polaron_equivalence_report(omega_a: float, omega_b: float, g: float, fp: FockParams) -> float:
     """Check the polaron-frame identity for the c=0 Hamiltonian.
 
     U^dag {H(omega_a, omega_b, g, 0) + g^2/omega_b} U
       = H(0, omega_b, 0, 0)
         - (omega_a/2) {s+ D(g/omega_b)^2 + s- D(-g/omega_b)^2},
 
-    with g^2/omega_b = model.self_energy(omega_b, 0, g), on the levels
-    below the stricter of N - buffer and N - ceil(POLARON_SPREAD beta
-    sqrt(N)), beta = g/omega_b, which keeps the truncation error of
-    D(beta) out; TruncationError below 8 levels.
+    with g^2/omega_b = model.self_energy(omega_b, 0, g), on the leading
+    truncation_cut levels of D = D(beta), beta = g/omega_b: those whose
+    columns of D stay clear of the truncation edge, below N - buffer.
 
     U = (R (x) 1) diag(D^T, D) with D = D(beta) and the spin rotation
     R = [[1, -1], [1, 1]]/sqrt(2), for which R^dag sz R = -sx and
@@ -274,11 +262,9 @@ def polaron_equivalence_report(
     F = omega_b(n+1/2).  With P = diag((-1)^n), P K P = -K for D's
     tridiagonal generator K, so D^T = P D P, and P h+ P = h-, P F P = F:
     the first block is P (second block) P, with the same Frobenius norm.
-    So only the second is formed, and the residual's norm is sqrt(2)
-    times its _leading_norm.  Its leading cut x cut block is
-    D_c^T (h- D_c) - F_c, with D_c the leading cut columns of D
-    (displacement(beta, fp, cut)), h- held as a tridiagonal band
-    (linalg.band_times), and F_c subtracted on the diagonal.
+    So only the second is formed, from D's leading N - buffer columns,
+    and the residual's norm is sqrt(2) times its _frame_residual, with h-
+    a tridiagonal band and F a diagonal one.
 
     The scale is omega_b (N - 1/2) - |omega_a|/2, Weyl's lower bound on
     |rhs|_2: the rhs is F (+) F, whose norm is omega_b (N - 1/2), plus
@@ -288,21 +274,15 @@ def polaron_equivalence_report(
     1 + |omega_a| / (omega_b (N - 1/2) - |omega_a|/2).
     """
     beta = g / omega_b
-    cut = _checked_cut(
-        fp,
-        fp.n_fock - math.ceil(POLARON_SPREAD * beta * math.sqrt(fp.n_fock)),
-        f"displacement amplitude {beta}",
-    )
-    lead = displacement(beta, fp, cut)
     # h- in band storage, with the level n as sqrt(n)^2, the diagonal of
     # the literal a_dag @ a.
     root = np.sqrt(np.arange(fp.n_fock, dtype=float))
     free = omega_b * (root**2 + 0.5)
-    h = np.zeros((2, fp.n_fock))
-    h[0] = free + self_energy(omega_b, 0.0, g)
-    h[1, :-1] = -g * root[1:]
-    diff = lead.T @ band_times(h, lead)
-    diff[np.arange(cut), np.arange(cut)] -= free[:cut]
+    h = np.zeros((1, 2, fp.n_fock))
+    h[0, 0] = free + self_energy(omega_b, 0.0, g)
+    h[0, 1, :-1] = -g * root[1:]
+    lead = displacement(beta, fp, fp.n_fock - fp.buffer)
+    norm = _frame_residual(fp, lead, f"displacement amplitude {beta}", h, free[None, None])
     # Weyl: |rhs|_2 >= omega_b (N - 1/2) - |O|_2, and |O|_2 = |omega_a|/2.
     scale = omega_b * (fp.n_fock - 0.5) - abs(omega_a) / 2.0
-    return math.sqrt(2.0) * _leading_norm(diff) / max(1.0, scale)
+    return math.sqrt(2.0) * norm / max(1.0, scale)

@@ -169,6 +169,48 @@ def test_underflowing_omega_g_is_a_validation_error(argv, tmp_path, monkeypatch,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["witten", "converge", "spectrum", "sweep"])
+def test_overflowing_self_energy_is_a_validation_error(command, tmp_path, monkeypatch, capsys):
+    # At c = 0, omega_g = omega is finite, but the shift g^2/omega = 1e312 is not.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--omega", "1e-12", "--g-max", "1e150", "--n-fock", "64", "--buffer", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(argv + (["--out-csv", "x.csv"] if command == "sweep" else []))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: self-energy g^2 / (4 c g^2 + omega) overflows float64")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--omega", "1.7e308"],
+    ["verify", "--omega", "1e300", "--g-max", "0"],
+])
+def test_verify_checks_its_inputs_before_its_first_check(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: omega_g = sqrt(omega^2 + 4 c omega g^2) overflows")
+    assert captured.err.count("\n") == 1
+
+
+def test_witten_weights_that_underflow_to_zero_warn_nothing(capsys):
+    # beta E overflows at beta = 1e300; exp(-inf) = 0 is the right weight.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["witten", "--g-max", "1e6", "--n-fock", "8", "--buffer", "2",
+                            "--beta", "1e300"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "r=0.0: index 1.000000 (rounded 1, beta 1e+300, tail 0.00e+00)",
+        "r=1.0: index 0.000000 (rounded 0, beta 1e+300, tail 0.00e+00)",
+    ]
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
 def test_witten_rejects_beta_not_finite_and_positive(beta, capsys):
     assert run_command(["witten", *FAST, "--beta", beta]) == 1
@@ -235,9 +277,25 @@ def test_g_sweep_far_past_the_cap_is_one_short_line(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_g_sweep_whose_beta_squared_overflows_is_one_short_line(tmp_path, capsys):
+    # At omega = 1e-12 and g = 1e150, beta^2 = (g/omega)^2 overflows float64:
+    # the N it asks for is past the cap, an error of one line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command([
+            "sweep", "--sweep-kind", "g", "--sweep-stop", "1e150", "--omega", "1e-12",
+            "--sweep-points", "2", "--out-csv", str(tmp_path / "x.csv"),
+        ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: g=1e+150 requires n_fock above the cap 2048")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_truncation_error_names_the_buffer(capsys):
-    # At N = 8 the squeeze rule keeps int(0.7 N) = 5 levels, but N - buffer = 4
-    # is the stricter cut, so the error must blame the buffer.
+    # At c = 0 the squeeze is the identity, so no column of S reaches the
+    # truncation edge and N - buffer = 4 is the cut: the error must blame the buffer.
     assert run_command(["verify", "--n-fock", "8", "--buffer", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: buffer 4 leaves fewer than 8 checkable levels at n_fock=8")
@@ -251,6 +309,9 @@ def test_verify_truncation_error_names_the_buffer(capsys):
     (["verify", "--buffer", "0"], "buffer 0 puts boson level 255"),
     # A squeeze angle beyond MAX_SQUEEZE, at any truncation.
     (["verify", "--c", "200", "--n-fock", "4096"], "|zeta| must be <= 2.0"),
+    # At N = 128 only one column of S(0.871) stays clear of the truncation edge.
+    (["verify", "--n-fock", "128", "--buffer", "32", "--c", "1.257"],
+     "squeeze angle 0.8710161748607109 leaves fewer than 8"),
 ])
 def test_verify_truncation_limits_exit_2_without_rows(argv, cause, capsys):
     assert run_command(argv) == 2

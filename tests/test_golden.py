@@ -47,6 +47,8 @@ CASES = {
     "verify_c200_n4096": ["verify", "--c", "200", "--n-fock", "4096"],
     "verify_n64_c0_beta3": ["verify", "--n-fock", "64", "--buffer", "16", "--c", "0",
                             "--g-max", "18.85"],
+    # beta = 0.16 with a thin buffer: D's columns, not the buffer, set the polaron cut.
+    "verify_g1_buffer4": ["verify", "--g-max", "1.0", "--buffer", "4"],
     "witten_n128_c0.2513": ["witten", *N128, "--c", "0.2513"],
     "witten_c0.2513": ["witten", "--c", "0.2513"],
     "goldstino_n128": ["goldstino", *N128],
@@ -83,6 +85,11 @@ CASES = {
     "rejects_sweep_omega1e-300": ["sweep", "--sweep-kind", "g", "--sweep-stop", "1e20",
                                   "--sweep-points", "2", "--c", "1", "--omega", "1e-300",
                                   "--out-csv", "{tmp}/x.csv"],
+    # At c = 0 omega_g = omega is finite, but the self-energy g^2/omega overflows.
+    "rejects_witten_omega1e-12_g1e150": ["witten", "--omega", "1e-12", "--g-max", "1e150",
+                                         "--n-fock", "64", "--buffer", "1"],
+    "rejects_converge_omega1e-12_g1e150": ["converge", "--omega", "1e-12", "--g-max", "1e150",
+                                           "--n-fock", "64", "--buffer", "1"],
 }
 
 
