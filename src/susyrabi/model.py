@@ -70,21 +70,21 @@ def renormalized_frequency(omega: float, c: float, g: float) -> tuple[float, flo
 
 
 def self_energy(omega: float, c: float, g: float) -> float:
-    """The scalar shift g^2 / (4*c*g^2 + omega) = g_tilde^2/omega_g; 0 at g = 0.
+    """The scalar shift g_tilde^2/omega_g = g^2 / (4*c*g^2 + omega); 0 at g = 0.
 
     This one formula is the shift of the r path (Schedule.params) and of
     the coupling sweep (spectral.sweep_params_g); it saturates at 1/(4c)
-    as g grows.  The inputs are checked by renormalized_frequency first,
-    and a shift that overflows float64 (at c = 0, g^2/omega) is a
-    ValidationError too.
+    as g grows.  It is formed from renormalized_frequency's finite
+    (omega_g, g_tilde), so it saturates even where 4*c*g^2 overflows; a
+    shift that overflows float64 (at c = 0, g^2/omega) is a
+    ValidationError.
     """
-    renormalized_frequency(omega, c, g)
+    omega_g, g_tilde = renormalized_frequency(omega, c, g)
     # Python floats give inf where numpy scalars would warn.
-    omega, c, g = float(omega), float(c), float(g)
-    shift = g**2 / (4.0 * c * g**2 + omega)
+    shift = g_tilde * g_tilde / omega_g
     if not math.isfinite(shift):
         raise ValidationError(f"self-energy g^2 / (4 c g^2 + omega) overflows float64 at "
-                              f"omega={omega}, c={c}, g={g}")
+                              f"omega={float(omega)}, c={float(c)}, g={float(g)}")
     return shift
 
 

@@ -42,7 +42,7 @@ CASES = {
     "verify_c1.257": ["verify", "--c", "1.257"],
     "verify_c0_beta2": ["verify", "--c", "0", "--g-max", "12.5664"],
     "verify_n255_c0.2513": ["verify", "--n-fock", "255", "--buffer", "64", "--c", "0.2513"],
-    "verify_n128_c1.257_fails": ["verify", *N128, "--c", "1.257"],
+    "verify_n128_c1.257_truncated": ["verify", *N128, "--c", "1.257"],
     "verify_buffer0": ["verify", "--buffer", "0"],
     "verify_c200_n4096": ["verify", "--c", "200", "--n-fock", "4096"],
     "verify_n64_c0_beta3": ["verify", "--n-fock", "64", "--buffer", "16", "--c", "0",

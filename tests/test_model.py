@@ -95,11 +95,17 @@ def test_renormalized_frequency_closed_form():
 
 
 def test_self_energy_two_forms_agree():
-    # g^2/(4 c g^2 + omega) equals g_tilde^2/omega_g identically.
+    # g_tilde^2/omega_g equals g^2/(4 c g^2 + omega) identically, and at
+    # c = 0 (omega_g = omega, g_tilde = g) bit for bit.
     for c in (0.0377, 0.2513, 0.628, 1.257):
         for g in (0.5, OMEGA, 5 * OMEGA):
-            omega_g, g_tilde = renormalized_frequency(OMEGA, c, g)
-            assert self_energy(OMEGA, c, g) == pytest.approx(g_tilde**2 / omega_g, rel=1e-13)
+            assert self_energy(OMEGA, c, g) == pytest.approx(g**2 / (4 * c * g**2 + OMEGA),
+                                                             rel=1e-13)
+    for g in (0.5, OMEGA, 5 * OMEGA):
+        assert self_energy(OMEGA, 0.0, g) == g**2 / OMEGA
+    # Where 4 c g^2 overflows but omega_g does not, the shift still
+    # saturates at 1/(4c): g^2/(4 c g^2 + omega) would read 1e308/inf = 0.
+    assert self_energy(1e-12, 1.0, 1e154) == pytest.approx(0.25, rel=1e-13)
     # An r-path point is the straight line (1-r)*omega, r*g_max, shifted
     # by the same formula as a coupling sweep point, bit for bit.
     g_max = 5 * OMEGA

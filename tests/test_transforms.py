@@ -328,6 +328,11 @@ def test_field_identity_raises_when_the_buffer_leaves_too_few_levels():
 STRUCTURED_N = (32, 64, 128)
 STRUCTURED_C = (0.0, 0.2513, 1.257)
 MISMATCH_RTOL = 1e-12
+# The A^2 check runs to N = 256, where every C in STRUCTURED_C leaves at
+# least 8 columns of S clear of the truncation edge (14 at C = 1.257).
+# Below it, these (N, C) leave fewer and are a TruncationError.
+A2_N = STRUCTURED_N + (256,)
+A2_TRUNCATED = {(32, 0.2513), (64, 0.2513), (32, 1.257), (64, 1.257), (128, 1.257)}
 
 
 def dense_a2_residual(p, fp, target, cut, value=frobenius_value):
@@ -376,7 +381,7 @@ def assert_mismatch_matches(got, want):
     assert abs(got - want) <= MISMATCH_RTOL * want, (got, want)
 
 
-@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("n", A2_N)
 @pytest.mark.parametrize("c", STRUCTURED_C)
 def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch, cuts):
     fp = FockParams(n_fock=n, buffer=n // 4)
@@ -389,13 +394,11 @@ def test_structured_a2_removal_equals_dense_oracle(n, c, monkeypatch, cuts):
         return used[-1]
 
     monkeypatch.setattr(transforms, "squeeze", recording_squeeze)
-    try:
-        residual = a2_removal_report(p, fp)
-    except TruncationError as exc:
-        # C > 0 below N = 128: too few columns of S stay clear of the edge.
-        assert c > 0 and n < 128 or c == 1.257, (n, c)
-        assert "squeeze angle" in str(exc)
+    if (n, c) in A2_TRUNCATED:
+        with pytest.raises(TruncationError, match="squeeze angle"):
+            a2_removal_report(p, fp)
         return
+    residual = a2_removal_report(p, fp)
     # The check conjugates by leading columns of the oracle's S, at least cut of them.
     cut = cuts[-1]
     dense_s, want = dense_a2_residual(p, fp, ModelParams(OMEGA, omega_g, g_tilde, 0.0), cut)
@@ -494,7 +497,7 @@ def assert_at_least(got, old):
     assert got >= old * (1.0 - LOWER_BOUND_RTOL), (got, old)
 
 
-@pytest.mark.parametrize("n", STRUCTURED_N)
+@pytest.mark.parametrize("n", A2_N)
 @pytest.mark.parametrize("c", STRUCTURED_C)
 def test_a2_and_field_checks_read_at_least_the_spectral_residual(n, c, cuts):
     fp = FockParams(n_fock=n, buffer=n // 4)
@@ -505,10 +508,11 @@ def test_a2_and_field_checks_read_at_least_the_spectral_residual(n, c, cuts):
     p = ModelParams(OMEGA, OMEGA, OMEGA, c)
     omega_g, g_tilde = renormalized_frequency(OMEGA, c, OMEGA)
     target = ModelParams(OMEGA, omega_g, g_tilde, 0.0)
-    try:
-        got = a2_removal_report(p, fp)
-    except TruncationError:
-        return  # C > 0 below N = 128, or C = 1.257: too few columns of S stay clear.
+    if (n, c) in A2_TRUNCATED:
+        with pytest.raises(TruncationError, match="squeeze angle"):
+            a2_removal_report(p, fp)
+        return
+    got = a2_removal_report(p, fp)
     _, old = dense_a2_residual(p, fp, target, cuts[-1], spectral_value)
     assert_at_least(got, old)
 
