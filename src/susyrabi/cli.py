@@ -35,9 +35,9 @@ from .spectral import (
     graded_levels,
     lowest_k,
     pair_algebra_report,
-    spectral_flow_g,
-    spectral_flow_r,
-    spectrum_table,
+    point_fock,
+    spectral_flow,
+    sweep_params_g,
     truncation_convergence,
     witten_index,
 )
@@ -104,8 +104,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    chains = squeezed_chains(cfg.schedule().params(args.r), cfg.fock())
-    table = spectrum_table(chains, cfg.k_levels, cfg.tol_degeneracy)
+    point = cfg.schedule().params(args.r)
+    table = spectral_flow([args.r], [point], "r_sweep", cfg.k_levels, cfg.fock(),
+                          cfg.tol_degeneracy).tables[0]
     if cfg.out_csv:
         emit_spectrum_csv(table, cfg.out_csv)
         print(f"wrote {cfg.out_csv}")
@@ -119,12 +120,17 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     if not cfg.out_csv:
         raise ValidationError("sweep requires out_csv")
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_points)
+    fp = cfg.fock()
     if cfg.sweep_kind == "r":
-        flow = spectral_flow_r(cfg.schedule(), grid, cfg.k_levels, cfg.fock(),
-                               cfg.tol_degeneracy)
+        points = [cfg.schedule().params(r) for r in grid]
     else:
-        flow = spectral_flow_g(cfg.omega, cfg.c, grid, cfg.k_levels, cfg.fock(),
-                               cfg.tol_degeneracy)
+        # Each coupling is sized before any self-energy is formed: where both
+        # fail, the truncation cap is the cause named (exit 2).
+        for g in grid:
+            point_fock(ModelParams(cfg.omega, cfg.omega, g, cfg.c), fp)
+        points = [sweep_params_g(cfg.omega, cfg.c, g) for g in grid]
+    flow = spectral_flow(grid, points, f"{cfg.sweep_kind}_sweep", cfg.k_levels, fp,
+                         cfg.tol_degeneracy)
     emit_flow_csv(flow, cfg.out_csv)
     print(f"wrote {cfg.out_csv}")
     if cfg.out_svg:

@@ -1,13 +1,15 @@
 """Spectral flows, degeneracy grouping, Witten index and algebra reports.
 
-The spectrum paths (sweeps over r and g, truncation convergence, and
-the spectrum and converge commands) solve the Hamiltonian in the
-squeezed frame without the A^2 term, as its two tridiagonal parity
-chains (model.squeezed_chains), with the banded core in lowest_k.  A
+The spectrum paths (the sweeps over r and g, the spectrum command, and
+truncation convergence) solve the Hamiltonian in the squeezed frame
+without the A^2 term, as its two tridiagonal parity chains
+(model.squeezed_chains), with the banded core in lowest_k.  A
 Hamiltonian point is one model.ModelParams, self-energy shift included
 (Schedule.params(r) on the r path, sweep_params_g on the coupling
-sweep); a point that needs a larger truncation solves at
-replace(fp, n_fock=n), up to CONVERGENCE_N_CAP, read at each call.  The
+sweep).  spectral_flow takes one point per grid value, for either sweep
+or for spectrum's single r, and solves each at required_n_fock's
+truncation for it (point_fock: replace(fp, n_fock=n), up to
+CONVERGENCE_N_CAP, read at each call), serially in grid order.  The
 Witten index takes the levels of the same chains graded by -sz, which
 the squeeze leaves alone (graded_levels).  witten_index and
 truncation_convergence take levels, not H, so the tests also feed them
@@ -15,7 +17,6 @@ those of their own 2N x 2N reference matrices.  The algebra reports and
 the goldstino check take H and the charges as the (N, 2, 2) stacks of
 their spin-flip pairs (model.charge_pairs), so every product is a
 batched 2 x 2 one and every block norm a closed-form one, O(N) in all.
-Sweep grid points are evaluated serially in grid order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .fock import FockParams
 from .linalg import banded_eigh, banded_lowest
 from .model import (
     ModelParams,
-    Schedule,
     SuperchargeSet,
     chain_sz,
     charge_pairs,
@@ -129,39 +129,6 @@ def _group_end(values: Sequence[float], i: int, tol: float = DEGENERACY_TOL) -> 
     return len(values)
 
 
-def spectrum_table(h: np.ndarray, k: int, tol_rel: float) -> SpectrumTable:
-    """The lowest k levels of the chains h (lowest_k), grouped at tol_rel.
-
-    The table's n_fock_used is the truncation the chains carry, h.shape[-1].
-    """
-    vals = lowest_k(h, k)
-    return SpectrumTable(
-        energies=vals,
-        groups=degeneracy_groups(vals, tol_rel),
-        n_fock_used=h.shape[-1],
-    )
-
-
-def spectral_flow_r(
-    s: Schedule,
-    grid: Sequence[float],
-    k: int,
-    fp: FockParams,
-    tol_degeneracy: float = DEGENERACY_TOL,
-) -> FlowResult:
-    """Eigenvalue flow of H(r) over an increasing grid in [0, 1]."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be non-empty and strictly increasing")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ValidationError("r grid must lie within [0, 1]")
-
-    tables = tuple(
-        spectrum_table(squeezed_chains(s.params(r), fp), k, tol_degeneracy) for r in grid
-    )
-    return FlowResult(grid=grid, tables=tables, sweep_kind="r_sweep")
-
-
 def required_n_fock(omega: float, c: float, g: float, n_min: int = 8) -> int:
     """Smallest truncation n_min * 2^k safely holding the displaced states.
 
@@ -183,45 +150,48 @@ def sweep_params_g(omega: float, c: float, g: float) -> ModelParams:
     return ModelParams(omega, omega, g, c, shift=self_energy(omega, c, g))
 
 
-def _sweep_point_fock(omega: float, c: float, g: float, fp: FockParams) -> FockParams:
-    """fp with n_fock = required_n_fock for the coupling sweep's point at g.
+def point_fock(p: ModelParams, fp: FockParams) -> FockParams:
+    """fp with n_fock = required_n_fock for the point p, from fp.n_fock up.
 
-    An n_fock above CONVERGENCE_N_CAP is a TruncationError.
+    fp itself where the point needs no more levels; an n_fock above
+    CONVERGENCE_N_CAP is a TruncationError.  The size reads only p's
+    omega_b, c and g, never its shift.
     """
-    n_req = required_n_fock(omega, c, g, n_min=fp.n_fock)
+    n_req = required_n_fock(p.omega_b, p.c, p.g, n_min=fp.n_fock)
     if n_req > CONVERGENCE_N_CAP:
         raise TruncationError(
-            f"g={g} requires n_fock above the cap {CONVERGENCE_N_CAP}; reduce the coupling range"
+            f"g={p.g} requires n_fock above the cap {CONVERGENCE_N_CAP}; reduce the coupling range"
         )
-    return replace(fp, n_fock=n_req)
+    return fp if n_req == fp.n_fock else replace(fp, n_fock=n_req)
 
 
-def spectral_flow_g(
-    omega: float,
-    c: float,
-    g_grid: Sequence[float],
+def spectral_flow(
+    grid: Sequence[float],
+    points: Sequence[ModelParams],
+    sweep_kind: str,
     k: int,
     fp: FockParams,
     tol_degeneracy: float = DEGENERACY_TOL,
 ) -> FlowResult:
-    """Eigenvalue flow of the coupling sweep, raising truncation with g.
+    """The lowest k levels of each point, grouped at tol_degeneracy, over its grid.
 
-    Every point is sized by _sweep_point_fock before any chain is built,
-    so a grid with a point that needs more than CONVERGENCE_N_CAP levels
-    is a TruncationError, for its first such point, at once.
+    points[i] is the Hamiltonian point at grid[i], a strictly increasing,
+    non-empty grid.  Each point is solved on its squeezed chains at
+    point_fock's truncation, which its table's n_fock_used records.
+    Every point is sized before any chain is built, so a grid with a
+    point that needs more than CONVERGENCE_N_CAP levels is a
+    TruncationError, for its first such point, at once.
     """
-    g_grid = np.asarray(g_grid, dtype=float)
-    if g_grid.size == 0 or np.any(np.diff(g_grid) <= 0):
-        raise ValidationError("g grid must be non-empty and strictly increasing")
-    if g_grid[0] < 0.0:
-        raise ValidationError("g values must be non-negative")
-
-    sizes = [_sweep_point_fock(omega, c, g, fp) for g in g_grid]
-    tables = tuple(
-        spectrum_table(squeezed_chains(sweep_params_g(omega, c, g), fp_g), k, tol_degeneracy)
-        for g, fp_g in zip(g_grid, sizes)
-    )
-    return FlowResult(grid=g_grid, tables=tables, sweep_kind="g_sweep")
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or np.any(np.diff(grid) <= 0) or len(points) != grid.size:
+        raise ValidationError(
+            "grid must be non-empty and strictly increasing, with one point per value")
+    sizes = [point_fock(p, fp) for p in points]
+    tables = []
+    for p, fp_p in zip(points, sizes):
+        vals = lowest_k(squeezed_chains(p, fp_p), k)
+        tables.append(SpectrumTable(vals, degeneracy_groups(vals, tol_degeneracy), fp_p.n_fock))
+    return FlowResult(grid=grid, tables=tuple(tables), sweep_kind=sweep_kind)
 
 
 @dataclass(frozen=True)

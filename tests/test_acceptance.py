@@ -29,7 +29,7 @@ from susyrabi.output import emit_flow_csv
 from susyrabi.spectral import (
     required_n_fock,
     goldstino_check,
-    spectral_flow_r,
+    spectral_flow,
     truncation_convergence,
     witten_index,
 )
@@ -116,7 +116,8 @@ def test_criterion_05_interpolation_sweep_endpoints(c, tol_of_spacing):
     t0 = time.monotonic()
     fp = FockParams(n_fock=256, buffer=64)
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=c)
-    flow = spectral_flow_r(s, np.linspace(0.0, 1.0, 51), 7, fp)
+    grid = np.linspace(0.0, 1.0, 51)
+    flow = spectral_flow(grid, [s.params(r) for r in grid], "r_sweep", 7, fp)
     spacing = s.omega_g(1.0)
     target = pair_ladder(spacing, 7)
     dev = float(np.max(np.abs(flow.tables[-1].energies - target)))
@@ -235,9 +236,10 @@ def test_criterion_11_sweep_determinism(tmp_path):
     fp = FockParams(n_fock=256, buffer=64)
     s = Schedule(omega=OMEGA, g_max=G_MAX, c=0.2513)
     grid = np.linspace(0.0, 1.0, 51)
+    points = [s.params(r) for r in grid]
     p_first = tmp_path / "first.csv"
-    emit_flow_csv(spectral_flow_r(s, grid, 7, fp), p_first)
+    emit_flow_csv(spectral_flow(grid, points, "r_sweep", 7, fp), p_first)
     p_second = tmp_path / "second.csv"
-    emit_flow_csv(spectral_flow_r(s, grid, 7, fp), p_second)
+    emit_flow_csv(spectral_flow(grid, points, "r_sweep", 7, fp), p_second)
     ok = p_first.read_bytes() == p_second.read_bytes()
     assert report("11", ok, "51-point sweep CSVs byte-identical across repeat runs")

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import ast
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import susyrabi
 from susyrabi.cli import _build_parser, run_command
@@ -291,6 +295,53 @@ def test_g_sweep_whose_beta_squared_overflows_is_one_short_line(tmp_path, capsys
     assert err.startswith("error: g=1e+150 requires n_fock above the cap 2048")
     assert err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+# The input space of the fuzzed CLI contract: every scalar input is drawn from
+# VALUES, which hold zero, a negative, the subnormal and overflowing ends of
+# float64, the non-finite values and the ordinary scales around omega = 6.2832.
+VALUES = ["0", "-1", "5e-324", "1e-300", "1e-12", "1e-6", "0.5", "1", "6.2832", "31.4",
+          "1e6", "1e150", "1e200", "1.7e308", "inf", "nan"]
+COMMANDS = ["spectrum", "sweep", "verify", "witten", "converge", "mass", "goldstino"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    n = draw(st.sampled_from([8, 9, 16, 17, 32, 64]))
+    argv = [command, "--omega", draw(st.sampled_from(VALUES)),
+            "--g-max", draw(st.sampled_from(VALUES)), "--c", draw(st.sampled_from(VALUES)),
+            "--n-fock", str(n), "--buffer", str(draw(st.sampled_from([0, 1, 2, n // 4, n // 2]))),
+            "--k-levels", str(draw(st.sampled_from([1, 2, 7, 2 * n])))]
+    if command == "sweep":
+        kind = draw(st.sampled_from(["r", "g"]))
+        argv += ["--sweep-kind", kind, "--sweep-points", "3", "--out-csv", "{tmp}/flow.csv"]
+        if kind == "g":
+            argv += ["--sweep-stop", draw(st.sampled_from(VALUES))]
+    if command == "witten":
+        argv += ["--beta", draw(st.sampled_from(VALUES))]
+    return argv
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_fuzzed_cli_keeps_its_exit_and_stderr_contract(argv, tmp_path):
+    # Exit 0, 1, 2 or 3; exit 1 or 2 prints one "error:" line and nothing else on
+    # stderr, exit 0 or 3 prints nothing there, and exit 3 comes with a FAIL row.
+    # A warning is an error, so none may reach the user either.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run_command([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+    assert (code == 3) == (",FAIL" in out)
 
 
 def test_verify_truncation_error_names_the_buffer(capsys):

@@ -17,7 +17,7 @@ from susyrabi.output import (
     emit_flow_svg,
     emit_spectrum_csv,
 )
-from susyrabi.spectral import spectral_flow_r
+from susyrabi.spectral import spectral_flow
 
 OMEGA = 6.2832
 
@@ -25,7 +25,8 @@ OMEGA = 6.2832
 @pytest.fixture(scope="module")
 def small_flow():
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
-    return spectral_flow_r(s, np.linspace(0.0, 1.0, 5), 4, FockParams(64, 16))
+    grid = np.linspace(0.0, 1.0, 5)
+    return spectral_flow(grid, [s.params(r) for r in grid], "r_sweep", 4, FockParams(64, 16))
 
 
 def test_defaults():

@@ -71,6 +71,13 @@ CASES = {
                         "--sweep-points", "5", "--out-csv", "{tmp}/k_full.csv"],
     "sweep_g_past_cap": ["sweep", "--sweep-kind", "g", "--sweep-stop", "1000",
                          "--sweep-points", "2", "--out-csv", "{tmp}/g.csv"],
+    # g_max = 14 omega at c = 0: each r point is sized, N = 256, 512 and 2048, so the
+    # r = 1 levels are the exact pairs omega (n + 1/2); at 20 omega r = 1 is past the cap.
+    "sweep_r_g14_c0": ["sweep", "--g-max", "87.9648", "--c", "0", "--sweep-points", "3",
+                       "--out-csv", "{tmp}/flow.csv"],
+    "spectrum_g14_c0": ["spectrum", "--g-max", "87.9648", "--c", "0"],
+    "sweep_r_past_cap": ["sweep", "--g-max", "125.664", "--c", "0", "--sweep-points", "3",
+                         "--out-csv", "{tmp}/flow.csv"],
     # The input-domain contract: each exits 1 with one "error:" line.
     "rejects_witten_beta_nan": ["witten", "--beta", "nan"],
     "rejects_witten_beta_inf": ["witten", "--beta", "inf"],

@@ -35,7 +35,9 @@ from susyrabi.spectral import (
     degeneracy_groups,
     graded_levels,
     lowest_k,
+    point_fock,
     required_n_fock,
+    sweep_params_g,
     witten_index,
 )
 from susyrabi.transforms import _band_norm, _leading_norm
@@ -558,6 +560,37 @@ def test_squeezed_chains_match_converged_pentadiagonal_chains(wa_ratio, g_ratio,
     got = lowest_k(squeezed_chains(p, FockParams(n_fock=n, buffer=0)), 8)
     want = lowest_k(parity_chains(p, FockParams(n_fock=8 * n, buffer=0)), 8)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= SQUEEZE_RTOL
+
+
+# Rescaling covariance: H(lam omega_a, lam omega_b, lam g, c/lam) = lam H(omega_a,
+# omega_b, g, c), self-energy shift included.  For lam = 2^j every float64 step of
+# the spectrum paths scales exactly, so the chains and their levels are lam times
+# those at lam = 1 bit for bit, the size point_fock reads off beta = g_tilde/omega_g
+# is the same, and the Witten index at beta/lam is the same number.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-20, max_value=20),  # lam = 2^j
+       st.sampled_from([0.0, 0.0377, 0.2513, 1.257]),  # c at lam = 1
+       st.sampled_from([8, 16, 32]),  # n_fock before sizing
+       st.sampled_from([0.0, 0.5, 1.0]),  # r
+       st.sampled_from([0.5, 1.0, 3.0]))  # g_max / omega
+def test_spectrum_paths_are_exactly_scale_covariant(j, c, n, r, g_ratio):
+    lam = 2.0**j
+    fp = FockParams(n_fock=n, buffer=0)
+    base = Schedule(OMEGA, g_ratio * OMEGA, c)
+    scaled = Schedule(lam * OMEGA, lam * (g_ratio * OMEGA), c / lam)
+    for make in (lambda s: s.params(r), lambda s: sweep_params_g(s.omega, s.c, s.g_max)):
+        p, q = make(base), make(scaled)
+        sized = point_fock(p, fp)
+        assert point_fock(q, fp) == sized
+        h = squeezed_chains(p, sized)
+        np.testing.assert_array_equal(squeezed_chains(q, sized), lam * h)
+        k = min(7, 2 * sized.n_fock)
+        np.testing.assert_array_equal(lowest_k(squeezed_chains(q, sized), k), lam * lowest_k(h, k))
+    beta = 5.0 / OMEGA
+    for r_end in (0.0, 1.0):
+        want = witten_index(graded_levels(squeezed_chains(base.params(r_end), fp)), beta)
+        got = witten_index(graded_levels(squeezed_chains(scaled.params(r_end), fp)), beta / lam)
+        assert got.index_value == want.index_value
 
 
 @settings(max_examples=10, deadline=None)

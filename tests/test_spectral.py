@@ -33,8 +33,7 @@ from susyrabi.spectral import (
     lowest_k,
     pair_algebra_report,
     required_n_fock,
-    spectral_flow_g,
-    spectral_flow_r,
+    spectral_flow,
     sweep_params_g,
     truncation_convergence,
     witten_index,
@@ -165,10 +164,20 @@ def test_degeneracy_groups_rejects_descending():
         degeneracy_groups(np.array([1.0, 0.0]))
 
 
+def flow_r(s, grid, k, fp):
+    """The r-sweep of s over grid, as the sweep command builds it."""
+    return spectral_flow(grid, [s.params(r) for r in grid], "r_sweep", k, fp)
+
+
+def flow_g(omega, c, grid, k, fp):
+    """The coupling sweep over grid, as the sweep command builds it."""
+    return spectral_flow(grid, [sweep_params_g(omega, c, g) for g in grid], "g_sweep", k, fp)
+
+
 def test_spectral_flow_r_structure(fp_mid):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.0)
     grid = np.linspace(0.0, 1.0, 5)
-    flow = spectral_flow_r(s, grid, 7, fp_mid)
+    flow = flow_r(s, grid, 7, fp_mid)
     assert flow.sweep_kind == "r_sweep"
     assert len(flow.tables) == 5
     # r=0 endpoint: SUSY pattern 1,2,2,2 ; ground exactly zero.
@@ -177,14 +186,19 @@ def test_spectral_flow_r_structure(fp_mid):
     assert tuple(size for _, size in t0.groups) == (1, 2, 2, 2)
 
 
-def test_spectral_flow_r_grid_validation(fp_small):
+def test_spectral_flow_grid_validation(fp_small):
     s = Schedule(omega=OMEGA, g_max=OMEGA)
-    with pytest.raises(ValidationError):
-        spectral_flow_r(s, [0.5, 0.5], 3, fp_small)
-    with pytest.raises(ValidationError):
-        spectral_flow_r(s, [0.0, 1.2], 3, fp_small)
-    with pytest.raises(ValidationError):
-        spectral_flow_r(s, [], 3, fp_small)
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        flow_r(s, [0.5, 0.5], 3, fp_small)
+    with pytest.raises(ValidationError, match="non-empty"):
+        flow_r(s, [], 3, fp_small)
+    with pytest.raises(ValidationError, match="one point per value"):
+        spectral_flow([0.0, 0.5], [s.params(0.0)], "r_sweep", 3, fp_small)
+    # The range checks are the points' own: Schedule.params for r, self_energy for g.
+    with pytest.raises(ValidationError, match=r"r must lie in \[0, 1\]"):
+        flow_r(s, [0.0, 1.2], 3, fp_small)
+    with pytest.raises(ValidationError, match="must be non-negative"):
+        flow_g(OMEGA, 0.0, [-1.0, 0.0], 3, fp_small)
 
 
 def test_required_n_fock_grows_with_coupling():
@@ -200,7 +214,7 @@ def test_required_n_fock_grows_with_coupling():
 
 def test_spectral_flow_g_auto_truncation():
     fp = FockParams(n_fock=64, buffer=16)
-    flow = spectral_flow_g(OMEGA, 0.0, [0.0, 2 * OMEGA, 5 * OMEGA], 6, fp)
+    flow = flow_g(OMEGA, 0.0, [0.0, 2 * OMEGA, 5 * OMEGA], 6, fp)
     assert flow.sweep_kind == "g_sweep"
     # Truncation was raised for the strong-coupling points.
     assert flow.tables[0].n_fock_used == 64
@@ -219,11 +233,25 @@ def test_spectral_flow_g_writes_required_n_fock(tmp_path):
     fp = FockParams(n_fock=64, buffer=16)
     grid = [0.0, 2 * OMEGA, 4 * OMEGA, 5 * OMEGA]
     path = tmp_path / "g.csv"
-    emit_flow_csv(spectral_flow_g(OMEGA, 0.0, grid, 3, fp), path)
+    emit_flow_csv(flow_g(OMEGA, 0.0, grid, 3, fp), path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     want = [required_n_fock(OMEGA, 0.0, g, n_min=64) for g in grid]
     assert want == [64, 64, 128, 256]
     assert [int(row[6]) for row in rows] == [n for n in want for _ in range(3)]
+
+
+def test_r_sweep_sizes_each_point_as_the_coupling_sweep_does():
+    # At g_max = 14 omega, c = 0 the r = 1 point (beta = 14) needs N = 2048.  Solved at
+    # the configured 256 instead, its level 6 read 22.705 against the exact 21.991.
+    fp = FockParams(n_fock=256, buffer=64)
+    flow = flow_r(Schedule(OMEGA, 87.9648, 0.0), [0.0, 0.5, 1.0], 7, fp)
+    assert [t.n_fock_used for t in flow.tables] == [256, 512, 2048]
+    top = flow.tables[-1]
+    want = np.repeat(OMEGA * (np.arange(4) + 0.5), 2)[:7]
+    np.testing.assert_allclose(top.energies, want, rtol=1e-12, atol=0.0)
+    assert [size for _, size in top.groups] == [2, 2, 2, 1]
+    # A point that needs no more levels keeps the configured truncation itself.
+    assert spectral.point_fock(Schedule(OMEGA, OMEGA).params(1.0), fp) is fp
 
 
 def test_squeezed_chains_converge_where_bare_chains_do_not():
@@ -245,7 +273,7 @@ def test_spectral_flow_g_cap():
     # g = 500 needs N of about 5e4, past CONVERGENCE_N_CAP.
     fp = FockParams(n_fock=64, buffer=16)
     with pytest.raises(TruncationError, match="reduce the coupling range$"):
-        spectral_flow_g(OMEGA, 0.0, [0.0, 500.0], 4, fp)
+        flow_g(OMEGA, 0.0, [0.0, 500.0], 4, fp)
 
 
 def test_spectral_flow_g_sizes_every_point_before_building_chains(monkeypatch):
@@ -259,10 +287,15 @@ def test_spectral_flow_g_sizes_every_point_before_building_chains(monkeypatch):
     monkeypatch.setattr(spectral, "squeezed_chains", counting)
     fp = FockParams(n_fock=64, buffer=16)
     with pytest.raises(TruncationError, match=r"^g=120\.0 requires n_fock above the cap 2048"):
-        spectral_flow_g(OMEGA, 0.0, [0.0, 50.0, 100.0, 120.0, 1000.0], 4, fp)
+        flow_g(OMEGA, 0.0, [0.0, 50.0, 100.0, 120.0, 1000.0], 4, fp)
     assert built == []
-    spectral_flow_g(OMEGA, 0.0, [0.0, 50.0], 4, fp)
+    flow_g(OMEGA, 0.0, [0.0, 50.0], 4, fp)
     assert [args[1].n_fock for args in built] == [64, 512]
+    # The r path is sized the same way: g = r g_max, so r = 1 at g_max = 120 is past the cap.
+    built.clear()
+    with pytest.raises(TruncationError, match=r"^g=120\.0 requires n_fock above the cap 2048"):
+        flow_r(Schedule(OMEGA, 120.0), [0.0, 0.5, 1.0], 4, fp)
+    assert built == []
 
 
 def unbounded_n_fock(omega, c, g, n_min):
@@ -320,13 +353,13 @@ def no_go_asymptote_check(
     not by omega, so max_deviation is a sizeable fraction of omega there
     (0.062*omega at g = 5*omega, c = 0.2513, k = 6); only a bound such as
     0.5*omega holds.  The point is the coupling sweep's
-    (spectral._sweep_point_fock), so one needing more than
-    CONVERGENCE_N_CAP levels is a TruncationError.
+    (sweep_params_g), sized by spectral.point_fock, so one needing more
+    than CONVERGENCE_N_CAP levels is a TruncationError.
     """
     if g < 3.0 * omega:
         raise ValidationError(f"asymptote check needs g >= 3*omega, got g={g}")
-    fp_g = spectral._sweep_point_fock(omega, c, g, fp)
-    vals = lowest_k(squeezed_chains(sweep_params_g(omega, c, g), fp_g), k)
+    p = sweep_params_g(omega, c, g)
+    vals = lowest_k(squeezed_chains(p, spectral.point_fock(p, fp)), k)
     omega_g = renormalized_frequency(omega, c, g)[0]
     if c == 0.0:
         target = np.sort(np.repeat(omega * (np.arange(k) + 0.5), 2))[:k]
@@ -753,8 +786,8 @@ def test_limit_check_pairing_structure():
 def test_flow_is_identical_across_repeat_runs(fp_small):
     s = Schedule(omega=OMEGA, g_max=OMEGA, c=0.2513)
     grid = np.linspace(0.0, 1.0, 7)
-    first = spectral_flow_r(s, grid, 5, fp_small)
-    second = spectral_flow_r(s, grid, 5, fp_small)
+    first = flow_r(s, grid, 5, fp_small)
+    second = flow_r(s, grid, 5, fp_small)
     for ta, ts in zip(first.tables, second.tables):
         np.testing.assert_array_equal(ta.energies, ts.energies)
         assert ta.groups == ts.groups
